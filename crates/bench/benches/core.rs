@@ -175,6 +175,22 @@ fn bench_rank_throughput_kpaths(c: &mut Criterion) {
     g.finish();
 }
 
+/// One probing round of the `fabric_map` shape into a sharded scheduler:
+/// every host probes the scheduler (host 1000) and is probed back, so
+/// every learned edge is re-measured.
+fn probe_fabric_round(s: &mut ShardedScheduler, seq: u64, now_ns: u64) {
+    for h in 0..128u32 {
+        let chain = [100 + h % 32, 200 + h % 16, 300 + h % 8, 400 + (h / 16) % 8];
+        let mut up = probe_through(h, &chain, h % 8);
+        up.seq = seq;
+        s.core_mut().collector_mut().ingest(&up, now_ns);
+        let rev: Vec<u32> = chain.iter().rev().copied().collect();
+        let mut down = probe_through(1000, &rev, h % 5);
+        down.seq = seq;
+        s.core_mut().collector_mut().ingest_relayed(&down, h, now_ns);
+    }
+}
+
 /// The PR 6 headline: aggregate rank throughput of the sharded,
 /// snapshot-based control plane at 1/2/4/8 read workers. One epoch is
 /// published up front (steady state between probe rounds); each
@@ -209,16 +225,7 @@ fn bench_rank_throughput_mt(c: &mut Criterion) {
                     1,
                     workers,
                 );
-                for h in 0..128u32 {
-                    let chain = [100 + h % 32, 200 + h % 16, 300 + h % 8, 400 + (h / 16) % 8];
-                    s.core_mut()
-                        .collector_mut()
-                        .ingest(&probe_through(h, &chain, h % 8), 50_000_000);
-                    let rev: Vec<u32> = chain.iter().rev().copied().collect();
-                    s.core_mut()
-                        .collector_mut()
-                        .ingest_relayed(&probe_through(1000, &rev, h % 5), h, 50_000_000);
-                }
+                probe_fabric_round(&mut s, 1, 50_000_000);
                 s.advance(50_000_000);
                 let mut out = Vec::new();
                 b.iter(|| {
@@ -229,6 +236,47 @@ fn bench_rank_throughput_mt(c: &mut Criterion) {
         );
     }
 
+    g.finish();
+}
+
+/// The cold serve path (PR 12): the paper's scheduler re-learns every
+/// link each probing interval, so nothing a shard cached survives an
+/// epoch. One iteration = one probing round (every edge dirty) → publish
+/// → serve 128 queries from 128 distinct requesters on one shard, i.e.
+/// one Dijkstra plus one tree sweep per query. Compare per-query cost
+/// with `rank_throughput_mt/fabric_64s_128h/1` (same fabric, warm).
+fn bench_rank_throughput_churn(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rank_throughput_churn");
+    let mut batch: Vec<RankQuery> = (0..128)
+        .map(|i| RankQuery {
+            requester: i,
+            policy: match i % 3 {
+                0 => Policy::IntDelay,
+                1 => Policy::IntBandwidth,
+                _ => Policy::Nearest,
+            },
+            now_ns: 0,
+        })
+        .collect();
+    g.throughput(Throughput::Elements(batch.len() as u64));
+    g.bench_function("fabric_64s_128h", |b| {
+        let mut s =
+            ShardedScheduler::new(1000, CoreConfig::default(), StaticDistances::new(), 1, 1);
+        let mut out = Vec::new();
+        let mut t = 50_000_000u64;
+        let mut seq = 0u64;
+        b.iter(|| {
+            t += 100_000_000;
+            seq += 1;
+            probe_fabric_round(&mut s, seq, t);
+            s.advance(t);
+            for q in &mut batch {
+                q.now_ns = t;
+            }
+            s.serve_batch(&batch, &mut out);
+            black_box(out.len())
+        })
+    });
     g.finish();
 }
 
@@ -314,6 +362,7 @@ criterion_group!(
     bench_rank_throughput,
     bench_rank_throughput_kpaths,
     bench_rank_throughput_mt,
+    bench_rank_throughput_churn,
     bench_publish_throughput,
     bench_ingest_throughput
 );

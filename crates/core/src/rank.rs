@@ -116,6 +116,12 @@ impl StaticDistances {
     pub fn get(&self, a: u32, b: u32) -> Option<u32> {
         self.hops.get(&(a, b)).copied()
     }
+
+    /// Every known `(host, hops)` from `a`, ascending by host — one range
+    /// scan instead of one [`StaticDistances::get`] per candidate.
+    pub fn row(&self, a: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.hops.range((a, 0)..=(a, u32::MAX)).map(|(&(_, b), &hops)| (b, hops))
+    }
 }
 
 /// The ranking engine: owns the estimators, the indexed path engine with

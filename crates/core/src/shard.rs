@@ -269,8 +269,8 @@ impl ShardedScheduler {
     /// first.
     ///
     /// The batch is split into contiguous chunks of `ceil(len / n)` and
-    /// each chunk is served by one shard on its own thread (serially
-    /// when one shard suffices). Query *i* carries global slot
+    /// each chunk is served by one shard — chunk 0 on the calling thread,
+    /// the rest on one scoped thread each. Query *i* carries global slot
     /// `queries_total + i` regardless of which shard serves it, so the
     /// outcome vector is identical for any shard count.
     pub fn serve_batch(&mut self, queries: &[RankQuery], out: &mut Vec<RankOutcome>) {
@@ -289,12 +289,15 @@ impl ShardedScheduler {
             std::thread::scope(|scope| {
                 let slot = &self.slot;
                 let shards = &self.shards;
-                for (i, (qs, os)) in
-                    queries.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-                {
+                let mut chunks =
+                    queries.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate();
+                // Chunk 0 is the caller's: n − 1 threads, nobody idles.
+                let (_, (qs0, os0)) = chunks.next().expect("batch is non-empty");
+                for (i, (qs, os)) in chunks {
                     let base = tag_base + (i * chunk) as u64;
                     scope.spawn(move || serve_chunk(slot, &shards[i], qs, os, base));
                 }
+                serve_chunk(slot, &shards[0], qs0, os0, tag_base);
             });
         }
 

@@ -20,10 +20,16 @@
 //!   and every probe origin's last-receive time, so origin-silence
 //!   exclusion is a pure function of the query's `now`.
 //!
-//! Queries evaluate against a per-shard [`SnapshotScratch`] (the PR-5
-//! dist/prev/heap Dijkstra buffers plus a per-epoch path cache), so N
-//! shards serve concurrently with zero shared mutable state. The
-//! evaluation mirrors [`Ranker`](crate::rank::Ranker) decision-for-
+//! Queries evaluate against a per-shard [`SnapshotScratch`], so N shards
+//! serve concurrently with zero shared mutable state. Serving is **tree
+//! pricing**: one Dijkstra per distinct requester per epoch records the
+//! shortest-path tree (settle order, each node's parent and parent arc)
+//! in a flat per-epoch arena; each query sweeps that tree once, carrying
+//! `(Σ link delay, Σ k·Q, min available bandwidth)` from parent to child,
+//! and every candidate's estimate is a table read at its dense id — no
+//! per-pair path is ever materialised. (`k_paths > 1` still resolves and
+//! caches explicit k-path sets, because banning edges needs real paths.)
+//! The evaluation mirrors [`Ranker`](crate::rank::Ranker) decision-for-
 //! decision; `tests/shard_determinism.rs` pins byte-equality against the
 //! single-threaded oracle across churn, eviction, and faults.
 //!
@@ -44,10 +50,19 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Sentinel for "no predecessor" in the SSSP scratch.
 const NO_PREV: u32 = u32::MAX;
+
+/// Source of [`SchedSnapshot::uid`]. `Relaxed` suffices: the value only
+/// has to be unique, it publishes no other data.
+static NEXT_SNAPSHOT_UID: AtomicU64 = AtomicU64::new(0);
+
+fn next_uid() -> u64 {
+    NEXT_SNAPSHOT_UID.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Queue-occupancy evidence for one CSR arc, resolved at publish time.
 ///
@@ -95,6 +110,8 @@ struct CsrTopo {
     cols: Vec<u32>,
     /// Every known host, ascending — the candidate universe.
     hosts: Vec<u32>,
+    /// Dense node id of each host (parallel to `hosts`).
+    host_ids: Vec<u32>,
 }
 
 /// One frozen epoch of the scheduler control plane. Immutable and
@@ -102,6 +119,11 @@ struct CsrTopo {
 /// concurrently, each with its own [`SnapshotScratch`].
 #[derive(Debug)]
 pub struct SchedSnapshot {
+    /// Process-unique identity of this built snapshot. A scratch binds
+    /// to it, not to `epoch`: two snapshots may share an epoch number
+    /// (two schedulers, or a rebuilt epoch) yet freeze different graphs.
+    /// Never reaches an outcome.
+    uid: u64,
     epoch: u64,
     published_at_ns: u64,
     cfg: Arc<CoreConfig>,
@@ -188,13 +210,23 @@ impl SchedSnapshot {
             }
         }
 
+        let hosts: Vec<u32> = map.hosts().collect();
+        let host_ids = hosts
+            .iter()
+            .map(|&h| {
+                nodes.binary_search(&NetNode::Host(h)).expect("every known host is a CSR node")
+                    as u32
+            })
+            .collect();
+
         SchedSnapshot {
+            uid: next_uid(),
             epoch,
             published_at_ns,
             cfg: Arc::clone(cfg),
             distances: Arc::clone(distances),
             seed,
-            topo: Arc::new(CsrTopo { nodes, row, cols, hosts: map.hosts().collect() }),
+            topo: Arc::new(CsrTopo { nodes, row, cols, hosts, host_ids }),
             topo_gen,
             layout_gen,
             weights,
@@ -300,32 +332,46 @@ impl SchedSnapshot {
         out.ranked.clear();
         out.excluded.clear();
 
+        // Resolve the requester once. Single-path serving prices its whole
+        // shortest-path tree up front; every candidate is then a table read.
+        let from = self.node_id(NetNode::Host(requester));
+        if self.cfg.k_paths <= 1 {
+            if let Some(from) = from {
+                self.price_tree(scratch, from, now_ns);
+            }
+        }
+
         // Candidate set: every known host except the requester — the same
-        // rule as `SchedulerCore::candidates_for`.
-        let mut candidates = std::mem::take(&mut scratch.candidates);
-        candidates.clear();
-        candidates.extend(self.topo.hosts.iter().copied().filter(|&h| h != requester));
+        // rule as `SchedulerCore::candidates_for` — with its dense id.
+        let topo = &*self.topo;
+        let candidates =
+            topo.hosts.iter().zip(&topo.host_ids).filter(|&(&host, _)| host != requester);
+        out.ranked.reserve(topo.hosts.len());
 
         if matches!(policy, Policy::Nearest | Policy::Random) {
-            out.ranked.reserve(candidates.len());
-            for &host in &candidates {
-                let est = self.estimate(scratch, requester, host, now_ns);
-                out.ranked.push(est);
+            for (&host, &to) in candidates {
+                out.ranked.push(self.estimate(scratch, from, host, to, now_ns));
             }
-            self.sort(&mut out.ranked, requester, policy, slot);
-            scratch.candidates = candidates;
+            self.sort(scratch, &mut out.ranked, requester, policy, slot);
             return;
         }
 
         let mut pathless = std::mem::take(&mut scratch.pathless);
         pathless.clear();
-        out.ranked.reserve(candidates.len());
-        for &host in &candidates {
-            if self.is_silent(host, now_ns) {
+        // Origin silence is `IntCollector::silent_origins` membership, a
+        // pure function of the frozen origin table and the query `now`;
+        // hosts and origins both ascend, so one merged walk answers it.
+        let mut origins = self.origins.iter().peekable();
+        for (&host, &to) in candidates {
+            while origins.next_if(|&&(o, _)| o < host).is_some() {}
+            let silent = origins.peek().is_some_and(|&&(o, last_rx_ns)| {
+                o == host && now_ns.saturating_sub(last_rx_ns) > self.cfg.origin_silence_ns
+            });
+            if silent {
                 out.excluded.push((host, ExcludeReason::OriginSilent));
                 continue;
             }
-            let est = self.estimate(scratch, requester, host, now_ns);
+            let est = self.estimate(scratch, from, host, to, now_ns);
             if est.est_delay_ns == u64::MAX {
                 out.excluded.push((host, ExcludeReason::NoFreshPath));
                 pathless.push(est);
@@ -340,64 +386,40 @@ impl SchedSnapshot {
             // Warm-up, not failure: rank the pathless estimates instead.
             out.ranked.extend_from_slice(&pathless);
             out.excluded.clear();
-            self.sort(&mut out.ranked, requester, policy, slot);
         } else {
-            self.sort(&mut out.ranked, requester, policy, slot);
             out.excluded.sort_unstable_by_key(|(h, _)| *h);
         }
+        self.sort(scratch, &mut out.ranked, requester, policy, slot);
         scratch.pathless = pathless;
-        scratch.candidates = candidates;
     }
 
-    /// Is `host` a probe origin that has gone silent beyond the horizon?
-    /// Pure function of the snapshot's origin table and the query `now`
-    /// — exactly `IntCollector::silent_origins` membership.
-    fn is_silent(&self, host: u32, now_ns: u64) -> bool {
-        match self.origins.binary_search_by_key(&host, |&(o, _)| o) {
-            Ok(i) => {
-                now_ns.saturating_sub(self.origins[i].1) > self.cfg.origin_silence_ns
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Estimate one candidate: resolve the path (shared SSSP + path cache
-    /// in the scratch) and price it with the frozen per-arc delay and
-    /// queue evidence — the same numbers the live estimators produce
-    /// against the map state this snapshot froze. With `k_paths > 1`,
-    /// resolve the whole k-set (decision-identical to
-    /// [`PathEngine::paths`]) and report the cheapest path's figures,
-    /// ties breaking to the lowest path index — exactly the live
-    /// `Ranker::estimate` rule.
+    /// Estimate one candidate (`to` is `host`'s dense id) with the frozen
+    /// per-arc delay and queue evidence — the same numbers the live
+    /// estimators produce against the map state this snapshot froze.
+    /// Single-path serving reads the table [`Self::price_tree`] just
+    /// filled. With `k_paths > 1`, resolve the whole k-set
+    /// (decision-identical to [`PathEngine::paths`]) and report the
+    /// cheapest path's figures, ties breaking to the lowest path index —
+    /// exactly the live `Ranker::estimate` rule.
     fn estimate(
         &self,
         scratch: &mut SnapshotScratch,
-        requester: u32,
+        from: Option<u32>,
         host: u32,
+        to: u32,
         now_ns: u64,
     ) -> RankedServer {
-        let (Some(from), Some(to)) =
-            (self.node_id(NetNode::Host(requester)), self.node_id(NetNode::Host(host)))
-        else {
-            return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-        };
-        if from == to {
-            return RankedServer {
-                host,
-                est_delay_ns: 0,
-                est_bandwidth_bps: self.cfg.link_capacity_bps,
-            };
-        }
+        let pathless = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+        let Some(from) = from else { return pathless };
         if self.cfg.k_paths <= 1 {
-            if !self.resolve_path(scratch, from, to) {
-                return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-            }
-            let (est_delay_ns, est_bandwidth_bps) = self.price_path(&scratch.path_buf, now_ns);
-            return RankedServer { host, est_delay_ns, est_bandwidth_bps };
+            return scratch.table[to as usize].map_or(pathless, |p| {
+                let (est_delay_ns, est_bandwidth_bps) = p.finish();
+                RankedServer { host, est_delay_ns, est_bandwidth_bps }
+            });
         }
 
         if !self.ensure_k_paths(scratch, from, to) {
-            return RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+            return pathless;
         }
         let kset = scratch.kcache.get(&(from, to)).expect("just ensured");
         let mut best_delay = u64::MAX;
@@ -412,28 +434,67 @@ impl SchedSnapshot {
         RankedServer { host, est_delay_ns: best_delay, est_bandwidth_bps: best_bw }
     }
 
-    /// Price one resolved dense-id path with the frozen per-arc evidence,
-    /// mirroring `DelayEstimator`/`BandwidthEstimator::estimate_along` —
-    /// including their saturating arithmetic (8+-hop fabric paths with
-    /// saturated link estimates must pin at the ceiling, not wrap) and
-    /// the `u64::MAX - 1` clamp that keeps reachable totals distinct
-    /// from the no-fresh-path sentinel.
-    fn price_path(&self, path: &[u32], now_ns: u64) -> (u64, u64) {
-        let mut link_delay_ns = 0u64;
-        let mut hop_delay_ns = 0u64;
-        let mut bottleneck = self.cfg.link_capacity_bps;
-        for w in path.windows(2) {
-            let (u, v) = (w[0], w[1]);
-            let ai = self.arc_index(u, v).expect("path arcs exist in the CSR");
-            link_delay_ns = link_delay_ns.saturating_add(self.est_delay[ai]);
-            if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
-                let q = self.arc_qlen(ai, now_ns);
-                hop_delay_ns =
-                    hop_delay_ns.saturating_add(self.cfg.k_ns_per_pkt.saturating_mul(q as u64));
-                bottleneck = bottleneck.min(self.cfg.available_bw_for_qlen(q));
-            }
+    /// Fold the `u → ·` arc `ai` onto a route's running figures, mirroring
+    /// one step of `DelayEstimator`/`BandwidthEstimator::estimate_along`
+    /// — including their saturating arithmetic (8+-hop fabric paths with
+    /// saturated link estimates must pin at the ceiling, not wrap). Both
+    /// the tree sweep and [`Self::price_path`] price through this one
+    /// step, source → leaf, which is what makes them bit-identical.
+    fn fold_arc(&self, acc: &mut Priced, u: u32, ai: usize, now_ns: u64) {
+        acc.link_delay_ns = acc.link_delay_ns.saturating_add(self.est_delay[ai]);
+        if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
+            let q = self.arc_qlen(ai, now_ns);
+            acc.hop_delay_ns =
+                acc.hop_delay_ns.saturating_add(self.cfg.k_ns_per_pkt.saturating_mul(q as u64));
+            acc.bottleneck_bps = acc.bottleneck_bps.min(self.cfg.available_bw_for_qlen(q));
         }
-        (link_delay_ns.saturating_add(hop_delay_ns).min(u64::MAX - 1), bottleneck)
+    }
+
+    /// Price every node reachable from `from` into `scratch.table`: one
+    /// forward sweep over the source's shortest-path tree in settle order
+    /// (a parent always settles before its children), each tree arc
+    /// folded exactly once onto its parent's figures.
+    fn price_tree(&self, scratch: &mut SnapshotScratch, from: u32, now_ns: u64) {
+        let (start, end) = self.ensure_tree(scratch, from);
+        let table = &mut scratch.table;
+        table.clear();
+        table.resize(self.topo.nodes.len(), None);
+        table[from as usize] = Some(Priced::at_source(&self.cfg));
+        for t in &scratch.arena[start + 1..end] {
+            let mut acc = table[t.parent as usize].expect("parents settle before children");
+            self.fold_arc(&mut acc, t.parent, t.arc as usize, now_ns);
+            table[t.node as usize] = Some(acc);
+        }
+    }
+
+    /// The arena range of `source`'s shortest-path tree, growing it with
+    /// one Dijkstra the first time the source is asked this epoch.
+    fn ensure_tree(&self, scratch: &mut SnapshotScratch, source: u32) -> (usize, usize) {
+        let known = scratch.tree_of[source as usize];
+        if known.1 > known.0 {
+            scratch.stats.cache_hits += 1;
+            return known;
+        }
+        scratch.stats.cache_misses += 1;
+        scratch.stats.sssp_runs += 1;
+        let SnapshotScratch { sssp, arena, .. } = scratch;
+        let start = arena.len();
+        self.dijkstra(sssp, source, None, |_| false, |t| arena.push(t));
+        let grown = (start, arena.len());
+        scratch.tree_of[source as usize] = grown;
+        grown
+    }
+
+    /// Price one explicit dense-id path (the `k_paths > 1` route, and the
+    /// reference the tree sweep is tested against): the arcs folded
+    /// source → leaf through [`Self::fold_arc`].
+    fn price_path(&self, path: &[u32], now_ns: u64) -> (u64, u64) {
+        let mut acc = Priced::at_source(&self.cfg);
+        for w in path.windows(2) {
+            let ai = self.arc_index(w[0], w[1]).expect("path arcs exist in the CSR");
+            self.fold_arc(&mut acc, w[0], ai, now_ns);
+        }
+        acc.finish()
     }
 
     /// Resolve (and cache) the k-path set for `from → to` into the
@@ -448,26 +509,21 @@ impl SchedSnapshot {
         }
         scratch.stats.cache_misses += 1;
         let mut out: Vec<Vec<u32>> = Vec::new();
-        // First path straight off the shared SSSP into the cache-owned
-        // Vec — no detour through `path_buf` + clone, and no entry in the
-        // single-path cache (the k-set cache alone answers k > 1).
+        // First path straight off the shared SSSP into the cache-owned Vec.
         self.ensure_sssp(scratch, from);
         let mut first = Vec::new();
-        if self.extract_path_into(scratch, from, to, &mut first) {
+        if extract_path_into(&scratch.sssp, from, to, &mut first) {
             out.push(first);
-            let k = self.cfg.k_paths.max(1);
-            if k > 1 {
-                scratch.arc_mask.clear();
-                scratch.arc_mask.resize(self.topo.cols.len(), false);
-                for _ in 1..k {
-                    let last = out.last().expect("non-empty");
-                    self.ban_interior_edges(scratch, last);
-                    let Some(p) = self.masked_path(scratch, from, to) else { break };
-                    if out.contains(&p) {
-                        break;
-                    }
-                    out.push(p);
+            scratch.arc_mask.clear();
+            scratch.arc_mask.resize(self.topo.cols.len(), false);
+            for _ in 1..self.cfg.k_paths {
+                let last = out.last().expect("non-empty");
+                self.ban_interior_edges(scratch, last);
+                let Some(p) = self.masked_path(scratch, from, to) else { break };
+                if out.contains(&p) {
+                    break;
                 }
+                out.push(p);
             }
         }
         let ok = !out.is_empty();
@@ -492,149 +548,78 @@ impl SchedSnapshot {
         }
     }
 
-    /// Point-to-point Dijkstra honouring `scratch.arc_mask`, over the
-    /// masked scratch buffers — never the shared SSSP's, so memoized
-    /// single-path state survives. Tie-breaks equal the shared SSSP's.
+    /// Point-to-point shortest path honouring `scratch.arc_mask`, over
+    /// the masked buffers — never the shared SSSP's, so the memoized
+    /// first-path state survives. Tie-breaks equal the shared SSSP's.
     fn masked_path(&self, scratch: &mut SnapshotScratch, from: u32, to: u32) -> Option<Vec<u32>> {
-        let n = self.topo.nodes.len();
-        scratch.mdist.clear();
-        scratch.mdist.resize(n, u64::MAX);
-        scratch.mprev.clear();
-        scratch.mprev.resize(n, NO_PREV);
-        scratch.heap.clear();
-
-        scratch.mdist[from as usize] = 0;
-        scratch.heap.push(Reverse((0, from)));
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
-            if scratch.mdist[u as usize] < d {
-                continue;
-            }
-            if u == to {
-                break;
-            }
-            for i in self.topo.row[u as usize] as usize..self.topo.row[u as usize + 1] as usize {
-                if scratch.arc_mask[i] {
-                    continue;
-                }
-                let v = self.topo.cols[i];
-                let nd = d.saturating_add(self.weights[i]);
-                if nd < scratch.mdist[v as usize] {
-                    scratch.mdist[v as usize] = nd;
-                    scratch.mprev[v as usize] = u;
-                    scratch.heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        scratch.heap.clear(); // early exit can leave stale entries behind
-
-        if scratch.mdist[to as usize] == u64::MAX {
-            return None;
-        }
-        let mut path = vec![to];
-        let mut cur = to;
-        while cur != from {
-            cur = scratch.mprev[cur as usize];
-            if cur == NO_PREV {
-                return None;
-            }
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
+        let SnapshotScratch { masked, arc_mask, .. } = scratch;
+        self.dijkstra(masked, from, Some(to), |ai| arc_mask[ai], |_| {});
+        let mut path = Vec::new();
+        extract_path_into(masked, from, to, &mut path).then_some(path)
     }
 
-    /// Resolve the `from → to` path into `scratch.path_buf` (endpoints
-    /// included, dense ids). Returns false when disconnected. Uses the
-    /// scratch's per-epoch path cache and memoized shared SSSP, exactly
-    /// like the live `PathEngine`.
-    fn resolve_path(&self, scratch: &mut SnapshotScratch, from: u32, to: u32) -> bool {
-        if let Some(cached) = scratch.cache.get(&(from, to)) {
-            scratch.stats.cache_hits += 1;
-            match cached {
-                Some(p) => {
-                    scratch.path_buf.clear();
-                    scratch.path_buf.extend_from_slice(p);
-                    return true;
-                }
-                None => return false,
-            }
-        }
-        scratch.stats.cache_misses += 1;
-        self.ensure_sssp(scratch, from);
-        // Extract once into the Vec the cache will own; `path_buf` takes
-        // a copy for the caller — no second clone per miss.
-        let mut owned = Vec::new();
-        let reachable = self.extract_path_into(scratch, from, to, &mut owned);
-        if reachable {
-            scratch.path_buf.clear();
-            scratch.path_buf.extend_from_slice(&owned);
-        }
-        scratch.cache.insert((from, to), reachable.then_some(owned));
-        reachable
-    }
-
-    /// Walk the shared SSSP's predecessor chain into `out` (endpoints
-    /// included, forward order). Requires `ensure_sssp(scratch, from)`
-    /// to have run. Returns false (clearing `out`) when unreachable.
-    fn extract_path_into(
-        &self,
-        scratch: &SnapshotScratch,
-        from: u32,
-        to: u32,
-        out: &mut Vec<u32>,
-    ) -> bool {
-        out.clear();
-        if scratch.dist[to as usize] == u64::MAX {
-            return false;
-        }
-        let mut cur = to;
-        out.push(cur);
-        loop {
-            if cur == from {
-                out.reverse();
-                return true;
-            }
-            cur = scratch.prev[cur as usize];
-            if cur == NO_PREV {
-                out.clear();
-                return false;
-            }
-            out.push(cur);
-        }
-    }
-
-    /// Run (or reuse) the shared single-source Dijkstra from `source` in
-    /// the scratch buffers. Identical algorithm, tie-breaks, and weights
-    /// to `PathEngine::ensure_sssp` — and therefore to `NetworkMap::path`.
+    /// `k_paths > 1` only: make `scratch.sssp` describe `source`, reusing
+    /// it while consecutive k-set misses share the source.
     fn ensure_sssp(&self, scratch: &mut SnapshotScratch, source: u32) {
         if scratch.sssp_source == Some(source) {
             return;
         }
         scratch.stats.sssp_runs += 1;
-        let n = self.topo.nodes.len();
-        scratch.dist.clear();
-        scratch.dist.resize(n, u64::MAX);
-        scratch.prev.clear();
-        scratch.prev.resize(n, NO_PREV);
-        scratch.heap.clear();
+        self.dijkstra(&mut scratch.sssp, source, None, |_| false, |_| {});
+        scratch.sssp_source = Some(source);
+    }
 
-        scratch.dist[source as usize] = 0;
-        scratch.heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, u))) = scratch.heap.pop() {
-            if scratch.dist[u as usize] < d {
+    /// The one single-source Dijkstra: identical algorithm, tie-breaks,
+    /// and weights to `PathEngine::ensure_sssp` — and therefore to
+    /// `NetworkMap::path`. Arcs for which `banned` holds are skipped;
+    /// with a `target` the run stops once that node settles. `settled`
+    /// sees every node as it settles, with its final parent and parent
+    /// arc (`NO_PREV` for the source): weights are ≥ 1, so that order
+    /// lists every parent before its children.
+    fn dijkstra(
+        &self,
+        sp: &mut Sssp,
+        source: u32,
+        target: Option<u32>,
+        banned: impl Fn(usize) -> bool,
+        mut settled: impl FnMut(TreeArc),
+    ) {
+        let topo = &*self.topo;
+        let n = topo.nodes.len();
+        sp.dist.clear();
+        sp.dist.resize(n, u64::MAX);
+        sp.prev.clear();
+        sp.prev.resize(n, (NO_PREV, NO_PREV));
+        sp.heap.clear();
+        // At most one push per arc plus the source: sized once, the heap
+        // never reallocates however the next source's frontier differs.
+        sp.heap.reserve(topo.cols.len() + 1);
+
+        sp.dist[source as usize] = 0;
+        sp.heap.push(Reverse((0, source)));
+        while let Some(Reverse((d, u))) = sp.heap.pop() {
+            if sp.dist[u as usize] < d {
                 continue; // stale heap entry
             }
-            for i in self.topo.row[u as usize] as usize..self.topo.row[u as usize + 1] as usize {
-                let v = self.topo.cols[i];
+            let (parent, arc) = sp.prev[u as usize];
+            settled(TreeArc { node: u, parent, arc });
+            if target == Some(u) {
+                break;
+            }
+            for i in topo.row[u as usize] as usize..topo.row[u as usize + 1] as usize {
+                if banned(i) {
+                    continue;
+                }
+                let v = topo.cols[i];
                 let nd = d.saturating_add(self.weights[i]);
-                if nd < scratch.dist[v as usize] {
-                    scratch.dist[v as usize] = nd;
-                    scratch.prev[v as usize] = u;
-                    scratch.heap.push(Reverse((nd, v)));
+                if nd < sp.dist[v as usize] {
+                    sp.dist[v as usize] = nd;
+                    sp.prev[v as usize] = (u, i as u32);
+                    sp.heap.push(Reverse((nd, v)));
                 }
             }
         }
-        scratch.sssp_source = Some(source);
+        sp.heap.clear(); // early exit can leave stale entries behind
     }
 
     /// Dense id of a node, if it is part of the snapshot.
@@ -675,8 +660,16 @@ impl SchedSnapshot {
     }
 
     /// Order `out` best-first — the same keys as `Ranker::sort`, with the
-    /// Random shuffle drawn from the per-query derived RNG.
-    fn sort(&self, out: &mut [RankedServer], requester: u32, policy: Policy, slot: u64) {
+    /// Random shuffle drawn from the per-query derived RNG. `out` arrives
+    /// ascending by host (candidate order).
+    fn sort(
+        &self,
+        scratch: &mut SnapshotScratch,
+        out: &mut [RankedServer],
+        requester: u32,
+        policy: Policy,
+        slot: u64,
+    ) {
         match policy {
             Policy::IntDelay => {
                 out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
@@ -687,9 +680,23 @@ impl SchedSnapshot {
                 });
             }
             Policy::Nearest => {
-                out.sort_unstable_by_key(|s| {
-                    (self.distances.get(requester, s.host).unwrap_or(u32::MAX), s.host)
-                });
+                // Key = (static distance or MAX, host). One merge of the
+                // requester's ascending distance row against the ascending
+                // candidates finds every distance; the sort then compares
+                // precomputed keys instead of probing the table.
+                debug_assert!(out.windows(2).all(|w| w[0].host < w[1].host));
+                let keyed = &mut scratch.nearest;
+                keyed.clear();
+                let mut row = self.distances.row(requester).peekable();
+                for s in out.iter() {
+                    while row.next_if(|&(h, _)| h < s.host).is_some() {}
+                    let hops = row.next_if(|&(h, _)| h == s.host).map_or(u32::MAX, |(_, d)| d);
+                    keyed.push((hops, *s));
+                }
+                keyed.sort_unstable_by_key(|&(hops, s)| (hops, s.host));
+                for (dst, &(_, s)) in out.iter_mut().zip(keyed.iter()) {
+                    *dst = s;
+                }
             }
             Policy::Random => {
                 let mut rng = SmallRng::seed_from_u64(mix(
@@ -699,6 +706,73 @@ impl SchedSnapshot {
             }
         }
     }
+}
+
+/// Walk an SSSP's predecessor chain into `out` (endpoints included,
+/// forward order). `sp` must describe `from` and have settled `to` if it
+/// is reachable. Returns false (clearing `out`) when unreachable.
+fn extract_path_into(sp: &Sssp, from: u32, to: u32, out: &mut Vec<u32>) -> bool {
+    out.clear();
+    if sp.dist[to as usize] == u64::MAX {
+        return false;
+    }
+    let mut cur = to;
+    out.push(cur);
+    loop {
+        if cur == from {
+            out.reverse();
+            return true;
+        }
+        cur = sp.prev[cur as usize].0;
+        if cur == NO_PREV {
+            out.clear();
+            return false;
+        }
+        out.push(cur);
+    }
+}
+
+/// One settled node of a shortest-path tree: the node, its parent, and
+/// the CSR arc `parent → node` (12 B; both `NO_PREV` at the source).
+#[derive(Debug, Clone, Copy)]
+struct TreeArc {
+    node: u32,
+    parent: u32,
+    arc: u32,
+}
+
+/// A route's running figures, folded arc by arc from the source.
+#[derive(Debug, Clone, Copy)]
+struct Priced {
+    link_delay_ns: u64,
+    hop_delay_ns: u64,
+    bottleneck_bps: u64,
+}
+
+impl Priced {
+    /// The empty route at the source itself.
+    fn at_source(cfg: &CoreConfig) -> Self {
+        Priced { link_delay_ns: 0, hop_delay_ns: 0, bottleneck_bps: cfg.link_capacity_bps }
+    }
+
+    /// `(est_delay_ns, est_bandwidth_bps)`. The `u64::MAX - 1` clamp keeps
+    /// reachable totals distinct from the no-fresh-path sentinel.
+    fn finish(self) -> (u64, u64) {
+        (
+            self.link_delay_ns.saturating_add(self.hop_delay_ns).min(u64::MAX - 1),
+            self.bottleneck_bps,
+        )
+    }
+}
+
+/// Dijkstra working set, reused across runs.
+#[derive(Debug, Default)]
+struct Sssp {
+    dist: Vec<u64>,
+    /// `(parent node, parent arc)`; `NO_PREV` at the source and wherever
+    /// the run did not reach.
+    prev: Vec<(u32, u32)>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 /// SplitMix64's finalizer: a cheap, well-distributed u64 → u64 mix for
@@ -711,44 +785,60 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Serving counters for one shard's scratch (diagnostics and tests).
+///
+/// `cache_hits` / `cache_misses` count lookups of whatever the scratch
+/// keeps per epoch. With `k_paths == 1` that is one shortest-path-tree
+/// lookup per query whose requester is a known host: a miss is exactly
+/// one Dijkstra (so `cache_misses == sssp_runs`), a hit reuses the tree
+/// an earlier query of the same requester grew this epoch. With
+/// `k_paths > 1` it is one k-path-set lookup per (query, candidate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotServeStats {
     /// Queries evaluated through this scratch.
     pub queries: u64,
-    /// Shared-SSSP runs (once per distinct source per epoch).
+    /// Shared (unmasked) single-source Dijkstra runs.
     pub sssp_runs: u64,
-    /// Path-cache hits.
+    /// Tree (`k_paths == 1`) or k-set (`k_paths > 1`) lookups that hit.
     pub cache_hits: u64,
-    /// Path-cache misses.
+    /// Tree or k-set lookups that missed.
     pub cache_misses: u64,
 }
 
 /// Per-shard mutable state for evaluating queries against a
-/// [`SchedSnapshot`]: the reusable Dijkstra buffers and a per-epoch path
-/// cache. One scratch must only ever be used by one thread at a time
-/// (each shard owns its own); it revalidates itself against the
-/// snapshot's epoch on every query, so handing it snapshots of advancing
-/// epochs is safe and cheap.
+/// [`SchedSnapshot`]: the reusable Dijkstra buffers, this epoch's
+/// shortest-path trees, and the per-query price table. One scratch must
+/// only ever be used by one thread at a time (each shard owns its own);
+/// it revalidates itself against the snapshot's identity on every query,
+/// so handing it any sequence of snapshots — advancing epochs, or
+/// different schedulers' — is safe and cheap. Nothing here is freed on
+/// an epoch move (`clear()` keeps capacity), so steady churn serving does
+/// not allocate.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
-    /// Epoch the cache/SSSP state below belongs to.
-    epoch: Option<u64>,
+    /// [`SchedSnapshot::uid`] the per-epoch state below belongs to.
+    bound: Option<u64>,
+    /// Shared (unmasked) Dijkstra buffers.
+    sssp: Sssp,
+    /// `k_paths > 1`: the source `sssp` currently describes.
     sssp_source: Option<u32>,
-    dist: Vec<u64>,
-    prev: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    /// `(from, to)` dense-id pair → cached path (`None` = unreachable).
-    cache: BTreeMap<(u32, u32), Option<Vec<u32>>>,
-    path_buf: Vec<u32>,
+    /// `k_paths == 1`: every tree grown this epoch, each in settle order
+    /// (source first), back to back. Bounded by sources asked this epoch
+    /// × reachable nodes × 12 B.
+    arena: Vec<TreeArc>,
+    /// Dense source id → its tree's `arena` range (empty = not grown).
+    tree_of: Vec<(usize, usize)>,
+    /// The current query's priced routes by dense node id (`None` =
+    /// unreachable from the requester).
+    table: Vec<Option<Priced>>,
+    /// Nearest-policy sort keys: `(static distance, estimate)`.
+    nearest: Vec<(u32, RankedServer)>,
     /// `(from, to)` → cached k-path set (empty = unreachable); used only
-    /// when `k_paths > 1`, invalidated with `cache` on epoch moves.
+    /// when `k_paths > 1`.
     kcache: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
     /// Per-arc ban mask for successive-exclusion runs.
     arc_mask: Vec<bool>,
-    /// Masked-Dijkstra scratch, separate from the shared SSSP's buffers.
-    mdist: Vec<u64>,
-    mprev: Vec<u32>,
-    candidates: Vec<u32>,
+    /// Masked-Dijkstra buffers, separate from the shared SSSP's.
+    masked: Sssp,
     pathless: Vec<RankedServer>,
     stats: SnapshotServeStats,
 }
@@ -764,13 +854,16 @@ impl SnapshotScratch {
         self.stats
     }
 
-    /// Revalidate against `snap`'s epoch: a moved epoch invalidates the
-    /// path cache and the memoized SSSP (the graph may have changed).
+    /// Revalidate against `snap`: any other snapshot than the one last
+    /// served invalidates the trees, the k-set cache and the memoized
+    /// SSSP (dense ids and arc indices belong to one frozen graph).
     fn bind(&mut self, snap: &SchedSnapshot) {
-        if self.epoch != Some(snap.epoch) {
-            self.epoch = Some(snap.epoch);
+        if self.bound != Some(snap.uid) {
+            self.bound = Some(snap.uid);
             self.sssp_source = None;
-            self.cache.clear();
+            self.arena.clear();
+            self.tree_of.clear();
+            self.tree_of.resize(snap.topo.nodes.len(), (0, 0));
             self.kcache.clear();
         }
     }
@@ -996,6 +1089,7 @@ impl SnapshotPublisher {
         );
 
         Some(SchedSnapshot {
+            uid: next_uid(),
             epoch,
             published_at_ns,
             cfg: Arc::clone(&prev.cfg),
@@ -1109,6 +1203,7 @@ mod tests {
     use crate::sched::SchedulerCore;
     use int_packet::int::IntRecord;
     use int_packet::ProbePayload;
+    use proptest::prelude::*;
 
     fn rec(switch_id: u32, maxq: u32, ts_ms: u64) -> IntRecord {
         IntRecord {
@@ -1228,8 +1323,41 @@ mod tests {
         }
         let s = scratch.stats();
         assert_eq!(s.sssp_runs, 1, "one Dijkstra serves every query from host 6");
-        assert_eq!(s.cache_misses, 2, "one path extraction per candidate");
-        assert_eq!(s.cache_hits, 2 * 9, "repeat queries hit the cache");
+        assert_eq!(s.cache_misses, 1, "the tree is grown by the first query");
+        assert_eq!(s.cache_hits, 9, "repeat queries sweep the cached tree");
+        // A second requester grows its own tree; the first one's stays.
+        snap.rank_detailed(&mut scratch, 1, Policy::IntBandwidth, 32_000_000, 0);
+        snap.rank_detailed(&mut scratch, 6, Policy::Nearest, 32_000_000, 0);
+        let s = scratch.stats();
+        assert_eq!((s.sssp_runs, s.cache_misses, s.cache_hits), (2, 2, 10));
+        // An unknown requester has no tree to look up.
+        snap.rank_detailed(&mut scratch, 99, Policy::IntDelay, 32_000_000, 0);
+        assert_eq!(scratch.stats().cache_hits + scratch.stats().cache_misses, 12);
+    }
+
+    /// Regression: scratch validity used to be keyed on the epoch *number*,
+    /// so one scratch serving two different snapshots that share it kept
+    /// the first graph's dense-id state for the second.
+    #[test]
+    fn scratch_rebinds_across_different_snapshots_of_one_epoch() {
+        let small = core_with_two_servers();
+        // A larger, differently shaped map frozen under the same epoch 1.
+        let mut big = core_with_two_servers();
+        big.collector_mut().ingest(&probe(3, 1, &[(13, 7), (10, 2), (11, 0)]), 32_000_000);
+        big.collector_mut().ingest(&probe(4, 1, &[(14, 0), (12, 9), (11, 0)]), 32_000_000);
+        let now = 32_000_000;
+        let snaps = [snap_of(&big, 1, now), snap_of(&small, 1, now), snap_of(&big, 1, now)];
+        let mut shared = SnapshotScratch::new();
+        for snap in &snaps {
+            for requester in [6u32, 1, 2, 4] {
+                for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                    let want =
+                        snap.rank_detailed(&mut SnapshotScratch::new(), requester, policy, now, 0);
+                    let got = snap.rank_detailed(&mut shared, requester, policy, now, 0);
+                    assert_eq!(got, want, "{requester} {policy:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1288,5 +1416,119 @@ mod tests {
         assert_eq!(got, want);
         assert_eq!(got.ranked.len(), 3, "warm-up ranks everyone: {got:?}");
         assert!(got.excluded.is_empty());
+    }
+
+    proptest! {
+        /// Tree pricing against its two references over random
+        /// probe/churn/eviction sequences: after every op, at query times
+        /// on both sides of the queue window, the staleness horizon and
+        /// the silence horizon, (1) the swept table equals the explicit
+        /// path — walked off an independent SSSP and priced arc by arc —
+        /// for every host pair, unreachable ones included, and (2) the
+        /// full ranking equals the single-threaded oracle's. Latency
+        /// classes ≥ 50 put links near `u64::MAX` (two of them in a row
+        /// are unreachable: Dijkstra never settles a node at distance
+        /// `u64::MAX`), and `big_k` does the same to `k·Q`, so the
+        /// saturating hop sum, the saturating link + hop total and the
+        /// `MAX − 1` clamp are all hit.
+        #[test]
+        fn tree_pricing_matches_explicit_paths_and_oracle_under_churn(
+            ops in proptest::collection::vec(
+                // (origin, route shape, latency class, queue, clock step ms, op kind)
+                (0u32..5, 0u32..3, 1u64..56, 0u32..70, 1u64..250, 0u8..8),
+                1..24,
+            ),
+            big_k in any::<bool>(),
+        ) {
+            const SCHED: u32 = 100;
+            const MS: u64 = 1_000_000;
+            let cfg = CoreConfig {
+                k_ns_per_pkt: if big_k { u64::MAX / 64 } else { 20 * MS },
+                qlen_window_ns: 120 * MS,
+                staleness_ns: 300 * MS,
+                origin_silence_ns: 600 * MS,
+                // Only the explicit eviction op below evicts, so oracle
+                // queries at later times see the map the snapshot froze.
+                eviction_horizon_ns: u64::MAX,
+                ..CoreConfig::default()
+            };
+            let mut d = StaticDistances::new();
+            for h in 0..5u32 {
+                d.set(SCHED, h, 7 - h);
+                d.set(h, (h + 1) % 5, 2);
+            }
+            let mut core = SchedulerCore::new(SCHED, cfg, d, 9);
+            core.register_host(7); // known, never probes: unreachable
+            let mut engine = PathEngine::new();
+            let mut shared = SnapshotScratch::new();
+            let mut now_ns: u64 = 1_000 * MS;
+
+            for (seq, &(origin, route, lat, qlen, dt_ms, kind)) in ops.iter().enumerate() {
+                now_ns += dt_ms * MS;
+                if kind == 7 {
+                    core.collector_mut().map_mut().evict_stale(now_ns, 350 * MS);
+                } else {
+                    let lat_ns = if lat >= 50 { u64::MAX / (lat - 48) } else { lat * MS };
+                    let chain: Vec<u32> = match route {
+                        0 => vec![10 + origin],
+                        1 => vec![10 + origin, 20],
+                        _ => vec![20, 10 + (origin + 1) % 5],
+                    };
+                    let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
+                    let last = chain.len() as u64 - 1;
+                    for (i, sw) in chain.iter().enumerate() {
+                        p.int.push(IntRecord {
+                            switch_id: *sw,
+                            ingress_port: 0,
+                            egress_port: 1,
+                            max_qlen_pkts: qlen,
+                            qlen_at_probe_pkts: qlen / 2,
+                            link_latency_ns: lat_ns,
+                            egress_ts_ns: now_ns
+                                .saturating_sub((last - i as u64).saturating_mul(lat_ns)),
+                        });
+                    }
+                    core.collector_mut().ingest(&p, now_ns);
+                }
+
+                let snap = SchedSnapshot::build(
+                    core.collector(),
+                    &mut engine,
+                    &core.config_arc(),
+                    &core.distances_arc(),
+                    9,
+                    seq as u64 + 1,
+                    now_ns,
+                );
+                shared.bind(&snap);
+                let mut walk = SnapshotScratch::new();
+                walk.bind(&snap);
+                let mut path = Vec::new();
+                for later_ms in [0u64, 100, 200, 400, 900] {
+                    let at = now_ns + later_ms * MS;
+                    for (&from_host, &from) in snap.topo.hosts.iter().zip(&snap.topo.host_ids) {
+                        snap.price_tree(&mut shared, from, at);
+                        snap.ensure_sssp(&mut walk, from);
+                        for &to in &snap.topo.host_ids {
+                            let want = extract_path_into(&walk.sssp, from, to, &mut path)
+                                .then(|| snap.price_path(&path, at));
+                            let got = shared.table[to as usize].map(Priced::finish);
+                            prop_assert_eq!(
+                                got, want,
+                                "{}→{} +{} ms, op {}", from, to, later_ms, seq
+                            );
+                        }
+                        for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                            let want = core.rank_detailed_with(from_host, policy, at);
+                            let got = snap.rank_detailed(&mut shared, from_host, policy, at, 0);
+                            prop_assert_eq!(
+                                got, want,
+                                "{} {:?} +{} ms, op {}", from_host, policy, later_ms, seq
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

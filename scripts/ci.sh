@@ -6,6 +6,8 @@
 #   lints   — clippy, warnings are errors
 #   benches — criterion harness in --test mode (one-iteration smoke, no
 #             timing; catches bench bit-rot without the cost of a run)
+#   intbench — the benchmark of record: its tests + every workload at
+#             smoke size
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +39,8 @@ echo "$bench_log"
 # ingest_throughput/clos_512s_960probes (PR 10) guard
 # results/bench_pr10.json: the O(dirty) incremental epoch publish vs
 # the full rebuild, and the dense edge-indexed batched probe drain.
+# rank_throughput_churn/fabric_64s_128h (PR 12) is the cold serve path:
+# publish → serve 128 distinct requesters, one tree per query.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
             rank_throughput_mt/fabric_64s_128h/1 rank_throughput_mt/fabric_64s_128h/2 \
@@ -45,10 +49,18 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             fabric_build/clos_128s_240h \
             sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
-            ingest_throughput/clos_512s_960probes; do
+            ingest_throughput/clos_512s_960probes \
+            rank_throughput_churn/fabric_64s_128h; do
     grep -q "$name" <<<"$bench_log" \
         || { echo "bench smoke: $name missing from harness"; exit 1; }
 done
+
+echo "== intbench (tests + every workload at smoke size)"
+# The benchmark of record is a package of its own (BENCHMARK.json): its
+# tests pin the harness, and the smoke pass runs each workload's
+# correctness gate — sharded digest == single-threaded oracle replay.
+cargo test --release -q --manifest-path intbench/Cargo.toml
+cargo run --release -q --manifest-path intbench/Cargo.toml -- --all --smoke
 
 echo "== failover (smoke)"
 # Tiny grid, fixed seed, serial: the INT row must report a finite

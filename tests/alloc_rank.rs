@@ -7,6 +7,10 @@
 //! further `rank_into` call into a reused buffer must hit only cached
 //! paths, reused scratch, and in-place sorting.
 //!
+//! The last section covers the *cold* serve path too: under churn (every
+//! epoch re-learns every link) snapshot serving regrows its per-requester
+//! shortest-path trees into retained capacity and allocates nothing.
+//!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
@@ -216,4 +220,54 @@ fn steady_state_rank_queries_allocate_nothing() {
         "steady-state snapshot queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
+
+    // Churn serving: every epoch re-learns every link, so nothing a
+    // scratch cached survives — each requester's shortest-path tree is
+    // regrown into the arena the previous epoch left behind. After two
+    // warm-up epochs have sized it, *ingest → advance → serve a new
+    // requester set* allocates nothing in serving (publishing is the
+    // ingest half's business and stays outside the counted region).
+    let hosts: Vec<u32> = (0..8).chain([100]).collect();
+    let mut served = 0u64;
+    let mut churn_allocs = 0u64;
+    for epoch in 0..5u64 {
+        let now = 31_000_000 + epoch * 100_000_000;
+        for h in 0..8u32 {
+            let mut p = ProbePayload::new(h, 3 + epoch, 0);
+            for (i, sw) in [10 + h, 20].into_iter().enumerate() {
+                p.int.push(IntRecord {
+                    switch_id: sw,
+                    ingress_port: 0,
+                    egress_port: 1,
+                    max_qlen_pkts: (h * 3 + epoch as u32) % 40,
+                    qlen_at_probe_pkts: h,
+                    link_latency_ns: 10_000_000 + epoch * 1_000_000,
+                    egress_ts_ns: now - (1 - i as u64) * 10_000_000,
+                });
+            }
+            sharded.core_mut().collector_mut().ingest(&p, now);
+        }
+        assert!(sharded.advance(now), "every round publishes a new epoch");
+        let snap = sharded.epoch_slot().current().expect("published");
+        // Three requesters per epoch, rotating through all nine hosts:
+        // the first measured epoch serves three never asked before.
+        let requesters = (0..3).map(|i| hosts[(3 * epoch as usize + i) % hosts.len()]);
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        counted(true);
+        for requester in requesters {
+            for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                let slot = served;
+                snap.rank_detailed_into(&mut scratch, requester, policy, now, slot, &mut detailed);
+                served += 1;
+            }
+        }
+        counted(false);
+        if epoch >= 2 {
+            churn_allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        }
+        assert_eq!(detailed.ranked.len(), 8, "everyone reachable, nobody silent");
+    }
+    assert_eq!(churn_allocs, 0, "churn serving must not touch the heap after warm-up");
+    let stats = scratch.stats();
+    assert_eq!(stats.sssp_runs, 1 + 5 * 3, "one Dijkstra per requester per epoch");
 }
