@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use int_core::rank::{Ranker, StaticDistances};
 use int_core::shard::{RankQuery, ShardedScheduler};
-use int_core::{CoreConfig, DelayEstimator, IntCollector, NetNode, NetworkMap, Policy};
+use int_core::{
+    CoreConfig, DelayEstimator, IntCollector, NetNode, NetworkMap, Policy, SchedulerCore,
+};
 use int_packet::int::IntRecord;
 use int_packet::ProbePayload;
 use std::hint::black_box;
@@ -25,18 +27,49 @@ fn probe_through(origin: u32, switches: &[u32], maxq: u32) -> ProbePayload {
     p
 }
 
-/// A ring-of-12 map as the paper's testbed produces, fully learned.
-fn ring_map(hosts: u32) -> NetworkMap {
+/// Collector-clock time every bench map is learned (and queried) at.
+const LEARNED_AT_NS: u64 = 50_000_000;
+
+/// A learning round: each probe with the host it terminated at.
+type Probes = Vec<(ProbePayload, u32)>;
+
+/// `up` from `h` to `scheduler` over `chain`, and `down` the reverse way.
+fn both_ways(h: u32, scheduler: u32, chain: &[u32], up: u32, down: u32) -> [(ProbePayload, u32); 2] {
+    let rev: Vec<u32> = chain.iter().rev().copied().collect();
+    [(probe_through(h, chain, up), scheduler), (probe_through(scheduler, &rev, down), h)]
+}
+
+/// The live map `probes` teach — what the reference ranker reads.
+fn map_of(probes: &Probes) -> NetworkMap {
     let mut m = NetworkMap::new();
-    for h in 0..hosts {
-        // Host h probes the scheduler (host 100) across 4 ring switches.
-        let chain: Vec<u32> = (0..4).map(|i| (h + i) % 12 + 10).collect();
-        m.apply_probe(&probe_through(h, &chain, h % 8), 100, 50_000_000);
-        // And the reverse path.
-        let rev: Vec<u32> = chain.iter().rev().copied().collect();
-        m.apply_probe(&probe_through(100, &rev, h % 5), h, 50_000_000);
+    for (p, terminal) in probes {
+        m.apply_probe(p, *terminal, LEARNED_AT_NS);
     }
     m
+}
+
+/// A scheduler that learned `probes` — the serving stack.
+fn core_of(scheduler: u32, cfg: CoreConfig, probes: &Probes) -> SchedulerCore {
+    let mut core = SchedulerCore::new(scheduler, cfg, StaticDistances::new(), 1);
+    for (p, terminal) in probes {
+        core.collector_mut().ingest_relayed(p, *terminal, LEARNED_AT_NS);
+    }
+    core
+}
+
+/// A ring of 12 as the paper's testbed produces, fully learned: host h
+/// and the scheduler (host 100) probe each other across 4 ring switches.
+fn ring_probes(hosts: u32) -> Probes {
+    (0..hosts)
+        .flat_map(|h| {
+            let chain: Vec<u32> = (0..4).map(|i| (h + i) % 12 + 10).collect();
+            both_ways(h, 100, &chain, h % 8, h % 5)
+        })
+        .collect()
+}
+
+fn ring_map(hosts: u32) -> NetworkMap {
+    map_of(&ring_probes(hosts))
 }
 
 fn bench_probe_ingest(c: &mut Criterion) {
@@ -94,80 +127,29 @@ fn bench_ranking(c: &mut Criterion) {
 /// A synthetic 3-tier fabric far beyond the paper's testbed: 128 hosts
 /// behind 32 leaf, 16 aggregation, 8 spine, and 8 core switches (64
 /// total), fully learned in both directions.
-fn fabric_map(hosts: u32) -> NetworkMap {
-    let mut m = NetworkMap::new();
-    for h in 0..hosts {
-        let chain =
-            [100 + h % 32, 200 + h % 16, 300 + h % 8, 400 + (h / 16) % 8];
-        m.apply_probe(&probe_through(h, &chain, h % 8), 1000, 50_000_000);
-        let rev: Vec<u32> = chain.iter().rev().copied().collect();
-        m.apply_probe(&probe_through(1000, &rev, h % 5), h, 50_000_000);
-    }
-    m
+fn fabric_probes(hosts: u32) -> Probes {
+    (0..hosts)
+        .flat_map(|h| {
+            let chain = [100 + h % 32, 200 + h % 16, 300 + h % 8, 400 + (h / 16) % 8];
+            both_ways(h, 1000, &chain, h % 8, h % 5)
+        })
+        .collect()
 }
 
 /// The PR 5 headline: sustained rank-query throughput of one long-lived
-/// ranker. Steady state on an unchanged map — exactly what the scheduler
-/// pays per query between probe rounds.
+/// scheduler. Steady state on an unchanged map — exactly what it pays per
+/// query between probe rounds (eviction scan, publish-key check, one
+/// sweep of the requester's cached shortest-path tree, sort).
 fn bench_rank_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("rank_throughput");
-
-    let m = ring_map(8);
-    let candidates: Vec<u32> = (0..8).collect();
-    g.bench_function("testbed_8h", |b| {
-        let mut r = Ranker::new(CoreConfig::default(), StaticDistances::new(), 1);
-        let mut out = Vec::new();
-        b.iter(|| {
-            r.rank_into(&m, 100, &candidates, Policy::IntDelay, 50_000_000, &mut out);
-            black_box(out.len())
-        })
-    });
-
-    let m = fabric_map(128);
-    let candidates: Vec<u32> = (0..128).collect();
-    g.bench_function("fabric_64s_128h", |b| {
-        let mut r = Ranker::new(CoreConfig::default(), StaticDistances::new(), 1);
-        let mut out = Vec::new();
-        b.iter(|| {
-            r.rank_into(&m, 1000, &candidates, Policy::IntDelay, 50_000_000, &mut out);
-            black_box(out.len())
-        })
-    });
-
-    g.finish();
-}
-
-/// A multipath leaf–spine map: every host pair is learned over `spines`
-/// alternate 2-switch chains (one per spine), so k-path ranking has real
-/// equal-cost diversity to rank over.
-fn multipath_map(hosts: u32, spines: u32) -> NetworkMap {
-    let mut m = NetworkMap::new();
-    for h in 0..hosts {
-        for s in 0..spines {
-            let chain = [100 + h % 32, 200 + s];
-            m.apply_probe(&probe_through(h, &chain, (h + s) % 8), 1000, 50_000_000);
-            let rev: Vec<u32> = chain.iter().rev().copied().collect();
-            m.apply_probe(&probe_through(1000, &rev, (h + s) % 5), h, 50_000_000);
-        }
-    }
-    m
-}
-
-/// The PR 8 headline: steady-state rank throughput when every candidate
-/// is priced over k equal-cost paths instead of one — the ECMP fabric's
-/// query cost. Same long-lived-ranker shape as `rank_throughput`, so the
-/// k = 1 rows there are the direct baseline.
-fn bench_rank_throughput_kpaths(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rank_throughput_kpaths");
-    let m = multipath_map(128, 4);
-    let candidates: Vec<u32> = (0..128).collect();
-    for k in [1u32, 2, 4, 8] {
-        g.bench_with_input(BenchmarkId::new("fabric_mp_128h", k), &k, |b, &k| {
-            let cfg = CoreConfig { k_paths: k, ..CoreConfig::default() };
-            let mut r = Ranker::new(cfg, StaticDistances::new(), 1);
+    for (name, scheduler, probes) in
+        [("testbed_8h", 100, ring_probes(8)), ("fabric_64s_128h", 1000, fabric_probes(128))]
+    {
+        g.bench_function(name, |b| {
+            let mut core = core_of(scheduler, CoreConfig::default(), &probes);
             let mut out = Vec::new();
             b.iter(|| {
-                r.rank_into(&m, 1000, &candidates, Policy::IntDelay, 50_000_000, &mut out);
+                core.rank_with_into(scheduler, Policy::IntDelay, LEARNED_AT_NS, &mut out);
                 black_box(out.len())
             })
         });
@@ -175,7 +157,37 @@ fn bench_rank_throughput_kpaths(c: &mut Criterion) {
     g.finish();
 }
 
-/// One probing round of the `fabric_map` shape into a sharded scheduler:
+/// A multipath leaf–spine map: every host pair is learned over `spines`
+/// alternate 2-switch chains (one per spine), so k-path ranking has real
+/// equal-cost diversity to rank over.
+fn multipath_probes(hosts: u32, spines: u32) -> Probes {
+    (0..hosts)
+        .flat_map(|h| (0..spines).map(move |s| (h, s)))
+        .flat_map(|(h, s)| both_ways(h, 1000, &[100 + h % 32, 200 + s], (h + s) % 8, (h + s) % 5))
+        .collect()
+}
+
+/// The PR 8 headline: steady-state rank throughput when every candidate
+/// is priced over k equal-cost paths instead of one — the ECMP fabric's
+/// query cost. Same long-lived-scheduler shape as `rank_throughput`, so
+/// the k = 1 rows there are the direct baseline.
+fn bench_rank_throughput_kpaths(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rank_throughput_kpaths");
+    let probes = multipath_probes(128, 4);
+    for k in [1u32, 2, 4, 8] {
+        g.bench_with_input(BenchmarkId::new("fabric_mp_128h", k), &k, |b, &k| {
+            let mut core = core_of(1000, CoreConfig { k_paths: k, ..CoreConfig::default() }, &probes);
+            let mut out = Vec::new();
+            b.iter(|| {
+                core.rank_with_into(1000, Policy::IntDelay, LEARNED_AT_NS, &mut out);
+                black_box(out.len())
+            })
+        });
+    }
+    g.finish();
+}
+
+/// One probing round of the `fabric_probes` shape into a sharded scheduler:
 /// every host probes the scheduler (host 1000) and is probed back, so
 /// every learned edge is re-measured.
 fn probe_fabric_round(s: &mut ShardedScheduler, seq: u64, now_ns: u64) {

@@ -167,25 +167,14 @@ impl IntCollector {
     }
 
     /// Origins presumed unreachable: they sent probes before but nothing
-    /// within `horizon_ns` of `now_ns` (deterministic order).
+    /// within `horizon_ns` of `now_ns`, ascending. (Serving reads the same
+    /// rule off the origin table frozen into each epoch snapshot.)
     pub fn silent_origins(&self, now_ns: u64, horizon_ns: u64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.silent_origins_into(now_ns, horizon_ns, &mut out);
-        out
-    }
-
-    /// [`IntCollector::silent_origins`] into a caller-owned buffer (the
-    /// zero-alloc query path). The buffer comes back sorted ascending.
-    pub fn silent_origins_into(&self, now_ns: u64, horizon_ns: u64, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(
-            self.origins
-                .iter()
-                .filter(|(_, st)| {
-                    st.received > 0 && now_ns.saturating_sub(st.last_rx_ns) > horizon_ns
-                })
-                .map(|(&o, _)| o),
-        );
+        self.origins
+            .iter()
+            .filter(|(_, st)| st.received > 0 && now_ns.saturating_sub(st.last_rx_ns) > horizon_ns)
+            .map(|(&o, _)| o)
+            .collect()
     }
 }
 

@@ -39,8 +39,7 @@ impl DelayBreakdown {
 /// Algorithm 1's delay model.
 #[derive(Debug, Clone)]
 pub struct DelayEstimator {
-    /// Shared, not cloned: the ranker, both estimators, and the scheduler
-    /// shards all point at one `CoreConfig` allocation.
+    /// Shared, not cloned: one `CoreConfig` allocation per control plane.
     cfg: Arc<CoreConfig>,
 }
 
@@ -59,10 +58,9 @@ impl DelayEstimator {
     /// Estimate the one-way delay between two hosts over the learned map.
     /// Returns `None` when the map has no path between them yet.
     ///
-    /// Routes via the reference [`NetworkMap::path`]; the query hot path
-    /// ([`crate::rank::Ranker`]) resolves the path once through the
-    /// indexed engine and calls [`DelayEstimator::estimate_along`], which
-    /// yields identical numbers.
+    /// Routes via the reference [`NetworkMap::path`]. Serving
+    /// ([`crate::snapshot`]) folds the same terms along its shortest-path
+    /// tree and yields identical numbers.
     pub fn estimate(
         &self,
         map: &NetworkMap,

@@ -14,15 +14,20 @@
 //!    records (paper §III-B) and maintains per-directed-link state: the
 //!    measured link latency and the max queue occupancy harvested from each
 //!    switch's registers.
-//! 3. [`estimate`] turns that state into end-to-end path estimates: delay
-//!    via `Σ link_delay + Σ k·maxQ` (paper §III-C, Algorithm 1) and
-//!    available bandwidth via a queue-occupancy→utilization curve with
-//!    bottleneck aggregation (paper §III-D).
-//! 4. [`rank`] orders candidate edge servers for a requesting device under
-//!    a [`rank::Policy`]: the two INT-based policies plus the paper's
-//!    baselines (*Nearest*, *Random*).
-//! 5. [`sched::SchedulerCore`] glues it together behind the
-//!    request/response interface of Fig. 1 (steps 3–4).
+//! 3. [`sched::SchedulerCore`] fronts it with the request/response
+//!    interface of Fig. 1 (steps 3–4). Each query evicts stale telemetry,
+//!    republishes an immutable epoch [`snapshot::SchedSnapshot`] if
+//!    anything moved, and ranks the candidate edge servers against it
+//!    under a [`rank::Policy`]: the two INT-based policies — delay via
+//!    `Σ link_delay + Σ k·maxQ` (paper §III-C, Algorithm 1), available
+//!    bandwidth via a queue-occupancy→utilization curve with bottleneck
+//!    aggregation (§III-D) — plus the paper's baselines (*Nearest*,
+//!    *Random*). [`snapshot`] is the one serving stack;
+//!    [`shard::ShardedScheduler`] serves the same epochs from N threads.
+//! 4. [`estimate`] and [`rank::Ranker`] are the **reference**: the same
+//!    rule written the obvious way over the live map
+//!    ([`map::NetworkMap::path`], one path per candidate). Tests and
+//!    benches hold the serving stack to it; nothing else calls it.
 //!
 //! Extensions the paper lists as future work are also implemented:
 //! [`tuning`] (data-driven calibration of the conversion factor *k*),
@@ -35,7 +40,6 @@ pub mod config;
 pub mod coverage;
 pub mod estimate;
 pub mod map;
-pub mod pathidx;
 pub mod rank;
 pub mod sched;
 pub mod shard;
@@ -47,9 +51,8 @@ pub use compute::{Capabilities, CompositePolicy, ComputeTracker};
 pub use config::CoreConfig;
 pub use estimate::{BandwidthEstimator, DelayEstimator};
 pub use map::{EdgeId, EdgeState, NetNode, NetworkMap};
-pub use pathidx::{PathEngine, PathEngineStats};
 pub use rank::{ExcludeReason, Policy, RankOutcome, RankedServer};
-pub use sched::SchedulerCore;
+pub use sched::{PathStats, SchedulerCore};
 pub use shard::{EpochSlot, RankQuery, ShardedScheduler};
 pub use snapshot::{
     PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch, SnapshotServeStats,

@@ -602,10 +602,10 @@ impl NetworkMap {
     /// two nodes over the learned graph. Returns the node sequence
     /// including endpoints, or `None` if disconnected.
     ///
-    /// This is the *reference* implementation: the query hot path goes
-    /// through [`crate::pathidx::PathEngine`], which must agree with this
-    /// byte-for-byte (pinned by the oracle proptest). Keep the two in
-    /// lockstep when changing traversal semantics.
+    /// This is the *reference* implementation: queries are served from
+    /// [`crate::snapshot::SchedSnapshot`], whose routes must agree with
+    /// this byte-for-byte (pinned by the churn proptests). Keep the two
+    /// in lockstep when changing traversal semantics.
     pub fn path(&self, cfg: &CoreConfig, from: NetNode, to: NetNode) -> Option<Vec<NetNode>> {
         self.path_banned(cfg, from, to, &BTreeSet::new())
     }
@@ -676,7 +676,7 @@ impl NetworkMap {
     ///
     /// The first element always equals [`NetworkMap::path`] exactly. Like
     /// `path`, this is the *reference* implementation for the k-path rank:
-    /// [`crate::pathidx::PathEngine::paths`] must agree byte-for-byte.
+    /// the snapshot's k-sets must agree byte-for-byte.
     pub fn k_paths(&self, cfg: &CoreConfig, from: NetNode, to: NetNode, k: u32) -> Vec<Vec<NetNode>> {
         let mut out: Vec<Vec<NetNode>> = Vec::new();
         let mut banned: BTreeSet<(NetNode, NetNode)> = BTreeSet::new();

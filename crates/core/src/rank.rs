@@ -3,11 +3,16 @@
 //! The two INT-driven policies from the paper (§III-C delay, §III-D
 //! bandwidth) plus the two baselines it compares against (§IV): *Nearest*
 //! (static hop count, precomputed) and *Random* (seeded load spreading).
+//!
+//! This module holds the vocabulary every ranking speaks ([`Policy`],
+//! [`RankedServer`], [`RankOutcome`], [`StaticDistances`]) and [`Ranker`],
+//! the **reference** implementation over the live map that tests and
+//! benches compare the serving stack ([`crate::snapshot`]) against.
 
+use crate::collector::IntCollector;
 use crate::config::CoreConfig;
 use crate::estimate::{BandwidthEstimator, DelayEstimator};
 use crate::map::{NetNode, NetworkMap};
-use crate::pathidx::{PathEngine, PathEngineStats};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -124,83 +129,43 @@ impl StaticDistances {
     }
 }
 
-/// The ranking engine: owns the estimators, the indexed path engine with
-/// its reusable scratch buffers and path cache, and baseline state.
+/// **The reference ranker** — the paper's rule written the obvious way,
+/// straight over the live [`NetworkMap`]: one [`NetworkMap::path`] (or
+/// [`NetworkMap::k_paths`]) per candidate, priced by the two estimators,
+/// then sorted. O(N·E) per query and allocation-happy by design.
+///
+/// Nothing in `sched`, `shard`, `snapshot`, `apps` or the experiments'
+/// run paths calls this: queries are served from epoch snapshots
+/// ([`crate::sched::SchedulerCore`]). Tests and benches hold the serving
+/// stack to this implementation, answer for answer — except
+/// [`Policy::Random`], where the reference draws from one sequential RNG
+/// stream and serving derives a shuffle per `(seed, epoch, slot)`.
 #[derive(Debug, Clone)]
 pub struct Ranker {
     delay: DelayEstimator,
     bandwidth: BandwidthEstimator,
     distances: Arc<StaticDistances>,
     rng: SmallRng,
-    /// One shared allocation: the estimators hold clones of this `Arc`,
-    /// not clones of the config itself.
     cfg: Arc<CoreConfig>,
-    engine: PathEngine,
-    /// Scratch for [`Ranker::rank_detailed_into`]: estimates of pathless
-    /// candidates, kept across calls so the warm-up fallback allocates
-    /// nothing in steady state.
-    pathless: Vec<RankedServer>,
 }
 
 impl Ranker {
     /// Build a ranker. `distances` feeds the Nearest baseline; `seed`
     /// drives the Random baseline. Both `cfg` and `distances` accept
-    /// owned values or pre-shared `Arc`s. `INT_PATH_CACHE=0` (or `off`)
-    /// in the environment force-disables the path cache — a determinism
-    /// A/B switch; results are identical either way.
+    /// owned values or pre-shared `Arc`s.
     pub fn new(
         cfg: impl Into<Arc<CoreConfig>>,
         distances: impl Into<Arc<StaticDistances>>,
         seed: u64,
     ) -> Self {
         let cfg = cfg.into();
-        let mut engine = PathEngine::new();
-        if matches!(
-            std::env::var("INT_PATH_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        ) {
-            engine.set_cache_enabled(false);
-        }
         Ranker {
             delay: DelayEstimator::new(Arc::clone(&cfg)),
             bandwidth: BandwidthEstimator::new(Arc::clone(&cfg)),
             distances: distances.into(),
             rng: SmallRng::seed_from_u64(seed),
             cfg,
-            engine,
-            pathless: Vec::new(),
         }
-    }
-
-    /// The shared configuration handle (cloning it clones the `Arc`).
-    pub fn config_arc(&self) -> Arc<CoreConfig> {
-        Arc::clone(&self.cfg)
-    }
-
-    /// The shared static-distance table handle.
-    pub fn distances_arc(&self) -> Arc<StaticDistances> {
-        Arc::clone(&self.distances)
-    }
-
-    /// Enable or force-disable the path cache (see [`PathEngine`]).
-    pub fn set_path_cache_enabled(&mut self, on: bool) {
-        self.engine.set_cache_enabled(on);
-    }
-
-    /// Path-engine accounting counters (steady-state tests).
-    pub fn path_stats(&self) -> PathEngineStats {
-        self.engine.stats()
-    }
-
-    /// The path the ranking hot path would use between two nodes — the
-    /// indexed engine's answer, owned (tests and diagnostics).
-    pub fn learned_path(
-        &mut self,
-        map: &NetworkMap,
-        from: NetNode,
-        to: NetNode,
-    ) -> Option<Vec<NetNode>> {
-        self.engine.path(map, &self.cfg, from, to).map(<[NetNode]>::to_vec)
     }
 
     /// Rank `candidates` for `requester` under `policy`, best first.
@@ -216,30 +181,10 @@ impl Ranker {
         policy: Policy,
         now_ns: u64,
     ) -> Vec<RankedServer> {
-        let mut out = Vec::new();
-        self.rank_into(map, requester, candidates, policy, now_ns, &mut out);
+        let mut out: Vec<RankedServer> =
+            candidates.iter().map(|&host| self.estimate(map, requester, host, now_ns)).collect();
+        self.sort(&mut out, requester, policy);
         out
-    }
-
-    /// [`Ranker::rank`] into a caller-owned buffer: the steady-state query
-    /// path (warm path cache, reused buffer) performs zero heap
-    /// allocations.
-    pub fn rank_into(
-        &mut self,
-        map: &NetworkMap,
-        requester: u32,
-        candidates: &[u32],
-        policy: Policy,
-        now_ns: u64,
-        out: &mut Vec<RankedServer>,
-    ) {
-        out.clear();
-        out.reserve(candidates.len());
-        for &host in candidates {
-            let est = self.estimate(map, requester, host, now_ns);
-            out.push(est);
-        }
-        self.sort(out, requester, policy);
     }
 
     /// Failure-aware ranking: candidates the map has no live path to, or
@@ -251,10 +196,6 @@ impl Ranker {
     /// asymmetry the failover experiment measures. As a warm-up escape
     /// hatch, if *no* candidate has a path and none is silent (an empty
     /// map, not a failure), everyone is ranked as [`Ranker::rank`] would.
-    ///
-    /// `silent` must be sorted ascending (as
-    /// [`crate::collector::IntCollector::silent_origins`] returns it) —
-    /// membership is a binary search.
     pub fn rank_detailed(
         &mut self,
         map: &NetworkMap,
@@ -264,116 +205,78 @@ impl Ranker {
         now_ns: u64,
         silent: &[u32],
     ) -> RankOutcome {
-        let mut out = RankOutcome::default();
-        self.rank_detailed_into(map, requester, candidates, policy, now_ns, silent, &mut out);
-        out
-    }
-
-    /// [`Ranker::rank_detailed`] into a caller-owned outcome: all scratch
-    /// (including the warm-up `pathless` estimates) is engine-owned, so
-    /// the steady-state query path performs zero heap allocations.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_detailed_into(
-        &mut self,
-        map: &NetworkMap,
-        requester: u32,
-        candidates: &[u32],
-        policy: Policy,
-        now_ns: u64,
-        silent: &[u32],
-        out: &mut RankOutcome,
-    ) {
-        debug_assert!(silent.windows(2).all(|w| w[0] <= w[1]), "silent must be sorted");
-        out.ranked.clear();
-        out.excluded.clear();
         if matches!(policy, Policy::Nearest | Policy::Random) {
-            self.rank_into(map, requester, candidates, policy, now_ns, &mut out.ranked);
-            return;
+            let ranked = self.rank(map, requester, candidates, policy, now_ns);
+            return RankOutcome { ranked, excluded: Vec::new() };
         }
 
-        // Estimates of the pathless candidates, kept so the warm-up
-        // fallback can reuse them instead of re-estimating from scratch.
-        let mut pathless = std::mem::take(&mut self.pathless);
-        pathless.clear();
-        out.ranked.reserve(candidates.len());
+        let mut out = RankOutcome::default();
         for &host in candidates {
-            if silent.binary_search(&host).is_ok() {
+            if silent.contains(&host) {
                 out.excluded.push((host, ExcludeReason::OriginSilent));
                 continue;
             }
             let est = self.estimate(map, requester, host, now_ns);
             if est.est_delay_ns == u64::MAX {
                 out.excluded.push((host, ExcludeReason::NoFreshPath));
-                pathless.push(est);
             } else {
                 out.ranked.push(est);
             }
         }
-
         if out.ranked.is_empty()
             && out.excluded.iter().all(|(_, r)| *r == ExcludeReason::NoFreshPath)
         {
-            // The map knows no paths at all: warm-up, not a failure. Every
-            // candidate's estimate is already in `pathless` (nobody was
-            // silent); rank those instead of recomputing each one.
-            out.ranked.extend_from_slice(&pathless);
+            // The map knows no paths at all: warm-up, not a failure.
+            out.ranked = self.rank(map, requester, candidates, policy, now_ns);
             out.excluded.clear();
-            self.sort(&mut out.ranked, requester, policy);
-            self.pathless = pathless;
-            return;
+            return out;
         }
-
         self.sort(&mut out.ranked, requester, policy);
         out.excluded.sort_unstable_by_key(|(h, _)| *h);
-        self.pathless = pathless;
+        out
     }
 
-    /// Estimate one candidate. With `k_paths == 1` (the default) the path
-    /// is computed **once** via the indexed engine and fed to both
-    /// estimators — the delay and bandwidth figures always describe the
-    /// same route (and the engine's shared SSSP means all candidates of
-    /// one query reuse a single Dijkstra). With `k_paths > 1` every
-    /// candidate path is priced and the cheapest wins: ties break to the
-    /// lowest path index, and both reported figures come from the *same*
-    /// winning path.
+    /// What [`crate::sched::SchedulerCore`] must answer for this query
+    /// given `collector`'s state (already evicted at `now_ns`, which the
+    /// scheduler does on every query): every known host but the requester
+    /// is a candidate, and origins silent beyond the configured horizon
+    /// are excluded.
+    pub fn answer(
+        &mut self,
+        collector: &IntCollector,
+        requester: u32,
+        policy: Policy,
+        now_ns: u64,
+    ) -> RankOutcome {
+        let silent = collector.silent_origins(now_ns, self.cfg.origin_silence_ns);
+        let candidates: Vec<u32> = collector.map().hosts().filter(|&h| h != requester).collect();
+        self.rank_detailed(collector.map(), requester, &candidates, policy, now_ns, &silent)
+    }
+
+    /// Estimate one candidate: every path of its reference k-set (just
+    /// [`NetworkMap::path`] at the default `k_paths == 1`) is priced and
+    /// the cheapest wins. Ties break to the lowest path index, and both
+    /// reported figures come from the *same* winning path.
     ///
     /// Reachable totals are clamped to `u64::MAX - 1`: `u64::MAX` is the
     /// no-fresh-path sentinel, and a saturated-but-reachable estimate
     /// must rank worst, not read as unreachable.
-    fn estimate(&mut self, map: &NetworkMap, requester: u32, host: u32, now_ns: u64) -> RankedServer {
-        if self.cfg.k_paths <= 1 {
-            return match self.engine.path(map, &self.cfg, NetNode::Host(requester), NetNode::Host(host))
-            {
-                None => RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 },
-                Some(path) => RankedServer {
-                    host,
-                    est_delay_ns: self
-                        .delay
-                        .estimate_along(map, path, now_ns)
-                        .total_ns()
-                        .min(u64::MAX - 1),
-                    est_bandwidth_bps: self.bandwidth.estimate_along(map, path, now_ns),
-                },
-            };
-        }
-        let paths =
-            self.engine.paths(map, &self.cfg, NetNode::Host(requester), NetNode::Host(host));
-        let mut best_delay = u64::MAX;
-        let mut best_bw = 0;
-        for path in paths {
+    fn estimate(&self, map: &NetworkMap, requester: u32, host: u32, now_ns: u64) -> RankedServer {
+        let (from, to) = (NetNode::Host(requester), NetNode::Host(host));
+        let mut best = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
+        for path in &map.k_paths(&self.cfg, from, to, self.cfg.k_paths) {
             let d = self.delay.estimate_along(map, path, now_ns).total_ns().min(u64::MAX - 1);
-            if d < best_delay {
-                best_delay = d;
-                best_bw = self.bandwidth.estimate_along(map, path, now_ns);
+            if d < best.est_delay_ns {
+                best.est_delay_ns = d;
+                best.est_bandwidth_bps = self.bandwidth.estimate_along(map, path, now_ns);
             }
         }
-        RankedServer { host, est_delay_ns: best_delay, est_bandwidth_bps: best_bw }
+        best
     }
 
     fn sort(&mut self, out: &mut [RankedServer], requester: u32, policy: Policy) {
-        // All sort keys include the host id, so every key is unique and
-        // `sort_unstable` orders exactly as the stable sort did — without
-        // the stable sort's scratch allocation on larger candidate sets.
+        // Every key but Random's ends in the host id, so keys are unique
+        // and the order does not depend on the sort's stability.
         match policy {
             Policy::IntDelay => {
                 out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
@@ -544,9 +447,8 @@ mod tests {
         assert!(detailed.excluded.is_empty());
     }
 
-    /// Regression (Ranker::estimate used to run two independent Dijkstras
-    /// per candidate): the single shared path must yield exactly the
-    /// estimates two independent point-to-point computations produce.
+    /// One path per candidate feeds both estimators: the figures equal
+    /// two independent point-to-point computations.
     #[test]
     fn delay_and_bandwidth_estimates_match_independent_computations() {
         use crate::estimate::{BandwidthEstimator, DelayEstimator};
@@ -563,61 +465,6 @@ mod tests {
             assert_eq!(s.est_delay_ns, d.unwrap().total_ns(), "host {}", s.host);
             assert_eq!(s.est_bandwidth_bps, b.unwrap(), "host {}", s.host);
         }
-    }
-
-    /// One query = one SSSP shared by all candidates and both estimators;
-    /// repeat queries against an unchanged map do no traversal work at
-    /// all (pool-style steady-state accounting, as in PR 1).
-    #[test]
-    fn query_shares_one_sssp_and_steady_state_does_no_work() {
-        let m = map();
-        let mut r = Ranker::new(CoreConfig::default(), distances(), 1);
-        r.rank(&m, 6, &[1, 2], Policy::IntDelay, 32_000_000);
-        let s = r.path_stats();
-        assert_eq!(s.sssp_runs, 1, "2 candidates × 2 estimators share one Dijkstra");
-        assert_eq!(s.csr_rebuilds, 1);
-
-        let mut out = Vec::new();
-        for _ in 0..50 {
-            r.rank_into(&m, 6, &[1, 2], Policy::IntDelay, 32_000_000, &mut out);
-            r.rank_into(&m, 6, &[1, 2], Policy::IntBandwidth, 32_000_000, &mut out);
-        }
-        let s2 = r.path_stats();
-        assert_eq!(s2.sssp_runs, 1, "steady state never re-runs Dijkstra");
-        assert_eq!(s2.csr_rebuilds, 1, "…nor rebuilds the CSR");
-        assert_eq!(s2.cache_misses, s.cache_misses, "…nor misses the path cache");
-        assert_eq!(s2.cache_hits, s.cache_hits + 200, "every steady-state path is a hit");
-    }
-
-    /// The ranking hot path and the reference `NetworkMap::path` agree on
-    /// routes even as telemetry updates and evictions churn the map.
-    #[test]
-    fn learned_path_tracks_oracle_through_churn() {
-        let mut m = map();
-        let cfg = CoreConfig::default();
-        let mut r = Ranker::new(cfg.clone(), distances(), 1);
-        let check = |r: &mut Ranker, m: &NetworkMap| {
-            for (from, to) in [(6u32, 1u32), (6, 2), (1, 2), (1, 99)] {
-                let oracle = m.path(&cfg, NetNode::Host(from), NetNode::Host(to));
-                let got = r.learned_path(m, NetNode::Host(from), NetNode::Host(to));
-                assert_eq!(got, oracle, "{from}->{to}");
-            }
-        };
-        check(&mut r, &m);
-        // Metric churn on an existing edge.
-        let mut p = ProbePayload::new(1, 9, 0);
-        p.int.push(rec(10, 50, 11));
-        p.int.push(rec(11, 3, 22));
-        m.apply_probe(&p, 6, 64_000_000);
-        check(&mut r, &m);
-        // Structural churn: evict everything, then relearn one branch.
-        m.evict_stale(64_000_000 + 10_000_000_001, 10_000_000_000);
-        check(&mut r, &m);
-        let mut p = ProbePayload::new(2, 9, 0);
-        p.int.push(rec(12, 0, 11));
-        p.int.push(rec(11, 0, 22));
-        m.apply_probe(&p, 6, 64_000_000 + 10_100_000_000);
-        check(&mut r, &m);
     }
 
     #[test]

@@ -1,29 +1,82 @@
 //! The scheduler frontend (paper Fig. 1): accepts edge-device queries and
 //! answers with ranked candidate edge servers.
+//!
+//! [`SchedulerCore`] is a thin façade over the one serving stack: probes
+//! go into the [`IntCollector`]; every query evicts stale telemetry at
+//! its `now`, republishes an epoch snapshot iff anything moved since the
+//! last one (O(dirty) through the [`SnapshotPublisher`]), and is answered
+//! by [`SchedSnapshot::rank_detailed_into`] with the core's own scratch.
+//! [`crate::shard::ShardedScheduler`] serves the very same epochs from N
+//! shards.
 
 use crate::collector::IntCollector;
 use crate::config::CoreConfig;
-use crate::rank::{Policy, RankOutcome, RankedServer, Ranker, StaticDistances};
+use crate::map::NetNode;
+use crate::rank::{Policy, RankOutcome, RankedServer, StaticDistances};
+use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch};
 use int_obs::{CandidateEstimate, DecisionAudit, DecisionRecord};
 use int_packet::msgs::{Candidate, RankingKind};
 use std::sync::Arc;
 
-/// The complete scheduler state: collector + ranking engine.
+/// Serving-work counters of one [`SchedulerCore`]: what its scratch and
+/// publisher did so far (see [`crate::snapshot::SnapshotServeStats`] for
+/// what a cache lookup is).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathStats {
+    /// Full snapshot builds (the structure was re-frozen, or a history
+    /// slot overflowed).
+    pub csr_rebuilds: u64,
+    /// Epochs published — each reprices the arcs that changed.
+    pub weight_refreshes: u64,
+    /// Single-source Dijkstra executions.
+    pub sssp_runs: u64,
+    /// Shortest-path-tree (or k-set) lookups that hit.
+    pub cache_hits: u64,
+    /// Shortest-path-tree (or k-set) lookups that missed.
+    pub cache_misses: u64,
+}
+
+impl PathStats {
+    /// Export the counters as gauges into a metrics registry (last-write
+    /// wins, so repeated exports never double-count). The series keep
+    /// their historical `pathidx_*` names.
+    pub fn export(&self, metrics: &mut int_obs::MetricsRegistry, at_ns: u64) {
+        use int_obs::Labels;
+        let series: [(&'static str, u64); 5] = [
+            ("pathidx_csr_rebuilds", self.csr_rebuilds),
+            ("pathidx_weight_refreshes", self.weight_refreshes),
+            ("pathidx_sssp_runs", self.sssp_runs),
+            ("pathidx_cache_hits", self.cache_hits),
+            ("pathidx_cache_misses", self.cache_misses),
+        ];
+        for (name, v) in series {
+            metrics.gauge_set(name, Labels::none(), v as i64, at_ns);
+        }
+    }
+}
+
+/// The complete scheduler state: collector, epoch publisher, and the
+/// scratch queries are evaluated with.
 pub struct SchedulerCore {
     collector: IntCollector,
-    ranker: Ranker,
-    /// Shared with the ranker and both estimators — one allocation for
-    /// the whole control plane (and for every shard of the sharded one).
+    /// Shared with every published snapshot (and so with every shard of
+    /// the sharded plane): one allocation for the whole control plane.
     cfg: Arc<CoreConfig>,
-    /// Policy used for INT-based queries (the baselines are selected
-    /// explicitly via [`SchedulerCore::rank_with`]).
-    default_policy: Policy,
+    distances: Arc<StaticDistances>,
+    /// Base seed of the Random baseline's per-query shuffle.
+    seed: u64,
+    publisher: SnapshotPublisher,
+    /// The epoch queries are answered from (none before the first query).
+    current: Option<Arc<SchedSnapshot>>,
+    /// `(topology_generation, metrics_generation, probes_accepted)` at
+    /// the last publish — republishing is keyed on this triple.
+    published_key: Option<(u64, u64, u64)>,
+    scratch: SnapshotScratch,
+    /// Queries answered so far: the next query's slot number.
+    queries: u64,
     /// Decision audit trail (disabled by default: one branch per query).
     audit: DecisionAudit,
-    /// Query-path scratch: candidate list, silent-origin list, and the
-    /// outcome buffer behind the by-value entry points.
-    cand_scratch: Vec<u32>,
-    silent_scratch: Vec<u32>,
+    /// The outcome buffer behind the by-value entry points.
     outcome_scratch: RankOutcome,
 }
 
@@ -44,12 +97,15 @@ impl SchedulerCore {
         collector.map_mut().set_qlen_retention(cfg.qlen_window_ns);
         SchedulerCore {
             collector,
-            ranker: Ranker::new(Arc::clone(&cfg), distances, seed),
             cfg,
-            default_policy: Policy::IntDelay,
+            distances: distances.into(),
+            seed,
+            publisher: SnapshotPublisher::new(),
+            current: None,
+            published_key: None,
+            scratch: SnapshotScratch::new(),
+            queries: 0,
             audit: DecisionAudit::default(),
-            cand_scratch: Vec::new(),
-            silent_scratch: Vec::new(),
             outcome_scratch: RankOutcome::default(),
         }
     }
@@ -70,39 +126,79 @@ impl SchedulerCore {
         &self.cfg
     }
 
-    /// The shared configuration handle (one allocation across scheduler,
-    /// ranker, estimators, and shards).
+    /// The shared configuration handle.
     pub fn config_arc(&self) -> Arc<CoreConfig> {
         Arc::clone(&self.cfg)
     }
 
     /// The shared static-distance table handle (Nearest baseline).
     pub fn distances_arc(&self) -> Arc<StaticDistances> {
-        self.ranker.distances_arc()
+        Arc::clone(&self.distances)
     }
 
-    /// Enable or force-disable the ranker's path cache (determinism A/B
-    /// switch; results are identical either way, only the work differs).
-    pub fn set_path_cache_enabled(&mut self, on: bool) {
-        self.ranker.set_path_cache_enabled(on);
+    /// Serving-work counters (steady-state and invalidation tests, the
+    /// `audit` artifact).
+    pub fn path_stats(&self) -> PathStats {
+        let serve = self.scratch.stats();
+        let publish = self.publisher.stats();
+        PathStats {
+            csr_rebuilds: publish.full_builds,
+            weight_refreshes: publish.full_builds + publish.incremental_builds,
+            sssp_runs: serve.sssp_runs,
+            cache_hits: serve.cache_hits,
+            cache_misses: serve.cache_misses,
+        }
     }
 
-    /// Path-engine accounting counters (steady-state and invalidation
-    /// tests).
-    pub fn path_stats(&self) -> crate::pathidx::PathEngineStats {
-        self.ranker.path_stats()
+    /// Full vs incremental publish counters.
+    pub(crate) fn publish_stats(&self) -> PublishStats {
+        self.publisher.stats()
     }
 
-    /// The route the ranking hot path would use between two hosts right
-    /// now — the indexed engine's answer over the learned map (tests and
+    /// Turn incremental publication off (every epoch a full rebuild — the
+    /// reference the determinism tests compare against) or back on.
+    pub(crate) fn set_incremental_publish(&mut self, on: bool) {
+        self.publisher.set_incremental(on);
+    }
+
+    /// Evict telemetry older than the eviction horizon at `now_ns`, then
+    /// publish a new epoch iff the map or the collector moved since the
+    /// last one. The key is the `(topology_generation,
+    /// metrics_generation, probes_accepted)` triple: `probes_accepted`
+    /// catches ingest that only touched per-origin accounting (a probe
+    /// with no records still refreshes `last_rx_ns`, which feeds the
+    /// silence exclusion).
+    pub(crate) fn advance(&mut self, now_ns: u64) {
+        self.collector.map_mut().evict_stale(now_ns, self.cfg.eviction_horizon_ns);
+        let map = self.collector.map();
+        let key =
+            (map.topology_generation(), map.metrics_generation(), self.collector.probes_accepted());
+        if self.published_key == Some(key) {
+            return;
+        }
+        let epoch = self.current.as_ref().map_or(0, |s| s.epoch()) + 1;
+        self.current = Some(self.publisher.publish(
+            &mut self.collector,
+            &self.cfg,
+            &self.distances,
+            self.seed,
+            epoch,
+            now_ns,
+        ));
+        self.published_key = Some(key);
+    }
+
+    /// The epoch queries are currently answered from.
+    pub(crate) fn snapshot(&self) -> Option<&Arc<SchedSnapshot>> {
+        self.current.as_ref()
+    }
+
+    /// The route rankings at `now_ns` price between two hosts (tests and
     /// diagnostics; agrees with `NetworkMap::path` by construction).
-    pub fn learned_path(
-        &mut self,
-        from: u32,
-        to: u32,
-    ) -> Option<Vec<crate::map::NetNode>> {
-        use crate::map::NetNode;
-        self.ranker.learned_path(self.collector.map(), NetNode::Host(from), NetNode::Host(to))
+    pub fn learned_path(&mut self, from: u32, to: u32, now_ns: u64) -> Option<Vec<NetNode>> {
+        self.advance(now_ns);
+        let snap = self.current.as_ref().expect("advance publishes");
+        snap.path(&mut self.scratch, NetNode::Host(from), NetNode::Host(to))
     }
 
     /// The telemetry collector (probe ingest + learned map).
@@ -110,7 +206,8 @@ impl SchedulerCore {
         &self.collector
     }
 
-    /// Mutable access to the collector (probe ingest).
+    /// Mutable access to the collector (probe ingest). Changes reach the
+    /// rankings at the next query.
     pub fn collector_mut(&mut self) -> &mut IntCollector {
         &mut self.collector
     }
@@ -125,13 +222,6 @@ impl SchedulerCore {
     /// therefore never learn hosts from telemetry.
     pub fn register_host(&mut self, host: u32) {
         self.collector.map_mut().register_host(host);
-    }
-
-    /// Candidate edge servers for `requester`: every known host except the
-    /// requester itself (paper §IV: all nodes can execute tasks unless they
-    /// are the submitter).
-    pub fn candidates_for(&self, requester: u32) -> Vec<u32> {
-        self.collector.map().hosts().filter(|&h| h != requester).collect()
     }
 
     /// Answer a query with the given wire-level ranking kind (Fig. 1
@@ -183,9 +273,9 @@ impl SchedulerCore {
     /// Rank under an explicit policy, reporting exclusions.
     ///
     /// Failure handling happens here: telemetry older than the eviction
-    /// horizon is removed from the map first, and origins silent beyond
-    /// the silence horizon are handed to the ranker for exclusion — a host
-    /// behind a dead link is never ranked on ghost telemetry.
+    /// horizon is removed from the map before the epoch is frozen, and
+    /// origins silent beyond the silence horizon at `now_ns` are excluded
+    /// — a host behind a dead link is never ranked on ghost telemetry.
     pub fn rank_detailed_with(
         &mut self,
         requester: u32,
@@ -198,7 +288,9 @@ impl SchedulerCore {
     }
 
     /// [`SchedulerCore::rank_detailed_with`] into a caller-owned outcome
-    /// (the zero-alloc query path).
+    /// (the zero-alloc query path). The query's slot — which, with the
+    /// seed and the epoch, derives the `Policy::Random` shuffle — is its
+    /// position in this scheduler's query stream.
     pub fn rank_detailed_into_with(
         &mut self,
         requester: u32,
@@ -206,23 +298,10 @@ impl SchedulerCore {
         now_ns: u64,
         out: &mut RankOutcome,
     ) {
-        self.collector.map_mut().evict_stale(now_ns, self.cfg.eviction_horizon_ns);
-        self.collector.silent_origins_into(
-            now_ns,
-            self.cfg.origin_silence_ns,
-            &mut self.silent_scratch,
-        );
-        self.cand_scratch.clear();
-        self.cand_scratch.extend(self.collector.map().hosts().filter(|&h| h != requester));
-        self.ranker.rank_detailed_into(
-            self.collector.map(),
-            requester,
-            &self.cand_scratch,
-            policy,
-            now_ns,
-            &self.silent_scratch,
-            out,
-        );
+        self.advance(now_ns);
+        let snap = self.current.as_ref().expect("advance publishes");
+        snap.rank_detailed_into(&mut self.scratch, requester, policy, now_ns, self.queries, out);
+        self.queries += 1;
         if self.audit.enabled() {
             self.audit.record(DecisionRecord {
                 at_ns: now_ns,
@@ -265,16 +344,6 @@ impl SchedulerCore {
     ) {
         self.rank_with_into(requester, Policy::IntDelay, now_ns, out);
         out.sort_unstable_by_key(|s| s.host);
-    }
-
-    /// The policy used when no explicit policy is requested.
-    pub fn default_policy(&self) -> Policy {
-        self.default_policy
-    }
-
-    /// Override the default policy.
-    pub fn set_default_policy(&mut self, policy: Policy) {
-        self.default_policy = policy;
     }
 }
 
@@ -439,6 +508,53 @@ mod tests {
         // Baselines are oblivious: they still schedule onto the dead host.
         let nearest = core.rank_with(6, Policy::Nearest, now);
         assert_eq!(nearest.first().map(|s| s.host), Some(1));
+
+        // No stale route survives the eviction; re-learning restores it.
+        assert_eq!(core.learned_path(6, 1, now), None, "a dead path must not be served");
+        assert!(core.learned_path(6, 2, now).is_some());
+        let mut p1 = ProbePayload::new(1, 2, 0);
+        p1.int.push(rec(10, 0, 11));
+        p1.int.push(rec(11, 0, 22));
+        core.on_probe(&p1.to_bytes(), now + 100 * ms);
+        let relearned = core.learned_path(6, 1, now + 100 * ms);
+        assert_eq!(
+            relearned,
+            core.collector().map().path(core.config(), NetNode::Host(6), NetNode::Host(1))
+        );
+        assert!(relearned.is_some());
+    }
+
+    /// The Random baseline through the façade: uniform over candidates,
+    /// a pure function of `(seed, epoch, slot)`, different across slots.
+    #[test]
+    fn random_policy_is_uniform_and_slot_derived() {
+        const HOSTS: u32 = 8;
+        const QUERIES: u32 = 4_000;
+        let fresh = || {
+            let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 7);
+            (0..HOSTS).for_each(|h| core.register_host(h));
+            core
+        };
+        let first_of = |core: &mut SchedulerCore| -> Vec<u32> {
+            (0..QUERIES).map(|_| core.rank_with(100, Policy::Random, 0)[0].host).collect()
+        };
+        let firsts = first_of(&mut fresh());
+        assert_eq!(firsts, first_of(&mut fresh()), "equal (seed, epoch, slot) ⇒ equal order");
+
+        // Each candidate leads with frequency 1/8 ± 3σ (σ² = n·p·(1−p)).
+        let (n, p) = (QUERIES as f64, 1.0 / HOSTS as f64);
+        let sigma = (n * p * (1.0 - p)).sqrt();
+        for h in 0..HOSTS {
+            let led = firsts.iter().filter(|&&f| f == h).count() as f64;
+            assert!((led - n * p).abs() <= 3.0 * sigma, "host {h} led {led} of {n} queries");
+        }
+
+        // One epoch, consecutive slots: the full orders differ.
+        let mut core = fresh();
+        let orders: std::collections::BTreeSet<Vec<u32>> = (0..16)
+            .map(|_| core.rank_with(100, Policy::Random, 0).iter().map(|s| s.host).collect())
+            .collect();
+        assert!(orders.len() > 8, "the shuffle varies across slots: {}", orders.len());
     }
 
     /// The audit trail captures what the scheduler believed per query:
@@ -478,13 +594,5 @@ mod tests {
         let json = core.audit().to_json();
         assert!(json.contains(r#""reason":"OriginSilent""#), "{json}");
         assert!(json.contains(r#""policy":"IntDelay""#));
-    }
-
-    #[test]
-    fn default_policy_settable() {
-        let mut core = core_with_two_servers();
-        assert_eq!(core.default_policy(), Policy::IntDelay);
-        core.set_default_policy(Policy::IntBandwidth);
-        assert_eq!(core.default_policy(), Policy::IntBandwidth);
     }
 }

@@ -3,9 +3,9 @@
 //! [`ShardedScheduler`] splits the scheduler control plane in two:
 //!
 //! * an **ingest half** — the wrapped [`SchedulerCore`], which keeps
-//!   mutating the live map exactly as before (probe harvest, host
-//!   registration, eviction), plus a publisher that freezes the map
-//!   into an immutable [`SchedSnapshot`] whenever a generation moved;
+//!   mutating the live map (probe harvest, host registration, eviction)
+//!   and freezes it into an immutable [`SchedSnapshot`] whenever a
+//!   generation moved;
 //! * a **read half** — N worker shards, each owning a private
 //!   [`SnapshotScratch`], serving `rank_detailed` queries against the
 //!   current snapshot through an [`EpochSlot`]. Readers never take a
@@ -23,13 +23,14 @@
 //! therefore results, are independent of the worker count: worker
 //! boundaries move, slot assignments don't. Because snapshot evaluation
 //! is a pure function of `(snapshot, query, slot)`, the outcome vector
-//! is byte-identical for 1, 2, or 8 shards, and equal to the
-//! single-threaded oracle evaluated at the same map state.
+//! is byte-identical for 1, 2, or 8 shards, and equal to what the
+//! wrapped core — or the reference ranker over the live map — answers at
+//! the same map state.
 
 use crate::config::CoreConfig;
-use crate::rank::{Policy, RankOutcome, RankedServer, StaticDistances};
+use crate::rank::{Policy, RankOutcome, StaticDistances};
 use crate::sched::SchedulerCore;
-use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch};
+use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotScratch};
 use int_packet::ProbePayload;
 use int_obs::{Labels, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,28 +115,20 @@ struct RankShard {
     served: u64,
 }
 
-/// The sharded scheduler control plane: ingest + publish + N read shards.
+/// The sharded scheduler control plane: ingest + publish (the wrapped
+/// core) + N read shards.
 pub struct ShardedScheduler {
     core: SchedulerCore,
-    /// Epoch publisher: full CSR builds on topology change, O(dirty)
-    /// incremental patches otherwise.
-    publisher: SnapshotPublisher,
     slot: Arc<EpochSlot>,
     shards: Vec<Mutex<RankShard>>,
-    seed: u64,
-    epoch: u64,
-    /// `(topology_generation, metrics_generation, probes_accepted)` of the
-    /// last published snapshot — publishing is keyed on this triple.
-    published_key: Option<(u64, u64, u64)>,
     /// Global query counter: the next query's slot number.
     queries_total: u64,
     metrics: MetricsRegistry,
 }
 
 impl ShardedScheduler {
-    /// A sharded scheduler on `scheduler_host` with `shards` read workers.
-    /// `shards` is clamped to ≥1; pass [`default_shard_count`] to honour
-    /// the `INT_SCHED_SHARDS` override.
+    /// A sharded scheduler on `scheduler_host` with `shards` read workers
+    /// (clamped to ≥1).
     pub fn new(
         scheduler_host: u32,
         cfg: impl Into<Arc<CoreConfig>>,
@@ -147,12 +140,8 @@ impl ShardedScheduler {
         let n = shards.max(1);
         ShardedScheduler {
             core,
-            publisher: SnapshotPublisher::new(),
             slot: Arc::new(EpochSlot::new()),
             shards: (0..n).map(|_| Mutex::new(RankShard::default())).collect(),
-            seed,
-            epoch: 0,
-            published_key: None,
             queries_total: 0,
             metrics: MetricsRegistry::new(),
         }
@@ -176,7 +165,7 @@ impl ShardedScheduler {
 
     /// Epoch of the most recently published snapshot (0 = none yet).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.slot.current_epoch()
     }
 
     /// Total queries admitted so far (the next query's slot number).
@@ -200,43 +189,20 @@ impl ShardedScheduler {
         &mut self.metrics
     }
 
-    /// Run eviction at `now_ns` and publish a fresh snapshot if anything
-    /// about the map changed since the last publish. Returns `true` if a
-    /// new epoch was published.
-    ///
-    /// The publish key is the `(topology_generation, metrics_generation,
-    /// probes_accepted)` triple: topology or metrics movement obviously
-    /// invalidates the frozen state, and `probes_accepted` catches
-    /// ingest that only touched per-origin accounting (a probe with no
-    /// records still refreshes `last_rx_ns`, which feeds the silence
-    /// exclusion).
+    /// Run eviction at `now_ns`, let the core publish a fresh snapshot if
+    /// anything about the map changed since its last one (see
+    /// `SchedulerCore::advance` for the key), and hand the core's current
+    /// epoch to the read shards. Returns `true` if they got a new epoch.
     pub fn advance(&mut self, now_ns: u64) -> bool {
-        let horizon = self.core.config().eviction_horizon_ns;
-        self.core.collector_mut().map_mut().evict_stale(now_ns, horizon);
-        let c = self.core.collector();
-        let key = (
-            c.map().topology_generation(),
-            c.map().metrics_generation(),
-            c.probes_accepted(),
-        );
-        if self.published_key == Some(key) {
+        self.core.advance(now_ns);
+        let snap = self.core.snapshot().expect("advance publishes");
+        let epoch = snap.epoch();
+        if self.slot.current_epoch() == epoch {
             return false;
         }
-        self.epoch += 1;
-        let cfg = self.core.config_arc();
-        let distances = self.core.distances_arc();
-        let snap = self.publisher.publish(
-            self.core.collector_mut(),
-            &cfg,
-            &distances,
-            self.seed,
-            self.epoch,
-            now_ns,
-        );
-        self.slot.publish(snap);
-        self.published_key = Some(key);
+        self.slot.publish(Arc::clone(snap));
         self.metrics.counter_inc("sched_snapshot_publishes", Labels::none());
-        self.metrics.gauge_set("sched_epoch", Labels::none(), self.epoch as i64, now_ns);
+        self.metrics.gauge_set("sched_epoch", Labels::none(), epoch as i64, now_ns);
         true
     }
 
@@ -254,13 +220,14 @@ impl ShardedScheduler {
 
     /// Full vs incremental publish counters.
     pub fn publish_stats(&self) -> PublishStats {
-        self.publisher.stats()
+        self.core.publish_stats()
     }
 
-    /// Force the publisher's incremental path on or off (benches, A/B
-    /// smokes); normally governed by `INT_SNAP_INCREMENTAL`.
+    /// Turn incremental publication off (every epoch a full rebuild — the
+    /// reference benches and the determinism tests compare against) or
+    /// back on.
     pub fn set_incremental_publish(&mut self, on: bool) {
-        self.publisher.set_incremental(on);
+        self.core.set_incremental_publish(on);
     }
 
     /// Serve a batch of queries against the current snapshot, one
@@ -318,37 +285,6 @@ impl ShardedScheduler {
             );
         }
     }
-
-    /// Serve one query (slot-assigned, counted). Convenience wrapper over
-    /// a one-element batch, without the thread machinery.
-    pub fn serve_one(&mut self, query: RankQuery) -> RankOutcome {
-        let tag = self.queries_total;
-        self.queries_total += 1;
-        let mut out = RankOutcome::default();
-        let mut shard = self.shards[0].lock().expect("shard poisoned");
-        let RankShard { scratch, cached, served } = &mut *shard;
-        if self.slot.refresh(cached) {
-            let snap = cached.as_ref().expect("refresh returned true");
-            snap.rank_detailed_into(
-                scratch,
-                query.requester,
-                query.policy,
-                query.now_ns,
-                tag,
-                &mut out,
-            );
-            *served += 1;
-        }
-        out
-    }
-
-    /// First-ranked host for `requester` under the core's default policy
-    /// — the sharded analogue of `SchedulerCore::handle_request`.
-    pub fn handle_request(&mut self, requester: u32, now_ns: u64) -> Option<RankedServer> {
-        let policy = self.core.default_policy();
-        let out = self.serve_one(RankQuery { requester, policy, now_ns });
-        out.ranked.first().copied()
-    }
 }
 
 /// Serve a contiguous chunk on one shard. `tag_base` is the global slot
@@ -372,22 +308,10 @@ fn serve_chunk(
     *served += queries.len() as u64;
 }
 
-/// Number of read shards to use: the `INT_SCHED_SHARDS` environment
-/// variable if set (clamped to ≥1), else the machine's available
-/// parallelism.
-pub fn default_shard_count() -> usize {
-    if let Ok(v) = std::env::var("INT_SCHED_SHARDS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreConfig;
+    use crate::rank::Ranker;
     use int_packet::int::IntRecord;
     use int_packet::ProbePayload;
 
@@ -463,15 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_results_match_oracle_and_are_shard_count_invariant() {
+    fn batch_results_match_reference_and_are_shard_count_invariant() {
         let now = 32_000_000;
         let qs = queries(64, now);
 
-        // Oracle: the plain single-threaded core at the same map state.
-        let mut oracle = sharded(1);
+        // The reference ranker over the live map, evicted at `now` as
+        // `advance` leaves it.
+        let mut live = sharded(1);
+        live.advance(now);
+        let mut reference = Ranker::new(CoreConfig::default(), StaticDistances::new(), 42);
         let want: Vec<RankOutcome> = qs
             .iter()
-            .map(|q| oracle.core_mut().rank_detailed_with(q.requester, q.policy, q.now_ns))
+            .map(|q| reference.answer(live.core().collector(), q.requester, q.policy, q.now_ns))
             .collect();
 
         let mut baseline: Option<Vec<RankOutcome>> = None;
@@ -480,7 +407,7 @@ mod tests {
             s.advance(now);
             let mut got = Vec::new();
             s.serve_batch(&qs, &mut got);
-            assert_eq!(got, want, "shards={n} vs oracle");
+            assert_eq!(got, want, "shards={n} vs reference");
             match &baseline {
                 None => baseline = Some(got),
                 Some(b) => assert_eq!(&got, b, "shards={n} vs shards=1"),
@@ -509,16 +436,24 @@ mod tests {
         s.serve_batch(&qs, &mut out);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|o| o.ranked.is_empty() && o.excluded.is_empty()));
-        assert!(s.handle_request(6, 32_000_000).is_none());
     }
 
+    /// The shards serve the core's own epochs: a query answered by the
+    /// core directly republishes inside the core, and the next `advance`
+    /// forwards that epoch instead of building a second one.
     #[test]
-    fn handle_request_matches_core_after_publish() {
+    fn advance_forwards_epochs_the_core_published_itself() {
         let mut s = sharded(2);
         s.advance(32_000_000);
-        let got = s.handle_request(6, 32_000_000).expect("publish happened");
-        let want = s.core_mut().rank_with(6, Policy::IntDelay, 32_000_000)[0];
-        assert_eq!(got, want);
+        s.core_mut().collector_mut().ingest(&probe(1, 2, &[(10, 5), (11, 0)]), 34_000_000);
+        let direct = s.core_mut().rank_detailed_with(6, Policy::IntDelay, 34_000_000);
+        assert_eq!(s.epoch(), 1, "the shards still serve epoch 1");
+        assert!(s.advance(34_000_000), "the core's epoch 2 reaches the shards");
+        assert_eq!(s.epoch(), 2);
+        assert_eq!(s.publish_stats().full_builds + s.publish_stats().incremental_builds, 2);
+        let mut out = Vec::new();
+        s.serve_batch(&[RankQuery { requester: 6, policy: Policy::IntDelay, now_ns: 34_000_000 }], &mut out);
+        assert_eq!(out[0], direct);
     }
 
     #[test]

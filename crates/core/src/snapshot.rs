@@ -1,16 +1,20 @@
 //! Immutable epoch snapshots of the scheduler control plane.
 //!
-//! The sharded scheduler (see [`crate::shard`]) splits `core::sched` into
-//! an **ingest half** that keeps mutating the live [`NetworkMap`] and a
-//! **read half** that serves `rank`/`rank_detailed` queries. The bridge
-//! is [`SchedSnapshot`]: a frozen, `Send + Sync` copy of everything a
-//! query needs, built from the [`PathEngine`](crate::pathidx::PathEngine)
-//! CSR machinery whenever the map's topology or metrics generation moves.
+//! **The serving stack.** Every ranking this crate hands out — from
+//! [`SchedulerCore`](crate::sched::SchedulerCore) with its one scratch,
+//! or from the N shards of [`crate::shard`] — is evaluated here, against
+//! a [`SchedSnapshot`]: a frozen, `Send + Sync` copy of everything a
+//! query needs, published by [`SnapshotPublisher`] whenever the live
+//! [`NetworkMap`]'s topology or metrics generation (or the collector's
+//! probe count) moves. The ingest half keeps mutating the map; queries
+//! never touch it.
 //!
 //! A snapshot carries:
 //!
-//! * the CSR adjacency and ≥1-clamped traversal weights (byte-identical
-//!   to what the live engine would compute for the same generations);
+//! * a CSR adjacency over dense node ids and ≥1-clamped traversal
+//!   weights. Dense ids ascend in [`NetNode`] order and rows are sorted,
+//!   so the Dijkstra's `(dist, id)` tie-break and relaxation order equal
+//!   the reference [`NetworkMap::path`]'s — routes are byte-identical;
 //! * per-arc *estimate* inputs: the unclamped effective link delay and
 //!   the resolved queue-occupancy evidence (which directed edge answers
 //!   for this arc under the direction-fallback policy, its harvest
@@ -29,21 +33,19 @@
 //! and every candidate's estimate is a table read at its dense id — no
 //! per-pair path is ever materialised. (`k_paths > 1` still resolves and
 //! caches explicit k-path sets, because banning edges needs real paths.)
-//! The evaluation mirrors [`Ranker`](crate::rank::Ranker) decision-for-
-//! decision; `tests/shard_determinism.rs` pins byte-equality against the
-//! single-threaded oracle across churn, eviction, and faults.
+//! The evaluation mirrors the reference [`Ranker`](crate::rank::Ranker)
+//! over the live map decision-for-decision; the proptests here and in
+//! `tests/` pin equality across churn, eviction, and faults.
 //!
-//! The only sanctioned divergence is [`Policy::Random`]: the sequential
-//! ranker draws from one long-lived RNG stream, which cannot be
-//! reproduced when queries are served concurrently. Snapshot evaluation
-//! derives an RNG per query from `(seed, epoch, slot)` instead —
-//! deterministic for any worker count, but a *different* (equally
-//! uniform) shuffle than the sequential stream.
+//! The only sanctioned divergence is [`Policy::Random`]: the reference
+//! draws from one long-lived RNG stream, which cannot be reproduced when
+//! queries are served concurrently. Snapshot evaluation derives an RNG
+//! per query from `(seed, epoch, slot)` instead — deterministic for any
+//! worker count, an equally uniform shuffle, but a different stream.
 
 use crate::collector::IntCollector;
 use crate::config::{CoreConfig, DirectionFallback, HopSignal};
 use crate::map::{NetNode, NetworkMap};
-use crate::pathidx::PathEngine;
 use crate::rank::{ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -108,10 +110,40 @@ struct CsrTopo {
     row: Vec<u32>,
     /// CSR columns (neighbour dense ids, sorted per row).
     cols: Vec<u32>,
-    /// Every known host, ascending — the candidate universe.
+    /// Every known host, ascending — the candidate universe. Hosts sort
+    /// before switches, so `hosts[i]`'s dense id is `i`.
     hosts: Vec<u32>,
-    /// Dense node id of each host (parallel to `hosts`).
-    host_ids: Vec<u32>,
+}
+
+impl CsrTopo {
+    /// Freeze `map`'s structure. Each directed edge contributes both arc
+    /// orientations; `(a, b)` and `(b, a)` probed separately collapse.
+    fn build(map: &NetworkMap) -> Self {
+        let hosts: Vec<u32> = map.hosts().collect();
+        let mut nodes: Vec<NetNode> = hosts.iter().map(|&h| NetNode::Host(h)).collect();
+        nodes.extend(map.switches().map(NetNode::Switch));
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "dense ids must be sorted");
+        let id = |n: NetNode| nodes.binary_search(&n).expect("edge endpoints are known nodes") as u32;
+
+        let mut arcs = Vec::with_capacity(2 * map.edge_count());
+        for (a, b, _) in map.edges() {
+            let (ia, ib) = (id(a), id(b));
+            arcs.push((ia, ib));
+            arcs.push((ib, ia));
+        }
+        arcs.sort_unstable();
+        arcs.dedup();
+
+        let mut row = vec![0u32; nodes.len() + 1];
+        for &(u, _) in &arcs {
+            row[u as usize + 1] += 1;
+        }
+        for i in 1..row.len() {
+            row[i] += row[i - 1];
+        }
+        let cols = arcs.iter().map(|&(_, v)| v).collect();
+        CsrTopo { nodes, row, cols, hosts }
+    }
 }
 
 /// One frozen epoch of the scheduler control plane. Immutable and
@@ -156,29 +188,28 @@ pub struct SchedSnapshot {
 
 impl SchedSnapshot {
     /// Freeze the current state of `collector`'s map into an immutable
-    /// epoch. `engine` provides (and retains) the CSR build machinery —
-    /// pass the same engine across publishes so unchanged topology costs
-    /// a generation check, not a rebuild.
+    /// epoch, from scratch.
     pub fn build(
         collector: &IntCollector,
-        engine: &mut PathEngine,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
         seed: u64,
         epoch: u64,
         published_at_ns: u64,
     ) -> Self {
-        Self::build_full(collector, engine, cfg, distances, seed, epoch, published_at_ns, 0, 0)
+        let topo = Arc::new(CsrTopo::build(collector.map()));
+        Self::build_full(collector, topo, cfg, distances, seed, epoch, published_at_ns, 0, 0)
     }
 
-    /// The full (re)build: freeze everything from the live map. The
-    /// publisher passes `hist_hint` (the previous epoch's `qlen_hist`
-    /// length) to pre-size the flat history store, and a `layout_gen`
-    /// identifying the slot layout this build creates.
+    /// The full (re)build: price every arc of `topo` (which must freeze
+    /// the map's current structure) from the live map. The publisher
+    /// passes `hist_hint` (the previous epoch's `qlen_hist` length) to
+    /// pre-size the flat history store, and a `layout_gen` identifying
+    /// the slot layout this build creates.
     #[allow(clippy::too_many_arguments)]
     fn build_full(
         collector: &IntCollector,
-        engine: &mut PathEngine,
+        topo: Arc<CsrTopo>,
         cfg: &Arc<CoreConfig>,
         distances: &Arc<StaticDistances>,
         seed: u64,
@@ -188,36 +219,20 @@ impl SchedSnapshot {
         layout_gen: u64,
     ) -> Self {
         let map = collector.map();
-        let topo_gen = map.topology_generation();
-        let (nodes, row, cols, weights) = engine.csr_view(map, cfg);
-        let nodes = nodes.to_vec();
-        let row = row.to_vec();
-        let cols = cols.to_vec();
-        let weights = weights.to_vec();
-
-        // Per-arc estimate inputs, resolved in CSR order.
-        let mut est_delay = Vec::with_capacity(cols.len());
-        let mut arc_q = Vec::with_capacity(cols.len());
+        let arcs = topo.cols.len();
+        let mut weights = Vec::with_capacity(arcs);
+        let mut est_delay = Vec::with_capacity(arcs);
+        let mut arc_q = Vec::with_capacity(arcs);
         let mut qlen_hist = Vec::with_capacity(hist_hint);
-        for u in 0..nodes.len() {
-            let from = nodes[u];
-            for i in row[u] as usize..row[u + 1] as usize {
-                let to = nodes[cols[i] as usize];
-                est_delay.push(
-                    map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns),
-                );
+        for (u, &from) in topo.nodes.iter().enumerate() {
+            for &v in &topo.cols[topo.row[u] as usize..topo.row[u + 1] as usize] {
+                let to = topo.nodes[v as usize];
+                let est = map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns);
+                est_delay.push(est);
+                weights.push(est.max(1));
                 arc_q.push(resolve_qlen(map, cfg, from, to, &mut qlen_hist));
             }
         }
-
-        let hosts: Vec<u32> = map.hosts().collect();
-        let host_ids = hosts
-            .iter()
-            .map(|&h| {
-                nodes.binary_search(&NetNode::Host(h)).expect("every known host is a CSR node")
-                    as u32
-            })
-            .collect();
 
         SchedSnapshot {
             uid: next_uid(),
@@ -226,8 +241,8 @@ impl SchedSnapshot {
             cfg: Arc::clone(cfg),
             distances: Arc::clone(distances),
             seed,
-            topo: Arc::new(CsrTopo { nodes, row, cols, hosts, host_ids }),
-            topo_gen,
+            topo,
+            topo_gen: map.topology_generation(),
             layout_gen,
             weights,
             est_delay,
@@ -299,10 +314,10 @@ impl SchedSnapshot {
     /// Rank for `requester` under `policy`, evaluated purely against this
     /// snapshot. `slot` is the query's pre-assigned batch slot (it seeds
     /// the Random-policy shuffle, so results are independent of which
-    /// shard serves the slot). Decision-for-decision identical to
-    /// [`crate::sched::SchedulerCore::rank_detailed_with`] evaluated at
-    /// the same map state and `now_ns` (except `Policy::Random`, see the
-    /// module docs).
+    /// shard serves the slot). Decision-for-decision identical to the
+    /// reference [`Ranker::answer`](crate::rank::Ranker::answer) over the
+    /// map state this epoch froze, at the same `now_ns` (except
+    /// `Policy::Random`, see the module docs).
     pub fn rank_detailed(
         &self,
         scratch: &mut SnapshotScratch,
@@ -341,15 +356,16 @@ impl SchedSnapshot {
             }
         }
 
-        // Candidate set: every known host except the requester — the same
-        // rule as `SchedulerCore::candidates_for` — with its dense id.
+        // Candidate set: every known host except the requester (paper §IV:
+        // all nodes can execute tasks unless they are the submitter), with
+        // its dense id.
         let topo = &*self.topo;
         let candidates =
-            topo.hosts.iter().zip(&topo.host_ids).filter(|&(&host, _)| host != requester);
+            topo.hosts.iter().zip(0u32..).filter(|&(&host, _)| host != requester);
         out.ranked.reserve(topo.hosts.len());
 
         if matches!(policy, Policy::Nearest | Policy::Random) {
-            for (&host, &to) in candidates {
+            for (&host, to) in candidates {
                 out.ranked.push(self.estimate(scratch, from, host, to, now_ns));
             }
             self.sort(scratch, &mut out.ranked, requester, policy, slot);
@@ -362,7 +378,7 @@ impl SchedSnapshot {
         // pure function of the frozen origin table and the query `now`;
         // hosts and origins both ascend, so one merged walk answers it.
         let mut origins = self.origins.iter().peekable();
-        for (&host, &to) in candidates {
+        for (&host, to) in candidates {
             while origins.next_if(|&&(o, _)| o < host).is_some() {}
             let silent = origins.peek().is_some_and(|&&(o, last_rx_ns)| {
                 o == host && now_ns.saturating_sub(last_rx_ns) > self.cfg.origin_silence_ns
@@ -398,9 +414,9 @@ impl SchedSnapshot {
     /// estimators produce against the map state this snapshot froze.
     /// Single-path serving reads the table [`Self::price_tree`] just
     /// filled. With `k_paths > 1`, resolve the whole k-set
-    /// (decision-identical to [`PathEngine::paths`]) and report the
+    /// (route-identical to [`NetworkMap::k_paths`]) and report the
     /// cheapest path's figures, ties breaking to the lowest path index —
-    /// exactly the live `Ranker::estimate` rule.
+    /// exactly the reference `Ranker::estimate` rule.
     fn estimate(
         &self,
         scratch: &mut SnapshotScratch,
@@ -480,6 +496,7 @@ impl SchedSnapshot {
         let SnapshotScratch { sssp, arena, .. } = scratch;
         let start = arena.len();
         self.dijkstra(sssp, source, None, |_| false, |t| arena.push(t));
+        scratch.sssp_source = Some(source);
         let grown = (start, arena.len());
         scratch.tree_of[source as usize] = grown;
         grown
@@ -498,10 +515,11 @@ impl SchedSnapshot {
     }
 
     /// Resolve (and cache) the k-path set for `from → to` into the
-    /// scratch, mirroring [`PathEngine::paths`]: first path from the
+    /// scratch, mirroring [`NetworkMap::k_paths`]: first path from the
     /// shared SSSP, successors from masked Dijkstra runs with the
-    /// previous paths' interior switch–switch edges banned. Returns
-    /// false when disconnected (cached as an empty set).
+    /// previous paths' interior switch–switch edges banned, stopping on
+    /// no-path or a duplicate. Returns false when disconnected (cached as
+    /// an empty set).
     fn ensure_k_paths(&self, scratch: &mut SnapshotScratch, from: u32, to: u32) -> bool {
         if let Some(kset) = scratch.kcache.get(&(from, to)) {
             scratch.stats.cache_hits += 1;
@@ -558,8 +576,8 @@ impl SchedSnapshot {
         extract_path_into(masked, from, to, &mut path).then_some(path)
     }
 
-    /// `k_paths > 1` only: make `scratch.sssp` describe `source`, reusing
-    /// it while consecutive k-set misses share the source.
+    /// Make `scratch.sssp` describe `source`, reusing it while consecutive
+    /// k-set misses or [`Self::path`] calls share the source.
     fn ensure_sssp(&self, scratch: &mut SnapshotScratch, source: u32) {
         if scratch.sssp_source == Some(source) {
             return;
@@ -569,9 +587,11 @@ impl SchedSnapshot {
         scratch.sssp_source = Some(source);
     }
 
-    /// The one single-source Dijkstra: identical algorithm, tie-breaks,
-    /// and weights to `PathEngine::ensure_sssp` — and therefore to
-    /// `NetworkMap::path`. Arcs for which `banned` holds are skipped;
+    /// The one Dijkstra of the serving stack: same weights and tie-breaks
+    /// as the reference `NetworkMap::path` (see the module docs), which
+    /// exits when its target pops while this may run to completion — the
+    /// extracted paths agree because a popped node's parent is final
+    /// (weights are ≥ 1). Arcs for which `banned` holds are skipped;
     /// with a `target` the run stops once that node settles. `settled`
     /// sees every node as it settles, with its final parent and parent
     /// arc (`NO_PREV` for the source): weights are ≥ 1, so that order
@@ -622,6 +642,27 @@ impl SchedSnapshot {
         sp.heap.clear(); // early exit can leave stale entries behind
     }
 
+    /// The route serving prices from `from` to `to` — the single path, or
+    /// the first of the k-set — endpoints included; `None` when either end
+    /// is unknown or they are disconnected. Diagnostics and tests: agrees
+    /// with [`NetworkMap::path`] on the map state this epoch froze.
+    pub fn path(
+        &self,
+        scratch: &mut SnapshotScratch,
+        from: NetNode,
+        to: NetNode,
+    ) -> Option<Vec<NetNode>> {
+        if from == to {
+            return Some(vec![from]); // needs no map knowledge, as in the reference
+        }
+        scratch.bind(self);
+        let (from, to) = (self.node_id(from)?, self.node_id(to)?);
+        self.ensure_sssp(scratch, from);
+        let mut ids = Vec::new();
+        extract_path_into(&scratch.sssp, from, to, &mut ids)
+            .then(|| ids.iter().map(|&i| self.topo.nodes[i as usize]).collect())
+    }
+
     /// Dense id of a node, if it is part of the snapshot.
     fn node_id(&self, n: NetNode) -> Option<u32> {
         self.topo.nodes.binary_search(&n).ok().map(|i| i as u32)
@@ -659,7 +700,7 @@ impl SchedSnapshot {
         }
     }
 
-    /// Order `out` best-first — the same keys as `Ranker::sort`, with the
+    /// Order `out` best-first — the reference `Ranker::sort` keys, with the
     /// Random shuffle drawn from the per-query derived RNG. `out` arrives
     /// ascending by host (candidate order).
     fn sort(
@@ -819,7 +860,7 @@ pub struct SnapshotScratch {
     bound: Option<u64>,
     /// Shared (unmasked) Dijkstra buffers.
     sssp: Sssp,
-    /// `k_paths > 1`: the source `sssp` currently describes.
+    /// The source `sssp` currently describes.
     sssp_source: Option<u32>,
     /// `k_paths == 1`: every tree grown this epoch, each in settle order
     /// (source first), back to back. Bounded by sources asked this epoch
@@ -878,8 +919,8 @@ pub struct PublishStats {
     pub incremental_builds: u64,
 }
 
-/// The epoch publisher: owns the CSR build machinery and the previous
-/// epochs needed for O(dirty) incremental publication.
+/// The epoch publisher: owns the previous epochs needed for O(dirty)
+/// incremental publication.
 ///
 /// While the map's topology generation holds, each publish starts from
 /// the previous epoch's arrays (structure shared via `Arc`, per-epoch
@@ -887,14 +928,11 @@ pub struct PublishStats {
 /// reprices only the arcs of edges on the map's dirty list, and splices
 /// only their `qlen_hist` runs. Any structural change — or a history run
 /// outgrowing its reserved slot — falls back to the full rebuild, which
-/// remains the oracle: an incremental epoch is pinned `content_eq` to
-/// what the full build would have produced (proptests).
-///
-/// The escape hatch `INT_SNAP_INCREMENTAL=0` forces every publish down
-/// the full-rebuild path.
+/// remains the reference: an incremental epoch is pinned `content_eq` to
+/// what the full build would have produced (`tests/proptest_publish.rs`,
+/// via [`SnapshotPublisher::set_incremental`]).
 #[derive(Debug)]
 pub struct SnapshotPublisher {
-    engine: PathEngine,
     incremental: bool,
     /// Most recently published epoch.
     prev: Option<Arc<SchedSnapshot>>,
@@ -918,14 +956,10 @@ impl Default for SnapshotPublisher {
 }
 
 impl SnapshotPublisher {
-    /// A publisher with incremental publication enabled unless the
-    /// `INT_SNAP_INCREMENTAL=0` escape hatch is set.
+    /// A publisher with incremental publication enabled.
     pub fn new() -> Self {
-        let incremental =
-            std::env::var("INT_SNAP_INCREMENTAL").map(|v| v != "0").unwrap_or(true);
         SnapshotPublisher {
-            engine: PathEngine::new(),
-            incremental,
+            incremental: true,
             prev: None,
             older: None,
             dirty: Vec::new(),
@@ -935,7 +969,8 @@ impl SnapshotPublisher {
         }
     }
 
-    /// Force the incremental path on or off (benches, A/B smokes).
+    /// Turn the incremental path off (every publish a full rebuild — the
+    /// reference tests and benches compare against) or back on.
     pub fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
     }
@@ -992,7 +1027,8 @@ impl SnapshotPublisher {
     }
 
     /// The full-rebuild path, pre-sizing `qlen_hist` from the previous
-    /// epoch and stamping a fresh slot-layout id.
+    /// epoch and stamping a fresh slot-layout id. The structure is only
+    /// re-frozen when the map's topology generation moved.
     fn full(
         &mut self,
         collector: &IntCollector,
@@ -1005,9 +1041,13 @@ impl SnapshotPublisher {
         self.stats.full_builds += 1;
         self.layout_counter += 1;
         let hist_hint = self.prev.as_ref().map_or(0, |p| p.qlen_hist.len());
+        let topo = match &self.prev {
+            Some(p) if p.topo_gen == collector.map().topology_generation() => Arc::clone(&p.topo),
+            _ => Arc::new(CsrTopo::build(collector.map())),
+        };
         SchedSnapshot::build_full(
             collector,
-            &mut self.engine,
+            topo,
             cfg,
             distances,
             seed,
@@ -1200,6 +1240,7 @@ fn resolve_qlen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rank::Ranker;
     use crate::sched::SchedulerCore;
     use int_packet::int::IntRecord;
     use int_packet::ProbePayload;
@@ -1238,27 +1279,25 @@ mod tests {
     }
 
     fn snap_of(core: &SchedulerCore, epoch: u64, at: u64) -> SchedSnapshot {
-        let mut engine = PathEngine::new();
-        SchedSnapshot::build(
-            core.collector(),
-            &mut engine,
-            &core.config_arc(),
-            &core.distances_arc(),
-            42,
-            epoch,
-            at,
-        )
+        SchedSnapshot::build(core.collector(), &core.config_arc(), &core.distances_arc(), 42, epoch, at)
+    }
+
+    /// The reference answer over `core`'s live map (here `core` is only
+    /// the holder of a collector, a config and a distance table).
+    fn reference(core: &SchedulerCore, requester: u32, policy: Policy, now_ns: u64) -> RankOutcome {
+        Ranker::new(core.config_arc(), core.distances_arc(), 0)
+            .answer(core.collector(), requester, policy, now_ns)
     }
 
     #[test]
     fn snapshot_matches_oracle_for_all_policies_and_requesters() {
-        let mut core = core_with_two_servers();
+        let core = core_with_two_servers();
         let now = 32_000_000;
         let snap = snap_of(&core, 1, now);
         let mut scratch = SnapshotScratch::new();
         for requester in [6u32, 1, 2] {
             for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                let want = core.rank_detailed_with(requester, policy, now);
+                let want = reference(&core, requester, policy, now);
                 let got = snap.rank_detailed(&mut scratch, requester, policy, now, 7);
                 assert_eq!(got, want, "{requester} {policy:?}");
             }
@@ -1283,7 +1322,7 @@ mod tests {
         // queues read as empty in both planes, so the congested server's
         // hop penalty vanishes identically.
         let later = now + 4_000_000_000; // > 3 s staleness, < 10 s eviction
-        let want = core.rank_detailed_with(6, Policy::IntDelay, later);
+        let want = reference(&core, 6, Policy::IntDelay, later);
         let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, later, 0);
         assert_eq!(got, want);
         assert_eq!(got.ranked.len(), 2);
@@ -1307,7 +1346,7 @@ mod tests {
         core.collector_mut().map_mut().evict_stale(now, horizon);
         let snap = snap_of(&core, 3, now);
         let mut scratch = SnapshotScratch::new();
-        let want = core.rank_detailed_with(6, Policy::IntDelay, now);
+        let want = reference(&core, 6, Policy::IntDelay, now);
         let got = snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, now, 0);
         assert_eq!(got, want);
         assert_eq!(got.excluded, vec![(1, ExcludeReason::OriginSilent)]);
@@ -1393,15 +1432,59 @@ mod tests {
         core.collector_mut().ingest(&probe(1, 2, &[(12, 0), (13, 0)]), 33_000_000);
         core.collector_mut().ingest(&probe(2, 1, &[(14, 5), (11, 0)]), 32_000_000);
         let now = 33_000_000;
-        let snap = snap_of(&core, 1, now);
-        let mut scratch = SnapshotScratch::new();
-        for requester in [6u32, 1, 2] {
-            for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                let want = core.rank_detailed_with(requester, policy, now);
-                let got = snap.rank_detailed(&mut scratch, requester, policy, now, 3);
-                assert_eq!(got, want, "{requester} {policy:?}");
+        // Rankings and routes: the route serving prices is the reference
+        // route, the k-set is the reference k-set and leads with it,
+        // unknown endpoints are unreachable, a self path needs no map.
+        let check = |snap: &SchedSnapshot, core: &SchedulerCore, now: u64| {
+            let mut scratch = SnapshotScratch::new();
+            for requester in [6u32, 1, 2] {
+                for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                    let want = reference(core, requester, policy, now);
+                    let got = snap.rank_detailed(&mut scratch, requester, policy, now, 3);
+                    assert_eq!(got, want, "{requester} {policy:?}");
+                }
             }
+            let (map, cfg) = (core.collector().map(), core.config());
+            for (a, b) in [(1u32, 6u32), (6, 1), (2, 1), (1, 42), (42, 1), (42, 42)] {
+                let (from, to) = (NetNode::Host(a), NetNode::Host(b));
+                let route = snap.path(&mut scratch, from, to);
+                assert_eq!(route, map.path(cfg, from, to), "{a}->{b}");
+                let (Some(f), Some(t)) = (snap.node_id(from), snap.node_id(to)) else { continue };
+                snap.ensure_k_paths(&mut scratch, f, t);
+                let kset: Vec<Vec<NetNode>> = scratch.kcache[&(f, t)]
+                    .iter()
+                    .map(|p| p.iter().map(|&i| snap.topo.nodes[i as usize]).collect())
+                    .collect();
+                assert_eq!(kset, map.k_paths(cfg, from, to, cfg.k_paths), "{a}->{b}");
+                assert_eq!(kset.first(), route.as_ref(), "{a}->{b}: first k-path is the path");
+            }
+        };
+        check(&snap_of(&core, 1, now), &core, now);
+
+        // Metric-only drift re-routes: the 10–11 route degrades to 100 ms
+        // links, the structure holds, and the next epoch leads with the
+        // other route.
+        let (cfg, distances) = (core.config_arc(), core.distances_arc());
+        let mut publisher = SnapshotPublisher::new();
+        let before = publisher.publish(core.collector_mut(), &cfg, &distances, 42, 1, now);
+        let route = |snap: &SchedSnapshot| {
+            snap.path(&mut SnapshotScratch::new(), NetNode::Host(1), NetNode::Host(6)).unwrap()
+        };
+        assert!(route(&before).contains(&NetNode::Switch(10)), "fast route first");
+        let topo_gen = core.collector().map().topology_generation();
+        let later = 300_000_000;
+        for seq in 3..=20 {
+            let mut p = probe(1, seq, &[(10, 20), (11, 0)]);
+            for r in &mut p.int.records {
+                r.link_latency_ns = 100_000_000;
+            }
+            core.collector_mut().ingest(&p, later);
         }
+        assert_eq!(core.collector().map().topology_generation(), topo_gen, "no structural change");
+        let after = publisher.publish(core.collector_mut(), &cfg, &distances, 42, 2, later);
+        assert!(Arc::ptr_eq(&before.topo, &after.topo), "metric drift never re-freezes the CSR");
+        assert!(route(&after).contains(&NetNode::Switch(12)), "re-priced, re-routed");
+        check(&after, &core, later);
     }
 
     #[test]
@@ -1411,7 +1494,7 @@ mod tests {
         core.register_host(5);
         let snap = snap_of(&core, 1, 0);
         let mut scratch = SnapshotScratch::new();
-        let want = core.rank_detailed_with(9, Policy::IntDelay, 0);
+        let want = reference(&core, 9, Policy::IntDelay, 0);
         let got = snap.rank_detailed(&mut scratch, 9, Policy::IntDelay, 0, 0);
         assert_eq!(got, want);
         assert_eq!(got.ranked.len(), 3, "warm-up ranks everyone: {got:?}");
@@ -1459,7 +1542,6 @@ mod tests {
             }
             let mut core = SchedulerCore::new(SCHED, cfg, d, 9);
             core.register_host(7); // known, never probes: unreachable
-            let mut engine = PathEngine::new();
             let mut shared = SnapshotScratch::new();
             let mut now_ns: u64 = 1_000 * MS;
 
@@ -1493,7 +1575,6 @@ mod tests {
 
                 let snap = SchedSnapshot::build(
                     core.collector(),
-                    &mut engine,
                     &core.config_arc(),
                     &core.distances_arc(),
                     9,
@@ -1506,10 +1587,10 @@ mod tests {
                 let mut path = Vec::new();
                 for later_ms in [0u64, 100, 200, 400, 900] {
                     let at = now_ns + later_ms * MS;
-                    for (&from_host, &from) in snap.topo.hosts.iter().zip(&snap.topo.host_ids) {
+                    for (&from_host, from) in snap.topo.hosts.iter().zip(0u32..) {
                         snap.price_tree(&mut shared, from, at);
                         snap.ensure_sssp(&mut walk, from);
-                        for &to in &snap.topo.host_ids {
+                        for to in 0..snap.topo.hosts.len() as u32 {
                             let want = extract_path_into(&walk.sssp, from, to, &mut path)
                                 .then(|| snap.price_path(&path, at));
                             let got = shared.table[to as usize].map(Priced::finish);
@@ -1519,7 +1600,7 @@ mod tests {
                             );
                         }
                         for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                            let want = core.rank_detailed_with(from_host, policy, at);
+                            let want = reference(&core, from_host, policy, at);
                             let got = snap.rank_detailed(&mut shared, from_host, policy, at, 0);
                             prop_assert_eq!(
                                 got, want,

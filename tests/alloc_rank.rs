@@ -2,19 +2,20 @@
 //!
 //! A counting allocator wraps the system allocator (this integration test
 //! is its own binary, so the `#[global_allocator]` is scoped to it). After
-//! one warm-up query per (requester, policy) — which builds the CSR
-//! snapshot, runs the shared Dijkstra, and fills the path cache — every
-//! further `rank_into` call into a reused buffer must hit only cached
-//! paths, reused scratch, and in-place sorting.
+//! one warm-up query per (requester, policy) — which publishes the epoch
+//! and grows the requester's shortest-path tree — every further query
+//! through `SchedulerCore`'s `_into` entry points must sweep the cached
+//! tree into reused scratch and sort in place.
 //!
-//! The last section covers the *cold* serve path too: under churn (every
-//! epoch re-learns every link) snapshot serving regrows its per-requester
-//! shortest-path trees into retained capacity and allocates nothing.
+//! The later sections cover the *cold* serve path too: under churn (every
+//! epoch re-learns every link) serving regrows its per-requester trees
+//! into retained capacity and allocates nothing, through the façade and
+//! through a bare snapshot + scratch alike.
 //!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
-use int_edge_sched::core::rank::{RankOutcome, Ranker, StaticDistances};
+use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankedServer, SchedulerCore};
 use int_edge_sched::packet::int::IntRecord;
@@ -60,85 +61,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Testbed-scale map: 8 servers, each behind its own leaf switch, all
-/// joined by spine switch 20 next to scheduler host 100.
-fn learned_map() -> int_edge_sched::core::NetworkMap {
-    let mut m = int_edge_sched::core::NetworkMap::new();
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 1, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
-        m.apply_probe(&p, 100, 30_000_000);
-    }
-    m
+/// One probe round of the testbed-scale map: 8 servers, each behind its
+/// own leaf switch, all joined by spine switch 20 next to scheduler host
+/// 100. `churn` varies every queue depth and link latency.
+fn probe_round(seq: u64, churn: u64, now_ns: u64) -> Vec<ProbePayload> {
+    (0..8u32)
+        .map(|h| {
+            let mut p = ProbePayload::new(h, seq, 0);
+            for (i, sw) in [10 + h, 20].into_iter().enumerate() {
+                p.int.push(IntRecord {
+                    switch_id: sw,
+                    ingress_port: 0,
+                    egress_port: 1,
+                    max_qlen_pkts: (h * 3 + churn as u32) % 40,
+                    qlen_at_probe_pkts: h,
+                    link_latency_ns: 10_000_000 + churn * 1_000_000,
+                    egress_ts_ns: now_ns - (1 - i as u64) * 10_000_000,
+                });
+            }
+            p
+        })
+        .collect()
 }
 
 #[test]
 fn steady_state_rank_queries_allocate_nothing() {
-    let m = learned_map();
-    let candidates: Vec<u32> = (0..8).collect();
-    let mut r = Ranker::new(CoreConfig::default(), StaticDistances::new(), 1);
-    let mut out: Vec<RankedServer> = Vec::new();
-
-    // Warm-up: snapshot + SSSP + cache fill + buffer growth.
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
-        r.rank_into(&m, 100, &candidates, policy, 30_000_000, &mut out);
-    }
-    let warm = r.path_stats();
-    assert_eq!(warm.sssp_runs, 1, "both policies share one Dijkstra");
-
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for round in 0..1_000u64 {
-        let now = 30_000_000 + round; // vary the query, not the map
-        r.rank_into(&m, 100, &candidates, Policy::IntDelay, now, &mut out);
-        r.rank_into(&m, 100, &candidates, Policy::IntBandwidth, now, &mut out);
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state rank queries must not touch the heap"
-    );
-
-    let steady = r.path_stats();
-    assert_eq!(steady.sssp_runs, warm.sssp_runs, "no extra Dijkstra runs");
-    assert_eq!(steady.csr_rebuilds, warm.csr_rebuilds, "no CSR rebuilds");
-    assert_eq!(
-        steady.cache_hits,
-        warm.cache_hits + 2 * 8 * 1_000,
-        "every steady-state path resolution is a cache hit"
-    );
-    assert!(!out.is_empty());
-
-    // The scheduler-level `_into` entry points (PR 6 satellite): the full
-    // query path — eviction check, silence scan, candidate collection,
-    // detailed ranking with exclusions — reuses internal scratch and the
-    // caller's buffers, so it is alloc-free too.
+    // The scheduler's `_into` entry points: the full query path —
+    // eviction check, publish-key check, tree sweep, detailed ranking
+    // with exclusions — reuses internal scratch and the caller's buffers.
     let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 1);
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 1, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
+    for p in probe_round(1, 0, 30_000_000) {
         core.collector_mut().ingest(&p, 30_000_000);
     }
     let mut detailed = RankOutcome::default();
@@ -166,9 +118,46 @@ fn steady_state_rank_queries_allocate_nothing() {
         "steady-state scheduler `_into` queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
+    let steady = core.path_stats();
+    assert_eq!(steady.sssp_runs, 1, "one Dijkstra serves every query from host 100");
+    assert_eq!((steady.csr_rebuilds, steady.weight_refreshes), (1, 1), "one epoch, published once");
+    assert_eq!(steady.cache_misses, 1);
 
-    // Snapshot serving (the sharded read path): after one warm-up query
-    // fills the per-shard scratch, repeat queries are alloc-free as well.
+    // Churn through the façade: every round re-learns every link, so the
+    // first query of the round republishes (the ingest half's business,
+    // outside the counted region); after two warm-up rounds, serving
+    // requesters never asked before this epoch allocates nothing.
+    let hosts: Vec<u32> = (0..8).chain([100]).collect();
+    let mut facade_allocs = 0u64;
+    for epoch in 0..5u64 {
+        let now = 31_000_000 + epoch * 100_000_000;
+        for p in probe_round(2 + epoch, epoch, now) {
+            core.collector_mut().ingest(&p, now);
+        }
+        let mut requesters = (0..4).map(|i| hosts[(4 * epoch as usize + i) % hosts.len()]);
+        let publishes = core.path_stats().weight_refreshes;
+        let first = requesters.next().expect("four requesters");
+        core.rank_detailed_into_with(first, Policy::IntDelay, now, &mut detailed);
+        assert_eq!(core.path_stats().weight_refreshes, publishes + 1, "the round's first query publishes");
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        counted(true);
+        for requester in requesters {
+            core.rank_detailed_into_with(requester, Policy::IntDelay, now, &mut detailed);
+            core.rank_with_into(requester, Policy::Nearest, now, &mut ranked);
+            core.candidates_with_estimates_into(requester, now, &mut ranked);
+        }
+        counted(false);
+        if epoch >= 2 {
+            facade_allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        }
+        assert_eq!(detailed.ranked.len(), 8, "everyone reachable, nobody silent");
+    }
+    assert_eq!(facade_allocs, 0, "churn serving through the scheduler must not touch the heap");
+    assert_eq!(core.path_stats().sssp_runs, 1 + 5 * 4, "one Dijkstra per requester per epoch");
+
+    // Snapshot serving as the sharded read path does it — a bare epoch
+    // and a private scratch: after one warm-up query fills the scratch,
+    // repeat queries are alloc-free as well.
     let mut sharded = int_edge_sched::core::shard::ShardedScheduler::new(
         100,
         CoreConfig::default(),
@@ -176,19 +165,7 @@ fn steady_state_rank_queries_allocate_nothing() {
         1,
         1,
     );
-    for h in 0..8u32 {
-        let mut p = ProbePayload::new(h, 2, 0);
-        for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: h * 3,
-                qlen_at_probe_pkts: h,
-                link_latency_ns: 10_000_000,
-                egress_ts_ns: (i as u64 + 1) * 10_000_000,
-            });
-        }
+    for p in probe_round(2, 0, 30_000_000) {
         sharded.core_mut().collector_mut().ingest(&p, 30_000_000);
     }
     sharded.advance(30_000_000);
@@ -227,24 +204,11 @@ fn steady_state_rank_queries_allocate_nothing() {
     // warm-up epochs have sized it, *ingest → advance → serve a new
     // requester set* allocates nothing in serving (publishing is the
     // ingest half's business and stays outside the counted region).
-    let hosts: Vec<u32> = (0..8).chain([100]).collect();
     let mut served = 0u64;
     let mut churn_allocs = 0u64;
     for epoch in 0..5u64 {
         let now = 31_000_000 + epoch * 100_000_000;
-        for h in 0..8u32 {
-            let mut p = ProbePayload::new(h, 3 + epoch, 0);
-            for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-                p.int.push(IntRecord {
-                    switch_id: sw,
-                    ingress_port: 0,
-                    egress_port: 1,
-                    max_qlen_pkts: (h * 3 + epoch as u32) % 40,
-                    qlen_at_probe_pkts: h,
-                    link_latency_ns: 10_000_000 + epoch * 1_000_000,
-                    egress_ts_ns: now - (1 - i as u64) * 10_000_000,
-                });
-            }
+        for p in probe_round(3 + epoch, epoch, now) {
             sharded.core_mut().collector_mut().ingest(&p, now);
         }
         assert!(sharded.advance(now), "every round publishes a new epoch");

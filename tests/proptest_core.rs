@@ -4,8 +4,7 @@
 use int_edge_sched::core::config::{HopSignal, UtilPoint};
 use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::{
-    BandwidthEstimator, CoreConfig, DelayEstimator, ExcludeReason, NetNode, NetworkMap, PathEngine,
-    Policy, RankedServer,
+    BandwidthEstimator, CoreConfig, DelayEstimator, NetNode, NetworkMap, Policy, SchedulerCore,
 };
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
@@ -169,14 +168,14 @@ proptest! {
         prop_assert_eq!(order(seed), order(seed));
     }
 
-    /// Oracle test for the indexed path engine: a random op sequence of
-    /// probe updates (varying routes, latencies, and queues) interleaved
-    /// with stale-link evictions (cuts) drives one long-lived [`Ranker`]
-    /// — so the CSR snapshot, weight refresh, and path cache must
-    /// invalidate correctly across every mutation — and after each op the
-    /// engine's paths are byte-identical to the reference
-    /// [`NetworkMap::path`] and `rank`/`rank_detailed` match an oracle
-    /// recomputed from the point-to-point estimators.
+    /// The serving stack against the reference under churn: a random op
+    /// sequence of probe updates (varying routes, latencies, and queues)
+    /// interleaved with stale-link evictions (cuts) drives one long-lived
+    /// [`SchedulerCore`] — so epochs must be republished, patched or
+    /// rebuilt, and the scratch's trees dropped, across every mutation —
+    /// and after each op its routes are byte-identical to the reference
+    /// [`NetworkMap::path`] and its answers to the reference [`Ranker`]'s
+    /// over the live map, for every requester and deterministic policy.
     #[test]
     fn indexed_engine_matches_oracle_under_churn(
         ops in proptest::collection::vec(
@@ -185,167 +184,81 @@ proptest! {
             1..32,
         ),
     ) {
-        const SCHED: u32 = 100;
-        const EVICT_HORIZON_NS: u64 = 350_000_000;
-        let cfg = CoreConfig::default();
-        let de = DelayEstimator::new(cfg.clone());
-        let be = BandwidthEstimator::new(cfg.clone());
-        let mut m = NetworkMap::new();
-        let mut r = Ranker::new(cfg.clone(), StaticDistances::new(), 1);
-        let mut now_ns: u64 = 1_000_000_000;
-        let hosts: Vec<u32> = (0..5).chain([SCHED]).collect();
-
-        for (seq, &(origin, route, lat_ms, qlen, dt_ms, kind)) in ops.iter().enumerate() {
-            now_ns += dt_ms * 1_000_000;
-            if kind == 7 {
-                m.evict_stale(now_ns, EVICT_HORIZON_NS);
-            } else {
-                // Three route shapes per origin: a dedicated star switch, a
-                // detour over the shared spine 20, and a cross route through
-                // the neighbour's star switch — so ops overlap on links and
-                // metric updates genuinely reroute traffic.
-                let chain: Vec<u32> = match route {
-                    0 => vec![10 + origin],
-                    1 => vec![10 + origin, 20],
-                    _ => vec![20, 10 + (origin + 1) % 5],
-                };
-                let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
-                let last = chain.len() as u64 - 1;
-                for (i, sw) in chain.iter().enumerate() {
-                    p.int.push(IntRecord {
-                        switch_id: *sw,
-                        ingress_port: 0,
-                        egress_port: 1,
-                        max_qlen_pkts: qlen,
-                        qlen_at_probe_pkts: qlen / 2,
-                        link_latency_ns: lat_ms * 1_000_000,
-                        egress_ts_ns: now_ns - (last - i as u64) * lat_ms * 1_000_000,
-                    });
-                }
-                m.apply_probe(&p, SCHED, now_ns);
-            }
-
-            // Paths: engine vs the reference Dijkstra, every host pair.
-            for &from in &hosts {
-                for &to in &hosts {
-                    let oracle = m.path(&cfg, NetNode::Host(from), NetNode::Host(to));
-                    let got = r.learned_path(&m, NetNode::Host(from), NetNode::Host(to));
-                    prop_assert_eq!(got, oracle, "path {}->{} after op {}", from, to, seq);
-                }
-            }
-
-            // Rankings: the hot path vs an oracle built from independent
-            // point-to-point estimates with the documented sort keys.
-            let cands: Vec<u32> = (0..5).collect();
-            let mut exp: Vec<RankedServer> = cands
-                .iter()
-                .map(|&h| {
-                    let d = de.estimate(&m, NetNode::Host(SCHED), NetNode::Host(h), now_ns);
-                    let b = be.estimate(&m, NetNode::Host(SCHED), NetNode::Host(h), now_ns);
-                    match (d, b) {
-                        (Some(d), Some(b)) => RankedServer {
-                            host: h,
-                            est_delay_ns: d.total_ns(),
-                            est_bandwidth_bps: b,
-                        },
-                        _ => RankedServer { host: h, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 },
-                    }
-                })
-                .collect();
-            for policy in [Policy::IntDelay, Policy::IntBandwidth] {
-                match policy {
-                    Policy::IntDelay => exp.sort_by_key(|s| (s.est_delay_ns, s.host)),
-                    _ => exp.sort_by_key(|s| {
-                        (std::cmp::Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host)
-                    }),
-                }
-                let got = r.rank(&m, SCHED, &cands, policy, now_ns);
-                prop_assert_eq!(&got, &exp, "rank {:?} after op {}", policy, seq);
-
-                let det = r.rank_detailed(&m, SCHED, &cands, policy, now_ns, &[]);
-                let reachable: Vec<RankedServer> =
-                    exp.iter().copied().filter(|s| s.est_delay_ns != u64::MAX).collect();
-                if reachable.is_empty() {
-                    // Warm-up fallback: everyone ranked, nobody excluded.
-                    prop_assert_eq!(&det.ranked, &exp, "warm-up {:?} after op {}", policy, seq);
-                    prop_assert!(det.excluded.is_empty());
-                } else {
-                    prop_assert_eq!(&det.ranked, &reachable, "{:?} after op {}", policy, seq);
-                    let mut pathless: Vec<(u32, ExcludeReason)> = exp
-                        .iter()
-                        .filter(|s| s.est_delay_ns == u64::MAX)
-                        .map(|s| (s.host, ExcludeReason::NoFreshPath))
-                        .collect();
-                    pathless.sort_by_key(|(h, _)| *h);
-                    prop_assert_eq!(&det.excluded, &pathless);
-                }
-            }
-        }
+        serving_matches_reference_under_churn(1, &ops);
     }
 
-    /// Oracle test for the k-path engine (satellite of the multipath PR):
-    /// the same churn recipe as above drives one long-lived [`PathEngine`]
-    /// at `k_paths = 3`, and after every op the engine's k-sets must be
-    /// byte-identical to the linear [`NetworkMap::k_paths`] oracle for all
-    /// host pairs — so the k-set cache must invalidate on both structural
-    /// and metric-only mutations, including ones that re-price only one
-    /// path of a cached set.
+    /// The same churn recipe at `k_paths = 3`: every candidate is priced
+    /// over the k-set the linear [`NetworkMap::k_paths`] reference finds,
+    /// so serving's k-set cache must invalidate on both structural and
+    /// metric-only mutations, including ones that re-price only one path
+    /// of a cached set.
     #[test]
     fn k_path_engine_matches_oracle_under_churn(
         ops in proptest::collection::vec(
-            // (origin, route shape, link latency ms, queue, clock step ms, op kind)
             (0u32..5, 0u32..3, 1u64..50, 0u32..40, 1u64..250, 0u8..8),
             1..24,
         ),
     ) {
-        const SCHED: u32 = 100;
-        const EVICT_HORIZON_NS: u64 = 350_000_000;
-        let cfg = CoreConfig { k_paths: 3, ..CoreConfig::default() };
-        let mut m = NetworkMap::new();
-        let mut eng = PathEngine::new();
-        let mut now_ns: u64 = 1_000_000_000;
-        let hosts: Vec<u32> = (0..5).chain([SCHED]).collect();
+        serving_matches_reference_under_churn(3, &ops);
+    }
+}
 
-        for (seq, &(origin, route, lat_ms, qlen, dt_ms, kind)) in ops.iter().enumerate() {
-            now_ns += dt_ms * 1_000_000;
-            if kind == 7 {
-                m.evict_stale(now_ns, EVICT_HORIZON_NS);
-            } else {
-                let chain: Vec<u32> = match route {
-                    0 => vec![10 + origin],
-                    1 => vec![10 + origin, 20],
-                    _ => vec![20, 10 + (origin + 1) % 5],
-                };
-                let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
-                let last = chain.len() as u64 - 1;
-                for (i, sw) in chain.iter().enumerate() {
-                    p.int.push(IntRecord {
-                        switch_id: *sw,
-                        ingress_port: 0,
-                        egress_port: 1,
-                        max_qlen_pkts: qlen,
-                        qlen_at_probe_pkts: qlen / 2,
-                        link_latency_ns: lat_ms * 1_000_000,
-                        egress_ts_ns: now_ns - (last - i as u64) * lat_ms * 1_000_000,
-                    });
-                }
-                m.apply_probe(&p, SCHED, now_ns);
+fn serving_matches_reference_under_churn(k_paths: u32, ops: &[(u32, u32, u64, u32, u64, u8)]) {
+    const SCHED: u32 = 100;
+    const EVICT_HORIZON_NS: u64 = 350_000_000;
+    // Only the explicit cut op evicts, so maps grow between cuts.
+    let cfg = CoreConfig { k_paths, eviction_horizon_ns: u64::MAX, ..CoreConfig::default() };
+    let mut core = SchedulerCore::new(SCHED, cfg.clone(), StaticDistances::new(), 1);
+    let mut reference = Ranker::new(cfg.clone(), StaticDistances::new(), 1);
+    let mut now_ns: u64 = 1_000_000_000;
+    let hosts: Vec<u32> = (0..5).chain([SCHED]).collect();
+
+    for (seq, &(origin, route, lat_ms, qlen, dt_ms, kind)) in ops.iter().enumerate() {
+        now_ns += dt_ms * 1_000_000;
+        if kind == 7 {
+            core.collector_mut().map_mut().evict_stale(now_ns, EVICT_HORIZON_NS);
+        } else {
+            // Three route shapes per origin: a dedicated star switch, a
+            // detour over the shared spine 20, and a cross route through
+            // the neighbour's star switch — so ops overlap on links and
+            // metric updates genuinely reroute traffic.
+            let chain: Vec<u32> = match route {
+                0 => vec![10 + origin],
+                1 => vec![10 + origin, 20],
+                _ => vec![20, 10 + (origin + 1) % 5],
+            };
+            let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
+            let last = chain.len() as u64 - 1;
+            for (i, sw) in chain.iter().enumerate() {
+                p.int.push(IntRecord {
+                    switch_id: *sw,
+                    ingress_port: 0,
+                    egress_port: 1,
+                    max_qlen_pkts: qlen,
+                    qlen_at_probe_pkts: qlen / 2,
+                    link_latency_ns: lat_ms * 1_000_000,
+                    egress_ts_ns: now_ns - (last - i as u64) * lat_ms * 1_000_000,
+                });
             }
+            core.collector_mut().ingest(&p, now_ns);
+        }
 
-            for &from in &hosts {
-                for &to in &hosts {
-                    let (a, b) = (NetNode::Host(from), NetNode::Host(to));
-                    let oracle = m.k_paths(&cfg, a, b, cfg.k_paths);
-                    let got = eng.paths(&m, &cfg, a, b).to_vec();
-                    prop_assert_eq!(&got, &oracle, "k-paths {}->{} after op {}", from, to, seq);
-                    // The head of the k-set is always the single shortest
-                    // path both planes agree on.
-                    prop_assert_eq!(
-                        got.first().cloned(),
-                        m.path(&cfg, a, b),
-                        "first k-path {}->{} after op {}", from, to, seq
-                    );
-                }
+        for &from in &hosts {
+            for &to in &hosts {
+                let (a, b) = (NetNode::Host(from), NetNode::Host(to));
+                let got = core.learned_path(from, to, now_ns);
+                let map = core.collector().map();
+                assert_eq!(&got, &map.path(&cfg, a, b), "path {}->{} after op {}", from, to, seq);
+                assert_eq!(
+                    got,
+                    map.k_paths(&cfg, a, b, k_paths).into_iter().next(),
+                    "first k-path {}->{} after op {}", from, to, seq
+                );
+            }
+            for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                let got = core.rank_detailed_with(from, policy, now_ns);
+                let want = reference.answer(core.collector(), from, policy, now_ns);
+                assert_eq!(got, want, "{} {:?} after op {}", from, policy, seq);
             }
         }
     }

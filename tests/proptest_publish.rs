@@ -10,7 +10,7 @@
 //!   recycling the epoch-before-last's arrays when no reader pins them;
 //! * a [`SnapshotPublisher`] with the incremental path forced off —
 //!   every epoch is a full rebuild through the same publisher plumbing;
-//! * the raw [`SchedSnapshot::build`] oracle with a fresh engine.
+//! * the raw [`SchedSnapshot::build`] oracle, frozen from scratch.
 //!
 //! After **every** epoch all three snapshots must agree on all content
 //! (`content_eq`: topology arrays, weights, delay estimates, queue
@@ -20,9 +20,7 @@
 //! spare (union patch), allocation reuse (clone_from), and fresh clone.
 
 use int_edge_sched::core::rank::StaticDistances;
-use int_edge_sched::core::{
-    CoreConfig, IntCollector, PathEngine, SchedSnapshot, SnapshotPublisher,
-};
+use int_edge_sched::core::{CoreConfig, IntCollector, SchedSnapshot, SnapshotPublisher};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
 use proptest::prelude::*;
@@ -77,7 +75,6 @@ proptest! {
         pub_inc.set_incremental(true);
         let mut pub_full = SnapshotPublisher::new();
         pub_full.set_incremental(false);
-        let mut engine = PathEngine::new();
 
         let mut now_ns: u64 = 1_000_000_000;
         let mut pinned: Vec<Arc<SchedSnapshot>> = Vec::new();
@@ -96,9 +93,7 @@ proptest! {
             let epoch = seq as u64 + 1;
             let inc = pub_inc.publish(&mut col_inc, &cfg, &distances, seed, epoch, now_ns);
             let full = pub_full.publish(&mut col_full, &cfg, &distances, seed, epoch, now_ns);
-            let oracle = SchedSnapshot::build(
-                &col_inc, &mut engine, &cfg, &distances, seed, epoch, now_ns,
-            );
+            let oracle = SchedSnapshot::build(&col_inc, &cfg, &distances, seed, epoch, now_ns);
 
             prop_assert!(
                 inc.content_eq(&full),

@@ -1,17 +1,17 @@
 //! The sharded control plane's determinism contract (PR 6):
 //!
 //! 1. the `repro sustained` artifact is byte-identical across shard
-//!    counts {1, 2, 8} *and* equal to the single-threaded oracle replay
-//!    that drives the pre-sharding `SchedulerCore` directly;
+//!    counts {1, 2, 8}, with incremental publication off, *and* equal to
+//!    the single-threaded replay that drives a plain `SchedulerCore`;
 //! 2. under live churn — a writer ingesting probes and publishing
 //!    epochs while reader threads query concurrently — every answer a
-//!    reader gets matches the oracle evaluated at the epoch the query
-//!    was admitted against.
+//!    reader gets matches the reference `Ranker` over the live map as it
+//!    stood at the epoch the query was admitted against.
 //!
 //! Build with `RUSTFLAGS="--cfg shard_stress"` (CI does) to multiply
 //! the churn iterations and lean harder on the publish/read race paths.
 
-use int_edge_sched::core::rank::StaticDistances;
+use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::shard::{RankQuery, ShardedScheduler};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
@@ -56,6 +56,18 @@ fn sustained_artifact_identical_across_shard_counts_and_oracle() {
     );
     let oracle_bytes = serde_json::to_string(&oracle).expect("serializable");
     assert_eq!(artifacts[0], oracle_bytes, "sharded bytes differ from oracle bytes");
+
+    // Incremental publication is a publish-cost strategy, not a semantics
+    // change: every epoch down the full-rebuild path, same bytes.
+    let mut full = sustained::scheduler(seed, 2);
+    full.set_incremental_publish(false);
+    let (got, perf) = sustained::run_on(full, seed, rounds, qpr);
+    assert_eq!(perf.publishes, rounds as u64);
+    assert_eq!(
+        serde_json::to_string(&got).expect("serializable"),
+        artifacts[0],
+        "full-rebuild publication changed the artifact"
+    );
 }
 
 fn probe(origin: u32, seq: u64, chain: &[(u32, u32)], ts_ns: u64) -> ProbePayload {
@@ -125,20 +137,25 @@ fn concurrent_queries_match_oracle_at_their_admitted_epoch() {
     let rounds = churn_rounds();
     let queries = query_set();
 
-    // Phase 1 — sequential oracle: one SchedulerCore receives the exact
-    // ingest stream; after each round, evaluate the query set at that
-    // round's publish time. `oracle_by_round[r]` is the truth for epoch
-    // r + 1 (the sharded plane publishes once per round: every round
-    // moves `probes_accepted`).
-    let mut oracle = SchedulerCore::new(6, CoreConfig::default(), scheduler_distances(), 9);
+    // Phase 1 — sequential reference: one live map receives the exact
+    // ingest stream (`live` is never queried: it only holds the
+    // collector); after each round, evict as a query at that round's
+    // publish time would and let the reference ranker answer the query
+    // set. `oracle_by_round[r]` is the truth for epoch r + 1 (the
+    // sharded plane publishes once per round: every round moves
+    // `probes_accepted`).
+    let mut live = SchedulerCore::new(6, CoreConfig::default(), scheduler_distances(), 9);
+    let mut reference = Ranker::new(CoreConfig::default(), scheduler_distances(), 9);
     let mut oracle_by_round: Vec<Vec<RankOutcome>> = Vec::with_capacity(rounds);
     for round in 0..rounds {
-        ingest_round(&mut oracle, round, rounds);
+        ingest_round(&mut live, round, rounds);
         let now = (round as u64 + 1) * 100_000_000;
+        let horizon = live.config().eviction_horizon_ns;
+        live.collector_mut().map_mut().evict_stale(now, horizon);
         oracle_by_round.push(
             queries
                 .iter()
-                .map(|q| oracle.rank_detailed_with(q.requester, q.policy, now))
+                .map(|q| reference.answer(live.collector(), q.requester, q.policy, now))
                 .collect(),
         );
     }
