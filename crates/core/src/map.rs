@@ -39,8 +39,14 @@ pub struct EdgeState {
     pub updated_ns: u64,
     /// Total probe samples folded into this edge.
     pub samples: u64,
-    /// Recent (timestamp, harvested max-queue) samples, newest last; the
-    /// effective queue signal is the max over a configurable window.
+    /// Harvested max-queue samples as a *dominance staircase* of
+    /// `(timestamp, depth)`: timestamps strictly ascending, depths
+    /// strictly descending. A harvest is dropped as soon as another with a
+    /// later-or-equal timestamp has a depth ≥ its own — such a harvest can
+    /// never be the max of a window `{ts ≥ cutoff}` its dominator is not
+    /// also in — so [`EdgeState::windowed_max_qlen`] answers exactly as it
+    /// would over every raw harvest, for every cutoff, from O(log n)
+    /// entries instead of one per probe.
     pub qlen_history: Vec<(u64, u32)>,
 }
 
@@ -68,10 +74,61 @@ impl EdgeState {
             .max()
             .unwrap_or(0)
     }
+
+    /// Fold one probe's latency sample for this link into the EWMA
+    /// (`w` = weight of the new sample, in eighths).
+    fn fold_delay(&mut self, w: u64, sample_ns: u64, now_ns: u64) {
+        self.last_delay_ns = sample_ns;
+        self.delay_ns = if self.samples == 0 {
+            sample_ns
+        } else {
+            // Widen before multiplying: `(8 - w) * delay_ns` overflows u64
+            // once the smoothed delay passes ~2.6e18 ns, which long Clos
+            // paths with saturated estimates can legitimately reach.
+            let blended =
+                ((8 - w) as u128 * self.delay_ns as u128 + w as u128 * sample_ns as u128) / 8;
+            blended.min(u64::MAX as u128) as u64
+        };
+        self.samples += 1;
+        self.updated_ns = now_ns;
+    }
+
+    /// Fold one register harvest of the upstream egress queue, taken at
+    /// `now_ns`, then forget what fell out of `[now_ns - retention_ns, ..]`
+    /// (harvests outside it can never contribute to the windowed max).
+    fn fold_harvest(&mut self, max_q: u32, inst_q: u32, now_ns: u64, retention_ns: u64) {
+        self.max_qlen_pkts = max_q;
+        self.qlen_at_probe_pkts = inst_q;
+        self.qlen_updated_ns = now_ns;
+        self.updated_ns = now_ns;
+
+        let h = &mut self.qlen_history;
+        // `at` = first entry not older than the harvest: the back in the
+        // common in-order case, further in for a late (relayed) one. It
+        // carries the deepest queue at or after `now_ns`, so if it already
+        // covers `max_q` the harvest adds nothing.
+        let at = h.iter().rposition(|&(ts, _)| ts < now_ns).map_or(0, |i| i + 1);
+        if h.get(at).is_none_or(|&(_, q)| q < max_q) {
+            // The harvest dominates the equal-timestamp entry, if any,
+            // and every older entry that is no deeper.
+            let end = at + h.get(at).is_some_and(|&(ts, _)| ts == now_ns) as usize;
+            let start = h[..at].iter().rposition(|&(_, q)| q > max_q).map_or(0, |i| i + 1);
+            h.splice(start..end, [(now_ns, max_q)]);
+        }
+        // What aged out of the retention horizon is a prefix; so is what
+        // the backstop cap cannot hold.
+        let cutoff = now_ns.saturating_sub(retention_ns);
+        let aged = h.iter().position(|&(ts, _)| ts >= cutoff).unwrap_or(h.len());
+        h.drain(..aged.max(h.len().saturating_sub(QLEN_HISTORY_HARD_CAP)));
+    }
 }
 
-/// Hard backstop on per-edge history length, far above anything the
-/// timestamp window retains in practice.
+/// Hard backstop on per-edge history length. A staircase only gets here
+/// through > 1 024 strictly falling depths inside one retention window.
+/// (The one sanctioned divergence from the raw per-harvest history the
+/// staircase replaced: that was cut to its newest 1 024 entries whenever
+/// a window held more *harvests*, so such a window is answered exactly
+/// now where it was answered from a truncated history before.)
 const QLEN_HISTORY_HARD_CAP: usize = 1024;
 
 /// Stable identifier of an interned directed edge. Ids are assigned on
@@ -153,8 +210,9 @@ pub struct NetworkMap {
     /// [`CoreConfig::qlen_window_ns`].
     qlen_retention_ns: u64,
     /// Bumped whenever the *structure* of the graph changes: an edge is
-    /// inserted or evicted, or a node joins the host/switch sets. The
-    /// indexed path engine keys its CSR adjacency snapshot on this.
+    /// inserted, revived or evicted, or a node joins the host/switch sets.
+    /// The snapshot publisher keys its frozen CSR and edge ↔ arc tables
+    /// on this.
     topo_gen: u64,
     /// Bumped on metric-only updates (delay/queue refresh of an existing
     /// edge). Does not invalidate adjacency structure, only edge weights
@@ -166,8 +224,6 @@ pub struct NetworkMap {
     /// Current dirty interval; bumped when the dirty list is drained.
     /// Starts at 1 so freshly interned slots (stamp 0) always differ.
     dirty_epoch: u64,
-    /// Reusable node-path buffer for `apply_probe`.
-    path_scratch: Vec<NetNode>,
 }
 
 impl Default for NetworkMap {
@@ -186,7 +242,6 @@ impl Default for NetworkMap {
             metrics_gen: 0,
             dirty: Vec::new(),
             dirty_epoch: 1,
-            path_scratch: Vec::new(),
         }
     }
 }
@@ -245,6 +300,12 @@ impl NetworkMap {
         s.live.then_some((s.from, s.to, &s.state))
     }
 
+    /// Ids handed out so far, dead edges included: every `EdgeId` is below
+    /// this.
+    pub(crate) fn interned_edges(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Drain the dirty-edge list (edge ids touched since the previous
     /// drain, deduped) into `out`, clearing it first. Starts a new dirty
     /// interval: subsequent touches re-record their edges.
@@ -290,39 +351,69 @@ impl NetworkMap {
         }
     }
 
-    /// Resolve-or-create the slot for a directed edge, with generation
-    /// accounting: refresh of a live edge is metric-only; a brand-new or
-    /// revived (previously evicted) edge is a structural change.
-    fn intern(&mut self, from: NetNode, to: NetNode, now_ns: u64) -> EdgeId {
-        let id = if let Some(id) = self.find_slot(from, to) {
-            if self.slots[id as usize].live {
-                self.metrics_gen += 1;
-            } else {
-                // Revive a dead edge: same id, fresh state, structural.
-                let s = &mut self.slots[id as usize];
-                s.live = true;
-                s.state = EdgeState::new(now_ns);
-                self.topo_gen += 1;
-                self.evicted.remove(&(from, to));
-                self.insert_order(id);
-            }
+    /// The structural half of learning an edge — `found` is its dead slot,
+    /// or `None` when it was never seen: revive it under its old id with
+    /// fresh state, or intern it under the next id.
+    fn learn(&mut self, found: Option<EdgeId>, from: NetNode, to: NetNode, now_ns: u64) -> EdgeId {
+        self.topo_gen += 1;
+        let id = if let Some(id) = found {
+            let s = &mut self.slots[id as usize];
+            s.live = true;
+            s.state = EdgeState::new(now_ns);
+            self.evicted.remove(&(from, to));
             id
         } else {
             let id = self.slots.len() as u32;
-            self.slots.push(EdgeSlot {
-                from,
-                to,
-                live: true,
-                stamp: 0,
-                state: EdgeState::new(now_ns),
-            });
-            self.topo_gen += 1;
+            let state = EdgeState::new(now_ns);
+            self.slots.push(EdgeSlot { from, to, live: true, stamp: 0, state });
             self.index_insert(id);
-            self.insert_order(id);
             id
         };
-        self.mark_dirty(id);
+        self.insert_order(id);
         id
+    }
+
+    /// Register a node met as an edge endpoint.
+    fn register(&mut self, node: NetNode) {
+        let new = match node {
+            NetNode::Host(h) => self.hosts.insert(h),
+            NetNode::Switch(s) => self.switches.insert(s),
+        };
+        self.topo_gen += new as u64;
+    }
+
+    /// One step of the probe walk: resolve the `from → to` edge with one
+    /// hash probe, then fold the link's latency sample and — where a
+    /// switch sits upstream — its `(max, at-probe)` queue harvest into the
+    /// same slot. The node sets are only consulted when the edge is
+    /// missing or dead: eviction forgets a switch only once no live edge
+    /// names it and hosts are never forgotten, so a live edge implies both
+    /// its endpoints are registered.
+    fn touch(
+        &mut self,
+        from: NetNode,
+        to: NetNode,
+        delay_ns: u64,
+        harvest: Option<(u32, u32)>,
+        now_ns: u64,
+    ) {
+        let id = match self.find_slot(from, to) {
+            Some(id) if self.slots[id as usize].live => {
+                self.metrics_gen += 1;
+                id
+            }
+            found => {
+                self.register(from);
+                self.register(to);
+                self.learn(found, from, to, now_ns)
+            }
+        };
+        self.mark_dirty(id);
+        let e = &mut self.slots[id as usize].state;
+        e.fold_delay(self.delay_ewma_new_eighths as u64, delay_ns, now_ns);
+        if let Some((max_q, inst_q)) = harvest {
+            e.fold_harvest(max_q, inst_q, now_ns, self.qlen_retention_ns);
+        }
     }
 
     /// Add a freshly pushed slot to the lookup table, growing as needed.
@@ -393,9 +484,7 @@ impl NetworkMap {
     /// Register a host that may not originate probes (e.g. the scheduler
     /// itself, or a device that only submits queries).
     pub fn register_host(&mut self, host: u32) {
-        if self.hosts.insert(host) {
-            self.topo_gen += 1;
-        }
+        self.register(NetNode::Host(host));
     }
 
     /// Fold one probe into the map (paper Fig. 2 semantics).
@@ -403,85 +492,32 @@ impl NetworkMap {
     /// `scheduler_host` is the node the probe terminated at; `now_ns` is
     /// the collector's receive timestamp, used to measure the final hop's
     /// link latency from the last switch's egress stamp.
+    ///
+    /// One walk over the k + 1 edges of origin → s1 → … → sk → terminal:
+    /// record i measured the latency of the link *into* switch i (the
+    /// final hop is measured here, at the collector) and harvested the
+    /// max queue of switch i's egress — toward the node *after* it — so
+    /// every edge from the second on also receives the previous record's
+    /// harvest.
     pub fn apply_probe(&mut self, probe: &ProbePayload, scheduler_host: u32, now_ns: u64) {
-        if self.hosts.insert(probe.origin_node) {
-            self.topo_gen += 1;
-        }
-        if self.hosts.insert(scheduler_host) {
-            self.topo_gen += 1;
-        }
-
         let records = &probe.int.records;
-        if records.is_empty() {
-            return; // a probe that saw no switch teaches us nothing
-        }
-        for r in records {
-            if self.switches.insert(r.switch_id) {
-                self.topo_gen += 1;
-            }
-        }
-
-        // Build the node path: origin → s1 → … → sk → scheduler.
-        let mut path = std::mem::take(&mut self.path_scratch);
-        path.clear();
-        path.reserve(records.len() + 2);
-        path.push(NetNode::Host(probe.origin_node));
-        path.extend(records.iter().map(|r| NetNode::Switch(r.switch_id)));
-        path.push(NetNode::Host(scheduler_host));
-
-        // Link latencies: record i measured the latency of the link
-        // *into* switch i; the final hop is measured at the collector.
-        for (i, r) in records.iter().enumerate() {
-            self.update_delay(path[i], path[i + 1], r.link_latency_ns, now_ns);
-        }
-        let last = records.last().expect("non-empty");
-        let final_hop = now_ns.saturating_sub(last.egress_ts_ns);
-        self.update_delay(path[records.len()], path[records.len() + 1], final_hop, now_ns);
-
-        // Queue occupancies: record i harvested the max queue of switch
-        // i's egress toward path[i+2] (the node after the switch).
-        for (i, r) in records.iter().enumerate() {
-            self.update_qlen(path[i + 1], path[i + 2], r.max_qlen_pkts, r.qlen_at_probe_pkts, now_ns);
-        }
-        self.path_scratch = path;
-    }
-
-    fn update_delay(&mut self, from: NetNode, to: NetNode, sample_ns: u64, now_ns: u64) {
-        let w = self.delay_ewma_new_eighths as u64;
-        let id = self.intern(from, to, now_ns);
-        let e = &mut self.slots[id as usize].state;
-        e.last_delay_ns = sample_ns;
-        e.delay_ns = if e.samples == 0 {
-            sample_ns
-        } else {
-            // Widen before multiplying: `(8 - w) * delay_ns` overflows u64
-            // once the smoothed delay passes ~2.6e18 ns, which long Clos
-            // paths with saturated estimates can legitimately reach.
-            let blended = ((8 - w) as u128 * e.delay_ns as u128 + w as u128 * sample_ns as u128) / 8;
-            blended.min(u64::MAX as u128) as u64
+        let Some(last) = records.last() else {
+            // A probe that saw no switch teaches no edge, only that both
+            // of its ends exist.
+            self.register_host(probe.origin_node);
+            self.register_host(scheduler_host);
+            return;
         };
-        e.samples += 1;
-        e.updated_ns = now_ns;
-    }
-
-    fn update_qlen(&mut self, from: NetNode, to: NetNode, max_q: u32, inst_q: u32, now_ns: u64) {
-        let retention = self.qlen_retention_ns;
-        let id = self.intern(from, to, now_ns);
-        let e = &mut self.slots[id as usize].state;
-        e.max_qlen_pkts = max_q;
-        e.qlen_at_probe_pkts = inst_q;
-        e.qlen_updated_ns = now_ns;
-        e.updated_ns = now_ns;
-        e.qlen_history.push((now_ns, max_q));
-        // Prune by age against the configured window (harvests outside it
-        // can never contribute to the windowed max), with a hard cap as a
-        // memory backstop for pathological window/interval combinations.
-        let cutoff = now_ns.saturating_sub(retention);
-        e.qlen_history.retain(|(ts, _)| *ts >= cutoff);
-        if e.qlen_history.len() > QLEN_HISTORY_HARD_CAP {
-            let excess = e.qlen_history.len() - QLEN_HISTORY_HARD_CAP;
-            e.qlen_history.drain(..excess);
+        let mut from = NetNode::Host(probe.origin_node);
+        let mut harvest = None;
+        for r in records {
+            let to = NetNode::Switch(r.switch_id);
+            self.touch(from, to, r.link_latency_ns, harvest, now_ns);
+            harvest = Some((r.max_qlen_pkts, r.qlen_at_probe_pkts));
+            from = to;
         }
+        let final_hop = now_ns.saturating_sub(last.egress_ts_ns);
+        self.touch(from, NetNode::Host(scheduler_host), final_hop, harvest, now_ns);
     }
 
     /// Evict every edge not refreshed within `horizon_ns` of `now_ns`, and
@@ -706,6 +742,7 @@ fn undirected_key(a: NetNode, b: NetNode) -> (NetNode, NetNode) {
 mod tests {
     use super::*;
     use int_packet::int::IntRecord;
+    use proptest::prelude::*;
 
     fn rec(switch_id: u32, maxq: u32, link_lat_ms: u64, egress_ts_ms: u64) -> IntRecord {
         IntRecord {
@@ -815,38 +852,40 @@ mod tests {
 
     /// Regression (history used to be capped at the 32 most recent
     /// entries): a window wider than 32 probing intervals must still see
-    /// an early congestion spike inside the window.
+    /// an early congestion spike inside the window, and only there.
     #[test]
     fn qlen_history_prunes_by_window_not_by_count() {
         let ms = 1_000_000u64;
+        let window = 10_000 * ms; // 10 s window, 100 ms samples
         let mut m = NetworkMap::new();
-        m.set_qlen_retention(10_000 * ms); // 10 s window, 100 ms samples
+        m.set_qlen_retention(window);
         let spike_at = 100 * ms;
 
-        // Sample 0 carries the spike (q=50); 39 quiet samples follow, so a
-        // count-of-32 cap would have dropped the spike by the end.
+        // Sample 0 carries the spike (q=50); 39 quieter samples follow, so
+        // a count-of-32 cap would have dropped the spike by the end.
         for i in 0..40u64 {
             let mut p = ProbePayload::new(1, i, 0);
-            let q = if i == 0 { 50 } else { 0 };
+            let q = if i == 0 { 50 } else { 7 };
             p.int.push(rec(10, q, 10, 11));
             p.int.push(rec(11, 0, 10, 22));
             m.apply_probe(&p, 6, spike_at + i * 100 * ms);
         }
         let e = m.edge(NetNode::Switch(10), NetNode::Switch(11)).unwrap();
-        assert_eq!(e.qlen_history.len(), 40, "window keeps everything inside it");
         let now = spike_at + 39 * 100 * ms;
-        assert_eq!(
-            e.windowed_max_qlen(now, 10_000 * ms),
-            50,
-            "the early spike is still visible inside the configured window"
-        );
+        assert_eq!(e.windowed_max_qlen(now, window), 50, "the early spike is inside the window");
+        // Across the window's edge: the spike's own instant is the last
+        // one that still sees it.
+        assert_eq!(e.windowed_max_qlen(spike_at + window, window), 50);
+        assert_eq!(e.windowed_max_qlen(spike_at + window + 1, window), 7);
 
-        // And samples that age out of the window are gone.
+        // A harvest that ages out of the retention horizon is gone for
+        // good — even a wider window asked later cannot see it.
         let mut p = ProbePayload::new(1, 40, 0);
         p.int.push(rec(10, 0, 10, 11));
         p.int.push(rec(11, 0, 10, 22));
-        m.apply_probe(&p, 6, spike_at + 10_001 * ms);
+        m.apply_probe(&p, 6, spike_at + window + ms);
         let e = m.edge(NetNode::Switch(10), NetNode::Switch(11)).unwrap();
+        assert_eq!(e.windowed_max_qlen(spike_at + window + ms, u64::MAX), 7);
         assert!(
             e.qlen_history.iter().all(|(ts, _)| *ts >= 101 * ms),
             "aged-out harvests pruned: {:?}",
@@ -1099,6 +1138,193 @@ mod tests {
             assert!(m.edge(a, b).is_some());
         }
         assert!(m.edge(NetNode::Host(1), NetNode::Switch(999)).is_none());
+    }
+
+    #[test]
+    fn qlen_history_hard_cap_keeps_the_newest_steps() {
+        let mut e = EdgeState::new(0);
+        // Strictly falling depths never dominate one another.
+        for i in 0..2_000u32 {
+            e.fold_harvest(5_000 - i, 0, i as u64, u64::MAX);
+        }
+        assert_eq!(e.qlen_history.len(), QLEN_HISTORY_HARD_CAP);
+        assert_eq!(e.qlen_history.first(), Some(&(976, 4_024)));
+        assert_eq!(e.qlen_history.last(), Some(&(1_999, 3_001)));
+    }
+
+    /// The raw harvest history the staircase replaced — one entry per
+    /// harvest, pruned by age, hard-capped — kept as its oracle.
+    #[derive(Default)]
+    struct RawHistory(Vec<(u64, u32)>);
+
+    impl RawHistory {
+        fn push(&mut self, now_ns: u64, max_q: u32, retention_ns: u64) {
+            self.0.push((now_ns, max_q));
+            let cutoff = now_ns.saturating_sub(retention_ns);
+            self.0.retain(|(ts, _)| *ts >= cutoff);
+            if self.0.len() > QLEN_HISTORY_HARD_CAP {
+                let excess = self.0.len() - QLEN_HISTORY_HARD_CAP;
+                self.0.drain(..excess);
+            }
+        }
+
+        fn windowed_max(&self, now_ns: u64, window_ns: u64) -> u32 {
+            let cutoff = now_ns.saturating_sub(window_ns);
+            self.0.iter().filter(|(ts, _)| *ts >= cutoff).map(|(_, q)| *q).max().unwrap_or(0)
+        }
+    }
+
+    /// The two-pass probe application the fused walk replaced, kept as
+    /// its oracle: register every node up front, then one pass of delay
+    /// samples and one of queue harvests, each resolving its edge anew.
+    impl NetworkMap {
+        fn apply_probe_two_pass(&mut self, probe: &ProbePayload, scheduler_host: u32, now_ns: u64) {
+            self.register(NetNode::Host(probe.origin_node));
+            self.register(NetNode::Host(scheduler_host));
+            let records = &probe.int.records;
+            if records.is_empty() {
+                return;
+            }
+            let mut path = vec![NetNode::Host(probe.origin_node)];
+            for r in records {
+                self.register(NetNode::Switch(r.switch_id));
+                path.push(NetNode::Switch(r.switch_id));
+            }
+            path.push(NetNode::Host(scheduler_host));
+
+            let w = self.delay_ewma_new_eighths as u64;
+            let final_hop = now_ns.saturating_sub(records.last().unwrap().egress_ts_ns);
+            let samples = records.iter().map(|r| r.link_latency_ns).chain([final_hop]);
+            for (i, sample_ns) in samples.enumerate() {
+                let id = self.intern_two_pass(path[i], path[i + 1], now_ns);
+                self.slots[id as usize].state.fold_delay(w, sample_ns, now_ns);
+            }
+            let retention = self.qlen_retention_ns;
+            for (i, r) in records.iter().enumerate() {
+                let id = self.intern_two_pass(path[i + 1], path[i + 2], now_ns);
+                self.slots[id as usize].state.fold_harvest(
+                    r.max_qlen_pkts,
+                    r.qlen_at_probe_pkts,
+                    now_ns,
+                    retention,
+                );
+            }
+        }
+
+        fn intern_two_pass(&mut self, from: NetNode, to: NetNode, now_ns: u64) -> EdgeId {
+            let id = match self.find_slot(from, to) {
+                Some(id) if self.slots[id as usize].live => id,
+                found => self.learn(found, from, to, now_ns),
+            };
+            self.mark_dirty(id);
+            id
+        }
+    }
+
+    proptest! {
+        /// The staircase answers every window exactly as the raw history
+        /// does, after every harvest: equal, late and far-future
+        /// timestamps, retention prunes included (fewer harvests than the
+        /// hard cap, whose truncation the staircase deliberately drops).
+        #[test]
+        fn staircase_answers_every_window_like_the_raw_history(
+            // (clock step — 4 = stand still, below 4 = step back —, depth)
+            harvests in proptest::collection::vec((0u64..40, 0u32..12), 1..120),
+            retention in 0u64..400,
+        ) {
+            let mut stair = EdgeState::new(0);
+            let mut raw = RawHistory::default();
+            let mut now = 1_000u64;
+            for &(step, q) in &harvests {
+                now = (now + step).saturating_sub(4);
+                stair.fold_harvest(q, q / 2, now, retention);
+                raw.push(now, q, retention);
+
+                let h = &stair.qlen_history;
+                prop_assert!(
+                    h.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 > w[1].1),
+                    "ts must ascend and depth descend strictly: {:?}", h
+                );
+                prop_assert!(h.len() <= raw.0.len());
+                // An answer depends on `now - window` alone: sweep that
+                // cutoff over every instant near a harvest, through a few
+                // different `(now, window)` splits of it.
+                for cutoff in raw.0.iter().flat_map(|&(ts, _)| [ts.saturating_sub(1), ts, ts + 1]) {
+                    for window in [0, 7, retention, 10_000] {
+                        prop_assert_eq!(
+                            stair.windowed_max_qlen(cutoff + window, window),
+                            raw.windowed_max(cutoff + window, window),
+                            "cutoff {} window {} after {:?}", cutoff, window, raw.0
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    stair.windowed_max_qlen(now, u64::MAX),
+                    raw.windowed_max(now, u64::MAX)
+                );
+            }
+        }
+
+        /// The fused walk against the two-pass oracle over random probe
+        /// streams — empty record stacks, repeated switches (self-edges
+        /// and cycles), relayed terminals, late timestamps — interleaved
+        /// with evictions, so edges die, revive and re-register their
+        /// switches. Everything but `metrics_generation` (a change key:
+        /// once per edge here, once per resolve there) must agree.
+        #[test]
+        fn fused_walk_matches_two_pass_reference(
+            ops in proptest::collection::vec(
+                // (origin, terminal, switch chain, clock step, evict?)
+                (0u32..4, 0u32..3, proptest::collection::vec(0u32..5, 0..5), 0u64..300, 0u8..6),
+                1..40,
+            ),
+        ) {
+            const MS: u64 = 1_000_000;
+            let (mut fused, mut oracle) = (NetworkMap::new(), NetworkMap::new());
+            for m in [&mut fused, &mut oracle] {
+                m.set_qlen_retention(500 * MS);
+            }
+            let mut now = 1_000 * MS;
+            let (mut dirty_f, mut dirty_o) = (Vec::new(), Vec::new());
+            for (seq, (origin, terminal, chain, step, kind)) in ops.iter().enumerate() {
+                now = (now + step * MS).saturating_sub(20 * MS);
+                if *kind == 0 {
+                    prop_assert_eq!(
+                        fused.evict_stale(now, 200 * MS),
+                        oracle.evict_stale(now, 200 * MS)
+                    );
+                } else {
+                    let mut p = ProbePayload::new(*origin, seq as u64, 0);
+                    for (i, sw) in chain.iter().enumerate() {
+                        p.int.push(rec(10 + sw, (seq as u32 * 7 + *sw) % 9, 1 + i as u64, 1_000));
+                    }
+                    fused.apply_probe(&p, 100 + terminal, now);
+                    oracle.apply_probe_two_pass(&p, 100 + terminal, now);
+                }
+                prop_assert_eq!(
+                    fused.edges().collect::<Vec<_>>(),
+                    oracle.edges().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    fused.hosts().collect::<Vec<_>>(),
+                    oracle.hosts().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(
+                    fused.switches().collect::<Vec<_>>(),
+                    oracle.switches().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(fused.topology_generation(), oracle.topology_generation());
+                prop_assert_eq!(
+                    fused.dead_edges().collect::<Vec<_>>(),
+                    oracle.dead_edges().collect::<Vec<_>>()
+                );
+                if seq % 3 == 0 {
+                    fused.take_dirty_into(&mut dirty_f);
+                    oracle.take_dirty_into(&mut dirty_o);
+                    prop_assert_eq!(&dirty_f, &dirty_o);
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::sync::Arc;
 /// what a cache lookup is).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathStats {
-    /// Full snapshot builds (the structure was re-frozen, or a history
-    /// slot overflowed).
+    /// Times the structure (CSR adjacency + edge↔arc tables) was
+    /// re-frozen: once per publish that found the topology moved.
     pub csr_rebuilds: u64,
     /// Epochs published — each reprices the arcs that changed.
     pub weight_refreshes: u64,
@@ -142,7 +142,7 @@ impl SchedulerCore {
         let serve = self.scratch.stats();
         let publish = self.publisher.stats();
         PathStats {
-            csr_rebuilds: publish.full_builds,
+            csr_rebuilds: publish.csr_builds,
             weight_refreshes: publish.full_builds + publish.incremental_builds,
             sssp_runs: serve.sssp_runs,
             cache_hits: serve.cache_hits,

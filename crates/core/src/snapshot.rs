@@ -45,7 +45,7 @@
 
 use crate::collector::IntCollector;
 use crate::config::{CoreConfig, DirectionFallback, HopSignal};
-use crate::map::{NetNode, NetworkMap};
+use crate::map::{EdgeId, EdgeState, NetNode, NetworkMap};
 use crate::rank::{ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -84,9 +84,10 @@ struct ArcQlen {
     /// Offset/length of this arc's harvest history in `qlen_hist`.
     hist_start: u32,
     hist_len: u32,
-    /// Slot capacity reserved for this arc's run in `qlen_hist` (full
-    /// builds leave headroom so incremental publishes can splice longer
-    /// runs in place; a run outgrowing its slot forces a full rebuild).
+    /// Slot capacity reserved for this arc's run in `qlen_hist`: a full
+    /// build reserves the run's length or the publisher's slot floor,
+    /// whichever is larger, so incremental publishes can splice a longer
+    /// run in place; a run outgrowing its slot forces a full rebuild.
     hist_cap: u32,
 }
 
@@ -99,9 +100,31 @@ const NO_QLEN: ArcQlen = ArcQlen {
     hist_cap: 0,
 };
 
-/// The structural half of a snapshot: CSR adjacency and the candidate
-/// host universe. Immutable for as long as the map's `topo_gen` holds,
-/// so consecutive incremental epochs share one allocation via `Arc`.
+impl ArcQlen {
+    /// Copy `e`'s queue evidence into this arc's slot of `qlen_hist`.
+    /// `Err(run length)` when the arc has no slot or the run outgrew it.
+    fn store(&mut self, e: &EdgeState, qlen_hist: &mut [(u64, u32)]) -> Result<(), usize> {
+        let run = &e.qlen_history;
+        if !self.present || run.len() > self.hist_cap as usize {
+            return Err(run.len());
+        }
+        let start = self.hist_start as usize;
+        qlen_hist[start..start + run.len()].copy_from_slice(run);
+        self.hist_len = run.len() as u32;
+        self.updated_ns = e.qlen_updated_ns;
+        self.at_probe_pkts = e.qlen_at_probe_pkts;
+        Ok(())
+    }
+}
+
+/// "No such arc / no such edge" in the [`CsrTopo`] edge↔arc tables.
+const NONE: u32 = u32::MAX;
+
+/// The structural half of a snapshot: CSR adjacency, the candidate host
+/// universe, and the tables tying CSR arcs to the map's interned edges.
+/// Immutable — and the tables valid — for exactly as long as the map's
+/// `topo_gen` holds (any intern, revival or eviction moves it), so
+/// consecutive incremental epochs share one allocation via `Arc`.
 #[derive(Debug)]
 struct CsrTopo {
     /// All nodes in ascending `NetNode` order; index = dense id.
@@ -113,6 +136,13 @@ struct CsrTopo {
     /// Every known host, ascending — the candidate universe. Hosts sort
     /// before switches, so `hosts[i]`'s dense id is `i`.
     hosts: Vec<u32>,
+    /// `EdgeId` → the arcs `[a → b, b → a]` that read the directed edge
+    /// `a → b` (directly, and through the reverse-direction fallback);
+    /// `NONE` for ids that were dead at the freeze.
+    edge_arcs: Vec<[u32; 2]>,
+    /// Arc `u → v` → `[the edge u → v, the edge v → u]`, `NONE` where
+    /// that direction was never probed: what pricing the arc reads.
+    arc_edges: Vec<[EdgeId; 2]>,
 }
 
 impl CsrTopo {
@@ -125,12 +155,11 @@ impl CsrTopo {
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "dense ids must be sorted");
         let id = |n: NetNode| nodes.binary_search(&n).expect("edge endpoints are known nodes") as u32;
 
-        let mut arcs = Vec::with_capacity(2 * map.edge_count());
-        for (a, b, _) in map.edges() {
-            let (ia, ib) = (id(a), id(b));
-            arcs.push((ia, ib));
-            arcs.push((ib, ia));
-        }
+        let edges: Vec<(EdgeId, u32, u32)> = (0..map.interned_edges() as EdgeId)
+            .filter_map(|e| map.edge_by_id(e).map(|(a, b, _)| (e, id(a), id(b))))
+            .collect();
+        let mut arcs: Vec<(u32, u32)> =
+            edges.iter().flat_map(|&(_, a, b)| [(a, b), (b, a)]).collect();
         arcs.sort_unstable();
         arcs.dedup();
 
@@ -141,9 +170,41 @@ impl CsrTopo {
         for i in 1..row.len() {
             row[i] += row[i - 1];
         }
+
+        let arc = |u, v| arcs.binary_search(&(u, v)).expect("both orientations are arcs") as u32;
+        let mut edge_arcs = vec![[NONE; 2]; map.interned_edges()];
+        let mut arc_edges = vec![[NONE; 2]; arcs.len()];
+        for &(e, a, b) in &edges {
+            let pair = [arc(a, b), arc(b, a)];
+            edge_arcs[e as usize] = pair;
+            arc_edges[pair[0] as usize][0] = e;
+            arc_edges[pair[1] as usize][1] = e;
+        }
         let cols = arcs.iter().map(|&(_, v)| v).collect();
-        CsrTopo { nodes, row, cols, hosts }
+        CsrTopo { nodes, row, cols, hosts, edge_arcs, arc_edges }
     }
+}
+
+/// Price one arc straight off the edge slab, given its `[forward,
+/// reverse]` edge ids from [`CsrTopo::arc_edges`]: the unclamped
+/// effective link delay ([`NetworkMap::effective_delay_ns`] with the
+/// unmeasured fallback applied) and the edge whose queue evidence answers
+/// for the arc (see [`ArcQlen`]). Full and incremental builds both price
+/// through here.
+fn price_arc<'m>(
+    map: &'m NetworkMap,
+    cfg: &CoreConfig,
+    [fwd, rev]: [EdgeId; 2],
+) -> (u64, Option<&'m EdgeState>) {
+    let state = |id| map.edge_by_id(id).map(|(_, _, e)| e);
+    let fwd = state(fwd);
+    let rev = match cfg.direction_fallback {
+        DirectionFallback::ReverseOk => state(rev),
+        DirectionFallback::Strict => None,
+    };
+    let measured = |e: &&EdgeState| e.samples > 0;
+    let delay = fwd.filter(measured).or(rev.filter(measured)).map(|e| e.delay_ns);
+    (delay.unwrap_or(cfg.unmeasured_delay_ns), fwd.or(rev))
 }
 
 /// One frozen epoch of the scheduler control plane. Immutable and
@@ -202,10 +263,9 @@ impl SchedSnapshot {
     }
 
     /// The full (re)build: price every arc of `topo` (which must freeze
-    /// the map's current structure) from the live map. The publisher
-    /// passes `hist_hint` (the previous epoch's `qlen_hist` length) to
-    /// pre-size the flat history store, and a `layout_gen` identifying
-    /// the slot layout this build creates.
+    /// the map's current structure) from the live map, giving each arc
+    /// with queue evidence a history slot of at least `slot_floor`
+    /// entries. `layout_gen` identifies the slot layout this creates.
     #[allow(clippy::too_many_arguments)]
     fn build_full(
         collector: &IntCollector,
@@ -215,7 +275,7 @@ impl SchedSnapshot {
         seed: u64,
         epoch: u64,
         published_at_ns: u64,
-        hist_hint: usize,
+        slot_floor: u32,
         layout_gen: u64,
     ) -> Self {
         let map = collector.map();
@@ -223,15 +283,20 @@ impl SchedSnapshot {
         let mut weights = Vec::with_capacity(arcs);
         let mut est_delay = Vec::with_capacity(arcs);
         let mut arc_q = Vec::with_capacity(arcs);
-        let mut qlen_hist = Vec::with_capacity(hist_hint);
-        for (u, &from) in topo.nodes.iter().enumerate() {
-            for &v in &topo.cols[topo.row[u] as usize..topo.row[u + 1] as usize] {
-                let to = topo.nodes[v as usize];
-                let est = map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns);
-                est_delay.push(est);
-                weights.push(est.max(1));
-                arc_q.push(resolve_qlen(map, cfg, from, to, &mut qlen_hist));
-            }
+        let mut qlen_hist = Vec::with_capacity(arcs * slot_floor as usize);
+        for &edges in &topo.arc_edges {
+            let (est, evidence) = price_arc(map, cfg, edges);
+            est_delay.push(est);
+            weights.push(est.max(1));
+            arc_q.push(evidence.map_or(NO_QLEN, |e| {
+                let hist_start = qlen_hist.len() as u32;
+                let hist_cap = (e.qlen_history.len() as u32).max(slot_floor);
+                let mut q = ArcQlen { present: true, hist_start, hist_cap, ..NO_QLEN };
+                // Slack beyond the run is inert padding.
+                qlen_hist.resize((hist_start + hist_cap) as usize, (0, 0));
+                q.store(e, &mut qlen_hist).expect("the slot was sized for the run");
+                q
+            }));
         }
 
         SchedSnapshot {
@@ -917,20 +982,38 @@ pub struct PublishStats {
     pub full_builds: u64,
     /// Epochs built by the O(dirty) incremental patch path.
     pub incremental_builds: u64,
+    /// Full builds that re-froze the structure (CSR + edge↔arc tables);
+    /// the others — forced, or after a history slot overflowed — reused
+    /// the previous epoch's.
+    pub csr_builds: u64,
 }
+
+/// History-slot entries a full build reserves per arc before any run
+/// has been seen to need more.
+const INITIAL_SLOT_FLOOR: u32 = 8;
 
 /// The epoch publisher: owns the previous epochs needed for O(dirty)
 /// incremental publication.
 ///
 /// While the map's topology generation holds, each publish starts from
 /// the previous epoch's arrays (structure shared via `Arc`, per-epoch
-/// arrays recycled from the epoch-before-last when no reader holds it),
-/// reprices only the arcs of edges on the map's dirty list, and splices
-/// only their `qlen_hist` runs. Any structural change — or a history run
+/// arrays recycled from the epoch-before-last when no reader holds it)
+/// and reprices only the arcs of edges on the map's dirty list, each edge
+/// once: its two arcs come from the frozen `EdgeId → arcs` table and are
+/// priced by [`price_arc`] straight off the edge slab, their `qlen_hist`
+/// runs spliced in place. Any structural change — or a history run
 /// outgrowing its reserved slot — falls back to the full rebuild, which
 /// remains the reference: an incremental epoch is pinned `content_eq` to
 /// what the full build would have produced (`tests/proptest_publish.rs`,
 /// via [`SnapshotPublisher::set_incremental`]).
+///
+/// Slots are sized by a floor the publisher owns and only ever raises: a
+/// run that outgrows its slot lifts the floor to twice its length before
+/// the rebuild. Staircase histories (see
+/// [`EdgeState::qlen_history`]) shrink as often as they grow, so slots
+/// sized from current lengths would overflow again and again; under the
+/// ratchet the full rebuilds a traffic pattern can cause are bounded by
+/// the log of its longest run.
 #[derive(Debug)]
 pub struct SnapshotPublisher {
     incremental: bool,
@@ -940,10 +1023,16 @@ pub struct SnapshotPublisher {
     /// moved on, `Arc::try_unwrap` reclaims its arrays for the next build.
     older: Option<Arc<SchedSnapshot>>,
     /// Dirty edges drained from the map for the in-flight publish.
-    dirty: Vec<crate::map::EdgeId>,
+    dirty: Vec<EdgeId>,
     /// Dirty set of the *previous* publish (the diff `older → prev`);
     /// recycling `older`'s arrays patches the union of both sets.
-    prev_dirty: Vec<crate::map::EdgeId>,
+    prev_dirty: Vec<EdgeId>,
+    /// `EdgeId` → the last `patch_round` that patched it: dedupes the
+    /// union of the two dirty sets to one patch per edge.
+    patched: Vec<u64>,
+    patch_round: u64,
+    /// Minimum history-slot size of the next full build; see the type docs.
+    slot_floor: u32,
     /// Monotone id source for `SchedSnapshot::layout_gen`.
     layout_counter: u64,
     stats: PublishStats,
@@ -964,6 +1053,9 @@ impl SnapshotPublisher {
             older: None,
             dirty: Vec::new(),
             prev_dirty: Vec::new(),
+            patched: Vec::new(),
+            patch_round: 0,
+            slot_floor: INITIAL_SLOT_FLOOR,
             layout_counter: 0,
             stats: PublishStats::default(),
         }
@@ -1026,9 +1118,9 @@ impl SnapshotPublisher {
         snap
     }
 
-    /// The full-rebuild path, pre-sizing `qlen_hist` from the previous
-    /// epoch and stamping a fresh slot-layout id. The structure is only
-    /// re-frozen when the map's topology generation moved.
+    /// The full-rebuild path, stamping a fresh slot-layout id. The
+    /// structure is only re-frozen when the map's topology generation
+    /// moved.
     fn full(
         &mut self,
         collector: &IntCollector,
@@ -1040,10 +1132,12 @@ impl SnapshotPublisher {
     ) -> SchedSnapshot {
         self.stats.full_builds += 1;
         self.layout_counter += 1;
-        let hist_hint = self.prev.as_ref().map_or(0, |p| p.qlen_hist.len());
         let topo = match &self.prev {
             Some(p) if p.topo_gen == collector.map().topology_generation() => Arc::clone(&p.topo),
-            _ => Arc::new(CsrTopo::build(collector.map())),
+            _ => {
+                self.stats.csr_builds += 1;
+                Arc::new(CsrTopo::build(collector.map()))
+            }
         };
         SchedSnapshot::build_full(
             collector,
@@ -1053,7 +1147,7 @@ impl SnapshotPublisher {
             seed,
             epoch,
             published_at_ns,
-            hist_hint,
+            self.slot_floor,
             self.layout_counter,
         )
     }
@@ -1110,13 +1204,31 @@ impl SnapshotPublisher {
             }
         }
 
-        // Patch is idempotent per edge (recomputed from the current map),
-        // so overlapping union entries are harmless.
-        let lists: &[&[crate::map::EdgeId]] =
-            if patch_union { &[&self.prev_dirty, &self.dirty] } else { &[&self.dirty] };
-        for list in lists {
-            for &id in *list {
-                patch_edge(map, cfg, prev, id, &mut weights, &mut est_delay, &mut arc_q, &mut qlen_hist)?;
+        // Each edge is patched once however many of the lists name it.
+        // (A dirty edge without arcs would have died, and an eviction
+        // moves `topo_gen` — reaching that here means stale state.)
+        self.patch_round += 1;
+        self.patched.resize(prev.topo.edge_arcs.len(), 0);
+        let union = if patch_union { &self.prev_dirty[..] } else { &[] };
+        for &id in self.dirty.iter().chain(union) {
+            let stamp = self.patched.get_mut(id as usize)?;
+            if std::mem::replace(stamp, self.patch_round) == self.patch_round {
+                continue;
+            }
+            // Evidence on edge (a,b) feeds arc (a,b) directly and arc
+            // (b,a) via the reverse-direction fallback.
+            for ai in prev.topo.edge_arcs[id as usize] {
+                let ai = ai as usize;
+                let (est, evidence) = price_arc(map, cfg, *prev.topo.arc_edges.get(ai)?);
+                est_delay[ai] = est;
+                weights[ai] = est.max(1);
+                // No evidence (Strict fallback, unprobed orientation)
+                // leaves the arc's `NO_QLEN` untouched, as a full build.
+                let Some(e) = evidence else { continue };
+                if let Err(run) = arc_q[ai].store(e, &mut qlen_hist) {
+                    self.slot_floor = self.slot_floor.max(2 * run as u32);
+                    return None;
+                }
             }
         }
 
@@ -1144,96 +1256,6 @@ impl SnapshotPublisher {
             qlen_hist,
             origins,
         })
-    }
-}
-
-/// Reprice both CSR arc orientations of one dirty edge from the current
-/// map state: traversal weight, unclamped estimate delay, and queue
-/// evidence (history run spliced into the arc's reserved slot). Returns
-/// `None` when the arc's slot can't absorb the run (or the edge/nodes
-/// can't be resolved), signalling a full rebuild.
-#[allow(clippy::too_many_arguments)]
-fn patch_edge(
-    map: &NetworkMap,
-    cfg: &CoreConfig,
-    prev: &SchedSnapshot,
-    id: crate::map::EdgeId,
-    weights: &mut [u64],
-    est_delay: &mut [u64],
-    arc_q: &mut [ArcQlen],
-    qlen_hist: &mut [(u64, u32)],
-) -> Option<()> {
-    // A dirty edge that died implies an eviction, which bumps `topo_gen`
-    // and routes to the full rebuild — reaching here means stale state.
-    let (a, b, _) = map.edge_by_id(id)?;
-    let ia = prev.node_id(a)?;
-    let ib = prev.node_id(b)?;
-    // Evidence on edge (a,b) feeds arc (a,b) directly and arc (b,a) via
-    // the reverse-direction fallback: recompute both orientations.
-    for (u, v) in [(ia, ib), (ib, ia)] {
-        let Some(ai) = prev.arc_index(u, v) else { continue };
-        let from = prev.topo.nodes[u as usize];
-        let to = prev.topo.nodes[v as usize];
-        let est = map.effective_delay_ns(cfg, from, to).unwrap_or(cfg.unmeasured_delay_ns);
-        est_delay[ai] = est;
-        weights[ai] = est.max(1);
-        // Same edge resolution as `resolve_qlen`.
-        let edge = map.edge(from, to).or_else(|| {
-            if cfg.direction_fallback == DirectionFallback::ReverseOk {
-                map.edge(to, from)
-            } else {
-                None
-            }
-        });
-        if let Some(e) = edge {
-            let q = &mut arc_q[ai];
-            let len = e.qlen_history.len();
-            if !q.present || len > q.hist_cap as usize {
-                return None; // structure drifted or run outgrew its slot
-            }
-            let start = q.hist_start as usize;
-            qlen_hist[start..start + len].copy_from_slice(&e.qlen_history);
-            q.hist_len = len as u32;
-            q.updated_ns = e.qlen_updated_ns;
-            q.at_probe_pkts = e.qlen_at_probe_pkts;
-        }
-        // `edge == None` (Strict fallback, unprobed orientation) leaves
-        // the arc's `NO_QLEN` evidence untouched — same as a full build.
-    }
-    Some(())
-}
-
-/// Resolve which directed edge answers queue questions for the `from → to`
-/// arc, copying its harvest history into the snapshot's flat store.
-fn resolve_qlen(
-    map: &NetworkMap,
-    cfg: &CoreConfig,
-    from: NetNode,
-    to: NetNode,
-    qlen_hist: &mut Vec<(u64, u32)>,
-) -> ArcQlen {
-    let edge = map.edge(from, to).or_else(|| {
-        if cfg.direction_fallback == DirectionFallback::ReverseOk {
-            map.edge(to, from)
-        } else {
-            None
-        }
-    });
-    let Some(e) = edge else { return NO_QLEN };
-    let hist_start = qlen_hist.len() as u32;
-    qlen_hist.extend_from_slice(&e.qlen_history);
-    let hist_len = (qlen_hist.len() as u32) - hist_start;
-    // Reserve headroom (≥4 entries, ~1.5× the current run) so incremental
-    // publishes can splice a grown run in place; pad with inert entries.
-    let hist_cap = hist_len + (hist_len / 2).max(4);
-    qlen_hist.resize(hist_start as usize + hist_cap as usize, (0, 0));
-    ArcQlen {
-        present: true,
-        updated_ns: e.qlen_updated_ns,
-        at_probe_pkts: e.qlen_at_probe_pkts,
-        hist_start,
-        hist_len,
-        hist_cap,
     }
 }
 
@@ -1501,6 +1523,45 @@ mod tests {
         assert!(got.excluded.is_empty());
     }
 
+    /// Regression: staircase histories shrink as often as they grow, so
+    /// history slots sized from the lengths current at a full build (the
+    /// rule raw histories had) overflowed again on almost every publish.
+    /// The paper's cadence on the 512-switch shape — every host re-probes
+    /// every round, iid depths, each probe with its own timestamp — must
+    /// stay on the incremental path once the publisher's slot floor has
+    /// ratcheted past the longest run, without the slots growing unbounded.
+    #[test]
+    fn slot_floor_keeps_fluctuating_staircases_on_the_incremental_path() {
+        const ROUND_NS: u64 = 100_000_000;
+        let (cfg, distances) = (Arc::new(CoreConfig::default()), Arc::new(StaticDistances::new()));
+        let mut collector = IntCollector::new(10_000);
+        let mut publisher = SnapshotPublisher::new();
+        let mut lcg = 1u64;
+        let mut last = None;
+        for round in 1..=600u64 {
+            for h in 0..960u32 {
+                let now = round * ROUND_NS + h as u64 * 1_000;
+                let mut p = ProbePayload::new(h, round, 0);
+                for sw in [1000 + h % 256, 2000 + h % 128, 3000 + h % 64, 4000 + h % 64] {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    p.int.push(rec(sw, (lcg >> 33) as u32 % 40, 0));
+                }
+                collector.ingest(&p, now);
+            }
+            let at = (round + 1) * ROUND_NS - 1;
+            last = Some(publisher.publish(&mut collector, &cfg, &distances, 1, round, at));
+        }
+        let (stats, snap) = (publisher.stats(), last.unwrap());
+        assert!(stats.full_builds <= 3, "{stats:?}");
+        assert_eq!(stats.csr_builds, 1, "the structure never moved: {stats:?}");
+        assert!(
+            snap.qlen_hist.len() <= 32 * snap.arc_count(),
+            "{} history entries reserved for {} arcs",
+            snap.qlen_hist.len(),
+            snap.arc_count()
+        );
+    }
+
     proptest! {
         /// Tree pricing against its two references over random
         /// probe/churn/eviction sequences: after every op, at query times
@@ -1522,10 +1583,19 @@ mod tests {
                 1..24,
             ),
             big_k in any::<bool>(),
+            strict in any::<bool>(),
         ) {
             const SCHED: u32 = 100;
             const MS: u64 = 1_000_000;
             let cfg = CoreConfig {
+                // Under Strict an arc reads its own direction's edge only;
+                // kind-6 ops probe scheduler → host, so some links carry
+                // an edge per direction and some only the reverse one.
+                direction_fallback: if strict {
+                    DirectionFallback::Strict
+                } else {
+                    DirectionFallback::ReverseOk
+                },
                 k_ns_per_pkt: if big_k { u64::MAX / 64 } else { 20 * MS },
                 qlen_window_ns: 120 * MS,
                 staleness_ns: 300 * MS,
@@ -1551,12 +1621,18 @@ mod tests {
                     core.collector_mut().map_mut().evict_stale(now_ns, 350 * MS);
                 } else {
                     let lat_ns = if lat >= 50 { u64::MAX / (lat - 48) } else { lat * MS };
-                    let chain: Vec<u32> = match route {
+                    let mut chain: Vec<u32> = match route {
                         0 => vec![10 + origin],
                         1 => vec![10 + origin, 20],
                         _ => vec![20, 10 + (origin + 1) % 5],
                     };
-                    let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
+                    let (from, terminal) = if kind == 6 {
+                        chain.reverse();
+                        (SCHED, origin)
+                    } else {
+                        (origin, SCHED)
+                    };
+                    let mut p = ProbePayload::new(from, seq as u64 + 1, 0);
                     let last = chain.len() as u64 - 1;
                     for (i, sw) in chain.iter().enumerate() {
                         p.int.push(IntRecord {
@@ -1570,7 +1646,7 @@ mod tests {
                                 .saturating_sub((last - i as u64).saturating_mul(lat_ns)),
                         });
                     }
-                    core.collector_mut().ingest(&p, now_ns);
+                    core.collector_mut().ingest_relayed(&p, terminal, now_ns);
                 }
 
                 let snap = SchedSnapshot::build(

@@ -45,6 +45,9 @@ echo "$bench_log"
 # ingest_throughput/clos_512s_960probes (PR 10) guard
 # results/bench_pr10.json: the O(dirty) incremental epoch publish vs
 # the full rebuild, and the dense edge-indexed batched probe drain.
+# publish_throughput/clos_512s/all_dirty (PR 14) is the dense case —
+# every host re-probes, every edge dirty — that `intbench ctl_ingest`
+# measures end to end; with the drain it keeps the write path honest.
 # rank_throughput_churn/fabric_64s_128h (PR 12) is the cold serve path:
 # publish → serve 128 distinct requesters, one tree per query.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
@@ -55,6 +58,7 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             fabric_build/clos_128s_240h \
             sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
+            publish_throughput/clos_512s/all_dirty \
             ingest_throughput/clos_512s_960probes \
             rank_throughput_churn/fabric_64s_128h; do
     grep -q "$name" <<<"$bench_log" \
