@@ -107,7 +107,7 @@ fn bench_packet_throughput_observed(c: &mut Criterion) {
         b.iter(|| {
             let (t, h1, h2) = line_topo();
             let mut sim = Simulator::new(t, SimConfig::default());
-            sim.metrics_mut().set_enabled(true);
+            sim.set_metrics_enabled(true);
             sim.set_tracing(true);
             sim.install_app(
                 h1,
@@ -366,6 +366,95 @@ fn bench_domain_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// What lit observability costs at fabric scale: a 200-host tiered Clos
+/// whose hosts heartbeat a rotating peer (`GiantHost`-style, but every
+/// send is a new flow, so FlowHash ECMP spreads over all uplinks and
+/// most of the ≈ 1 900 possible per-port and per-node series go live),
+/// with the metrics registry off and on. `cbr_5s_one_switch_obs_on`
+/// holds about five series, which prices the trace ring but not the
+/// registry's per-series cost.
+fn bench_observed_clos(c: &mut Criterion) {
+    use int_netsim::{App, AppCtx, ClosParams, ClosRoutes, EcmpSelect};
+    use std::any::Any;
+    use std::net::Ipv4Addr;
+
+    const END: SimDuration = SimDuration::from_secs(2);
+    const PERIOD: SimDuration = SimDuration::from_millis(10);
+    const PORT: u16 = 7100;
+
+    struct Heartbeat {
+        id: usize,
+        peers: std::sync::Arc<Vec<Ipv4Addr>>,
+        sent: usize,
+    }
+
+    impl App for Heartbeat {
+        fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
+            ctx.bind_udp(PORT);
+            let phase = (self.id as u64).wrapping_mul(10_007) % PERIOD.as_nanos();
+            ctx.set_timer(SimDuration::from_nanos(phase + 1), 1);
+        }
+        fn on_timer(&mut self, ctx: &mut AppCtx<'_>, timer_id: u64) {
+            let n = self.peers.len();
+            let peer = self.peers[(self.id + 1 + self.sent * 7 % (n - 1)) % n];
+            self.sent += 1;
+            ctx.send_udp(PORT, peer, PORT, vec![0x48; 64]);
+            ctx.set_timer(PERIOD, timer_id);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    let build = |observed: bool| {
+        let host_link = LinkParams {
+            bandwidth_bps: 1_000_000_000,
+            delay: SimDuration::from_micros(50),
+            queue_cap_pkts: 64,
+        };
+        let uplink = LinkParams { delay: SimDuration::from_micros(500), ..host_link };
+        let (spines, leaves, hosts_per_leaf) = (16, 40, 5);
+        let fabric =
+            ClosParams { spines, leaves, hosts_per_leaf, link: host_link }.build_tiered(uplink);
+        let routes = ClosRoutes::new(spines, leaves, hosts_per_leaf, host_link.delay, uplink.delay);
+        let cfg = SimConfig { ecmp: EcmpSelect::FlowHash, ..SimConfig::default() };
+        let mut sim = Simulator::new_clos(fabric.topo, routes, cfg);
+        sim.set_metrics_enabled(observed);
+        let peers: std::sync::Arc<Vec<Ipv4Addr>> =
+            std::sync::Arc::new(fabric.hosts.iter().map(|&h| Topology::host_ip(h)).collect());
+        for (id, &h) in fabric.hosts.iter().enumerate() {
+            sim.install_app(h, Box::new(Heartbeat { id, peers: peers.clone(), sent: 0 }));
+        }
+        sim
+    };
+
+    let (events, series) = {
+        let mut sim = build(true);
+        sim.run_until(SimTime::ZERO + END);
+        (sim.stats().events_processed, sim.metrics().series())
+    };
+    assert!(series > 1_000, "the lit run must hold a fabric's worth of series: {series}");
+
+    let mut g = c.benchmark_group("sim_throughput");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(events));
+    for (name, observed) in [("clos_obs_off", false), ("clos_obs_on", true)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sim = build(observed);
+                sim.run_until(SimTime::ZERO + END);
+                let got = sim.stats().events_processed;
+                assert_eq!(got, events, "observability changed the event total");
+                black_box(got)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
@@ -375,6 +464,7 @@ criterion_group!(
     bench_packet_throughput_observed,
     bench_timer_heavy,
     bench_tcp_transfer,
-    bench_domain_scaling
+    bench_domain_scaling,
+    bench_observed_clos
 );
 criterion_main!(benches);

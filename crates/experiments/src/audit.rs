@@ -22,6 +22,7 @@ use crate::testbed::{Testbed, TestbedConfig};
 use int_apps::SchedulerApp;
 use int_core::{CoreConfig, Policy};
 use int_netsim::{FaultPlan, SimDuration, SimTime};
+use int_obs::MetricsRegistry;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -105,7 +106,7 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> (AuditCell, u64
 
     // Light the observability layer: metrics, trace ring (engine +
     // data-plane programs), and the scheduler's decision audit.
-    tb.sim.metrics_mut().set_enabled(true);
+    tb.sim.set_metrics_enabled(true);
     tb.sim.set_tracing(true);
     tb.sim
         .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
@@ -133,21 +134,24 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> (AuditCell, u64
         t += poll;
     }
 
-    // Fold the scheduler's path-engine counters into the registry before
-    // snapshotting: CSR rebuilds / weight refreshes are exactly the churn
-    // the snapshot publisher pays, and cache hit rates show what indexed
-    // serving saves per decision.
+    // Fold the scheduler's path-engine counters in beside the engine's
+    // series before snapshotting: CSR rebuilds / weight refreshes are
+    // exactly the churn the snapshot publisher pays, and cache hit rates
+    // show what indexed serving saves per decision.
     let path_stats = tb
         .sim
         .app::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
         .expect("scheduler app")
         .core()
         .path_stats();
-    path_stats.export(tb.sim.metrics_mut(), t_end.as_nanos());
+    let mut metrics = MetricsRegistry::new();
+    metrics.set_enabled(true);
+    metrics.merge(tb.sim.metrics());
+    path_stats.export(&mut metrics, t_end.as_nanos());
 
     let stats = tb.sim.stats();
     let trace_seen = tb.sim.trace_ring().seen();
-    let metrics_json = tb.sim.metrics().snapshot_json();
+    let metrics_json = metrics.snapshot_json();
 
     let app = tb
         .sim

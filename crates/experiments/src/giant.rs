@@ -24,6 +24,7 @@ use int_netsim::{
     App, AppCtx, ClosParams, ClosRoutes, EcmpSelect, LinkParams, NetStats, ParSim, SimConfig,
     SimDuration, SimTime, Topology,
 };
+use int_obs::json::JsonBuf;
 use int_obs::stream::{streaming_enabled, EpochWriter};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
@@ -235,14 +236,12 @@ pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
     let end = p.duration.as_nanos();
     let epoch = p.epoch.as_nanos().max(1);
     let epochs = end.div_ceil(epoch);
+    let mut line = JsonBuf::new();
     for k in 1..=epochs {
         let t = (k * epoch).min(end);
         sim.run_until(SimTime(t));
-        let stats = serde_json::to_string(&sim.stats()).expect("stats serialize");
-        let metrics = sim.merged_metrics().snapshot_json();
-        writer.write_line(&format!(
-            "{{\"epoch\":{k},\"t_ns\":{t},\"stats\":{stats},\"metrics\":{metrics}}}"
-        ))?;
+        render_epoch_line(&mut line, k, &mut sim);
+        writer.write_line(line.as_str())?;
     }
     let wstats = writer.finish()?;
 
@@ -263,6 +262,23 @@ pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
         stats: sim.stats(),
         delivered,
     })
+}
+
+/// Render epoch `k`'s JSONL line — `{"epoch","t_ns","stats","metrics"}`
+/// at the simulator's current time — into `line`, replacing what it
+/// held. The buffer is the caller's to reuse: the metrics snapshot goes
+/// straight into it, so an epoch's export allocates the serde-rendered
+/// `stats` and nothing per series.
+pub fn render_epoch_line(line: &mut JsonBuf, k: u64, sim: &mut ParSim) {
+    let stats = serde_json::to_string(&sim.stats()).expect("stats serialize");
+    line.clear();
+    line.obj_open();
+    line.key("epoch").u64(k);
+    line.key("t_ns").u64(sim.now().as_nanos());
+    line.key("stats").raw(&stats);
+    line.key("metrics");
+    sim.metrics_snapshot_into(line);
+    line.obj_close();
 }
 
 /// Human summary table.
@@ -322,6 +338,13 @@ mod tests {
         assert!(o1.delivered > 100, "toy scenario too quiet: {o1:?}");
         assert_eq!(o1.epochs, 4);
         assert_eq!(o2.domains, 2);
+        // FNV-1a 64 of the artifact as the commit before the interned
+        // registry wrote it: "not a byte" is checked against that commit,
+        // not only across domain counts.
+        let fnv = a1.iter().fold(0xcbf29ce484222325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        });
+        assert_eq!((a1.len(), fnv), (12_532, 0xb239_1a44_1ac8_d297), "giant.jsonl moved");
         assert_eq!(a1, a2, "1 vs 2 domain artifacts differ");
         assert_eq!(a1, a4, "1 vs 4 domain artifacts differ");
         assert_eq!(o1.stats, o2.stats);

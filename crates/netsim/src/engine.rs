@@ -29,7 +29,9 @@ use int_dataplane::{
     DataPlaneProgram, EcmpSelect, EgressCtx, EnqueueCtx, Frame, IngressCtx, IngressVerdict,
     IntProgramConfig, IntTelemetryProgram,
 };
-use int_obs::{DropReason, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing};
+use int_obs::{
+    CounterId, DropReason, HistogramId, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing,
+};
 use int_packet::{L4View, PacketBuilder, TcpHeader};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -41,6 +43,10 @@ use std::sync::Arc;
 struct PortState {
     queue: DropTailQueue,
     transmitting: bool,
+    /// `sim.queue_depth_pkts{node,port}`, interned by the first lit
+    /// enqueue. This and the other `*_series` fields index the slab of
+    /// `Simulator::metrics`, which is never replaced.
+    depth_series: Option<HistogramId>,
 }
 
 struct HostState {
@@ -53,6 +59,10 @@ struct HostState {
     listener_owner: Vec<(u16, usize)>,
     rng: SmallRng,
     ports: Vec<PortState>,
+    /// `sim.frames_delivered{node}`.
+    delivered_series: Option<CounterId>,
+    /// `sim.drops{node}`.
+    drops_series: Option<CounterId>,
 }
 
 struct SwitchState {
@@ -60,6 +70,10 @@ struct SwitchState {
     ports: Vec<PortState>,
     /// Egress serialization ceiling (BMv2 processing-rate model).
     egress_rate_bps: Option<u64>,
+    /// `sim.frames_forwarded{node}`.
+    forwarded_series: Option<CounterId>,
+    /// `sim.drops{node}`.
+    drops_series: Option<CounterId>,
 }
 
 // The size skew (HostState ≫ SwitchState) is fine: `NodeState`s live in one
@@ -262,6 +276,7 @@ impl Simulator {
                 .map(|pb| PortState {
                     queue: DropTailQueue::new(topo.link(pb.link).params.queue_cap_pkts),
                     transmitting: false,
+                    depth_series: None,
                 })
                 .collect();
             match spec.kind {
@@ -278,6 +293,8 @@ impl Simulator {
                             cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(spec.id.0 as u64 + 1)),
                         ),
                         ports,
+                        delivered_series: None,
+                        drops_series: None,
                     }));
                 }
                 NodeKind::Switch => {
@@ -347,6 +364,8 @@ impl Simulator {
                         program,
                         ports,
                         egress_rate_bps: cfg.switch_egress_rate_bps,
+                        forwarded_series: None,
+                        drops_series: None,
                     }));
                 }
             }
@@ -470,9 +489,11 @@ impl Simulator {
         &self.metrics
     }
 
-    /// Mutable access to the metrics registry (enable it, read series).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
+    /// Enable (or disable) metrics recording; series recorded so far are
+    /// kept. The registry itself is not handed out mutably: the record
+    /// sites hold series ids into it, which replacing it would strand.
+    pub fn set_metrics_enabled(&mut self, on: bool) {
+        self.metrics.set_enabled(on);
     }
 
     /// The trace-event ring (disabled by default).
@@ -664,11 +685,33 @@ impl Simulator {
     /// Record one drop in the metrics registry and trace ring (both
     /// disabled by default — two predictable branches on the hot path).
     fn note_drop(&mut self, node: NodeId, port: PortId, reason: DropReason) {
-        self.metrics.counter_inc("sim.drops", Labels::one("node", node.0 as u64));
+        if self.metrics.enabled() {
+            let series = match &mut self.nodes[node.0 as usize] {
+                NodeState::Host(h) => &mut h.drops_series,
+                NodeState::Switch(s) => &mut s.drops_series,
+            };
+            self.metrics
+                .counter_add_cached(series, "sim.drops", Labels::one("node", node.0 as u64), 1);
+        }
         self.trace.push(
             self.now.as_nanos(),
             TraceKind::Drop { node: node.0, port: port as u8, reason },
         );
+    }
+
+    /// A frame reached a host's transport or app.
+    fn note_delivered(&mut self, node: NodeId) {
+        self.stats.frames_delivered += 1;
+        if self.metrics.enabled() {
+            if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
+                self.metrics.counter_add_cached(
+                    &mut h.delivered_series,
+                    "sim.frames_delivered",
+                    Labels::one("node", node.0 as u64),
+                    1,
+                );
+            }
+        }
     }
 
     /// A frame died at a host (no binding, bad parse, misaddressed).
@@ -722,8 +765,12 @@ impl Simulator {
                 match sw.program.ingress(&mut frame, &ictx) {
                     IngressVerdict::Forward(eport) => {
                         self.stats.frames_forwarded += 1;
-                        self.metrics
-                            .counter_inc("sim.frames_forwarded", Labels::one("node", node.0 as u64));
+                        self.metrics.counter_add_cached(
+                            &mut sw.forwarded_series,
+                            "sim.frames_forwarded",
+                            Labels::one("node", node.0 as u64),
+                            1,
+                        );
                         self.enqueue(node, eport, frame);
                     }
                     IngressVerdict::Drop => {
@@ -771,11 +818,13 @@ impl Simulator {
             return;
         }
         if self.metrics.enabled() || self.trace.enabled() {
-            let depth = match &self.nodes[node.0 as usize] {
-                NodeState::Host(h) => h.ports[port as usize].queue.depth_pkts(),
-                NodeState::Switch(s) => s.ports[port as usize].queue.depth_pkts(),
-            } as u32;
-            self.metrics.histogram_record(
+            let ps = match &mut self.nodes[node.0 as usize] {
+                NodeState::Host(h) => &mut h.ports[port as usize],
+                NodeState::Switch(s) => &mut s.ports[port as usize],
+            };
+            let depth = ps.queue.depth_pkts() as u32;
+            self.metrics.histogram_record_cached(
+                &mut ps.depth_series,
                 "sim.queue_depth_pkts",
                 Labels::two("node", node.0 as u64, "port", port as u64),
                 depth as u64,
@@ -969,9 +1018,7 @@ impl Simulator {
                     self.pool.recycle(frame);
                     return;
                 };
-                self.stats.frames_delivered += 1;
-                self.metrics
-                    .counter_inc("sim.frames_delivered", Labels::one("node", node.0 as u64));
+                self.note_delivered(node);
                 let payload = parsed.payload(&frame.bytes);
                 let (src, sport, dport) = (ip.src, udp.src_port, udp.dst_port);
                 self.invoke_app(node, app_idx, move |app, ctx| {
@@ -980,9 +1027,7 @@ impl Simulator {
                 self.pool.recycle(frame);
             }
             Some(L4View::Tcp(tcp)) => {
-                self.stats.frames_delivered += 1;
-                self.metrics
-                    .counter_inc("sim.frames_delivered", Labels::one("node", node.0 as u64));
+                self.note_delivered(node);
                 let now = self.now;
                 if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
                     h.tcp.on_segment(now, ip.src, &tcp, parsed.payload(&frame.bytes));
@@ -1927,7 +1972,7 @@ mod tests {
             let (t, h1, s1, h2) = line_topo();
             let mut sim = Simulator::new(t, cfg());
             if instrument {
-                sim.metrics_mut().set_enabled(true);
+                sim.set_metrics_enabled(true);
                 sim.set_tracing(true);
             }
             sim.install_app(
@@ -1984,6 +2029,54 @@ mod tests {
 
         // Engine behaviour is identical with and without instrumentation.
         assert_eq!(dark.stats(), lit.stats(), "observability never perturbs the schedule");
+    }
+
+    /// The record sites keep their series ids across a dark spell. A run
+    /// lit over seconds 1 and 3 (dark while the link is down in between)
+    /// must hold exactly those two windows' records: the snapshot a fresh
+    /// accumulator builds through the keyed API (`merge`) from a run lit
+    /// only for the first window and a run lit only for the last.
+    #[test]
+    fn re_enabling_metrics_mid_run_resumes_the_same_series() {
+        let run = |lit: [bool; 3]| {
+            let (t, h1, s1, h2) = line_topo();
+            let mut sim = Simulator::new(t, cfg());
+            sim.install_app(
+                h1,
+                Box::new(CbrUdp {
+                    dst: Topology::host_ip(h2),
+                    dst_port: 5001,
+                    payload: 100,
+                    period: SimDuration::from_millis(100),
+                    until: SimTime::ZERO + SimDuration::from_secs(3),
+                }),
+            );
+            sim.install_app(h2, Box::new(UdpSink::default()));
+            sim.install_fault_plan(
+                &FaultPlan::new()
+                    .link_down(h1, s1, SimTime::ZERO + SimDuration::from_secs(1))
+                    .link_up(h1, s1, SimTime::ZERO + SimDuration::from_secs(2)),
+            );
+            for (second, on) in (1..).zip(lit) {
+                sim.set_metrics_enabled(on);
+                sim.run_until(SimTime::ZERO + SimDuration::from_secs(second));
+            }
+            sim
+        };
+        let (first, last) = (run([true, false, false]), run([false, false, true]));
+        assert!(first.metrics().series() > 0 && last.metrics().series() > 0);
+        let mut reference = MetricsRegistry::new();
+        reference.merge(first.metrics());
+        reference.merge(last.metrics());
+
+        let relit = run([true, false, true]);
+        assert_eq!(relit.metrics().snapshot_json(), reference.snapshot_json());
+        let drops = |sim: &Simulator| sim.metrics().counter("sim.drops", Labels::one("node", 0));
+        let whole = run([true, true, true]);
+        assert!(
+            drops(&relit) + 5 < drops(&whole),
+            "most link-down drops fell in the dark second"
+        );
     }
 
     #[test]

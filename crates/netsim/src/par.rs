@@ -29,6 +29,7 @@ use crate::routing::{ClosRoutes, RouteTable, Routes};
 use crate::stats::NetStats;
 use crate::time::SimTime;
 use crate::topology::{NodeId, Topology};
+use int_obs::json::JsonBuf;
 use int_obs::MetricsRegistry;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Barrier};
@@ -50,6 +51,9 @@ pub struct ParSim {
     sims: Vec<Simulator>,
     part: DomainPartition,
     now: SimTime,
+    /// Accumulator [`ParSim::metrics_snapshot_into`] refolds the domains'
+    /// registries into, kept so each epoch's export reuses its tables.
+    merged: MetricsRegistry,
 }
 
 impl ParSim {
@@ -86,7 +90,7 @@ impl ParSim {
                 })
                 .collect()
         };
-        ParSim { sims, part, now: SimTime::ZERO }
+        ParSim { sims, part, now: SimTime::ZERO, merged: MetricsRegistry::new() }
     }
 
     /// The partition in effect (1 domain means single-thread execution).
@@ -141,7 +145,7 @@ impl ParSim {
     /// Enable (or disable) metrics recording in every domain.
     pub fn set_metrics_enabled(&mut self, on: bool) {
         for sim in &mut self.sims {
-            sim.metrics_mut().set_enabled(on);
+            sim.set_metrics_enabled(on);
         }
     }
 
@@ -181,6 +185,21 @@ impl ParSim {
             out.merge(sim.metrics());
         }
         out
+    }
+
+    /// Render the merged metrics snapshot as the next value in `j` — the
+    /// bytes `merged_metrics().snapshot_json()` would produce, without
+    /// building a registry per call: a single domain's registry is
+    /// rendered in place, several are refolded into a kept accumulator.
+    pub fn metrics_snapshot_into(&mut self, j: &mut JsonBuf) {
+        if let [sim] = &self.sims[..] {
+            return sim.metrics().snapshot_into(j);
+        }
+        self.merged.clear();
+        for sim in &self.sims {
+            self.merged.merge(sim.metrics());
+        }
+        self.merged.snapshot_into(j);
     }
 
     /// Run every domain until simulated time `t` (inclusive).
@@ -388,6 +407,13 @@ mod tests {
         let delivered: u64 =
             sinks.iter().map(|&(n, i)| sim.app::<Sink>(n, i).unwrap().got).sum();
         let metrics = sim.merged_metrics().snapshot_json();
+        // The epoch export's in-place rendering is the same bytes, on a
+        // cold accumulator and on a warm one.
+        for _ in 0..2 {
+            let mut j = JsonBuf::new();
+            sim.metrics_snapshot_into(&mut j);
+            assert_eq!(j.as_str(), metrics);
+        }
         let (mut events, mut seen, mut evicted) = (Vec::new(), 0u64, 0u64);
         for sim_ in sim.sims_mut() {
             let ring = sim_.trace_ring_mut();

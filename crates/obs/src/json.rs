@@ -5,7 +5,7 @@
 //! serializer crate: integers, booleans, strings, arrays and objects
 //! only — **no floats** (float formatting is the classic source of
 //! cross-platform byte drift), and object keys are emitted in exactly
-//! the order the caller writes them (callers iterate `BTreeMap`s or
+//! the order the caller writes them (callers iterate sorted orders or
 //! fixed field lists, so the order is deterministic by construction).
 
 /// Append-only JSON buffer.
@@ -30,6 +30,26 @@ impl JsonBuf {
     /// Finish and return the rendered JSON text.
     pub fn finish(self) -> String {
         self.out
+    }
+
+    /// Empty the buffer for the next document, keeping its allocation —
+    /// what lets a per-epoch line be rendered into one reused buffer.
+    pub fn clear(&mut self) {
+        self.out.clear();
+        self.comma = false;
+    }
+
+    /// The text rendered so far.
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// Splice `json` in verbatim as the next value. The caller vouches
+    /// that it is one complete JSON value (e.g. a serde-rendered struct).
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.sep();
+        self.out.push_str(json);
+        self
     }
 
     fn sep(&mut self) {
@@ -88,14 +108,17 @@ impl JsonBuf {
     /// Unsigned integer value.
     pub fn u64(&mut self, v: u64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        push_u64(&mut self.out, v);
         self
     }
 
     /// Signed integer value.
     pub fn i64(&mut self, v: i64) -> &mut Self {
         self.sep();
-        self.out.push_str(&v.to_string());
+        if v < 0 {
+            self.out.push('-');
+        }
+        push_u64(&mut self.out, v.unsigned_abs());
         self
     }
 
@@ -114,9 +137,31 @@ impl JsonBuf {
     }
 }
 
+/// Append `v` in decimal without the intermediate `String` that
+/// `to_string` allocates (a snapshot renders tens of thousands of these).
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
 /// JSON string escaping (quotes, backslash, control chars).
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        // Nothing to escape (every series key): one copy.
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -155,6 +200,32 @@ mod tests {
         let mut j = JsonBuf::new();
         j.str("q\"b\\s\nnl\u{1}");
         assert_eq!(j.finish(), r#""q\"b\\s\nnl\u0001""#);
+    }
+
+    #[test]
+    fn integers_render_like_to_string() {
+        for v in [0u64, 7, 10, 99, 100, 18_446_744_073_709_551_615] {
+            let mut j = JsonBuf::new();
+            j.u64(v);
+            assert_eq!(j.finish(), v.to_string());
+        }
+        for v in [0i64, -1, 42, i64::MIN, i64::MAX] {
+            let mut j = JsonBuf::new();
+            j.i64(v);
+            assert_eq!(j.finish(), v.to_string());
+        }
+    }
+
+    #[test]
+    fn cleared_buffer_renders_a_fresh_document_with_raw_splices() {
+        let mut j = JsonBuf::new();
+        j.obj_open().key("a").u64(1).obj_close();
+        j.clear();
+        j.obj_open();
+        j.key("s").raw(r#"{"x":[1,2]}"#);
+        j.key("t").u64(2);
+        j.obj_close();
+        assert_eq!(j.as_str(), r#"{"s":{"x":[1,2]},"t":2}"#);
     }
 
     #[test]

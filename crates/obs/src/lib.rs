@@ -18,7 +18,7 @@
 //!   byte-identical file — the equivalence the CI smoke `cmp`s.
 //!
 //! Everything is **deterministic** (sim time only, integer values,
-//! `BTreeMap`-ordered exports, counter-based sampling) so exports are
+//! fixed-order exports, counter-based sampling) so exports are
 //! byte-identical across `INT_EXP_THREADS` values and same-seed reruns,
 //! and **cheap when off** — every record call on a disabled sink returns
 //! after a single branch, which the engine bench confirms costs ≤2 %.
@@ -37,6 +37,6 @@ pub mod stream;
 pub mod trace;
 
 pub use audit::{CandidateEstimate, DecisionAudit, DecisionRecord};
-pub use metrics::{Histogram, Labels, MetricsRegistry};
+pub use metrics::{CounterId, Histogram, HistogramId, Labels, MetricsRegistry};
 pub use stream::{EpochWriter, EpochWriterStats};
 pub use trace::{DropReason, TraceEvent, TraceKind, TraceRing};

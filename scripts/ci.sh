@@ -50,6 +50,9 @@ echo "$bench_log"
 # measures end to end; with the drain it keeps the write path honest.
 # rank_throughput_churn/fabric_64s_128h (PR 12) is the cold serve path:
 # publish → serve 128 distinct requesters, one tree per query.
+# sim_throughput/clos_obs_{off,on} (PR 15) price the lit metrics
+# registry at fabric scale (≈ 200 hosts, > 1 000 live series) — the
+# cost `cbr_5s_one_switch_obs_on`, with its five series, cannot show.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
             rank_throughput_mt/fabric_64s_128h/1 rank_throughput_mt/fabric_64s_128h/2 \
@@ -57,6 +60,7 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             rank_throughput_kpaths/fabric_mp_128h/1 rank_throughput_kpaths/fabric_mp_128h/4 \
             fabric_build/clos_128s_240h \
             sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
+            sim_throughput/clos_obs_off sim_throughput/clos_obs_on \
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
             publish_throughput/clos_512s/all_dirty \
             ingest_throughput/clos_512s_960probes \
