@@ -86,6 +86,19 @@ fn bench_probe_ingest(c: &mut Criterion) {
             })
         });
     }
+    // The miss path: one origin alternating between two 5-hop routes, so
+    // every probe fails the memo compare, takes the full walk and
+    // re-records — what `collector_ingest/5` cost before the memo, plus
+    // the re-record.
+    let flap = [probe_through(1, &[0, 1, 2, 3, 4], 7), probe_through(1, &[0, 5, 6, 7, 4], 7)];
+    g.bench_function("route_flap", |b| {
+        let mut col = IntCollector::new(100);
+        let mut round = 0usize;
+        b.iter(|| {
+            round += 1;
+            col.ingest(black_box(&flap[round % 2]), round as u64 * 100_000_000);
+        })
+    });
     g.finish();
 }
 

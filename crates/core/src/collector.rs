@@ -3,12 +3,17 @@
 //! Receives probe payloads, validates them, tracks per-origin sequence
 //! continuity (probe loss / reordering), and folds telemetry into the
 //! [`NetworkMap`].
+//!
+//! Every edge server re-sends the same record order every probing
+//! interval, so the collector remembers, per `(origin, terminal)` pair,
+//! the route it last walked and the edge ids that walk resolved to (the
+//! *route memo*). A probe that repeats its pair's route is folded straight
+//! into those edges; only a new, changed or partly evicted route pays for
+//! [`NetworkMap::apply_probe`]'s per-edge lookups.
 
-use crate::map::NetworkMap;
-use int_packet::wire::WireDecode;
+use crate::map::{mix64, EdgeId, NetworkMap, EMPTY_SLOT};
 use int_packet::{ProbePayload, Result as PacketResult};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-origin probe accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,12 +57,179 @@ impl OriginStats {
     }
 }
 
+/// One probed `(origin, terminal)` pair: where the origin's accounting
+/// lives and where the pair's route memo sits in the arena.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    origin: u32,
+    terminal: u32,
+    /// Index of the origin's entry in [`RouteTable::stats`].
+    stat: u32,
+    /// The memo's span of the arena: `cap` words reserved at `start`. The
+    /// first `hops` hold the switch ids of the route last walked, the next
+    /// `hops + 1` the [`EdgeId`]s its edges resolved to.
+    start: u32,
+    cap: u32,
+    /// Switches on the memo'd route; 0 while nothing is memo'd.
+    hops: u32,
+}
+
+/// Interned `(origin, terminal)` pairs with per-origin accounting and
+/// per-pair route memos — the [`NetworkMap`] slab idiom: dense entries, an
+/// open-addressed index, an ordered list touched on insert only.
+///
+/// A memo never goes *wrong*: an [`EdgeId`] names the same directed edge
+/// for as long as the map exists, so the ids recorded for a switch
+/// sequence on a pair are the ids any later walk of that sequence
+/// resolves to. It can only go *stale* — an edge on it was evicted — and
+/// [`NetworkMap::apply_probe_resolved`] checks exactly that, per probe.
+/// The pair is the key because all-pairs probing sends each origin's
+/// probes to several terminals over different routes.
+#[derive(Debug, Clone, Default)]
+struct RouteTable {
+    routes: Vec<Route>,
+    /// Open-addressed (linear probing, power-of-two capacity) table from
+    /// `(origin, terminal)` to an index into `routes`.
+    lookup: Vec<u32>,
+    /// Backing store of every route memo. Flat, so learning a fabric
+    /// allocates per doubling of this vector, not per origin.
+    arena: Vec<u32>,
+    /// Per-origin accounting in first-sighting order.
+    stats: Vec<(u32, OriginStats)>,
+    /// Indices into `stats`, ascending by origin.
+    order: Vec<u32>,
+    /// Probes folded through their pair's memo; every other accepted
+    /// probe took the walk.
+    hits: u64,
+}
+
+impl RouteTable {
+    fn pair_hash(origin: u32, terminal: u32) -> usize {
+        mix64((origin as u64) << 32 | terminal as u64) as usize
+    }
+
+    /// Index of the pair's route, interning it on first sighting.
+    fn route(&mut self, origin: u32, terminal: u32) -> usize {
+        if !self.lookup.is_empty() {
+            let mask = self.lookup.len() - 1;
+            let mut i = Self::pair_hash(origin, terminal) & mask;
+            while self.lookup[i] != EMPTY_SLOT {
+                let at = self.lookup[i] as usize;
+                let r = &self.routes[at];
+                if r.origin == origin && r.terminal == terminal {
+                    return at;
+                }
+                i = (i + 1) & mask;
+            }
+        }
+        self.intern(origin, terminal)
+    }
+
+    fn intern(&mut self, origin: u32, terminal: u32) -> usize {
+        let stat = match self.stat_position(origin) {
+            Ok(pos) => self.order[pos],
+            Err(pos) => {
+                let stat = self.stats.len() as u32;
+                self.stats.push((origin, OriginStats::default()));
+                self.order.insert(pos, stat);
+                stat
+            }
+        };
+        let at = self.routes.len();
+        self.routes.push(Route { origin, terminal, stat, start: 0, cap: 0, hops: 0 });
+        // Grow at 7/8 load, re-indexing every route.
+        if self.routes.len() * 8 >= self.lookup.len() * 7 {
+            let cap = (self.lookup.len() * 2).max(16);
+            self.lookup.clear();
+            self.lookup.resize(cap, EMPTY_SLOT);
+            for i in 0..at {
+                self.index(i);
+            }
+        }
+        self.index(at);
+        at
+    }
+
+    /// Enter route `at` into the lookup table (which has room for it).
+    fn index(&mut self, at: usize) {
+        let r = &self.routes[at];
+        let mask = self.lookup.len() - 1;
+        let mut i = Self::pair_hash(r.origin, r.terminal) & mask;
+        while self.lookup[i] != EMPTY_SLOT {
+            i = (i + 1) & mask;
+        }
+        self.lookup[i] = at as u32;
+    }
+
+    /// Where `origin` sits in `order`, or where it would be inserted.
+    fn stat_position(&self, origin: u32) -> Result<usize, usize> {
+        self.order.binary_search_by_key(&origin, |&i| self.stats[i as usize].0)
+    }
+
+    /// Per-origin accounting, ascending by origin.
+    fn by_origin(&self) -> impl Iterator<Item = &(u32, OriginStats)> + '_ {
+        self.order.iter().map(|&i| &self.stats[i as usize])
+    }
+
+    /// Account one accepted probe to its origin and fold it into `map`:
+    /// through the pair's memo when the probe repeats the memo'd route and
+    /// every edge on it is still live, through the full walk — which
+    /// re-records the memo — otherwise.
+    fn ingest(&mut self, map: &mut NetworkMap, probe: &ProbePayload, terminal: u32, now_ns: u64) {
+        let at = self.route(probe.origin_node, terminal);
+        let Route { stat, start, cap, hops, .. } = self.routes[at];
+        self.stats[stat as usize].1.note_probe(probe.seq, now_ns);
+
+        let records = &probe.int.records;
+        let k = records.len();
+        let span = 2 * k + 1;
+        if k > 0 && k == hops as usize {
+            let (switches, ids) = self.arena[start as usize..][..span].split_at(k);
+            if switches.iter().zip(records).all(|(&s, r)| s == r.switch_id)
+                && map.apply_probe_resolved(probe, ids, now_ns)
+            {
+                self.hits += 1;
+                return;
+            }
+        }
+        if k == 0 {
+            // No edges to remember; whatever is memo'd stays valid.
+            map.apply_probe(probe, terminal, now_ns);
+            return;
+        }
+        let start = if span <= cap as usize {
+            start as usize
+        } else {
+            // Outgrown spans are abandoned; doubling bounds what a pair
+            // leaves behind to the size of its longest route.
+            let start = self.arena.len();
+            let cap = span.max(2 * cap as usize);
+            self.arena.resize(start + cap, 0);
+            self.routes[at].start = u32::try_from(start).expect("memo arena within u32 words");
+            self.routes[at].cap = cap as u32;
+            start
+        };
+        self.routes[at].hops = k as u32;
+        let (switches, ids) = self.arena[start..][..span].split_at_mut(k);
+        for (s, r) in switches.iter_mut().zip(records) {
+            *s = r.switch_id;
+        }
+        let mut resolved = ids.iter_mut();
+        map.apply_probe_with(probe, terminal, now_ns, |id: EdgeId| {
+            *resolved.next().expect("a k-record walk resolves k + 1 edges") = id;
+        });
+    }
+}
+
 /// The INT collector.
 #[derive(Debug, Clone, Default)]
 pub struct IntCollector {
     map: NetworkMap,
     scheduler_host: u32,
-    origins: BTreeMap<u32, OriginStats>,
+    routes: RouteTable,
+    /// The payload [`IntCollector::ingest_bytes`] decodes into; kept so
+    /// its record buffer is reused from probe to probe.
+    scratch: ProbePayload,
     parse_errors: u64,
     /// Total probes accepted (direct + relayed). Monotone; lets the
     /// snapshot publisher detect ingest activity that touched only
@@ -71,13 +243,7 @@ impl IntCollector {
     pub fn new(scheduler_host: u32) -> Self {
         let mut map = NetworkMap::new();
         map.register_host(scheduler_host);
-        IntCollector {
-            map,
-            scheduler_host,
-            origins: BTreeMap::new(),
-            parse_errors: 0,
-            probes_accepted: 0,
-        }
+        IntCollector { map, scheduler_host, ..Default::default() }
     }
 
     /// The learned network map.
@@ -85,7 +251,9 @@ impl IntCollector {
         &self.map
     }
 
-    /// Mutable access to the map (host pre-registration).
+    /// Mutable access to the map (host pre-registration, eviction,
+    /// tunables). Mutate it in place: route memos hold this map's edge
+    /// ids, so it must not be swapped for another one.
     pub fn map_mut(&mut self) -> &mut NetworkMap {
         &mut self.map
     }
@@ -97,18 +265,22 @@ impl IntCollector {
 
     /// Per-origin accounting.
     pub fn origin_stats(&self, origin: u32) -> OriginStats {
-        self.origins.get(&origin).copied().unwrap_or_default()
+        let routes = &self.routes;
+        routes
+            .stat_position(origin)
+            .map(|pos| routes.stats[routes.order[pos] as usize].1)
+            .unwrap_or_default()
     }
 
-    /// All probe origins seen so far.
+    /// All probe origins seen so far, ascending.
     pub fn origins(&self) -> impl Iterator<Item = u32> + '_ {
-        self.origins.keys().copied()
+        self.routes.by_origin().map(|&(o, _)| o)
     }
 
     /// Per-origin accounting for every origin, in ascending origin order
     /// (snapshot construction).
     pub fn origin_stats_all(&self) -> impl Iterator<Item = (u32, OriginStats)> + '_ {
-        self.origins.iter().map(|(&o, st)| (o, *st))
+        self.routes.by_origin().copied()
     }
 
     /// Total probes accepted so far (direct + relayed ingest).
@@ -121,36 +293,36 @@ impl IntCollector {
         self.parse_errors
     }
 
+    /// `(hits, misses)` of the route memo: probes folded straight into
+    /// their memo'd edges vs. probes that took the full walk. Diagnostic.
+    pub fn memo_stats(&self) -> (u64, u64) {
+        (self.routes.hits, self.probes_accepted - self.routes.hits)
+    }
+
     /// Ingest a raw probe payload (UDP payload bytes as received).
-    /// Returns the decoded probe on success.
-    pub fn ingest_bytes(&mut self, payload: &[u8], now_ns: u64) -> PacketResult<ProbePayload> {
-        match ProbePayload::decode(&mut &payload[..]) {
-            Ok(probe) => {
-                self.ingest(&probe, now_ns);
-                Ok(probe)
-            }
-            Err(e) => {
-                self.parse_errors += 1;
-                Err(e)
-            }
+    /// Returns the decoded probe on success; it lives in a buffer the next
+    /// call overwrites.
+    pub fn ingest_bytes(&mut self, payload: &[u8], now_ns: u64) -> PacketResult<&ProbePayload> {
+        if let Err(e) = self.scratch.decode_into(&mut &payload[..]) {
+            self.parse_errors += 1;
+            return Err(e);
         }
+        self.probes_accepted += 1;
+        self.routes.ingest(&mut self.map, &self.scratch, self.scheduler_host, now_ns);
+        Ok(&self.scratch)
     }
 
     /// Ingest a relayed probe: one that terminated at `terminal` (not at
     /// the scheduler) and was forwarded here (all-pairs probing mode).
     /// `rx_ts_ns` is the terminal's receive timestamp.
     pub fn ingest_relayed(&mut self, probe: &ProbePayload, terminal: u32, rx_ts_ns: u64) {
-        self.origins.entry(probe.origin_node).or_default().note_probe(probe.seq, rx_ts_ns);
         self.probes_accepted += 1;
-        self.map.register_host(terminal);
-        self.map.apply_probe(probe, terminal, rx_ts_ns);
+        self.routes.ingest(&mut self.map, probe, terminal, rx_ts_ns);
     }
 
     /// Ingest an already-decoded probe.
     pub fn ingest(&mut self, probe: &ProbePayload, now_ns: u64) {
-        self.origins.entry(probe.origin_node).or_default().note_probe(probe.seq, now_ns);
-        self.probes_accepted += 1;
-        self.map.apply_probe(probe, self.scheduler_host, now_ns);
+        self.ingest_relayed(probe, self.scheduler_host, now_ns);
     }
 
     /// Drain a backlog of decoded probes accumulated over one collection
@@ -170,10 +342,10 @@ impl IntCollector {
     /// within `horizon_ns` of `now_ns`, ascending. (Serving reads the same
     /// rule off the origin table frozen into each epoch snapshot.)
     pub fn silent_origins(&self, now_ns: u64, horizon_ns: u64) -> Vec<u32> {
-        self.origins
-            .iter()
+        self.routes
+            .by_origin()
             .filter(|(_, st)| st.received > 0 && now_ns.saturating_sub(st.last_rx_ns) > horizon_ns)
-            .map(|(&o, _)| o)
+            .map(|&(o, _)| o)
             .collect()
     }
 }
@@ -181,6 +353,7 @@ impl IntCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map::NetNode;
     use int_packet::int::IntRecord;
     use int_packet::wire::WireEncode;
 
@@ -232,7 +405,7 @@ mod tests {
     fn bytes_roundtrip_and_parse_errors() {
         let mut c = IntCollector::new(6);
         let p = probe(2, 7);
-        assert_eq!(c.ingest_bytes(&p.to_bytes(), 50_000_000).unwrap(), p);
+        assert_eq!(c.ingest_bytes(&p.to_bytes(), 50_000_000).unwrap(), &p);
         assert_eq!(c.origin_stats(2).received, 1);
 
         assert!(c.ingest_bytes(b"garbage", 1).is_err());
@@ -344,6 +517,73 @@ mod tests {
         let st = c.origin_stats(1);
         assert_eq!(st.lost, 0);
         assert_eq!(st.max_seq, 1000);
+    }
+
+    /// A probe from `origin` over `switches`, queue depth flat.
+    fn probe_over(origin: u32, seq: u64, switches: &[u32]) -> ProbePayload {
+        let mut p = ProbePayload::new(origin, seq, 0);
+        for &switch_id in switches {
+            p.int.push(IntRecord { switch_id, ..probe(origin, seq).int.records[0] });
+        }
+        p
+    }
+
+    /// All-pairs probing: one origin, two terminals, two routes. The memo
+    /// is per pair, so neither route evicts the other's.
+    #[test]
+    fn origin_alternating_between_two_terminals_hits_on_both_from_the_second_round() {
+        let mut c = IntCollector::new(6);
+        for round in 0..4u64 {
+            c.ingest_relayed(&probe_over(1, 2 * round, &[10, 11]), 2, round);
+            c.ingest_relayed(&probe_over(1, 2 * round + 1, &[10, 12, 13]), 3, round);
+            assert_eq!(c.memo_stats(), (2 * round, 2), "after round {round}");
+        }
+        assert_eq!(c.origin_stats(1).received, 8, "one sequence stream across both terminals");
+        assert_eq!(c.origin_stats(1).lost, 0);
+    }
+
+    /// Memo validity is per edge (is it still live?), not per map
+    /// generation: structure learned elsewhere costs a known route nothing.
+    #[test]
+    fn another_origin_learning_an_edge_does_not_cost_a_known_origin_its_hit() {
+        let mut c = IntCollector::new(6);
+        c.ingest(&probe_over(1, 0, &[10, 11]), 1);
+        let learned = c.map().topology_generation();
+        c.ingest(&probe_over(2, 0, &[12, 11]), 2);
+        assert!(c.map().topology_generation() > learned, "origin 2 taught new edges");
+        c.ingest(&probe_over(1, 1, &[10, 11]), 3);
+        assert_eq!(c.memo_stats(), (1, 2));
+    }
+
+    /// A route change misses once and is then the memo; an evicted edge
+    /// on the memo'd route misses once and revives under its old id.
+    #[test]
+    fn route_flap_and_eviction_miss_once_then_hit_again() {
+        let mut c = IntCollector::new(6);
+        c.ingest(&probe_over(1, 0, &[10, 11]), 1);
+        c.ingest(&probe_over(1, 1, &[10, 12, 11]), 2);
+        c.ingest(&probe_over(1, 2, &[10, 12, 11]), 3);
+        assert_eq!(c.memo_stats(), (1, 2), "the longer route replaced the memo");
+
+        // Only the abandoned s10→s11 edge ages out: the memo'd route is
+        // untouched by unrelated eviction.
+        assert_eq!(c.map_mut().evict_stale(5, 2).len(), 1);
+        c.ingest(&probe_over(1, 3, &[10, 12, 11]), 6);
+        assert_eq!(c.memo_stats(), (2, 2));
+
+        let id_of = |c: &IntCollector| {
+            let route = (NetNode::Switch(12), NetNode::Switch(11));
+            let on_route =
+                |id: &EdgeId| c.map().edge_by_id(*id).is_some_and(|(from, to, _)| (from, to) == route);
+            (0..5).find(on_route).unwrap()
+        };
+        let id = id_of(&c);
+        assert_eq!(c.map_mut().evict_stale(1_000, 2).len(), 4, "the whole route dies");
+        c.ingest(&probe_over(1, 4, &[10, 12, 11]), 1_001);
+        assert_eq!(c.memo_stats(), (2, 3), "a dead edge on the memo is a miss");
+        assert_eq!(id_of(&c), id, "revived under the id the memo holds");
+        c.ingest(&probe_over(1, 5, &[10, 12, 11]), 1_002);
+        assert_eq!(c.memo_stats(), (3, 3));
     }
 
     #[test]

@@ -137,7 +137,7 @@ const QLEN_HISTORY_HARD_CAP: usize = 1024;
 pub type EdgeId = u32;
 
 /// Sentinel for an empty bucket in the open-addressed edge lookup table.
-const EMPTY_SLOT: u32 = u32::MAX;
+pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
 
 /// One interned directed edge: endpoints, liveness, dirty stamp, state.
 #[derive(Debug, Clone)]
@@ -154,7 +154,7 @@ struct EdgeSlot {
 }
 
 /// SplitMix64 finalizer — cheap, well-mixed hash for the edge lookup.
-fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -388,7 +388,7 @@ impl NetworkMap {
     /// same slot. The node sets are only consulted when the edge is
     /// missing or dead: eviction forgets a switch only once no live edge
     /// names it and hosts are never forgotten, so a live edge implies both
-    /// its endpoints are registered.
+    /// its endpoints are registered. Returns the id the edge resolved to.
     fn touch(
         &mut self,
         from: NetNode,
@@ -396,7 +396,7 @@ impl NetworkMap {
         delay_ns: u64,
         harvest: Option<(u32, u32)>,
         now_ns: u64,
-    ) {
+    ) -> EdgeId {
         let id = match self.find_slot(from, to) {
             Some(id) if self.slots[id as usize].live => {
                 self.metrics_gen += 1;
@@ -408,6 +408,13 @@ impl NetworkMap {
                 self.learn(found, from, to, now_ns)
             }
         };
+        self.fold(id, delay_ns, harvest, now_ns);
+        id
+    }
+
+    /// What every step of the walk ends with once its edge is resolved:
+    /// mark `id` dirty, fold the latency sample and the upstream harvest.
+    fn fold(&mut self, id: EdgeId, delay_ns: u64, harvest: Option<(u32, u32)>, now_ns: u64) {
         self.mark_dirty(id);
         let e = &mut self.slots[id as usize].state;
         e.fold_delay(self.delay_ewma_new_eighths as u64, delay_ns, now_ns);
@@ -500,6 +507,18 @@ impl NetworkMap {
     /// every edge from the second on also receives the previous record's
     /// harvest.
     pub fn apply_probe(&mut self, probe: &ProbePayload, scheduler_host: u32, now_ns: u64) {
+        self.apply_probe_with(probe, scheduler_host, now_ns, |_| {});
+    }
+
+    /// [`NetworkMap::apply_probe`], handing `resolved` the id each of the
+    /// k + 1 edges resolved to, in path order (none for an empty stack).
+    pub(crate) fn apply_probe_with(
+        &mut self,
+        probe: &ProbePayload,
+        scheduler_host: u32,
+        now_ns: u64,
+        mut resolved: impl FnMut(EdgeId),
+    ) {
         let records = &probe.int.records;
         let Some(last) = records.last() else {
             // A probe that saw no switch teaches no edge, only that both
@@ -512,12 +531,48 @@ impl NetworkMap {
         let mut harvest = None;
         for r in records {
             let to = NetNode::Switch(r.switch_id);
-            self.touch(from, to, r.link_latency_ns, harvest, now_ns);
+            resolved(self.touch(from, to, r.link_latency_ns, harvest, now_ns));
             harvest = Some((r.max_qlen_pkts, r.qlen_at_probe_pkts));
             from = to;
         }
         let final_hop = now_ns.saturating_sub(last.egress_ts_ns);
-        self.touch(from, NetNode::Host(scheduler_host), final_hop, harvest, now_ns);
+        resolved(self.touch(from, NetNode::Host(scheduler_host), final_hop, harvest, now_ns));
+    }
+
+    /// [`NetworkMap::apply_probe`] for a probe whose k + 1 edges an
+    /// earlier walk of the same route already resolved to `ids`: if every
+    /// one of them is still live, fold the probe exactly as the walk would
+    /// — each `touch` would find its slot live, so none would register or
+    /// learn anything — and return `true`; otherwise change nothing and
+    /// return `false`.
+    ///
+    /// An id names the same directed edge for as long as the map exists
+    /// (ids are never reused, a slot's endpoints never change), so
+    /// liveness is the only thing left to check.
+    pub(crate) fn apply_probe_resolved(
+        &mut self,
+        probe: &ProbePayload,
+        ids: &[EdgeId],
+        now_ns: u64,
+    ) -> bool {
+        let records = &probe.int.records;
+        let (Some((&final_id, hop_ids)), Some(last)) = (ids.split_last(), records.last()) else {
+            return false;
+        };
+        if hop_ids.len() != records.len()
+            || !ids.iter().all(|&id| self.slots.get(id as usize).is_some_and(|s| s.live))
+        {
+            return false;
+        }
+        let mut harvest = None;
+        for (&id, r) in hop_ids.iter().zip(records) {
+            self.metrics_gen += 1;
+            self.fold(id, r.link_latency_ns, harvest, now_ns);
+            harvest = Some((r.max_qlen_pkts, r.qlen_at_probe_pkts));
+        }
+        self.metrics_gen += 1;
+        self.fold(final_id, now_ns.saturating_sub(last.egress_ts_ns), harvest, now_ns);
+        true
     }
 
     /// Evict every edge not refreshed within `horizon_ns` of `now_ns`, and

@@ -66,18 +66,31 @@ impl WireEncode for IntRecord {
     }
 }
 
+impl IntRecord {
+    /// Parse one record from its [`IntRecord::LEN`] wire bytes — the one
+    /// place that knows the field offsets [`WireEncode::encode`] writes.
+    fn from_wire(b: &[u8; Self::LEN]) -> Self {
+        let u16_at = |i: usize| u16::from_be_bytes([b[i], b[i + 1]]);
+        let u32_at = |i: usize| u32::from_be_bytes([b[i], b[i + 1], b[i + 2], b[i + 3]]);
+        let u64_at = |i: usize| (u32_at(i) as u64) << 32 | u32_at(i + 4) as u64;
+        IntRecord {
+            switch_id: u32_at(0),
+            ingress_port: u16_at(4),
+            egress_port: u16_at(6),
+            max_qlen_pkts: u32_at(8),
+            qlen_at_probe_pkts: u32_at(12),
+            link_latency_ns: u64_at(16),
+            egress_ts_ns: u64_at(24),
+        }
+    }
+}
+
 impl WireDecode for IntRecord {
     fn decode<B: Buf>(buf: &mut B) -> Result<Self> {
         need(buf, "int record", Self::LEN)?;
-        Ok(IntRecord {
-            switch_id: buf.get_u32(),
-            ingress_port: buf.get_u16(),
-            egress_port: buf.get_u16(),
-            max_qlen_pkts: buf.get_u32(),
-            qlen_at_probe_pkts: buf.get_u32(),
-            link_latency_ns: buf.get_u64(),
-            egress_ts_ns: buf.get_u64(),
-        })
+        let mut wire = [0u8; Self::LEN];
+        buf.copy_to_slice(&mut wire);
+        Ok(Self::from_wire(&wire))
     }
 }
 
@@ -149,18 +162,52 @@ impl WireEncode for IntStack {
     }
 }
 
-impl WireDecode for IntStack {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self> {
+impl IntStack {
+    /// [`WireDecode::decode`] into `self`, reusing the record buffer's
+    /// capacity. On error `self` holds the records decoded so far.
+    ///
+    /// The claimed length is checked against the bytes present *before*
+    /// anything is reserved (a short datagram claiming 256 hops costs no
+    /// allocation), and that one check also licenses the fast path: when
+    /// the whole stack is one contiguous chunk, records are read at fixed
+    /// offsets instead of being bounds-checked and copied out one by one.
+    pub fn decode_into<B: Buf>(&mut self, buf: &mut B) -> Result<()> {
         need(buf, "int stack", 2)?;
         let count = buf.get_u16() as usize;
         if count > Self::MAX_HOPS {
             return Err(PacketError::InvalidField { field: "int.hop_count", value: count as u64 });
         }
-        let mut records = Vec::with_capacity(count);
-        for _ in 0..count {
-            records.push(IntRecord::decode(buf)?);
+        self.records.clear();
+        let len = count * IntRecord::LEN;
+        if buf.remaining() < len {
+            // The error the per-record loop reports: it runs out inside
+            // the first record the bytes do not cover.
+            return Err(PacketError::Truncated {
+                what: "int record",
+                needed: IntRecord::LEN,
+                available: buf.remaining() % IntRecord::LEN,
+            });
         }
-        Ok(IntStack { records })
+        self.records.reserve_exact(count);
+        if let Some(stack) = buf.chunk().get(..len) {
+            let (records, _) = stack.as_chunks::<{ IntRecord::LEN }>();
+            self.records.extend(records.iter().map(IntRecord::from_wire));
+            buf.advance(len);
+        } else {
+            // A `Buf` split across chunks: read through the cursor.
+            for _ in 0..count {
+                self.records.push(IntRecord::decode(buf)?);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl WireDecode for IntStack {
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self> {
+        let mut stack = IntStack::new();
+        stack.decode_into(buf)?;
+        Ok(stack)
     }
 }
 
@@ -235,6 +282,97 @@ mod tests {
         let bytes = s.to_bytes();
         let err = IntStack::decode(&mut &bytes[..bytes.len() - 4]).unwrap_err();
         assert!(matches!(err, PacketError::Truncated { .. }));
+    }
+
+    /// Regression: the record buffer used to be reserved for the claimed
+    /// hop count before the bytes were known to exist, so a one-record
+    /// datagram claiming 256 hops cost 8 KiB before it failed.
+    #[test]
+    fn truncated_stack_of_every_claimed_length_errors_without_allocating() {
+        for count in 1..=IntStack::MAX_HOPS {
+            let full = count * IntRecord::LEN;
+            let lens = [0, IntRecord::LEN - 1, IntRecord::LEN, full - IntRecord::LEN, full - 1];
+            for present in lens.into_iter().filter(|&present| present < full) {
+                let mut bytes = (count as u16).to_be_bytes().to_vec();
+                bytes.resize(2 + present, 0xAB);
+                let mut stack = IntStack::new();
+                let err = stack.decode_into(&mut &bytes[..]).unwrap_err();
+                assert_eq!(
+                    err,
+                    PacketError::Truncated {
+                        what: "int record",
+                        needed: IntRecord::LEN,
+                        available: present % IntRecord::LEN,
+                    },
+                    "{count} hops claimed, {present} bytes present"
+                );
+                assert_eq!(stack.records.capacity(), 0, "nothing reserved for {count} claimed hops");
+            }
+        }
+    }
+
+    #[test]
+    fn decode_into_reuses_the_record_buffer() {
+        let mut long = IntStack::new();
+        for id in 0..6 {
+            long.push(rec(id, id));
+        }
+        let mut short = IntStack::new();
+        short.push(rec(9, 9));
+
+        let mut stack = IntStack::new();
+        stack.decode_into(&mut &long.to_bytes()[..]).unwrap();
+        assert_eq!(stack, long);
+        let (ptr, cap) = (stack.records.as_ptr(), stack.records.capacity());
+        stack.decode_into(&mut &short.to_bytes()[..]).unwrap();
+        assert_eq!(stack, short, "the previous probe's records are gone");
+        stack.decode_into(&mut &long.to_bytes()[..]).unwrap();
+        assert_eq!(stack, long);
+        assert_eq!((stack.records.as_ptr(), stack.records.capacity()), (ptr, cap));
+    }
+
+    /// A `Buf` whose bytes sit in two chunks, as a chained or ring buffer
+    /// presents them.
+    struct TwoChunks<'a>(&'a [u8], &'a [u8]);
+
+    impl Buf for TwoChunks<'_> {
+        fn remaining(&self) -> usize {
+            self.0.len() + self.1.len()
+        }
+        fn chunk(&self) -> &[u8] {
+            if self.0.is_empty() { self.1 } else { self.0 }
+        }
+        fn advance(&mut self, cnt: usize) {
+            let first = cnt.min(self.0.len());
+            self.0 = &self.0[first..];
+            self.1 = &self.1[cnt - first..];
+        }
+        fn copy_to_slice(&mut self, dst: &mut [u8]) {
+            for d in dst {
+                *d = self.chunk()[0];
+                self.advance(1);
+            }
+        }
+    }
+
+    /// The fixed-offset path needs the whole stack in one chunk; bytes
+    /// split anywhere else decode through the cursor to the same value,
+    /// and run short with the same error.
+    #[test]
+    fn split_buffers_decode_like_contiguous_ones() {
+        let mut s = IntStack::new();
+        for id in [3u32, 1, 4] {
+            s.push(rec(id, id * 10));
+        }
+        let bytes = s.to_bytes();
+        for cut in 0..=bytes.len() {
+            let mut buf = TwoChunks(&bytes[..cut], &bytes[cut..]);
+            assert_eq!(IntStack::decode(&mut buf).unwrap(), s, "split at {cut}");
+            assert_eq!(buf.remaining(), 0);
+        }
+        let short = &bytes[..bytes.len() - 5];
+        let contiguous = IntStack::decode(&mut &short[..]).unwrap_err();
+        assert_eq!(IntStack::decode(&mut TwoChunks(&short[..40], &short[40..])).unwrap_err(), contiguous);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 
 /// Payload of an INT probe packet (shim + fixed fields + INT stack).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProbePayload {
     /// Node id of the edge server that originated the probe.
     pub origin_node: u32,
@@ -66,18 +66,29 @@ impl WireEncode for ProbePayload {
     }
 }
 
-impl WireDecode for ProbePayload {
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self> {
+impl ProbePayload {
+    /// [`WireDecode::decode`] into `self`, reusing the INT record buffer's
+    /// capacity: a receiver that keeps one payload around decodes every
+    /// probe after the first without allocating. On error `self` is left
+    /// partially overwritten.
+    pub fn decode_into<B: Buf>(&mut self, buf: &mut B) -> Result<()> {
         let shim = GeneveOption::decode(buf)?;
         if !shim.is_int_probe() {
             return Err(PacketError::WrongKind { expected: "int probe" });
         }
         need(buf, "probe fixed fields", Self::FIXED_LEN)?;
-        let origin_node = buf.get_u32();
-        let seq = buf.get_u64();
-        let sent_ts_ns = buf.get_u64();
-        let int = IntStack::decode(buf)?;
-        Ok(ProbePayload { origin_node, seq, sent_ts_ns, int })
+        self.origin_node = buf.get_u32();
+        self.seq = buf.get_u64();
+        self.sent_ts_ns = buf.get_u64();
+        self.int.decode_into(buf)
+    }
+}
+
+impl WireDecode for ProbePayload {
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self> {
+        let mut probe = ProbePayload::default();
+        probe.decode_into(buf)?;
+        Ok(probe)
     }
 }
 

@@ -53,6 +53,9 @@ echo "$bench_log"
 # sim_throughput/clos_obs_{off,on} (PR 15) price the lit metrics
 # registry at fabric scale (≈ 200 hosts, > 1 000 live series) — the
 # cost `cbr_5s_one_switch_obs_on`, with its five series, cannot show.
+# collector_ingest/route_flap (PR 16) is the route memo's miss path —
+# every probe re-walks and re-records — beside the collector_ingest/{2,5,10}
+# hit cases; it must stay within reach of the walk the memo replaced.
 for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
             rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
             rank_throughput_mt/fabric_64s_128h/1 rank_throughput_mt/fabric_64s_128h/2 \
@@ -64,7 +67,8 @@ for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_tabl
             publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
             publish_throughput/clos_512s/all_dirty \
             ingest_throughput/clos_512s_960probes \
-            rank_throughput_churn/fabric_64s_128h; do
+            rank_throughput_churn/fabric_64s_128h \
+            collector_ingest/route_flap; do
     grep -q "$name" <<<"$bench_log" \
         || { echo "bench smoke: $name missing from harness"; exit 1; }
 done

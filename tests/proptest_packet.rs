@@ -3,11 +3,12 @@
 
 use int_edge_sched::packet::int::{IntRecord, IntStack};
 use int_edge_sched::packet::msgs::{Candidate, ControlMsg, RankingKind, TaskStreamHeader};
-use int_edge_sched::packet::wire::{WireDecode, WireEncode};
+use int_edge_sched::packet::wire::{need, WireDecode, WireEncode};
 use int_edge_sched::packet::{
-    EthernetHeader, Ipv4Header, MacAddr, PacketBuilder, ParsedPacket, ProbePayload, TcpFlags,
-    TcpHeader, UdpHeader,
+    EthernetHeader, Ipv4Header, MacAddr, PacketBuilder, PacketError, ParsedPacket, ProbePayload,
+    TcpFlags, TcpHeader, UdpHeader,
 };
+use bytes::Buf;
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -36,6 +37,22 @@ fn arb_record() -> impl Strategy<Value = IntRecord> {
                 egress_ts_ns: ts,
             },
         )
+}
+
+/// The per-record decode `IntStack::decode` replaced with one length
+/// check and fixed-offset reads: every record bounds-checked and read
+/// through the cursor on its own.
+fn per_record_stack_decode(buf: &mut &[u8]) -> Result<IntStack, PacketError> {
+    need(buf, "int stack", 2)?;
+    let count = buf.get_u16() as usize;
+    if count > IntStack::MAX_HOPS {
+        return Err(PacketError::InvalidField { field: "int.hop_count", value: count as u64 });
+    }
+    let mut stack = IntStack::new();
+    for _ in 0..count {
+        stack.records.push(IntRecord::decode(buf)?);
+    }
+    Ok(stack)
 }
 
 proptest! {
@@ -96,6 +113,56 @@ proptest! {
         }
         let parsed = IntStack::decode(&mut &s.to_bytes()[..]).unwrap();
         prop_assert_eq!(parsed.records, records);
+    }
+
+    /// Check-once decode ≡ per-record decode — values, errors and bytes
+    /// consumed — on arbitrary bytes under an arbitrary claimed hop count
+    /// (mostly short, sometimes over the bound), with trailing bytes.
+    #[test]
+    fn int_stack_decode_matches_per_record_decode_on_arbitrary_bytes(
+        count in 0u16..300,
+        small in any::<bool>(),
+        body in proptest::collection::vec(any::<u8>(), 0..400),
+        header_len in 0usize..=2,
+    ) {
+        let count = if small { count % 14 } else { count };
+        let mut bytes = count.to_be_bytes()[..header_len].to_vec();
+        bytes.extend_from_slice(&body);
+        let (mut fast, mut slow) = (&bytes[..], &bytes[..]);
+        let got = IntStack::decode(&mut fast);
+        prop_assert_eq!(&got, &per_record_stack_decode(&mut slow));
+        if got.is_ok() {
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    /// … and on a well-formed stack cut short anywhere.
+    #[test]
+    fn int_stack_decode_matches_per_record_decode_on_truncated_stacks(
+        records in proptest::collection::vec(arb_record(), 0..12),
+        cut in any::<usize>(),
+    ) {
+        let bytes = IntStack { records }.to_bytes();
+        let cut = &bytes[..cut % (bytes.len() + 1)];
+        let got = IntStack::decode(&mut &cut[..]);
+        prop_assert_eq!(got.is_ok(), cut.len() == bytes.len());
+        prop_assert_eq!(got, per_record_stack_decode(&mut &cut[..]));
+    }
+
+    /// Decoding into a payload that held another probe leaves nothing of
+    /// the old one behind.
+    #[test]
+    fn probe_decode_into_matches_decode(
+        old in proptest::collection::vec(arb_record(), 0..8),
+        origin in any::<u32>(), seq in any::<u64>(), ts in any::<u64>(),
+        records in proptest::collection::vec(arb_record(), 0..8),
+    ) {
+        let mut reused = ProbePayload::new(!origin, !seq, !ts);
+        reused.int.records = old;
+        let mut p = ProbePayload::new(origin, seq, ts);
+        p.int.records = records;
+        reused.decode_into(&mut &p.to_bytes()[..]).unwrap();
+        prop_assert_eq!(reused, p);
     }
 
     #[test]
