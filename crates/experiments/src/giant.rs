@@ -29,6 +29,7 @@ use int_obs::stream::{streaming_enabled, EpochWriter};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
+use std::path::Path;
 
 /// Non-round uplink delay: avoids exact-nanosecond arrival coincidences
 /// between unrelated flows, which keeps the canonical artifact ordering
@@ -183,6 +184,12 @@ impl App for GiantHost {
 /// Run the giant scenario, streaming one JSONL line per epoch to
 /// `<results>/giant.jsonl`. Returns the deterministic summary.
 pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
+    run_in(p, &report::results_dir())
+}
+
+/// [`run`] with the artifact directory named by the caller: the export
+/// lands in `dir/giant.jsonl`.
+pub fn run_in(p: &GiantParams, dir: &Path) -> std::io::Result<GiantOut> {
     let host_link = LinkParams {
         bandwidth_bps: 1_000_000_000,
         delay: SimDuration::from_millis(10),
@@ -228,8 +235,7 @@ pub fn run(p: &GiantParams) -> std::io::Result<GiantOut> {
         app_idx.push((h, sim.install_app(h, Box::new(app))));
     }
 
-    let dir = report::results_dir();
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let streamed = streaming_enabled();
     let mut writer = EpochWriter::create(&dir.join("giant.jsonl"), streamed)?;
 
