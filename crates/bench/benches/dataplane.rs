@@ -36,7 +36,7 @@ fn probe_frame() -> Frame {
 }
 
 fn bench_flow_table(c: &mut Criterion) {
-    // Flow-table microbench (PR 4, results/bench_pr4.json): the indexed
+    // Flow-table microbench (PR 4): the indexed
     // lookup against the reference linear scan at 8, 64, and 512 installed
     // /32 routes. Probes rotate through every installed route so the
     // single-entry caches upstream can't mask the table cost.

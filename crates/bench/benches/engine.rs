@@ -99,7 +99,7 @@ fn bench_packet_throughput_observed(c: &mut Criterion) {
     // Compare against the plain variant to price the instrumentation;
     // the *disabled* registry (the default everywhere else) must stay
     // within ~2% of the plain variant — it costs one branch per record
-    // site (see results/bench_pr3.json for the paired numbers).
+    // site.
     let mut g = c.benchmark_group("sim_throughput");
     g.sample_size(10);
     g.throughput(Throughput::Elements(8000));
@@ -300,7 +300,7 @@ fn bench_fabric_build(c: &mut Criterion) {
 /// 1, 2, and 4 latency-partitioned domains. `domains_1` collapses to the
 /// plain single-thread engine, so the paired numbers price the barrier
 /// windows and cross-domain batching; a wall-clock *speedup* additionally
-/// needs cores (compare host_cores in results/bench_pr9.json).
+/// needs cores.
 fn bench_domain_scaling(c: &mut Criterion) {
     use int_netsim::{ClosParams, ParSim};
 

@@ -11,22 +11,23 @@
 //! repro fabric              # ECMP multipath compare + failover on a 512-switch Clos
 //! repro workflow            # deadline-aware DAG workflows, composite policies
 //! repro audit               # instrumented failover cells + decision audit trail
+//! repro overhead            # probe bytes on the wire vs task traffic
 //! repro ablation-k          # conversion-factor sweep
 //! repro ablation-maxq       # queue-signal ablation
 //! repro ext-compute         # compute-aware extension demo
 //! repro sustained           # sharded control plane under churn
-//!                           # (INT_SCHED_SHARDS read workers, default: cores)
 //! repro giant               # 10k-host Clos, minutes of virtual time
-//!                           # (INT_SIM_DOMAINS / INT_OBS_STREAM aware;
-//!                           #  --scale shrinks it for smokes)
+//!                           # (not part of `all`; --scale shrinks it)
 //!
 //! options:
 //!   --seed N      experiment seed (default 1)
 //!   --scale F     workload scale factor in (0,1] (default 1.0 = paper size)
+//!   --domains N   giant only: parallel engine domains, 1..=65535 (default 1)
 //! ```
 //!
 //! Results are printed as tables and saved as JSON under `results/`
-//! (override with INT_RESULTS_DIR).
+//! (override with INT_RESULTS_DIR). Grids and read shards use every core
+//! the process may run on; `taskset -c 0 repro …` forces serial.
 
 use int_experiments::{
     ablation, audit, fabric, failover, fig3, fig5, fig6, fig7, fig8, fig9, giant, overhead,
@@ -35,43 +36,58 @@ use int_experiments::{
 use int_netsim::SimDuration;
 use std::time::Instant;
 
+#[derive(Debug, PartialEq)]
 struct Opts {
     seed: u64,
     scale: f64,
+    /// `--domains`, when given (only `giant` takes it).
+    domains: Option<u16>,
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
+const USAGE: &str = "usage: repro <all|tab1|fig3|fig5|fig6|fig7|fig8|fig9|failover|fabric|workflow|audit|overhead|ablation-k|ablation-maxq|ext-compute|sustained|giant> [--seed N] [--scale F] [--domains N]";
+
+/// Parse the command line (program name already skipped) into the
+/// experiment name and its options; every malformed value is an error.
+fn parse(mut args: impl Iterator<Item = String>) -> Result<(String, Opts), String> {
     let mut cmd = None;
-    let mut opts = Opts { seed: 1, scale: 1.0 };
+    let mut opts = Opts { seed: 1, scale: 1.0, domains: None };
 
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => {
-                opts.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs an integer"));
+                opts.seed =
+                    args.next().and_then(|v| v.parse().ok()).ok_or("--seed needs an integer")?;
             }
             "--scale" => {
                 opts.scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a float"));
-                if !(opts.scale > 0.0 && opts.scale <= 1.0) {
-                    die("--scale must be in (0, 1]");
-                }
+                    .filter(|&s: &f64| s > 0.0 && s <= 1.0)
+                    .ok_or("--scale needs a float in (0, 1]")?;
             }
+            "--domains" => {
+                let d = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&d: &u16| d >= 1)
+                    .ok_or("--domains needs an integer in 1..=65535")?;
+                opts.domains = Some(d);
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown option `{flag}`")),
             other if cmd.is_none() => cmd = Some(other.to_string()),
-            other => die(&format!("unexpected argument `{other}`")),
+            other => return Err(format!("unexpected argument `{other}`")),
         }
     }
 
-    let Some(cmd) = cmd else {
-        eprintln!("usage: repro <all|tab1|fig3|fig5|fig6|fig7|fig8|fig9|failover|fabric|workflow|audit|overhead|ablation-k|ablation-maxq|ext-compute|sustained|giant> [--seed N] [--scale F]");
-        std::process::exit(2);
-    };
+    let cmd = cmd.ok_or(USAGE)?;
+    if opts.domains.is_some() && cmd != "giant" {
+        return Err(format!("--domains applies to `giant` only, not `{cmd}`"));
+    }
+    Ok((cmd, opts))
+}
 
+fn main() {
+    let (cmd, opts) = parse(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
     match cmd.as_str() {
         "all" => {
             for c in [
@@ -84,16 +100,6 @@ fn main() {
         }
         other => run_one(other, &opts),
     }
-}
-
-/// Read shards for `sustained`: `INT_SCHED_SHARDS` if it parses (clamped
-/// to ≥1), else the machine's available parallelism.
-fn sched_shards() -> usize {
-    std::env::var("INT_SCHED_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 fn die(msg: &str) -> ! {
@@ -152,7 +158,7 @@ fn run_one(cmd: &str, opts: &Opts) {
             save("fig9", &out);
         }
         "sustained" => {
-            let out = sustained::run(opts.seed, opts.scale, sched_shards());
+            let out = sustained::run(opts.seed, opts.scale, report::host_cores());
             println!("{}", sustained::render(&out));
             save("sustained", &out);
         }
@@ -222,11 +228,14 @@ fn run_one(cmd: &str, opts: &Opts) {
         }
         "giant" => {
             // Not part of `all`: full scale is a dedicated benchmark run.
-            let p = if opts.scale >= 1.0 {
+            let mut p = if opts.scale >= 1.0 {
                 giant::GiantParams::full_scale(opts.seed)
             } else {
                 giant::GiantParams::at_scale(opts.seed, opts.scale)
             };
+            if let Some(d) = opts.domains {
+                p.domains = d;
+            }
             let t0 = Instant::now();
             match giant::run(&p) {
                 Ok(out) => {
@@ -250,5 +259,41 @@ fn save<T: serde::Serialize>(name: &str, value: &T) {
     match report::save_json(name, value) {
         Ok(path) => println!("(saved {})", path.display()),
         Err(e) => eprintln!("warning: could not save {name}.json: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_str(line: &str) -> Result<(String, Opts), String> {
+        parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn command_line_is_parsed_strictly() {
+        let defaults = Opts { seed: 1, scale: 1.0, domains: None };
+        assert_eq!(parse_str("fig5"), Ok(("fig5".to_string(), defaults)));
+        assert_eq!(
+            parse_str("giant --seed 7 --scale 0.02 --domains 4"),
+            Ok(("giant".to_string(), Opts { seed: 7, scale: 0.02, domains: Some(4) }))
+        );
+        for bad in [
+            "giant --domains 0",
+            "giant --domains x",
+            "giant --domains 70000",
+            "giant --domains",
+            "fig5 --domains 2",
+            "all --domains 2",
+            "fig5 --scale 0",
+            "fig5 --scale 1.5",
+            "fig5 --seed -1",
+            "fig5 --threads 4",
+            "fig5 fig6",
+            "--seed 3",
+            "",
+        ] {
+            assert!(parse_str(bad).is_err(), "`repro {bad}` must be rejected");
+        }
     }
 }

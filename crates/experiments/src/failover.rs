@@ -166,7 +166,7 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
 
 /// Run the (policy × interval) grid, parallelized like the figures.
 pub fn run_sweep(seed: u64, intervals: &[SimDuration]) -> FailoverOutput {
-    run_sweep_with(par::threads(), seed, intervals)
+    run_sweep_with(report::host_cores(), seed, intervals)
 }
 
 /// [`run_sweep`] with an explicit worker count (determinism tests).
@@ -219,6 +219,7 @@ mod tests {
         let rand = run_cell(7, Policy::Random, iv);
 
         let detect = int.detect_intervals.expect("INT detects the failure");
+        assert!(int.detect_ms.is_some_and(f64::is_finite), "{:?}", int.detect_ms);
         assert!(detect <= 15.0, "bounded by the eviction horizon, got {detect}");
         assert!(int.resched_ms.is_some(), "INT reroutes after detection");
         assert!(
@@ -311,16 +312,5 @@ mod tests {
             t += poll;
         }
         assert!(polls_fully_evicted > 0, "the scenario must fully evict the cut link");
-    }
-
-    /// Same grid, one worker vs many: byte-identical artifacts.
-    #[test]
-    fn sweep_is_deterministic_across_thread_counts() {
-        let ivs = [SimDuration::from_millis(100)];
-        let serial = run_sweep_with(1, 3, &ivs);
-        let parallel = run_sweep_with(4, 3, &ivs);
-        let a = serde_json::to_string(&serial).unwrap();
-        let b = serde_json::to_string(&parallel).unwrap();
-        assert_eq!(a, b);
     }
 }

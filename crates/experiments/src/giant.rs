@@ -9,15 +9,15 @@
 //!   hosts) is ever materialized;
 //! * **streaming epoch exports** ([`int_obs::EpochWriter`]) — each epoch's
 //!   JSONL line hits disk as the epoch closes, so observability memory is
-//!   one line, not the whole run (`INT_OBS_STREAM=0` restores the
-//!   in-core accumulate-then-write path, byte-identically);
+//!   one line, not the whole run;
 //! * **conservative parallel domains** ([`int_netsim::ParSim`]) —
-//!   `INT_SIM_DOMAINS=N` splits the fabric at the leaf–spine latency cut;
-//!   artifacts stay byte-identical to the single-thread oracle.
+//!   `repro giant --domains N` splits the fabric at the leaf–spine
+//!   latency cut; artifacts stay byte-identical to the single-thread
+//!   oracle (`tests/invariance.rs` pins 1, 2 and 4).
 //!
 //! Everything written to `giant.jsonl` / `giant.json` is integer-only and
 //! deterministic; wall-clock and peak-RSS live in the `giant.runmeta.json`
-//! sidecar so determinism smokes can `cmp` the artifacts.
+//! sidecar so the artifacts themselves can be byte-compared.
 
 use crate::report;
 use int_netsim::{
@@ -25,7 +25,7 @@ use int_netsim::{
     SimDuration, SimTime, Topology,
 };
 use int_obs::json::JsonBuf;
-use int_obs::stream::{streaming_enabled, EpochWriter};
+use int_obs::stream::EpochWriter;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::net::Ipv4Addr;
@@ -60,7 +60,7 @@ pub struct GiantParams {
 
 impl GiantParams {
     /// The full 10,000-host scenario: 16 spines × 500 leaves × 20 hosts,
-    /// 180 s of virtual time. Domain count comes from `INT_SIM_DOMAINS`.
+    /// 180 s of virtual time, on the single-thread engine.
     pub fn full_scale(seed: u64) -> GiantParams {
         GiantParams {
             seed,
@@ -69,7 +69,7 @@ impl GiantParams {
             hosts_per_leaf: 20,
             duration: SimDuration::from_secs(180),
             epoch: SimDuration::from_secs(1),
-            domains: int_netsim::par::domains_from_env(),
+            domains: 1,
             hb_period: SimDuration::from_millis(200),
             cbr_period: SimDuration::from_millis(20),
         }
@@ -96,8 +96,8 @@ impl GiantParams {
     }
 }
 
-/// Deterministic artifact summary (everything here must be identical
-/// across `INT_SIM_DOMAINS` and `INT_OBS_STREAM` settings).
+/// Deterministic artifact summary (identical across domain counts apart
+/// from the fields that name the count and its lookahead).
 #[derive(Debug, Serialize, Deserialize)]
 pub struct GiantOut {
     pub params: GiantParams,
@@ -111,8 +111,6 @@ pub struct GiantOut {
     pub epochs: u64,
     /// Bytes of the JSONL artifact (newline framing included).
     pub export_bytes: u64,
-    /// Whether the export streamed to disk or accumulated in core.
-    pub streamed: bool,
     /// Merged ground-truth counters at end of run.
     pub stats: NetStats,
     /// Datagrams received by host apps (heartbeats + noise).
@@ -236,8 +234,7 @@ pub fn run_in(p: &GiantParams, dir: &Path) -> std::io::Result<GiantOut> {
     }
 
     std::fs::create_dir_all(dir)?;
-    let streamed = streaming_enabled();
-    let mut writer = EpochWriter::create(&dir.join("giant.jsonl"), streamed)?;
+    let mut writer = EpochWriter::create(&dir.join("giant.jsonl"), true)?;
 
     let end = p.duration.as_nanos();
     let epoch = p.epoch.as_nanos().max(1);
@@ -264,7 +261,6 @@ pub fn run_in(p: &GiantParams, dir: &Path) -> std::io::Result<GiantOut> {
         switches,
         epochs: wstats.lines,
         export_bytes: wstats.bytes,
-        streamed,
         stats: sim.stats(),
         delivered,
     })
@@ -297,7 +293,6 @@ pub fn render(out: &GiantOut) -> String {
         vec!["virtual_s".to_string(), format!("{:.0}", out.params.duration.as_secs_f64())],
         vec!["epoch_lines".to_string(), out.epochs.to_string()],
         vec!["export_bytes".to_string(), out.export_bytes.to_string()],
-        vec!["streamed".to_string(), out.streamed.to_string()],
         vec!["events".to_string(), out.stats.events_processed.to_string()],
         vec!["delivered".to_string(), out.delivered.to_string()],
         vec!["drops".to_string(), out.stats.total_drops().to_string()],
@@ -308,56 +303,6 @@ pub fn render(out: &GiantOut) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny(seed: u64, domains: u16) -> GiantParams {
-        GiantParams {
-            seed,
-            spines: 2,
-            leaves: 4,
-            hosts_per_leaf: 2,
-            duration: SimDuration::from_secs(2),
-            epoch: SimDuration::from_millis(500),
-            domains,
-            hb_period: SimDuration::from_millis(100),
-            cbr_period: SimDuration::from_millis(25),
-        }
-    }
-
-    /// The end-to-end giant pipeline at toy scale: runs, exports, and is
-    /// byte-identical across domain counts (artifact + summary).
-    #[test]
-    fn giant_artifacts_are_domain_invariant() {
-        let _env = crate::report::ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join(format!("int_giant_test_{}", std::process::id()));
-        std::env::set_var("INT_RESULTS_DIR", &dir);
-        let run_one = |domains: u16| {
-            let out = run(&tiny(11, domains)).expect("giant run");
-            let jsonl = std::fs::read(dir.join("giant.jsonl")).expect("artifact");
-            (out, jsonl)
-        };
-        let (o1, a1) = run_one(1);
-        let (o2, a2) = run_one(2);
-        let (o4, a4) = run_one(4);
-        std::env::remove_var("INT_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
-
-        assert!(o1.delivered > 100, "toy scenario too quiet: {o1:?}");
-        assert_eq!(o1.epochs, 4);
-        assert_eq!(o2.domains, 2);
-        // FNV-1a 64 of the artifact as the commit before the interned
-        // registry wrote it: "not a byte" is checked against that commit,
-        // not only across domain counts.
-        let fnv = a1.iter().fold(0xcbf29ce484222325u64, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        });
-        assert_eq!((a1.len(), fnv), (12_532, 0xb239_1a44_1ac8_d297), "giant.jsonl moved");
-        assert_eq!(a1, a2, "1 vs 2 domain artifacts differ");
-        assert_eq!(a1, a4, "1 vs 4 domain artifacts differ");
-        assert_eq!(o1.stats, o2.stats);
-        assert_eq!(o1.stats, o4.stats);
-        assert_eq!(o1.delivered, o2.delivered);
-        assert_eq!(o1.delivered, o4.delivered);
-    }
 
     #[test]
     fn scale_floors_keep_a_real_clos() {

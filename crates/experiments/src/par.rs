@@ -8,77 +8,22 @@
 //! every serialized artifact) is independent of thread count and
 //! scheduling.
 //!
-//! Worker count comes from `INT_EXP_THREADS` when set (useful to pin CI
-//! or to force serial execution), otherwise from the machine's available
-//! parallelism.
+//! Worker count is the machine's available parallelism
+//! ([`report::host_cores`]); every harness also has a `*_with(workers, …)`
+//! entry point, which `tests/invariance.rs` drives at 1 and 4.
 
+use crate::report;
 use crossbeam::thread;
-use std::time::Instant;
 
-/// Wall-clock and work profile of one grid cell.
-///
-/// Profiles are a side channel for humans tuning the harness: they are
-/// printed to stderr (see [`report_profile`]) and must never be folded
-/// into a saved artifact — wall time is nondeterministic by nature.
-#[derive(Debug, Clone, Copy)]
-pub struct CellProfile {
-    /// Position of the cell in the input grid.
-    pub index: usize,
-    /// Wall-clock time the cell took, seconds.
-    pub wall_s: f64,
-    /// Work done by the cell, in cell-defined units (simulator events
-    /// processed, typically).
-    pub events: u64,
-}
-
-/// Is profile output requested? (`INT_EXP_PROFILE` set to anything but
-/// `0` or empty.)
-pub fn profile_enabled() -> bool {
-    match std::env::var("INT_EXP_PROFILE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
-/// Print per-cell profiles to stderr when `INT_EXP_PROFILE` is set;
-/// otherwise do nothing. Never touches stdout or saved artifacts.
-pub fn report_profile(label: &str, profiles: &[CellProfile]) {
-    if !profile_enabled() || profiles.is_empty() {
-        return;
-    }
-    let total_wall: f64 = profiles.iter().map(|p| p.wall_s).sum();
-    let total_events: u64 = profiles.iter().map(|p| p.events).sum();
-    eprintln!("[profile] {label}: {} cells, {total_wall:.2}s cpu, {total_events} events", profiles.len());
-    for p in profiles {
-        let rate = if p.wall_s > 0.0 { p.events as f64 / p.wall_s } else { 0.0 };
-        eprintln!(
-            "[profile] {label}[{}]: {:.3}s, {} events ({:.0} events/s)",
-            p.index, p.wall_s, p.events, rate
-        );
-    }
-}
-
-/// Worker-thread count: `INT_EXP_THREADS` override, else the machine's
-/// available parallelism, else 1.
-pub fn threads() -> usize {
-    if let Ok(v) = std::env::var("INT_EXP_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Map `f` over `items` on up to [`threads`] workers, preserving order.
+/// Map `f` over `items` on up to [`report::host_cores`] workers,
+/// preserving order.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(threads(), items, f)
+    parallel_map_with(report::host_cores(), items, f)
 }
 
 /// [`parallel_map`] with an explicit worker count.
@@ -115,45 +60,6 @@ where
     slots.into_iter().map(|r| r.expect("every slot filled")).collect()
 }
 
-/// [`parallel_map_with`] plus per-cell profiling: `f` returns the cell
-/// result and its work count (e.g. simulator events processed); each
-/// cell's wall time is measured around the call. Results are in input
-/// order exactly as with [`parallel_map_with`]; profiles come back in
-/// the same order with `index` pre-filled.
-pub fn parallel_map_profiled_with<T, R, F>(
-    workers: usize,
-    items: &[T],
-    f: F,
-) -> (Vec<R>, Vec<CellProfile>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> (R, u64) + Sync,
-{
-    let timed = parallel_map_with(workers, items, |item| {
-        let started = Instant::now();
-        let (result, events) = f(item);
-        (result, events, started.elapsed().as_secs_f64())
-    });
-    let mut results = Vec::with_capacity(timed.len());
-    let mut profiles = Vec::with_capacity(timed.len());
-    for (index, (result, events, wall_s)) in timed.into_iter().enumerate() {
-        results.push(result);
-        profiles.push(CellProfile { index, wall_s, events });
-    }
-    (results, profiles)
-}
-
-/// [`parallel_map_profiled_with`] at the default worker count.
-pub fn parallel_map_profiled<T, R, F>(items: &[T], f: F) -> (Vec<R>, Vec<CellProfile>)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> (R, u64) + Sync,
-{
-    parallel_map_profiled_with(threads(), items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,26 +87,5 @@ mod tests {
         let none: Vec<u32> = vec![];
         assert!(parallel_map_with(8, &none, |&x| x).is_empty());
         assert_eq!(parallel_map_with(8, &[5u32], |&x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn threads_is_at_least_one() {
-        assert!(threads() >= 1);
-    }
-
-    #[test]
-    fn profiled_map_preserves_results_and_profiles() {
-        let items: Vec<u64> = (0..23).collect();
-        for workers in [1, 4] {
-            let (out, prof) = parallel_map_profiled_with(workers, &items, |&x| (x * 2, x + 100));
-            let expected: Vec<u64> = items.iter().map(|&x| x * 2).collect();
-            assert_eq!(out, expected, "results at workers={workers}");
-            assert_eq!(prof.len(), items.len());
-            for (i, p) in prof.iter().enumerate() {
-                assert_eq!(p.index, i);
-                assert_eq!(p.events, items[i] + 100, "event counts ride along in order");
-                assert!(p.wall_s >= 0.0);
-            }
-        }
     }
 }

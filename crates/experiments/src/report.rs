@@ -42,7 +42,8 @@ pub fn pct(v: f64) -> String {
     format!("{:+.1}%", v * 100.0)
 }
 
-/// Where experiment JSON results land.
+/// Where experiment JSON results land: `INT_RESULTS_DIR`, else `results/`.
+/// The only environment read in the library crates.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("INT_RESULTS_DIR")
         .map(PathBuf::from)
@@ -80,7 +81,7 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Run metadata every experiment records next to its artifact.
+/// Run metadata `repro giant` records next to its artifact.
 #[derive(Debug, Serialize, serde::Deserialize)]
 pub struct RunMeta {
     /// Wall-clock duration of the run, seconds.
@@ -100,19 +101,18 @@ impl RunMeta {
 
 /// Persist run metadata as a `<name>.runmeta.json` sidecar, keeping
 /// nondeterministic measurements (wall clock, RSS) out of the byte-stable
-/// artifact the determinism smokes `cmp`. Returns the sidecar path.
+/// artifact. Returns the sidecar path.
 pub fn save_runmeta(name: &str, meta: &RunMeta) -> std::io::Result<PathBuf> {
     save_json(&format!("{name}.runmeta"), meta)
 }
 
-/// Tests that point `INT_RESULTS_DIR` somewhere take this lock — process
-/// environment is shared across the parallel test threads.
-#[cfg(test)]
-pub(crate) static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Tests that point `INT_RESULTS_DIR` somewhere take this lock — process
+    /// environment is shared across the parallel test threads.
+    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn table_aligns_columns() {
@@ -170,7 +170,7 @@ mod tests {
             x: u32,
         }
         let _env = ENV_LOCK.lock().unwrap();
-        let dir = std::env::temp_dir().join("int_exp_test_results");
+        let dir = std::env::temp_dir().join(format!("int_exp_test_results_{}", std::process::id()));
         std::env::set_var("INT_RESULTS_DIR", &dir);
         let path = save_json("tiny", &Tiny { x: 7 }).unwrap();
         let back: Tiny = load_json(&path).unwrap();

@@ -380,19 +380,7 @@ pub fn render(out: &SustainedOutput) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sharded_artifact_matches_oracle_and_is_shard_invariant() {
-        let (rounds, qpr) = (12, 66);
-        let oracle = run_oracle(3, rounds, qpr);
-        assert!(!oracle.digest.is_empty());
-        assert_eq!(oracle.total_queries, (rounds * qpr) as u64);
-        for shards in [1usize, 2, 4] {
-            let (got, _) = run_with(3, rounds, qpr, shards);
-            assert_eq!(got, oracle, "shards={shards}");
-        }
-    }
-
-    /// The replay above compares the serving stack with itself (one
+    /// `tests/invariance.rs` compares the serving stack with itself (one
     /// scratch vs N shards). This one holds it to the reference ranker
     /// over the live map — O(N·E) per query at this scale, so only every
     /// 61st query of the stream is checked, at the full cadence so the

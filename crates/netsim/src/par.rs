@@ -17,8 +17,7 @@
 //! byte-identical across domain counts and to the single-thread oracle
 //! (DESIGN.md §5.9 gives the argument; the test below enforces it).
 //!
-//! `INT_SIM_DOMAINS` selects the domain count at runtime
-//! ([`domains_from_env`]); `1` (the default) collapses to a plain
+//! The caller names the domain count; `1` collapses to a plain
 //! single-thread simulator with zero overhead.
 
 use crate::app::App;
@@ -33,16 +32,6 @@ use int_obs::json::JsonBuf;
 use int_obs::MetricsRegistry;
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Barrier};
-
-/// Domain count requested via `INT_SIM_DOMAINS` (default 1; values < 1
-/// are clamped to 1).
-pub fn domains_from_env() -> u16 {
-    std::env::var("INT_SIM_DOMAINS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u16>().ok())
-        .map(|d| d.max(1))
-        .unwrap_or(1)
-}
 
 /// A partitioned simulation: one engine per domain, run in conservative
 /// lockstep windows. With one domain it degenerates to a plain
@@ -512,11 +501,5 @@ mod tests {
 
         assert_eq!(par.domains(), 1);
         assert_eq!(par.stats(), plain.stats());
-    }
-
-    #[test]
-    fn env_override_parses_and_clamps() {
-        // Not using set_var: tests run multi-threaded. Parse logic only.
-        assert_eq!(domains_from_env(), 1); // unset in the test env
     }
 }

@@ -14,12 +14,12 @@
 //!   reason, and the chosen host.
 //! * [`EpochWriter`] — bounded-memory artifact streaming: epoch lines
 //!   go to disk as each epoch closes (instead of accumulating in RAM
-//!   for the whole run), with an in-core fallback mode that produces a
-//!   byte-identical file — the equivalence the CI smoke `cmp`s.
+//!   for the whole run), with an in-core mode that produces a
+//!   byte-identical file.
 //!
 //! Everything is **deterministic** (sim time only, integer values,
 //! fixed-order exports, counter-based sampling) so exports are
-//! byte-identical across `INT_EXP_THREADS` values and same-seed reruns,
+//! byte-identical across worker counts and same-seed reruns,
 //! and **cheap when off** — every record call on a disabled sink returns
 //! after a single branch, which the engine bench confirms costs ≤2 %.
 //!
