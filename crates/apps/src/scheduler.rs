@@ -76,11 +76,6 @@ impl SchedulerApp {
         }
     }
 
-    /// The compute tracker, when compute-aware re-ranking is enabled.
-    pub fn compute_tracker(&self) -> Option<&ComputeTracker> {
-        self.compute.as_ref().map(|c| &c.tracker)
-    }
-
     /// `LoadReport`s ingested.
     pub fn load_reports(&self) -> u64 {
         self.load_reports

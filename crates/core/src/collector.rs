@@ -11,7 +11,8 @@
 //! into those edges; only a new, changed or partly evicted route pays for
 //! [`NetworkMap::apply_probe`]'s per-edge lookups.
 
-use crate::map::{mix64, EdgeId, NetworkMap, EMPTY_SLOT};
+use crate::map::{mix64, EdgeId, NetworkMap};
+use int_obs::SlabIndex;
 use int_packet::{ProbePayload, Result as PacketResult};
 use serde::{Deserialize, Serialize};
 
@@ -75,8 +76,8 @@ struct Route {
 }
 
 /// Interned `(origin, terminal)` pairs with per-origin accounting and
-/// per-pair route memos — the [`NetworkMap`] slab idiom: dense entries, an
-/// open-addressed index, an ordered list touched on insert only.
+/// per-pair route memos — the [`NetworkMap`] slab idiom: dense entries, a
+/// [`SlabIndex`], an ordered list touched on insert only.
 ///
 /// A memo never goes *wrong*: an [`EdgeId`] names the same directed edge
 /// for as long as the map exists, so the ids recorded for a switch
@@ -88,9 +89,8 @@ struct Route {
 #[derive(Debug, Clone, Default)]
 struct RouteTable {
     routes: Vec<Route>,
-    /// Open-addressed (linear probing, power-of-two capacity) table from
-    /// `(origin, terminal)` to an index into `routes`.
-    lookup: Vec<u32>,
+    /// `(origin, terminal)` → index into `routes`.
+    lookup: SlabIndex,
     /// Backing store of every route memo. Flat, so learning a fabric
     /// allocates per doubling of this vector, not per origin.
     arena: Vec<u32>,
@@ -104,28 +104,24 @@ struct RouteTable {
 }
 
 impl RouteTable {
-    fn pair_hash(origin: u32, terminal: u32) -> usize {
-        mix64((origin as u64) << 32 | terminal as u64) as usize
+    fn pair_hash(origin: u32, terminal: u32) -> u64 {
+        mix64((origin as u64) << 32 | terminal as u64)
     }
 
     /// Index of the pair's route, interning it on first sighting.
     fn route(&mut self, origin: u32, terminal: u32) -> usize {
-        if !self.lookup.is_empty() {
-            let mask = self.lookup.len() - 1;
-            let mut i = Self::pair_hash(origin, terminal) & mask;
-            while self.lookup[i] != EMPTY_SLOT {
-                let at = self.lookup[i] as usize;
-                let r = &self.routes[at];
-                if r.origin == origin && r.terminal == terminal {
-                    return at;
-                }
-                i = (i + 1) & mask;
-            }
+        let hash = Self::pair_hash(origin, terminal);
+        let found = self.lookup.find(hash, |at| {
+            let r = &self.routes[at as usize];
+            r.origin == origin && r.terminal == terminal
+        });
+        match found {
+            Some(at) => at as usize,
+            None => self.intern(origin, terminal, hash),
         }
-        self.intern(origin, terminal)
     }
 
-    fn intern(&mut self, origin: u32, terminal: u32) -> usize {
+    fn intern(&mut self, origin: u32, terminal: u32, hash: u64) -> usize {
         let stat = match self.stat_position(origin) {
             Ok(pos) => self.order[pos],
             Err(pos) => {
@@ -137,28 +133,12 @@ impl RouteTable {
         };
         let at = self.routes.len();
         self.routes.push(Route { origin, terminal, stat, start: 0, cap: 0, hops: 0 });
-        // Grow at 7/8 load, re-indexing every route.
-        if self.routes.len() * 8 >= self.lookup.len() * 7 {
-            let cap = (self.lookup.len() * 2).max(16);
-            self.lookup.clear();
-            self.lookup.resize(cap, EMPTY_SLOT);
-            for i in 0..at {
-                self.index(i);
-            }
-        }
-        self.index(at);
+        let routes = &self.routes;
+        self.lookup.insert(hash, at as u32, |old| {
+            let r = &routes[old as usize];
+            Self::pair_hash(r.origin, r.terminal)
+        });
         at
-    }
-
-    /// Enter route `at` into the lookup table (which has room for it).
-    fn index(&mut self, at: usize) {
-        let r = &self.routes[at];
-        let mask = self.lookup.len() - 1;
-        let mut i = Self::pair_hash(r.origin, r.terminal) & mask;
-        while self.lookup[i] != EMPTY_SLOT {
-            i = (i + 1) & mask;
-        }
-        self.lookup[i] = at as u32;
     }
 
     /// Where `origin` sits in `order`, or where it would be inserted.

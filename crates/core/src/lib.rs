@@ -30,8 +30,7 @@
 //!    benches hold the serving stack to it; nothing else calls it.
 //!
 //! Extensions the paper lists as future work are also implemented:
-//! [`tuning`] (data-driven calibration of the conversion factor *k*),
-//! [`compute`] (compute-aware and heterogeneity-aware filtering), and
+//! [`compute`] (compute-aware and heterogeneity-aware filtering) and
 //! [`coverage`] (probe route coverage audit).
 
 pub mod collector;
@@ -44,7 +43,6 @@ pub mod rank;
 pub mod sched;
 pub mod shard;
 pub mod snapshot;
-pub mod tuning;
 
 pub use collector::IntCollector;
 pub use compute::{Capabilities, CompositePolicy, ComputeTracker};

@@ -7,6 +7,7 @@
 //! max queue occupancy harvested from the upstream switch's register.
 
 use crate::config::{CoreConfig, DirectionFallback, HopSignal};
+use int_obs::SlabIndex;
 use int_packet::ProbePayload;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -136,9 +137,6 @@ const QLEN_HISTORY_HARD_CAP: usize = 1024;
 /// marked dead) and a probe that re-learns it revives the same id.
 pub type EdgeId = u32;
 
-/// Sentinel for an empty bucket in the open-addressed edge lookup table.
-pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
-
 /// One interned directed edge: endpoints, liveness, dirty stamp, state.
 #[derive(Debug, Clone)]
 struct EdgeSlot {
@@ -189,10 +187,9 @@ pub struct NetworkMap {
     /// Edge slab, indexed by `EdgeId`. Append-only; eviction marks slots
     /// dead instead of removing them.
     slots: Vec<EdgeSlot>,
-    /// Open-addressed (linear probing, power-of-two capacity) table from
-    /// directed endpoint pair to `EdgeId`. Entries are never removed —
-    /// dead slots keep theirs for revival.
-    lookup: Vec<u32>,
+    /// Directed endpoint pair ([`pair_hash`]) → `EdgeId`. Entries are
+    /// never removed — dead slots keep theirs for revival.
+    lookup: SlabIndex,
     /// Live edge ids sorted by `(from, to)`; gives `edges()` the same
     /// deterministic order the old `BTreeMap` store had. Maintained on
     /// structural changes only (insert/revive/evict).
@@ -231,7 +228,7 @@ impl Default for NetworkMap {
         let defaults = CoreConfig::default();
         NetworkMap {
             slots: Vec::new(),
-            lookup: Vec::new(),
+            lookup: SlabIndex::default(),
             order: Vec::new(),
             hosts: BTreeSet::new(),
             switches: BTreeSet::new(),
@@ -323,23 +320,10 @@ impl NetworkMap {
 
     /// Look up the slot id of a directed edge (live or dead).
     fn find_slot(&self, from: NetNode, to: NetNode) -> Option<u32> {
-        if self.lookup.is_empty() {
-            return None;
-        }
-        let mask = self.lookup.len() - 1;
-        let mut i = (pair_hash(from, to) as usize) & mask;
-        loop {
-            match self.lookup[i] {
-                EMPTY_SLOT => return None,
-                id => {
-                    let s = &self.slots[id as usize];
-                    if s.from == from && s.to == to {
-                        return Some(id);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        self.lookup.find(pair_hash(from, to), |id| {
+            let s = &self.slots[id as usize];
+            s.from == from && s.to == to
+        })
     }
 
     /// Record `id` as touched in the current dirty interval (deduped).
@@ -366,7 +350,11 @@ impl NetworkMap {
             let id = self.slots.len() as u32;
             let state = EdgeState::new(now_ns);
             self.slots.push(EdgeSlot { from, to, live: true, stamp: 0, state });
-            self.index_insert(id);
+            let slots = &self.slots;
+            self.lookup.insert(pair_hash(from, to), id, |old| {
+                let s = &slots[old as usize];
+                pair_hash(s.from, s.to)
+            });
             id
         };
         self.insert_order(id);
@@ -420,40 +408,6 @@ impl NetworkMap {
         e.fold_delay(self.delay_ewma_new_eighths as u64, delay_ns, now_ns);
         if let Some((max_q, inst_q)) = harvest {
             e.fold_harvest(max_q, inst_q, now_ns, self.qlen_retention_ns);
-        }
-    }
-
-    /// Add a freshly pushed slot to the lookup table, growing as needed.
-    fn index_insert(&mut self, id: u32) {
-        // Grow at 7/8 load counting every slot (dead ones keep entries).
-        if self.slots.len() * 8 >= self.lookup.len() * 7 {
-            self.rebuild_lookup();
-            return; // rebuild indexed every slot, including `id`
-        }
-        let (from, to) = {
-            let s = &self.slots[id as usize];
-            (s.from, s.to)
-        };
-        let mask = self.lookup.len() - 1;
-        let mut i = (pair_hash(from, to) as usize) & mask;
-        while self.lookup[i] != EMPTY_SLOT {
-            i = (i + 1) & mask;
-        }
-        self.lookup[i] = id;
-    }
-
-    /// Rebuild the lookup table at double capacity over the whole slab.
-    fn rebuild_lookup(&mut self) {
-        let cap = (self.lookup.len() * 2).max(16);
-        self.lookup.clear();
-        self.lookup.resize(cap, EMPTY_SLOT);
-        let mask = cap - 1;
-        for (id, s) in self.slots.iter().enumerate() {
-            let mut i = (pair_hash(s.from, s.to) as usize) & mask;
-            while self.lookup[i] != EMPTY_SLOT {
-                i = (i + 1) & mask;
-            }
-            self.lookup[i] = id as u32;
         }
     }
 

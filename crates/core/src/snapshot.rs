@@ -361,11 +361,6 @@ impl SchedSnapshot {
         self.published_at_ns
     }
 
-    /// Nodes in the frozen graph (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.topo.nodes.len()
-    }
-
     /// Directed arcs in the frozen graph (diagnostics).
     pub fn arc_count(&self) -> usize {
         self.topo.cols.len()
@@ -1065,11 +1060,6 @@ impl SnapshotPublisher {
     /// reference tests and benches compare against) or back on.
     pub fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
-    }
-
-    /// Is the incremental path enabled?
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
     }
 
     /// Publish counters so far.

@@ -143,11 +143,6 @@ impl L3ForwardProgram {
         self.install_route(host, 32, port);
     }
 
-    /// Number of installed routes.
-    pub fn route_count(&self) -> usize {
-        self.fwd.len()
-    }
-
     /// Look up the *primary* egress port for a destination without side
     /// effects — the pre-ECMP single-path answer.
     pub fn lookup(&self, dst: Ipv4Addr) -> Option<PortId> {

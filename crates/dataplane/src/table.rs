@@ -11,12 +11,13 @@
 //!
 //! Lookup is the per-packet-per-hop hot path, so each kind keeps a
 //! specialized index beside the entry list (DESIGN.md §5.4): exact keys
-//! hash into an open-addressed table, LPM resolves as exact probes per
+//! hash into an `int_obs::SlabIndex`, LPM resolves as exact probes per
 //! prefix length from longest to shortest (the standard software-LPM
 //! scheme), and ternary scans entries in (priority, insertion) order. The
 //! pre-index linear scan survives as [`MatchActionTable::lookup_linear`],
 //! the semantics oracle the property tests pin `lookup` against.
 
+use int_obs::SlabIndex;
 use serde::{Deserialize, Serialize};
 
 /// How a table matches its key.
@@ -143,36 +144,21 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Open-addressed byte-slice → entry-index map (linear probing, power-of-
-/// two capacity, load ≤ 3/4). Insert-only; the table rebuilds it on
-/// removal, which is a control-plane-rate event.
+/// Byte-slice → entry-index map over a [`SlabIndex`]. Insert-only; the
+/// table rebuilds it on removal, which is a control-plane-rate event.
 #[derive(Debug, Clone, Default)]
 struct ByteIndex {
-    /// (key bytes, entry index) in insertion order; `slots` refers here.
+    /// (key bytes, entry index) in insertion order; `index` refers here.
     pairs: Vec<(Box<[u8]>, u32)>,
-    /// Probe array of `pair index + 1`; 0 = empty.
-    slots: Vec<u32>,
+    index: SlabIndex,
 }
 
 impl ByteIndex {
     fn get(&self, key: &[u8]) -> Option<u32> {
-        if self.pairs.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash_bytes(key) as usize & mask;
-        loop {
-            match self.slots[i] {
-                0 => return None,
-                s => {
-                    let (k, e) = &self.pairs[s as usize - 1];
-                    if &k[..] == key {
-                        return Some(*e);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        let pair = self
+            .index
+            .find(hash_bytes(key), |p| &self.pairs[p as usize].0[..] == key)?;
+        Some(self.pairs[pair as usize].1)
     }
 
     /// First-wins insert: keeps the existing binding if `key` is present
@@ -181,28 +167,11 @@ impl ByteIndex {
         if self.get(key).is_some() {
             return;
         }
+        let pair = self.pairs.len() as u32;
         self.pairs.push((key.into(), entry));
-        if self.pairs.len() * 4 > self.slots.len() * 3 {
-            self.grow();
-        } else {
-            self.fill_slot(self.pairs.len() - 1);
-        }
-    }
-
-    fn fill_slot(&mut self, pair: usize) {
-        let mask = self.slots.len() - 1;
-        let mut i = hash_bytes(&self.pairs[pair].0) as usize & mask;
-        while self.slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = pair as u32 + 1;
-    }
-
-    fn grow(&mut self) {
-        self.slots = vec![0; (self.slots.len() * 2).max(8)];
-        for p in 0..self.pairs.len() {
-            self.fill_slot(p);
-        }
+        let pairs = &self.pairs;
+        self.index
+            .insert(hash_bytes(key), pair, |p| hash_bytes(&pairs[p as usize].0));
     }
 }
 

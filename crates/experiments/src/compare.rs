@@ -79,18 +79,6 @@ pub fn policy_key(p: Policy) -> String {
     format!("{p:?}")
 }
 
-/// Run the three-way comparison, policies in parallel.
-pub fn run_comparison(cfg: &CompareConfig) -> CompareOutput {
-    let policies = [cfg.int_policy, Policy::Nearest, Policy::Random];
-    let results = par::parallel_map(&policies, |&p| run(&cfg.experiment_for(p)));
-
-    let mut map = BTreeMap::new();
-    for r in results {
-        map.insert(policy_key(r.policy), r);
-    }
-    CompareOutput { config: cfg.clone(), results: map }
-}
-
 /// A comparison aggregated over several seeds: the per-class means are
 /// computed over the union of outcomes, and per-task gains are paired
 /// within each seed before concatenation. Smooths the heavy-tailed

@@ -13,7 +13,6 @@
 //! entry point, which `tests/invariance.rs` drives at 1 and 4.
 
 use crate::report;
-use crossbeam::thread;
 
 /// Map `f` over `items` on up to [`report::host_cores`] workers,
 /// preserving order.
@@ -31,6 +30,7 @@ where
 /// Items are split into `workers` contiguous chunks, one scoped thread
 /// per chunk, each writing into its own slice of the result vector —
 /// order is preserved by construction, no result reordering or locking.
+/// A worker that panics panics the caller once every worker has joined.
 pub fn parallel_map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -46,16 +46,15 @@ where
     slots.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(workers);
     let f = &f;
-    thread::scope(|s| {
+    std::thread::scope(|s| {
         for (out_chunk, in_chunk) in slots.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for (slot, item) in out_chunk.iter_mut().zip(in_chunk) {
                     *slot = Some(f(item));
                 }
             });
         }
-    })
-    .expect("parallel_map worker panicked");
+    });
 
     slots.into_iter().map(|r| r.expect("every slot filled")).collect()
 }
@@ -87,5 +86,12 @@ mod tests {
         let none: Vec<u32> = vec![];
         assert!(parallel_map_with(8, &none, |&x| x).is_empty());
         assert_eq!(parallel_map_with(8, &[5u32], |&x| x + 1), vec![6]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn worker_panic_propagates() {
+        let items: Vec<u32> = (0..16).collect();
+        parallel_map_with(4, &items, |&x| assert_ne!(x, 11, "one bad cell"));
     }
 }

@@ -16,6 +16,10 @@
 //!   go to disk as each epoch closes (instead of accumulating in RAM
 //!   for the whole run), with an in-core mode that produces a
 //!   byte-identical file.
+//! * [`SlabIndex`] — the open-addressed hash index from a caller's hash
+//!   to a dense slab id that the metrics registry, the learned map's
+//!   edges, the collector's route memo and the data plane's match-action
+//!   tables all look up through.
 //!
 //! Everything is **deterministic** (sim time only, integer values,
 //! fixed-order exports, counter-based sampling) so exports are
@@ -31,12 +35,14 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod index;
 pub mod json;
 pub mod metrics;
 pub mod stream;
 pub mod trace;
 
 pub use audit::{CandidateEstimate, DecisionAudit, DecisionRecord};
+pub use index::SlabIndex;
 pub use metrics::{CounterId, Histogram, HistogramId, Labels, MetricsRegistry};
 pub use stream::{EpochWriter, EpochWriterStats};
 pub use trace::{DropReason, TraceEvent, TraceKind, TraceRing};

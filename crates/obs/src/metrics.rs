@@ -21,6 +21,7 @@
 //! record returned ([`CounterId`] / [`HistogramId`] through the
 //! `*_cached` calls) and skips the hash too.
 
+use crate::index::SlabIndex;
 use crate::json::{push_u64, JsonBuf};
 use std::ops::Range;
 
@@ -179,13 +180,13 @@ fn hash_key(name: &str, labels: &Labels) -> u64 {
     h ^ (h >> 29)
 }
 
-/// One kind's series: an open-addressed index from key content to a
-/// dense id, the value slab the ids index, and the render order and
-/// rendered keys every snapshot reuses.
+/// One kind's series: an index from key content to a dense id, the value
+/// slab the ids index, and the render order and rendered keys every
+/// snapshot reuses.
 #[derive(Debug)]
 struct Table<V> {
-    /// Power-of-two sized, at most half full: 0 = empty, else id + 1.
-    slots: Vec<u32>,
+    /// Key content ([`Meta::hash`]) → id.
+    index: SlabIndex,
     meta: Vec<Meta>,
     values: Vec<V>,
     /// Ids in `(name, labels)` order — name by content, label values
@@ -198,7 +199,7 @@ struct Table<V> {
 impl<V> Default for Table<V> {
     fn default() -> Self {
         Self {
-            slots: Vec::new(),
+            index: SlabIndex::default(),
             meta: Vec::new(),
             values: Vec::new(),
             order: Vec::new(),
@@ -208,20 +209,12 @@ impl<V> Default for Table<V> {
 }
 
 impl<V: Default> Table<V> {
+    /// The id of the series `(name, labels)` hashing to `hash`, if held.
     fn find(&self, hash: u64, name: &str, labels: &Labels) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let id = self.slots[i].checked_sub(1)?;
+        self.index.find(hash, |id| {
             let m = &self.meta[id as usize];
-            if m.hash == hash && m.name == name && m.labels == *labels {
-                return Some(id);
-            }
-            i = (i + 1) & mask;
-        }
+            m.hash == hash && m.name == name && m.labels == *labels
+        })
     }
 
     fn get(&self, name: &str, labels: &Labels) -> Option<&V> {
@@ -229,28 +222,10 @@ impl<V: Default> Table<V> {
         Some(&self.values[id as usize])
     }
 
-    /// Put `id` (whose meta is already pushed) into the index.
-    fn index(slots: &mut [u32], hash: u64, id: u32) {
-        let mask = slots.len() - 1;
-        let mut i = hash as usize & mask;
-        while slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        slots[i] = id + 1;
-    }
-
     /// Append a series the table does not hold yet; the caller places
     /// the returned id in `order`.
     fn push(&mut self, name: &'static str, labels: Labels, hash: u64) -> u32 {
         let id = u32::try_from(self.meta.len()).expect("fewer than 2^32 series");
-        if (self.meta.len() + 1) * 2 > self.slots.len() {
-            let grown = (self.slots.len() * 2).max(16);
-            self.slots.clear();
-            self.slots.resize(grown, 0);
-            for (i, m) in self.meta.iter().enumerate() {
-                Self::index(&mut self.slots, m.hash, i as u32);
-            }
-        }
         let start = self.keys.len();
         self.keys.push_str(name);
         let mut open = '{';
@@ -267,7 +242,8 @@ impl<V: Default> Table<V> {
         let end = u32::try_from(self.keys.len()).expect("fewer than 4 GiB of series keys");
         self.meta.push(Meta { name, labels, hash, key: start as u32..end });
         self.values.push(V::default());
-        Self::index(&mut self.slots, hash, id);
+        let meta = &self.meta;
+        self.index.insert(hash, id, |old| meta[old as usize].hash);
         id
     }
 
@@ -312,7 +288,7 @@ impl<V: Default> Table<V> {
 
     /// Forget every series, keeping the allocations.
     fn clear(&mut self) {
-        self.slots.fill(0);
+        self.index.clear();
         self.meta.clear();
         self.values.clear();
         self.order.clear();

@@ -1,7 +1,7 @@
 //! Ethernet II framing.
 
 use crate::wire::{need, WireDecode, WireEncode};
-use crate::{PacketError, Result};
+use crate::Result;
 use bytes::{Buf, BufMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -119,21 +119,10 @@ impl WireDecode for EthernetHeader {
     }
 }
 
-/// Reject frames shorter than a header outright.
-pub fn validate_frame_len(frame: &[u8]) -> Result<()> {
-    if frame.len() < EthernetHeader::LEN {
-        return Err(PacketError::Truncated {
-            what: "ethernet frame",
-            needed: EthernetHeader::LEN,
-            available: frame.len(),
-        });
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PacketError;
 
     #[test]
     fn mac_display() {

@@ -51,12 +51,6 @@ impl WorkflowSpec {
     pub fn roots(&self) -> impl Iterator<Item = &WorkflowTaskSpec> {
         self.tasks.iter().filter(|t| t.parents.is_empty())
     }
-
-    /// Sum of all task execution times, ns (a makespan lower bound on a
-    /// single serial executor).
-    pub fn total_exec_ns(&self) -> u64 {
-        self.tasks.iter().map(|t| t.exec_ns).sum()
-    }
 }
 
 /// The DAG shapes the generator draws from.

@@ -56,4 +56,9 @@ if grep -rn 'env::var' crates/*/src | grep -v '^crates/experiments/src/report.rs
     echo "env read outside experiments::report"; exit 1
 fi
 
+echo "== one hash index (open-addressed probe loops live in int_obs::SlabIndex only)"
+if grep -rn '(i + 1) & mask' crates/*/src | grep -v '^crates/obs/src/index.rs:'; then
+    echo "hand-rolled probe loop outside obs::index"; exit 1
+fi
+
 echo "CI OK"

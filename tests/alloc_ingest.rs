@@ -2,9 +2,6 @@
 //! allocations**, and learning the fabric allocates per *doubling* of the
 //! collector's tables, not per origin.
 //!
-//! Same counting allocator as `alloc_rank.rs` (this integration test is
-//! its own binary, so the `#[global_allocator]` is scoped to it).
-//!
 //! * Steady state: after one learning round, a full `ingest_batch` round
 //!   over the same routes with flat queue depths — route memo hits all the
 //!   way — touches the heap not once; nor does the same round arriving as
@@ -19,54 +16,14 @@
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use alloc::allocations_in;
 use int_edge_sched::core::{IntCollector, NetworkMap};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::wire::WireEncode;
 use int_edge_sched::packet::ProbePayload;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// Only the test thread's allocations count — the libtest harness threads
-// allocate at their own pace. `Cell<bool>` has no destructor, so the TLS
-// access inside the allocator cannot itself allocate or recurse.
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations `f` performs on this thread.
-fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
-}
 
 const SCHED: u32 = 100_000;
 const ORIGINS: u32 = 4096;
@@ -104,14 +61,14 @@ fn stable_routes_ingest_without_allocating_and_learning_allocates_per_doubling()
     // What the map allocates learning this fabric, whoever feeds it.
     let mut bare = NetworkMap::new();
     bare.register_host(SCHED);
-    let map_allocs = allocations_in(|| {
+    let (map_allocs, ()) = allocations_in(|| {
         for p in &learning {
             bare.apply_probe(p, SCHED, ROUND_NS);
         }
     });
 
     let mut col = IntCollector::new(SCHED);
-    let learning_allocs = allocations_in(|| col.ingest_batch(&learning, ROUND_NS));
+    let (learning_allocs, ()) = allocations_in(|| col.ingest_batch(&learning, ROUND_NS));
     assert_eq!(col.memo_stats(), (0, ORIGINS as u64));
     assert_eq!(col.map().edge_count(), bare.edge_count());
     let own = learning_allocs.saturating_sub(map_allocs);
@@ -127,7 +84,7 @@ fn stable_routes_ingest_without_allocating_and_learning_allocates_per_doubling()
     for round in 1..4u64 {
         let probes = probe_round(round);
         let now_ns = (round + 1) * ROUND_NS;
-        let allocs = allocations_in(|| col.ingest_batch(&probes, now_ns));
+        let (allocs, ()) = allocations_in(|| col.ingest_batch(&probes, now_ns));
         assert_eq!(allocs, 0, "round {round} over stable routes must not touch the heap");
         assert_eq!(col.memo_stats(), (round * ORIGINS as u64, ORIGINS as u64));
         allocations_in(|| col.map_mut().take_dirty_into(&mut drained));
@@ -139,7 +96,7 @@ fn stable_routes_ingest_without_allocating_and_learning_allocates_per_doubling()
     let wire: Vec<Vec<u8>> = probe_round(4).iter().map(|p| p.to_bytes()).collect();
     let now_ns = 5 * ROUND_NS;
     col.ingest_bytes(&wire[0], now_ns).expect("well-formed probe");
-    let allocs = allocations_in(|| {
+    let (allocs, ()) = allocations_in(|| {
         for bytes in &wire[1..] {
             col.ingest_bytes(bytes, now_ns).expect("well-formed probe");
         }

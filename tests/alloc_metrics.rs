@@ -1,8 +1,6 @@
 //! Lit observability allocates nothing per record and nothing per series.
 //!
-//! Same counting allocator as `alloc_rank.rs` (this integration test is
-//! its own binary, so the `#[global_allocator]` is scoped to it). On a
-//! small Clos with every host heartbeating a rotating peer, after two
+//! On a small Clos with every host heartbeating a rotating peer, after two
 //! warm-up epochs — by which time every series is interned and the line
 //! buffer has its size — one further epoch must:
 //!
@@ -18,60 +16,19 @@
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use alloc::allocations_in;
 use int_edge_sched::experiments::giant::render_epoch_line;
 use int_edge_sched::netsim::{
     App, AppCtx, ClosParams, ClosRoutes, EcmpSelect, LinkParams, ParSim, SimConfig, SimDuration,
     SimTime, Topology,
 };
 use int_obs::json::JsonBuf;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
-use std::cell::Cell;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// Only the test thread's allocations count — the libtest harness threads
-// allocate at their own pace and would make the counter flaky.
-// `Cell<bool>` has no destructor, so the TLS access inside the allocator
-// cannot itself allocate or recurse.
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocations the test thread performs inside `f`.
-fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    let r = f();
-    COUNTING.with(|c| c.set(false));
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, r)
-}
 
 const PORT: u16 = 7100;
 const PERIOD: SimDuration = SimDuration::from_millis(5);

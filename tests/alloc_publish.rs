@@ -1,9 +1,8 @@
 //! Steady-state epoch **publication** and `k_paths > 1` snapshot serving
 //! perform (next to) zero heap allocations.
 //!
-//! Companion to `alloc_rank.rs` (same counting-allocator pattern, its own
-//! binary so the `#[global_allocator]` is scoped): that file pins the
-//! single-path query paths; this one pins
+//! Companion to `alloc_rank.rs`, which pins the single-path query paths;
+//! this one pins
 //!
 //! * multipath serving — after warm-up fills the per-scratch k-set cache,
 //!   `rank_detailed_into` at `k_paths = 3` never touches the heap;
@@ -15,48 +14,16 @@
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::shard::ShardedScheduler;
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted(here: bool) -> bool {
-    COUNTING.try_with(|c| c.replace(here)).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Host `h`'s probe through its leaf `10 + h` and one of two spines
 /// (`20` or `21`) — two switch-disjoint routes per host, so `k_paths =
@@ -115,18 +82,22 @@ fn steady_state_publish_and_kpath_serving_allocate_nothing() {
         snap.rank_detailed_into(&mut scratch, 100, policy, warm_now, 0, &mut detailed);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for q in 0..1_000u64 {
-        let now = warm_now + q;
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, q, &mut detailed);
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntBandwidth, now, q, &mut detailed);
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocs, ()) = allocations_in(|| {
+        for q in 0..1_000u64 {
+            let now = warm_now + q;
+            snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, q, &mut detailed);
+            snap.rank_detailed_into(
+                &mut scratch,
+                100,
+                Policy::IntBandwidth,
+                now,
+                q,
+                &mut detailed,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "steady-state k_paths > 1 snapshot queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
@@ -138,13 +109,11 @@ fn steady_state_publish_and_kpath_serving_allocate_nothing() {
     let batches: Vec<(u64, Vec<ProbePayload>)> =
         (warm_rounds..warm_rounds + rounds).map(mk_round).collect();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for (now, probes) in &batches {
-        sched.ingest_batch(probes, *now);
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocs, ()) = allocations_in(|| {
+        for (now, probes) in &batches {
+            sched.ingest_batch(probes, *now);
+        }
+    });
 
     let stats = sched.publish_stats();
     assert_eq!(
@@ -157,10 +126,8 @@ fn steady_state_publish_and_kpath_serving_allocate_nothing() {
         "no steady-state full rebuilds"
     );
     assert!(
-        after - before <= rounds,
+        allocs <= rounds,
         "steady-state ingest+publish must allocate at most the snapshot \
-         Arc shell per epoch: {} allocations over {} rounds",
-        after - before,
-        rounds
+         Arc shell per epoch: {allocs} allocations over {rounds} rounds"
     );
 }

@@ -1,11 +1,10 @@
 //! Steady-state rank queries perform **zero heap allocations**.
 //!
-//! A counting allocator wraps the system allocator (this integration test
-//! is its own binary, so the `#[global_allocator]` is scoped to it). After
-//! one warm-up query per (requester, policy) — which publishes the epoch
-//! and grows the requester's shortest-path tree — every further query
-//! through `SchedulerCore`'s `_into` entry points must sweep the cached
-//! tree into reused scratch and sort in place.
+//! A counting allocator (`tests/common/alloc.rs`) wraps the system
+//! allocator. After one warm-up query per (requester, policy) — which
+//! publishes the epoch and grows the requester's shortest-path tree —
+//! every further query through `SchedulerCore`'s `_into` entry points must
+//! sweep the cached tree into reused scratch and sort in place.
 //!
 //! The later sections cover the *cold* serve path too: under churn (every
 //! epoch re-learns every link) serving regrows its per-requester trees
@@ -15,51 +14,15 @@
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
 
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankedServer, SchedulerCore};
 use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// Only the test thread's allocations count — the libtest harness threads
-// allocate at their own pace (progress output, channel bookkeeping) and
-// would make the counter flaky. `Cell<bool>` has no destructor, so the
-// TLS access inside the allocator cannot itself allocate or recurse.
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-
-fn counted(here: bool) -> bool {
-    COUNTING.try_with(|c| c.replace(here)).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One probe round of the testbed-scale map: 8 servers, each behind its
 /// own leaf switch, all joined by spine switch 20 next to scheduler host
@@ -102,19 +65,16 @@ fn steady_state_rank_queries_allocate_nothing() {
     }
     core.candidates_with_estimates_into(100, 30_000_000, &mut ranked);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for round in 0..1_000u64 {
-        let now = 30_000_000 + round;
-        core.rank_detailed_into_with(100, Policy::IntDelay, now, &mut detailed);
-        core.rank_with_into(100, Policy::IntBandwidth, now, &mut ranked);
-        core.candidates_with_estimates_into(100, now, &mut ranked);
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocs, ()) = allocations_in(|| {
+        for round in 0..1_000u64 {
+            let now = 30_000_000 + round;
+            core.rank_detailed_into_with(100, Policy::IntDelay, now, &mut detailed);
+            core.rank_with_into(100, Policy::IntBandwidth, now, &mut ranked);
+            core.candidates_with_estimates_into(100, now, &mut ranked);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "steady-state scheduler `_into` queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
@@ -139,16 +99,15 @@ fn steady_state_rank_queries_allocate_nothing() {
         let first = requesters.next().expect("four requesters");
         core.rank_detailed_into_with(first, Policy::IntDelay, now, &mut detailed);
         assert_eq!(core.path_stats().weight_refreshes, publishes + 1, "the round's first query publishes");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        counted(true);
-        for requester in requesters {
-            core.rank_detailed_into_with(requester, Policy::IntDelay, now, &mut detailed);
-            core.rank_with_into(requester, Policy::Nearest, now, &mut ranked);
-            core.candidates_with_estimates_into(requester, now, &mut ranked);
-        }
-        counted(false);
+        let (allocs, ()) = allocations_in(|| {
+            for requester in requesters {
+                core.rank_detailed_into_with(requester, Policy::IntDelay, now, &mut detailed);
+                core.rank_with_into(requester, Policy::Nearest, now, &mut ranked);
+                core.candidates_with_estimates_into(requester, now, &mut ranked);
+            }
+        });
         if epoch >= 2 {
-            facade_allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+            facade_allocs += allocs;
         }
         assert_eq!(detailed.ranked.len(), 8, "everyone reachable, nobody silent");
     }
@@ -175,25 +134,29 @@ fn steady_state_rank_queries_allocate_nothing() {
         snap.rank_detailed_into(&mut scratch, 100, policy, 30_000_000, 0, &mut detailed);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    counted(true);
-    for round in 0..1_000u64 {
-        let now = 30_000_000 + round;
-        snap.rank_detailed_into(&mut scratch, 100, Policy::IntDelay, now, round, &mut detailed);
-        snap.rank_detailed_into(
-            &mut scratch,
-            100,
-            Policy::IntBandwidth,
-            now,
-            round,
-            &mut detailed,
-        );
-    }
-    counted(false);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (allocs, ()) = allocations_in(|| {
+        for round in 0..1_000u64 {
+            let now = 30_000_000 + round;
+            snap.rank_detailed_into(
+                &mut scratch,
+                100,
+                Policy::IntDelay,
+                now,
+                round,
+                &mut detailed,
+            );
+            snap.rank_detailed_into(
+                &mut scratch,
+                100,
+                Policy::IntBandwidth,
+                now,
+                round,
+                &mut detailed,
+            );
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "steady-state snapshot queries must not touch the heap"
     );
     assert!(!detailed.ranked.is_empty());
@@ -216,18 +179,24 @@ fn steady_state_rank_queries_allocate_nothing() {
         // Three requesters per epoch, rotating through all nine hosts:
         // the first measured epoch serves three never asked before.
         let requesters = (0..3).map(|i| hosts[(3 * epoch as usize + i) % hosts.len()]);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        counted(true);
-        for requester in requesters {
-            for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
-                let slot = served;
-                snap.rank_detailed_into(&mut scratch, requester, policy, now, slot, &mut detailed);
-                served += 1;
+        let (allocs, ()) = allocations_in(|| {
+            for requester in requesters {
+                for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                    let slot = served;
+                    snap.rank_detailed_into(
+                        &mut scratch,
+                        requester,
+                        policy,
+                        now,
+                        slot,
+                        &mut detailed,
+                    );
+                    served += 1;
+                }
             }
-        }
-        counted(false);
+        });
         if epoch >= 2 {
-            churn_allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+            churn_allocs += allocs;
         }
         assert_eq!(detailed.ranked.len(), 8, "everyone reachable, nobody silent");
     }
