@@ -1366,68 +1366,3 @@ mod tests {
         );
     }
 }
-
-impl NetworkMap {
-    /// Export the learned graph as Graphviz DOT, annotating each directed
-    /// edge with its smoothed delay and current max-queue signal — handy
-    /// for eyeballing what the scheduler believes about the network.
-    pub fn to_dot(&self, cfg: &CoreConfig, now_ns: u64) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph int_map {\n  rankdir=LR;\n");
-        for h in self.hosts() {
-            let _ = writeln!(out, "  h{h} [shape=box, label=\"host {h}\"];");
-        }
-        for s in self.switches() {
-            let _ = writeln!(out, "  s{s} [shape=ellipse, label=\"sw {s}\"];");
-        }
-        let name = |n: NetNode| match n {
-            NetNode::Host(h) => format!("h{h}"),
-            NetNode::Switch(s) => format!("s{s}"),
-        };
-        for (a, b, e) in self.edges() {
-            let q = e.windowed_max_qlen(now_ns, cfg.qlen_window_ns);
-            let style = if q >= 3 { ", color=red, penwidth=2" } else { "" };
-            let _ = writeln!(
-                out,
-                "  {} -> {} [label=\"{:.1}ms q{}\"{}];",
-                name(a),
-                name(b),
-                e.delay_ns as f64 / 1e6,
-                q,
-                style
-            );
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-#[cfg(test)]
-mod dot_tests {
-    use super::*;
-    use int_packet::int::IntRecord;
-
-    #[test]
-    fn dot_export_contains_nodes_and_congestion_highlight() {
-        let mut m = NetworkMap::new();
-        let mut p = ProbePayload::new(1, 1, 0);
-        p.int.push(IntRecord {
-            switch_id: 10,
-            ingress_port: 0,
-            egress_port: 1,
-            max_qlen_pkts: 9,
-            qlen_at_probe_pkts: 4,
-            link_latency_ns: 10_000_000,
-            egress_ts_ns: 11_000_000,
-        });
-        m.apply_probe(&p, 6, 21_000_000);
-
-        let dot = m.to_dot(&CoreConfig::default(), 21_000_000);
-        assert!(dot.starts_with("digraph int_map {"));
-        assert!(dot.contains("h1 [shape=box"));
-        assert!(dot.contains("s10 [shape=ellipse"));
-        assert!(dot.contains("h1 -> s10"));
-        assert!(dot.contains("color=red"), "congested edge highlighted: {dot}");
-        assert!(dot.trim_end().ends_with('}'));
-    }
-}

@@ -13,20 +13,13 @@ pub struct FrameMeta {
     /// Link latency measured at ingress for probe packets
     /// (`now - upstream_egress_ts`), ns.
     pub measured_link_latency_ns: Option<u64>,
-    /// Egress-queue depth observed when this packet was enqueued (packets,
-    /// including this one) — BMv2's `enq_qdepth`.
-    pub enq_qdepth_pkts: Option<u32>,
-    /// Monotonically assigned id for tracing packets across hops.
-    pub trace_id: u64,
 }
 
 impl FrameMeta {
-    /// Reset the per-switch fields when a packet leaves a device. The
-    /// `trace_id` survives because it identifies the packet, not the hop.
+    /// Reset the per-switch fields when a packet leaves a device; every
+    /// field is per-hop, so this is the default metadata.
     pub fn clear_per_hop(&mut self) {
-        self.ingress_port = None;
-        self.measured_link_latency_ns = None;
-        self.enq_qdepth_pkts = None;
+        *self = FrameMeta::default();
     }
 }
 
@@ -167,7 +160,7 @@ mod tests {
     #[test]
     fn reset_for_reuse_clears_everything() {
         let mut f = udp_frame(&[9u8; 64]);
-        f.meta.trace_id = 5;
+        f.meta.ingress_port = Some(5);
         let _ = f.parsed();
         f.reset_for_reuse();
         assert!(f.bytes.is_empty());
@@ -176,14 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn clear_per_hop_keeps_trace_id() {
-        let mut m = FrameMeta {
-            ingress_port: Some(3),
-            measured_link_latency_ns: Some(10),
-            enq_qdepth_pkts: Some(5),
-            trace_id: 99,
-        };
+    fn clear_per_hop_resets_every_field() {
+        let mut m = FrameMeta { ingress_port: Some(3), measured_link_latency_ns: Some(10) };
         m.clear_per_hop();
-        assert_eq!(m, FrameMeta { trace_id: 99, ..FrameMeta::default() });
+        assert_eq!(m, FrameMeta::default());
     }
 }

@@ -1,9 +1,6 @@
 //! The data-plane program interface a switch invokes per packet.
 
 use crate::frame::Frame;
-use crate::registers::RegisterFile;
-use int_obs::TraceEvent;
-use std::net::Ipv4Addr;
 
 /// A switch-local port index.
 pub type PortId = u16;
@@ -54,49 +51,20 @@ pub struct EgressCtx {
     pub qdepth_at_deq_pkts: u32,
 }
 
-/// A P4 program: the behaviour a switch executes on every packet.
+/// A P4 program: the behaviour a switch executes at BMv2's three hook
+/// points.
 ///
 /// Implementations must be deterministic — all state lives in their
-/// match-action tables and [`RegisterFile`], and all notion of time comes
-/// from the contexts.
+/// tables and registers, and all notion of time comes from the contexts.
 pub trait DataPlaneProgram: Send {
     /// Parse + ingress control: decide the egress port and optionally
     /// rewrite the packet. Called once per packet on arrival.
     fn ingress(&mut self, frame: &mut Frame, ctx: &IngressCtx) -> IngressVerdict;
 
     /// Observation hook fired right after the packet joins an egress queue.
-    /// Default: no-op.
-    fn on_enqueue(&mut self, frame: &Frame, ctx: &EnqueueCtx) {
-        let _ = (frame, ctx);
-    }
+    fn on_enqueue(&mut self, frame: &Frame, ctx: &EnqueueCtx);
 
     /// Egress control: last chance to rewrite the packet before it is
-    /// serialized onto the wire. Default: no-op.
-    fn egress(&mut self, frame: &mut Frame, ctx: &EgressCtx) {
-        let _ = (frame, ctx);
-    }
-
-    /// Control-plane entry point: install a /32 route toward a host. The
-    /// simulator's control plane calls this for every (switch, host) pair
-    /// after computing shortest paths — the p4runtime table-write step.
-    fn install_host_route(&mut self, host: Ipv4Addr, port: PortId);
-
-    /// Control-plane read access to the program's registers.
-    fn registers(&self) -> &RegisterFile;
-
-    /// Control-plane write access to the program's registers.
-    fn registers_mut(&mut self) -> &mut RegisterFile;
-
-    /// Enable or disable trace-event buffering. Programs that emit no
-    /// trace events ignore this (the default).
-    fn set_tracing(&mut self, on: bool) {
-        let _ = on;
-    }
-
-    /// Move any buffered trace events into `out` (oldest first). The
-    /// simulator drains after each egress call, so buffers stay tiny.
-    /// Default: no events.
-    fn drain_trace(&mut self, out: &mut Vec<TraceEvent>) {
-        let _ = out;
-    }
+    /// serialized onto the wire.
+    fn egress(&mut self, frame: &mut Frame, ctx: &EgressCtx);
 }

@@ -21,9 +21,8 @@ use crate::frame::Frame;
 use crate::pipeline::{
     DataPlaneProgram, EgressCtx, EnqueueCtx, IngressCtx, IngressVerdict, PortId,
 };
-use crate::programs::decrement_ttl;
-use crate::programs::l3fwd::L3ForwardProgram;
-use crate::registers::RegisterFile;
+use crate::programs::l3fwd::{EcmpSelect, L3ForwardProgram};
+use crate::registers::RegisterArray;
 use bytes::BytesMut;
 use int_obs::{TraceEvent, TraceKind};
 use int_packet::int::IntRecord;
@@ -45,79 +44,64 @@ pub struct IntProgramConfig {
     pub int_enabled: bool,
 }
 
-/// The INT telemetry data-plane program.
+/// The INT telemetry data-plane program: the one program every switch
+/// runs.
 pub struct IntTelemetryProgram {
     cfg: IntProgramConfig,
+    /// The forwarding stage ingress ends with.
     l3: L3ForwardProgram,
-    registers: RegisterFile,
+    /// Max egress-queue depth per port since the last probe harvested it.
+    max_qlen: RegisterArray,
     /// Buffer harvest/reset trace events for the simulator to drain.
     tracing: bool,
     trace_buf: Vec<TraceEvent>,
 }
 
 impl IntTelemetryProgram {
-    /// Register array: max egress-queue depth per port since last harvest.
+    /// Name of the `max_qlen` register, as `RegisterReset` trace events
+    /// carry it.
     pub const REG_MAX_QLEN: &'static str = "max_qlen";
-    /// Register array: probes forwarded per egress port (diagnostics).
-    pub const REG_PROBE_COUNT: &'static str = "probe_count";
-    /// Register array: total packets enqueued per egress port (diagnostics).
-    pub const REG_ENQ_COUNT: &'static str = "enq_count";
 
     /// Build the program for a switch.
     pub fn new(cfg: IntProgramConfig) -> Self {
-        let mut registers = RegisterFile::new();
-        registers.declare(Self::REG_MAX_QLEN, cfg.num_ports);
-        registers.declare(Self::REG_PROBE_COUNT, cfg.num_ports);
-        registers.declare(Self::REG_ENQ_COUNT, cfg.num_ports);
         IntTelemetryProgram {
             cfg,
-            l3: L3ForwardProgram::new(cfg.num_ports),
-            registers,
+            l3: L3ForwardProgram::new(),
+            max_qlen: RegisterArray::new(cfg.num_ports),
             tracing: false,
             trace_buf: Vec::new(),
         }
     }
 
-    /// Control plane: route `prefix/len` out of `port`.
-    pub fn install_route(&mut self, prefix: Ipv4Addr, prefix_len: u16, port: PortId) {
-        self.l3.install_route(prefix, prefix_len, port);
-    }
-
     /// Control plane: route a single host address out of `port`.
     pub fn install_host_route(&mut self, host: Ipv4Addr, port: PortId) {
-        self.l3.install_host_route(host, port);
-    }
-
-    /// Control plane: route a host address over an equal-cost port group
-    /// (`ports[0]` = primary).
-    pub fn install_host_route_multi(&mut self, host: Ipv4Addr, ports: &[PortId]) {
-        self.l3.install_route_multi(host, 32, ports);
+        self.l3.install_route(host, 32, &[port]);
     }
 
     /// Control plane: route `prefix/len` over an equal-cost port group
     /// (`ports[0]` = primary). `len == 0` installs a default route.
     pub fn install_route_multi(&mut self, prefix: Ipv4Addr, prefix_len: u16, ports: &[PortId]) {
-        self.l3.install_route_multi(prefix, prefix_len, ports);
+        self.l3.install_route(prefix, prefix_len, ports);
     }
 
     /// Multipath selection mode for this switch's routes.
-    pub fn set_ecmp_select(&mut self, select: crate::programs::l3fwd::EcmpSelect) {
+    pub fn set_ecmp_select(&mut self, select: EcmpSelect) {
         self.l3.set_ecmp_select(select);
     }
 
-    /// Look up the egress port for a destination without side effects.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<PortId> {
-        self.l3.lookup(dst)
+    /// Enable or disable buffering of probe-harvest / register-reset trace
+    /// events; disabling drops what is buffered.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+        if !on {
+            self.trace_buf.clear();
+        }
     }
 
-    /// The full equal-cost port group for a destination, primary first.
-    pub fn group_ports(&self, dst: Ipv4Addr) -> Option<&[PortId]> {
-        self.l3.group_ports(dst)
-    }
-
-    /// Switch identity.
-    pub fn switch_id(&self) -> u32 {
-        self.cfg.switch_id
+    /// Move the buffered trace events into `out` (oldest first). The
+    /// simulator drains after each egress call, so the buffer stays tiny.
+    pub fn drain_trace(&mut self, out: &mut Vec<TraceEvent>) {
+        out.append(&mut self.trace_buf);
     }
 
     /// Append an INT record to a probe frame and re-deparse it in place.
@@ -125,8 +109,7 @@ impl IntTelemetryProgram {
         let Ok(parsed) = frame.parsed() else { return };
         let Ok(mut probe) = parsed.probe_payload(&frame.bytes) else { return };
 
-        let max_qlen =
-            self.registers.array_mut(Self::REG_MAX_QLEN).take(ctx.egress_port as usize);
+        let max_qlen = self.max_qlen.take(ctx.egress_port as usize);
         if self.tracing {
             // One event for the harvested sample, one for the
             // read-and-reset side effect the harvest performs.
@@ -157,11 +140,6 @@ impl IntTelemetryProgram {
             link_latency_ns: frame.meta.measured_link_latency_ns.unwrap_or(0),
             egress_ts_ns: ctx.now_ns,
         });
-
-        let cnt = self.registers.array(Self::REG_PROBE_COUNT).read(ctx.egress_port as usize);
-        self.registers
-            .array_mut(Self::REG_PROBE_COUNT)
-            .write(ctx.egress_port as usize, cnt + 1);
 
         // Re-deparse: same Ethernet + IP addressing/TTL/id, new payload.
         let (Some(ip), Some(udp)) = (parsed.ip, parsed.udp()) else { return };
@@ -206,10 +184,6 @@ impl DataPlaneProgram for IntTelemetryProgram {
         let Ok(parsed) = frame.parsed() else {
             return IngressVerdict::Drop;
         };
-        let Some(ip) = parsed.ip else {
-            return IngressVerdict::Drop;
-        };
-
         frame.meta.ingress_port = Some(ctx.ingress_port);
 
         // Probe packets: measure upstream link latency *before* queuing.
@@ -220,35 +194,14 @@ impl DataPlaneProgram for IntTelemetryProgram {
             }
         }
 
-        // Cached: consecutive packets overwhelmingly share a destination,
-        // so the per-packet path usually skips the LPM table entirely.
-        // Under flow-hash ECMP the cache resolves the *group*; the member
-        // choice is a pure function of the 5-tuple.
-        let hash = match self.l3.ecmp_select() {
-            crate::programs::l3fwd::EcmpSelect::Primary => 0,
-            crate::programs::l3fwd::EcmpSelect::FlowHash => {
-                crate::programs::l3fwd::flow_hash(&parsed)
-            }
-        };
-        let Some(port) = self.l3.select_cached(ip.dst, hash) else {
-            return IngressVerdict::Drop;
-        };
-        if !decrement_ttl(frame) {
-            return IngressVerdict::Drop;
-        }
-        IngressVerdict::Forward(port)
+        self.l3.forward(frame, &parsed)
     }
 
     fn on_enqueue(&mut self, _frame: &Frame, ctx: &EnqueueCtx) {
         if !self.cfg.int_enabled {
             return;
         }
-        let idx = ctx.port as usize;
-        self.registers
-            .array_mut(Self::REG_MAX_QLEN)
-            .write_max(idx, ctx.qdepth_after_pkts as u64);
-        let cnt = self.registers.array(Self::REG_ENQ_COUNT).read(idx);
-        self.registers.array_mut(Self::REG_ENQ_COUNT).write(idx, cnt + 1);
+        self.max_qlen.write_max(ctx.port as usize, ctx.qdepth_after_pkts as u64);
     }
 
     fn egress(&mut self, frame: &mut Frame, ctx: &EgressCtx) {
@@ -262,29 +215,6 @@ impl DataPlaneProgram for IntTelemetryProgram {
         if is_probe {
             self.augment_probe(frame, ctx);
         }
-    }
-
-    fn install_host_route(&mut self, host: Ipv4Addr, port: PortId) {
-        self.l3.install_route(host, 32, port);
-    }
-
-    fn registers(&self) -> &RegisterFile {
-        &self.registers
-    }
-
-    fn registers_mut(&mut self) -> &mut RegisterFile {
-        &mut self.registers
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
-            self.trace_buf.clear();
-        }
-    }
-
-    fn drain_trace(&mut self, out: &mut Vec<TraceEvent>) {
-        out.append(&mut self.trace_buf);
     }
 }
 
@@ -343,7 +273,7 @@ mod tests {
         let original_len = f.wire_len();
         run_through(&mut p, &mut f, 1_000_000, 7);
         assert_eq!(f.wire_len(), original_len, "no INT padding on production traffic");
-        assert_eq!(p.registers().array(IntTelemetryProgram::REG_MAX_QLEN).read(2), 7);
+        assert_eq!(p.max_qlen.read(2), 7);
     }
 
     #[test]
@@ -371,7 +301,7 @@ mod tests {
         assert_eq!(rec.egress_ts_ns, 10_001_000);
 
         // Register was reset by the harvest.
-        assert_eq!(p.registers().array(IntTelemetryProgram::REG_MAX_QLEN).read(2), 0);
+        assert_eq!(p.max_qlen.read(2), 0);
     }
 
     #[test]
@@ -427,7 +357,7 @@ mod tests {
         assert_eq!(probe.wire_len(), before_len);
         let parsed = ParsedPacket::parse(&probe.bytes).unwrap();
         assert_eq!(parsed.probe_payload(&probe.bytes).unwrap().int.hop_count(), 0);
-        assert_eq!(p.registers().array(IntTelemetryProgram::REG_MAX_QLEN).read(2), 0);
+        assert_eq!(p.max_qlen.read(2), 0);
     }
 
     #[test]

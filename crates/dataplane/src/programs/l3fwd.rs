@@ -1,13 +1,14 @@
-//! Plain IPv4 longest-prefix-match forwarding.
+//! The switch program's forwarding stage: IPv4 longest-prefix match on
+//! the destination address, ECMP member selection, TTL decrement.
 //!
-//! This is the program a conventional (non-INT) switch runs, and the base
-//! forwarding behaviour the INT program builds on: parse, LPM on the
-//! destination address, decrement TTL, emit on the matched port.
+//! [`IntTelemetryProgram`](crate::IntTelemetryProgram) owns one and calls
+//! its `forward` at the end of its ingress. With telemetry disabled that
+//! is all a switch does: the plain forwarding of a conventional (non-INT)
+//! switch.
 
 use crate::frame::Frame;
-use crate::pipeline::{DataPlaneProgram, IngressCtx, IngressVerdict, PortId};
+use crate::pipeline::{IngressVerdict, PortId};
 use crate::programs::decrement_ttl;
-use crate::registers::RegisterFile;
 use crate::table::{Key, MatchActionTable, MatchKind};
 use int_packet::{L4View, ParsedPacket};
 use std::collections::BTreeMap;
@@ -45,7 +46,7 @@ pub fn flow_hash_tuple(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, sport: u16, dpor
 }
 
 /// [`flow_hash_tuple`] over a parsed packet's headers.
-pub fn flow_hash(parsed: &ParsedPacket) -> u64 {
+pub(crate) fn flow_hash(parsed: &ParsedPacket) -> u64 {
     let (src, dst) = match parsed.ip {
         Some(ip) => (ip.src, ip.dst),
         None => (Ipv4Addr::UNSPECIFIED, Ipv4Addr::UNSPECIFIED),
@@ -65,50 +66,43 @@ struct EcmpGroup {
     ports: Vec<PortId>,
 }
 
-/// IPv4 LPM forwarding program with ECMP groups: every route resolves to
-/// a group of equal-cost egress ports (usually of size 1) and the
-/// configured [`EcmpSelect`] picks among them per packet.
-pub struct L3ForwardProgram {
+/// IPv4 LPM forwarding with ECMP groups: every route resolves to a group
+/// of equal-cost egress ports (usually of size 1) and the configured
+/// [`EcmpSelect`] picks among them per packet.
+pub(crate) struct L3ForwardProgram {
     fwd: MatchActionTable<u16>,
     /// Dedup'd ECMP groups; table actions index into this.
     groups: Vec<EcmpGroup>,
     /// Reverse index for dedup at install time.
     group_index: BTreeMap<Vec<PortId>, u16>,
     select: EcmpSelect,
-    registers: RegisterFile,
     /// Single-entry last-lookup cache `(dst, group)`: consecutive packets
     /// overwhelmingly share a destination, so the ingress path usually
     /// skips the table entirely. Invalidated on any table write. Caching
     /// the *group* keeps the cache correct under ECMP — per-packet port
     /// selection happens after the cache.
     cache: Option<(u32, u16)>,
+    /// Resolutions served from `cache`. Only the tests read it, to prove
+    /// that a resolution was a hit.
     cache_hits: u64,
 }
 
 impl L3ForwardProgram {
-    /// New program with an empty forwarding table; unmatched packets drop.
-    pub fn new(num_ports: usize) -> Self {
-        let mut registers = RegisterFile::new();
-        registers.declare("pkt_count", num_ports);
+    /// New stage with an empty forwarding table; unmatched packets drop.
+    pub(crate) fn new() -> Self {
         L3ForwardProgram {
             fwd: MatchActionTable::new("ipv4_lpm", MatchKind::Lpm),
             groups: Vec::new(),
             group_index: BTreeMap::new(),
             select: EcmpSelect::Primary,
-            registers,
             cache: None,
             cache_hits: 0,
         }
     }
 
     /// Set the multipath selection mode (default [`EcmpSelect::Primary`]).
-    pub fn set_ecmp_select(&mut self, select: EcmpSelect) {
+    pub(crate) fn set_ecmp_select(&mut self, select: EcmpSelect) {
         self.select = select;
-    }
-
-    /// The current multipath selection mode.
-    pub fn ecmp_select(&self) -> EcmpSelect {
-        self.select
     }
 
     fn intern_group(&mut self, ports: &[PortId]) -> u16 {
@@ -121,16 +115,10 @@ impl L3ForwardProgram {
         idx
     }
 
-    /// Control plane: route `prefix/len` out of `port` (a single-member
-    /// ECMP group).
-    pub fn install_route(&mut self, prefix: Ipv4Addr, prefix_len: u16, port: PortId) {
-        self.install_route_multi(prefix, prefix_len, &[port]);
-    }
-
     /// Control plane: route `prefix/len` over an equal-cost port group.
     /// `ports[0]` is the primary — the port [`EcmpSelect::Primary`] always
     /// picks. Panics on an empty group.
-    pub fn install_route_multi(&mut self, prefix: Ipv4Addr, prefix_len: u16, ports: &[PortId]) {
+    pub(crate) fn install_route(&mut self, prefix: Ipv4Addr, prefix_len: u16, ports: &[PortId]) {
         assert!(!ports.is_empty(), "ECMP group for {prefix}/{prefix_len} is empty");
         self.cache = None; // any table write invalidates the lookup cache
         let group = self.intern_group(ports);
@@ -138,33 +126,30 @@ impl L3ForwardProgram {
             .insert(Key::Lpm { value: prefix.octets().to_vec(), prefix_len }, group);
     }
 
-    /// Control plane: route a single host address out of `port`.
-    pub fn install_host_route(&mut self, host: Ipv4Addr, port: PortId) {
-        self.install_route(host, 32, port);
+    /// The per-packet forwarding step: resolve the destination's ECMP
+    /// group through the cache, pick a member, decrement the TTL. Drops
+    /// non-IP traffic, then an unrouted destination, then an expired TTL.
+    pub(crate) fn forward(&mut self, frame: &mut Frame, parsed: &ParsedPacket) -> IngressVerdict {
+        let Some(ip) = parsed.ip else {
+            return IngressVerdict::Drop; // non-IP traffic is not forwarded
+        };
+        let hash = match self.select {
+            EcmpSelect::Primary => 0, // selection ignores it; skip the work
+            EcmpSelect::FlowHash => flow_hash(parsed),
+        };
+        let Some(port) = self.select_cached(ip.dst, hash) else {
+            return IngressVerdict::Drop;
+        };
+        if !decrement_ttl(frame) {
+            return IngressVerdict::Drop;
+        }
+        IngressVerdict::Forward(port)
     }
 
-    /// Look up the *primary* egress port for a destination without side
-    /// effects — the pre-ECMP single-path answer.
-    pub fn lookup(&self, dst: Ipv4Addr) -> Option<PortId> {
-        self.group_ports(dst).map(|ports| ports[0])
-    }
-
-    /// The full equal-cost port group for a destination, primary first.
-    pub fn group_ports(&self, dst: Ipv4Addr) -> Option<&[PortId]> {
-        let g = *self.fwd.lookup(&dst.octets())?;
-        Some(&self.groups[g as usize].ports)
-    }
-
-    /// [`lookup`](Self::lookup) through the single-entry cache — the
-    /// per-packet path. Misses consult the table and refill the cache.
-    pub fn lookup_cached(&mut self, dst: Ipv4Addr) -> Option<PortId> {
-        self.group_cached(dst).map(|g| self.groups[g as usize].ports[0])
-    }
-
-    /// Per-packet multipath selection through the cache: resolve the ECMP
-    /// group for `dst`, then pick a member under the configured
-    /// [`EcmpSelect`] using the caller-computed flow hash.
-    pub fn select_cached(&mut self, dst: Ipv4Addr, hash: u64) -> Option<PortId> {
+    /// Multipath selection through the cache: resolve the ECMP group for
+    /// `dst`, then pick a member under the configured [`EcmpSelect`] using
+    /// the caller-computed flow hash.
+    fn select_cached(&mut self, dst: Ipv4Addr, hash: u64) -> Option<PortId> {
         let g = self.group_cached(dst)?;
         let ports = &self.groups[g as usize].ports;
         Some(match self.select {
@@ -187,51 +172,13 @@ impl L3ForwardProgram {
         }
         group
     }
-
-    /// Number of lookups served from the single-entry cache (diagnostics).
-    pub fn lookup_cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-}
-
-impl DataPlaneProgram for L3ForwardProgram {
-    fn ingress(&mut self, frame: &mut Frame, ctx: &IngressCtx) -> IngressVerdict {
-        let Ok(parsed) = frame.parsed() else {
-            return IngressVerdict::Drop;
-        };
-        let Some(ip) = parsed.ip else {
-            return IngressVerdict::Drop; // non-IP traffic is not forwarded
-        };
-        let hash = match self.select {
-            EcmpSelect::Primary => 0, // selection ignores it; skip the work
-            EcmpSelect::FlowHash => flow_hash(&parsed),
-        };
-        let Some(port) = self.select_cached(ip.dst, hash) else {
-            return IngressVerdict::Drop;
-        };
-        if !decrement_ttl(frame) {
-            return IngressVerdict::Drop;
-        }
-        self.registers.array_mut("pkt_count").increment(ctx.ingress_port as usize);
-        IngressVerdict::Forward(port)
-    }
-
-    fn install_host_route(&mut self, host: Ipv4Addr, port: PortId) {
-        self.install_route(host, 32, port);
-    }
-
-    fn registers(&self) -> &RegisterFile {
-        &self.registers
-    }
-
-    fn registers_mut(&mut self) -> &mut RegisterFile {
-        &mut self.registers
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{DataPlaneProgram, IngressCtx};
+    use crate::programs::int_telemetry::{IntProgramConfig, IntTelemetryProgram};
     use int_packet::PacketBuilder;
 
     fn udp_frame(dst: Ipv4Addr) -> Frame {
@@ -242,10 +189,23 @@ mod tests {
         IngressCtx { now_ns: 0, switch_id: 1, ingress_port: 0 }
     }
 
+    /// The program a baseline (non-INT) switch runs: telemetry off, so
+    /// ingress is this forwarding stage alone.
+    fn plain(num_ports: usize) -> IntTelemetryProgram {
+        IntTelemetryProgram::new(IntProgramConfig { switch_id: 1, num_ports, int_enabled: false })
+    }
+
+    /// One packet through the stage directly.
+    fn forward(p: &mut L3ForwardProgram, dst: Ipv4Addr) -> IngressVerdict {
+        let mut f = udp_frame(dst);
+        let parsed = f.parsed().unwrap();
+        p.forward(&mut f, &parsed)
+    }
+
     #[test]
     fn routes_by_longest_prefix() {
-        let mut p = L3ForwardProgram::new(4);
-        p.install_route(Ipv4Addr::new(10, 0, 0, 0), 24, 1);
+        let mut p = plain(4);
+        p.install_route_multi(Ipv4Addr::new(10, 0, 0, 0), 24, &[1]);
         p.install_host_route(Ipv4Addr::new(10, 0, 0, 7), 2);
 
         let mut f = udp_frame(Ipv4Addr::new(10, 0, 0, 7));
@@ -257,14 +217,14 @@ mod tests {
 
     #[test]
     fn unrouted_destination_drops() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = plain(4);
         let mut f = udp_frame(Ipv4Addr::new(192, 168, 0, 1));
         assert_eq!(p.ingress(&mut f, &ctx()), IngressVerdict::Drop);
     }
 
     #[test]
     fn forwarding_decrements_ttl() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = plain(4);
         p.install_host_route(Ipv4Addr::new(10, 0, 0, 2), 1);
         let mut f = udp_frame(Ipv4Addr::new(10, 0, 0, 2));
         let before = f.parse().unwrap().ip.unwrap().ttl;
@@ -273,66 +233,47 @@ mod tests {
         assert_eq!(after, before - 1);
     }
 
-    #[test]
-    fn pkt_count_register_increments() {
-        let mut p = L3ForwardProgram::new(4);
-        p.install_host_route(Ipv4Addr::new(10, 0, 0, 2), 1);
-        for _ in 0..3 {
-            let mut f = udp_frame(Ipv4Addr::new(10, 0, 0, 2));
-            p.ingress(&mut f, &ctx());
-        }
-        assert_eq!(p.registers().array("pkt_count").read(0), 3);
-    }
-
     /// The single-entry cache serves repeat destinations, refills on a
     /// destination change, and is invalidated by any table write — a stale
     /// hit after a route change would misforward silently.
     #[test]
     fn lookup_cache_hits_and_invalidates() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = L3ForwardProgram::new();
         let a = Ipv4Addr::new(10, 0, 0, 2);
         let b = Ipv4Addr::new(10, 0, 0, 3);
-        p.install_host_route(a, 1);
-        p.install_host_route(b, 2);
+        p.install_route(a, 32, &[1]);
+        p.install_route(b, 32, &[2]);
 
-        assert_eq!(p.lookup_cached(a), Some(1));
-        assert_eq!(p.lookup_cache_hits(), 0, "first lookup misses");
-        assert_eq!(p.lookup_cached(a), Some(1));
-        assert_eq!(p.lookup_cached(a), Some(1));
-        assert_eq!(p.lookup_cache_hits(), 2, "repeats hit");
-        assert_eq!(p.lookup_cached(b), Some(2), "destination change refills");
-        assert_eq!(p.lookup_cached(b), Some(2));
-        assert_eq!(p.lookup_cache_hits(), 3);
+        assert_eq!(forward(&mut p, a), IngressVerdict::Forward(1));
+        assert_eq!(p.cache_hits, 0, "first lookup misses");
+        assert_eq!(forward(&mut p, a), IngressVerdict::Forward(1));
+        assert_eq!(forward(&mut p, a), IngressVerdict::Forward(1));
+        assert_eq!(p.cache_hits, 2, "repeats hit");
+        assert_eq!(forward(&mut p, b), IngressVerdict::Forward(2), "destination change refills");
+        assert_eq!(forward(&mut p, b), IngressVerdict::Forward(2));
+        assert_eq!(p.cache_hits, 3);
 
         // Re-route b: the cached (b → 2) binding must not survive.
-        p.install_host_route(b, 3);
-        assert_eq!(p.lookup_cached(b), Some(3), "table write invalidates the cache");
-        assert_eq!(p.lookup_cache_hits(), 3);
-
-        // The ingress path goes through the same cache.
-        let mut f = udp_frame(a);
-        assert_eq!(p.ingress(&mut f, &ctx()), IngressVerdict::Forward(1));
-        let mut f = udp_frame(a);
-        assert_eq!(p.ingress(&mut f, &ctx()), IngressVerdict::Forward(1));
-        assert!(p.lookup_cache_hits() > 3, "ingress lookups populate and hit the cache");
+        p.install_route(b, 32, &[3]);
+        let rerouted = forward(&mut p, b);
+        assert_eq!(rerouted, IngressVerdict::Forward(3), "table write invalidates the cache");
+        assert_eq!(p.cache_hits, 3);
     }
 
-    /// Multipath routes expose the full group, keep the primary first, and
-    /// dedup identical port sets into one interned group.
+    /// Multipath routes keep the primary first, and identical port sets
+    /// dedup into one interned group.
     #[test]
-    fn ecmp_groups_intern_and_expose_ports() {
-        let mut p = L3ForwardProgram::new(4);
+    fn ecmp_groups_intern_with_primary_first() {
+        let mut p = L3ForwardProgram::new();
         let a = Ipv4Addr::new(10, 0, 0, 2);
         let b = Ipv4Addr::new(10, 0, 0, 3);
         let c = Ipv4Addr::new(10, 0, 0, 4);
-        p.install_route_multi(a, 32, &[1, 2]);
-        p.install_route_multi(b, 32, &[1, 2]);
-        p.install_route_multi(c, 32, &[2, 1]);
+        p.install_route(a, 32, &[1, 2]);
+        p.install_route(b, 32, &[1, 2]);
+        p.install_route(c, 32, &[2, 1]);
 
-        assert_eq!(p.group_ports(a), Some(&[1, 2][..]));
-        assert_eq!(p.group_ports(c), Some(&[2, 1][..]), "order is significant");
-        assert_eq!(p.lookup(a), Some(1), "primary is the first member");
-        assert_eq!(p.lookup(c), Some(2));
+        assert_eq!(forward(&mut p, a), IngressVerdict::Forward(1), "primary is the first member");
+        assert_eq!(forward(&mut p, c), IngressVerdict::Forward(2), "order is significant");
         // a and b share one interned group; c (different order) gets its own.
         assert_eq!(p.groups.len(), 2);
     }
@@ -341,7 +282,7 @@ mod tests {
     /// exactly like the old single-path table — bit-compatible behaviour.
     #[test]
     fn primary_select_ignores_extra_group_members() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = plain(4);
         let dst = Ipv4Addr::new(10, 0, 0, 2);
         p.install_route_multi(dst, 32, &[3, 1, 2]);
         for _ in 0..4 {
@@ -373,24 +314,22 @@ mod tests {
     /// source ports, every member of a 2-port group receives traffic.
     #[test]
     fn flow_hash_select_spreads_flows_across_members() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = plain(4);
         p.set_ecmp_select(EcmpSelect::FlowHash);
-        assert_eq!(p.ecmp_select(), EcmpSelect::FlowHash);
         let s = Ipv4Addr::new(10, 0, 0, 1);
         let d = Ipv4Addr::new(10, 0, 0, 2);
         p.install_route_multi(d, 32, &[1, 2]);
 
         let mut seen = [0u32; 3];
         for sport in 4000..4032u16 {
-            let mut f =
-                Frame::new(PacketBuilder::between(1, s, 2, d).udp(sport, 5000, b"x"));
-            match p.ingress(&mut f, &ctx()) {
+            let frame = || Frame::new(PacketBuilder::between(1, s, 2, d).udp(sport, 5000, b"x"));
+            let verdict = p.ingress(&mut frame(), &ctx());
+            match verdict {
                 IngressVerdict::Forward(port) => seen[port as usize] += 1,
                 v => panic!("unexpected verdict {v:?}"),
             }
             // Replaying the identical tuple must pick the identical port.
-            let hash = flow_hash_tuple(s, d, 17, sport, 5000);
-            assert_eq!(p.select_cached(d, hash), p.select_cached(d, hash));
+            assert_eq!(p.ingress(&mut frame(), &ctx()), verdict);
         }
         assert_eq!(seen[0], 0, "port 0 is not in the group");
         assert!(seen[1] > 0 && seen[2] > 0, "both members carry flows: {seen:?}");
@@ -400,24 +339,24 @@ mod tests {
     /// cache hit still honours per-flow selection under FlowHash.
     #[test]
     fn lookup_cache_preserves_flow_hash_selection() {
-        let mut p = L3ForwardProgram::new(4);
+        let mut p = L3ForwardProgram::new();
         p.set_ecmp_select(EcmpSelect::FlowHash);
         let d = Ipv4Addr::new(10, 0, 0, 2);
-        p.install_route_multi(d, 32, &[1, 2]);
+        p.install_route(d, 32, &[1, 2]);
 
         // Two hashes landing on different members, served back to back so
         // the second resolution is a cache hit.
         let pa = p.select_cached(d, 0).unwrap(); // 0 % 2 → member 0
         let pb = p.select_cached(d, 1).unwrap(); // 1 % 2 → member 1
         assert_eq!((pa, pb), (1, 2));
-        assert_eq!(p.lookup_cache_hits(), 1, "second select hit the cache");
+        assert_eq!(p.cache_hits, 1, "second select hit the cache");
         assert_eq!(p.select_cached(d, 0), Some(1), "hit does not pin the port");
-        assert_eq!(p.lookup_cache_hits(), 2);
+        assert_eq!(p.cache_hits, 2);
     }
 
     #[test]
     fn garbage_frame_drops() {
-        let mut p = L3ForwardProgram::new(1);
+        let mut p = plain(1);
         let mut f = Frame::new(bytes::BytesMut::from(&[0u8; 10][..]));
         assert_eq!(p.ingress(&mut f, &ctx()), IngressVerdict::Drop);
     }
@@ -426,6 +365,8 @@ mod tests {
 #[cfg(test)]
 mod ttl_tests {
     use super::*;
+    use crate::pipeline::{DataPlaneProgram, IngressCtx};
+    use crate::programs::int_telemetry::{IntProgramConfig, IntTelemetryProgram};
     use int_packet::wire::internet_checksum;
     use int_packet::{EthernetHeader, Ipv4Header, PacketBuilder};
 
@@ -433,7 +374,8 @@ mod ttl_tests {
     /// forwarded forever.
     #[test]
     fn ttl_exhaustion_drops() {
-        let mut p = L3ForwardProgram::new(2);
+        let cfg = IntProgramConfig { switch_id: 1, num_ports: 2, int_enabled: false };
+        let mut p = IntTelemetryProgram::new(cfg);
         p.install_host_route(Ipv4Addr::new(10, 0, 0, 2), 1);
 
         let b = PacketBuilder::between(1, Ipv4Addr::new(10, 0, 0, 1), 2, Ipv4Addr::new(10, 0, 0, 2));

@@ -1,9 +1,10 @@
-//! Concrete data-plane programs.
+//! The switch program and its forwarding stage.
 //!
-//! * [`l3fwd`] — plain IPv4 longest-prefix-match forwarding (the baseline
-//!   program a non-INT switch would run),
-//! * [`int_telemetry`] — the paper's program: L3 forwarding plus
-//!   register-based INT collection and probe-packet augmentation.
+//! * [`int_telemetry`] — the paper's program, the one every switch runs:
+//!   L3 forwarding plus register-based INT collection and probe-packet
+//!   augmentation,
+//! * [`l3fwd`] — its forwarding stage: IPv4 longest-prefix match, ECMP
+//!   selection, TTL decrement (all a switch does with telemetry off).
 
 pub mod int_telemetry;
 pub mod l3fwd;

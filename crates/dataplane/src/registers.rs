@@ -1,10 +1,8 @@
 //! Stateful register arrays, the P4 `register<bit<64>>(N)` construct.
 //!
 //! The paper's INT collection scheme (§III-A) keeps one register per INT
-//! parameter per port — most importantly the maximum egress-queue occupancy
-//! observed since the last probe harvested (and reset) it.
-
-use std::collections::BTreeMap;
+//! parameter per port — here the maximum egress-queue occupancy observed
+//! since the last probe harvested (and reset) it.
 
 /// A fixed-size array of 64-bit registers, as declared in a P4 program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,25 +32,11 @@ impl RegisterArray {
         self.cells.get(idx).copied().unwrap_or(0)
     }
 
-    /// Write cell `idx`; out-of-range writes are dropped.
-    pub fn write(&mut self, idx: usize, value: u64) {
-        if let Some(c) = self.cells.get_mut(idx) {
-            *c = value;
-        }
-    }
-
     /// `cells[idx] = max(cells[idx], value)` — the update the INT program
     /// applies on every packet for queue-occupancy tracking.
     pub fn write_max(&mut self, idx: usize, value: u64) {
         if let Some(c) = self.cells.get_mut(idx) {
             *c = (*c).max(value);
-        }
-    }
-
-    /// `cells[idx] += 1`, saturating — the packet-counter idiom.
-    pub fn increment(&mut self, idx: usize) {
-        if let Some(c) = self.cells.get_mut(idx) {
-            *c = c.saturating_add(1);
         }
     }
 
@@ -62,51 +46,6 @@ impl RegisterArray {
             Some(c) => std::mem::take(c),
             None => 0,
         }
-    }
-
-    /// Zero every cell.
-    pub fn clear(&mut self) {
-        self.cells.fill(0);
-    }
-}
-
-/// All register arrays a program declared, addressed by name — the
-/// control-plane view (`register_read`/`register_write` in BMv2's CLI).
-#[derive(Debug, Clone, Default)]
-pub struct RegisterFile {
-    arrays: BTreeMap<&'static str, RegisterArray>,
-}
-
-impl RegisterFile {
-    /// Empty register file.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declare a register array. Redeclaring an existing name resizes and
-    /// zeroes it (mirrors reloading a P4 program).
-    pub fn declare(&mut self, name: &'static str, size: usize) {
-        self.arrays.insert(name, RegisterArray::new(size));
-    }
-
-    /// Access an array; panics on undeclared names — using an undeclared
-    /// register is a program bug, exactly like an undeclared extern in P4.
-    pub fn array(&self, name: &'static str) -> &RegisterArray {
-        self.arrays
-            .get(name)
-            .unwrap_or_else(|| panic!("register array `{name}` not declared"))
-    }
-
-    /// Mutable access to an array; panics on undeclared names.
-    pub fn array_mut(&mut self, name: &'static str) -> &mut RegisterArray {
-        self.arrays
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("register array `{name}` not declared"))
-    }
-
-    /// Names of all declared arrays (sorted — BTreeMap order).
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.arrays.keys().copied()
     }
 }
 
@@ -127,7 +66,7 @@ mod tests {
     #[test]
     fn take_resets_to_zero() {
         let mut a = RegisterArray::new(2);
-        a.write(0, 42);
+        a.write_max(0, 42);
         assert_eq!(a.take(0), 42);
         assert_eq!(a.read(0), 0);
         assert_eq!(a.take(0), 0, "second take sees the reset value");
@@ -137,44 +76,8 @@ mod tests {
     fn out_of_range_ops_are_safe() {
         let mut a = RegisterArray::new(1);
         assert_eq!(a.read(5), 0);
-        a.write(5, 9);
         a.write_max(5, 9);
         assert_eq!(a.take(5), 0);
         assert_eq!(a.len(), 1);
-    }
-
-    #[test]
-    fn clear_zeroes_all() {
-        let mut a = RegisterArray::new(3);
-        for i in 0..3 {
-            a.write(i, i as u64 + 1);
-        }
-        a.clear();
-        assert!((0..3).all(|i| a.read(i) == 0));
-    }
-
-    #[test]
-    fn register_file_declare_and_access() {
-        let mut rf = RegisterFile::new();
-        rf.declare("max_qlen", 8);
-        rf.array_mut("max_qlen").write_max(3, 12);
-        assert_eq!(rf.array("max_qlen").read(3), 12);
-        assert_eq!(rf.names().collect::<Vec<_>>(), vec!["max_qlen"]);
-    }
-
-    #[test]
-    fn redeclare_resets() {
-        let mut rf = RegisterFile::new();
-        rf.declare("r", 2);
-        rf.array_mut("r").write(0, 7);
-        rf.declare("r", 4);
-        assert_eq!(rf.array("r").read(0), 0);
-        assert_eq!(rf.array("r").len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "not declared")]
-    fn undeclared_array_panics() {
-        RegisterFile::new().array("nope");
     }
 }

@@ -1,41 +1,30 @@
-//! Match-action tables — the P4 `table { key; actions; }` construct.
+//! The forwarding table — the P4 `table { key: lpm; actions; }` construct.
 //!
-//! A table is declared with a [`MatchKind`] and holds entries installed by
-//! the control plane. Lookup takes the packet's key bytes and returns the
-//! bound action data (generic `A`), falling back to the default action.
+//! The control plane installs entries; lookup takes the packet's key bytes
+//! (the IPv4 destination) and returns the action data (generic `A`) bound
+//! to the longest matching prefix. An unmatched packet has no action, and
+//! the program drops it.
 //!
-//! Three match kinds are supported, mirroring `p4runtime`:
-//! * **exact** — byte-for-byte equality,
-//! * **lpm** — longest-prefix match on a big-endian key (IPv4 forwarding),
-//! * **ternary** — value/mask with an explicit priority.
-//!
-//! Lookup is the per-packet-per-hop hot path, so each kind keeps a
-//! specialized index beside the entry list (DESIGN.md §5.4): exact keys
-//! hash into an `int_obs::SlabIndex`, LPM resolves as exact probes per
-//! prefix length from longest to shortest (the standard software-LPM
-//! scheme), and ternary scans entries in (priority, insertion) order. The
-//! pre-index linear scan survives as [`MatchActionTable::lookup_linear`],
-//! the semantics oracle the property tests pin `lookup` against.
+//! Lookup is the per-packet-per-hop hot path, so the table keeps an index
+//! beside the entry list (DESIGN.md §5.4): per prefix length, from longest
+//! to shortest, an `int_obs::SlabIndex` of masked key bytes (the standard
+//! software-LPM scheme). The pre-index linear scan survives as
+//! [`MatchActionTable::lookup_linear`], the semantics oracle the property
+//! tests pin `lookup` against.
 
 use int_obs::SlabIndex;
 use serde::{Deserialize, Serialize};
 
-/// How a table matches its key.
+/// How a table matches its key: longest-prefix match is the one kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum MatchKind {
-    /// Exact equality on the full key.
-    Exact,
     /// Longest-prefix match.
     Lpm,
-    /// Value/mask match with priority.
-    Ternary,
 }
 
 /// One installed key.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Key {
-    /// Exact key bytes.
-    Exact(Vec<u8>),
     /// LPM: value plus prefix length in bits.
     Lpm {
         /// Key value (only the first `prefix_len` bits are significant).
@@ -43,57 +32,19 @@ pub enum Key {
         /// Number of leading significant bits.
         prefix_len: u16,
     },
-    /// Ternary: value, bit mask, and match priority (higher wins).
-    Ternary {
-        /// Key value.
-        value: Vec<u8>,
-        /// Significant-bit mask (same length as `value`).
-        mask: Vec<u8>,
-        /// Priority among overlapping entries; higher wins.
-        priority: i32,
-    },
 }
 
 impl Key {
-    fn kind(&self) -> MatchKind {
-        match self {
-            Key::Exact(_) => MatchKind::Exact,
-            Key::Lpm { .. } => MatchKind::Lpm,
-            Key::Ternary { .. } => MatchKind::Ternary,
-        }
-    }
-
     /// Does this key match `bytes`?
     fn matches(&self, bytes: &[u8]) -> bool {
-        match self {
-            Key::Exact(v) => v == bytes,
-            Key::Lpm { value, prefix_len } => {
-                if value.len() != bytes.len() {
-                    return false;
-                }
-                prefix_matches(value, bytes, *prefix_len)
-            }
-            Key::Ternary { value, mask, .. } => {
-                if value.len() != bytes.len() || mask.len() != bytes.len() {
-                    return false;
-                }
-                value
-                    .iter()
-                    .zip(mask)
-                    .zip(bytes)
-                    .all(|((v, m), b)| (v & m) == (b & m))
-            }
-        }
+        let Key::Lpm { value, prefix_len } = self;
+        value.len() == bytes.len() && prefix_matches(value, bytes, *prefix_len)
     }
 
-    /// Specificity used to pick the winner among matches: prefix length for
-    /// LPM, priority for ternary, `i64::MAX` for exact.
-    fn specificity(&self) -> i64 {
-        match self {
-            Key::Exact(_) => i64::MAX,
-            Key::Lpm { prefix_len, .. } => *prefix_len as i64,
-            Key::Ternary { priority, .. } => *priority as i64,
-        }
+    /// Specificity used to pick the winner among matches: the prefix length.
+    fn specificity(&self) -> u16 {
+        let Key::Lpm { prefix_len, .. } = self;
+        *prefix_len
     }
 }
 
@@ -113,9 +64,9 @@ fn prefix_matches(value: &[u8], bytes: &[u8], prefix_len: u16) -> bool {
     (value[full] & mask) == (bytes[full] & mask)
 }
 
-/// Longest LPM key the index can mask into a stack buffer. Longer keys
-/// (none exist in practice — IPv4 is 4 bytes) drop the whole table to the
-/// reference linear path rather than risk a semantics split.
+/// Longest LPM key the index can mask into a stack buffer. IPv4 keys are
+/// 4 bytes; [`MatchActionTable::insert`] rejects a longer key as the
+/// control-plane programming error it is.
 const MAX_LPM_KEY: usize = 64;
 
 /// Write the first `prefix_len` bits of `bytes` into `buf`, zeroing the
@@ -144,8 +95,8 @@ fn hash_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Byte-slice → entry-index map over a [`SlabIndex`]. Insert-only; the
-/// table rebuilds it on removal, which is a control-plane-rate event.
+/// Byte-slice → entry-index map over a [`SlabIndex`]. Insert-only, like
+/// the table.
 #[derive(Debug, Clone, Default)]
 struct ByteIndex {
     /// (key bytes, entry index) in insertion order; `index` refers here.
@@ -175,59 +126,21 @@ impl ByteIndex {
     }
 }
 
-/// Kind-specialized lookup index over the entry list.
-#[derive(Debug, Clone)]
-enum Index {
-    /// Full key bytes → entry.
-    Exact(ByteIndex),
-    /// Per raw prefix length, longest first: masked key bytes → entry.
-    Lpm(Vec<(u16, ByteIndex)>),
-    /// Entry indices in (priority descending, insertion ascending) order;
-    /// lookup scans and takes the first match, as real TCAM rules demand.
-    Ternary(Vec<u32>),
-}
-
-impl Index {
-    fn empty(kind: MatchKind) -> Index {
-        match kind {
-            MatchKind::Exact => Index::Exact(ByteIndex::default()),
-            MatchKind::Lpm => Index::Lpm(Vec::new()),
-            MatchKind::Ternary => Index::Ternary(Vec::new()),
-        }
-    }
-}
-
-/// A match-action table with entries bound to action data `A`.
+/// An LPM table with entries bound to action data `A`.
 #[derive(Debug, Clone)]
 pub struct MatchActionTable<A> {
     name: &'static str,
-    kind: MatchKind,
-    /// Entries in insertion order; `index` holds the lookup structure.
+    /// Entries in insertion order; `buckets` index them.
     entries: Vec<(Key, A)>,
-    default_action: Option<A>,
-    index: Index,
-    /// Set when an entry exceeds what the index can represent (an LPM key
-    /// longer than [`MAX_LPM_KEY`]): every operation then takes the
-    /// reference linear path.
-    linear_only: bool,
+    /// Per raw prefix length, longest first: masked key bytes → entry.
+    buckets: Vec<(u16, ByteIndex)>,
 }
 
 impl<A: Clone> MatchActionTable<A> {
-    /// Declare an empty table.
+    /// Declare an empty table. `kind` is always [`MatchKind::Lpm`].
     pub fn new(name: &'static str, kind: MatchKind) -> Self {
-        MatchActionTable {
-            name,
-            kind,
-            entries: Vec::new(),
-            default_action: None,
-            index: Index::empty(kind),
-            linear_only: false,
-        }
-    }
-
-    /// Table name (diagnostics).
-    pub fn name(&self) -> &'static str {
-        self.name
+        let MatchKind::Lpm = kind;
+        MatchActionTable { name, entries: Vec::new(), buckets: Vec::new() }
     }
 
     /// Number of installed entries.
@@ -240,19 +153,15 @@ impl<A: Clone> MatchActionTable<A> {
         self.entries.is_empty()
     }
 
-    /// Set the action used when no entry matches.
-    pub fn set_default(&mut self, action: A) {
-        self.default_action = Some(action);
-    }
-
-    /// Install an entry. Panics if the key kind does not match the table's
-    /// declared kind — that is a control-plane programming error, the same
-    /// class of failure p4runtime rejects at insert time.
+    /// Install an entry. Panics on a key longer than the index can mask —
+    /// a control-plane programming error, the class of failure p4runtime
+    /// rejects at insert time.
     pub fn insert(&mut self, key: Key, action: A) {
-        assert_eq!(
-            key.kind(),
-            self.kind,
-            "key kind mismatch inserting into table `{}`",
+        let Key::Lpm { value, .. } = &key;
+        assert!(
+            value.len() <= MAX_LPM_KEY,
+            "LPM key of {} bytes exceeds the {MAX_LPM_KEY}-byte limit of table `{}`",
+            value.len(),
             self.name
         );
         // Replace an identical key in place (p4runtime MODIFY semantics).
@@ -261,141 +170,68 @@ impl<A: Clone> MatchActionTable<A> {
             return;
         }
         self.entries.push((key, action));
-        let idx = self.entries.len() as u32 - 1;
-        Self::index_entry(&mut self.index, &mut self.linear_only, &self.entries, idx);
+        let idx = self.entries.len() - 1;
+        let Key::Lpm { value, prefix_len } = &self.entries[idx].0;
+        if (prefix_len / 8) as usize > value.len() {
+            // `prefix_matches` rejects such entries unconditionally:
+            // nothing to index.
+            return;
+        }
+        let pos = self.buckets.partition_point(|(p, _)| p > prefix_len);
+        if self.buckets.get(pos).is_none_or(|(p, _)| p != prefix_len) {
+            self.buckets.insert(pos, (*prefix_len, ByteIndex::default()));
+        }
+        let mut buf = [0u8; MAX_LPM_KEY];
+        let n = mask_into(&mut buf, value, *prefix_len);
+        self.buckets[pos].1.insert_first(&buf[..n], idx as u32);
     }
 
     /// Position of an entry whose key equals `key` exactly, if any. Served
     /// from the index when it can answer authoritatively; the scan fallback
     /// covers shadowed and unindexed keys (control-plane-rate events).
     fn find_identical(&self, key: &Key) -> Option<usize> {
-        if self.linear_only {
+        let Key::Lpm { value, prefix_len } = key;
+        if (prefix_len / 8) as usize > value.len() {
+            // Dead-prefix entries are not indexed.
             return self.entries.iter().position(|(k, _)| k == key);
         }
-        match (&self.index, key) {
-            (Index::Exact(map), Key::Exact(v)) => map.get(v).map(|e| e as usize),
-            (Index::Lpm(buckets), Key::Lpm { value, prefix_len }) => {
-                if value.len() > MAX_LPM_KEY || (prefix_len / 8) as usize > value.len() {
-                    // Oversize or dead-prefix entries are not indexed.
-                    return self.entries.iter().position(|(k, _)| k == key);
-                }
-                let (_, map) = buckets.iter().find(|(p, _)| p == prefix_len)?;
-                let mut buf = [0u8; MAX_LPM_KEY];
-                let n = mask_into(&mut buf, value, *prefix_len);
-                let cand = map.get(&buf[..n])? as usize;
-                if self.entries[cand].0 == *key {
-                    Some(cand)
-                } else {
-                    // A same-prefix entry shadows this masked value; an
-                    // identical key may still exist behind it.
-                    self.entries.iter().position(|(k, _)| k == key)
-                }
-            }
-            (Index::Ternary(_), _) => self.entries.iter().position(|(k, _)| k == key),
-            _ => unreachable!("kind checked at insert"),
+        let (_, map) = self.buckets.iter().find(|(p, _)| p == prefix_len)?;
+        let mut buf = [0u8; MAX_LPM_KEY];
+        let n = mask_into(&mut buf, value, *prefix_len);
+        let cand = map.get(&buf[..n])? as usize;
+        if self.entries[cand].0 == *key {
+            Some(cand)
+        } else {
+            // A same-prefix entry shadows this masked value; an identical
+            // key may still exist behind it.
+            self.entries.iter().position(|(k, _)| k == key)
         }
     }
 
-    /// File `entries[idx]` into the index. Associated fn so callers can
-    /// split-borrow the table.
-    fn index_entry(index: &mut Index, linear_only: &mut bool, entries: &[(Key, A)], idx: u32) {
-        if *linear_only {
-            return;
-        }
-        match (index, &entries[idx as usize].0) {
-            (Index::Exact(map), Key::Exact(v)) => map.insert_first(v, idx),
-            (Index::Lpm(buckets), Key::Lpm { value, prefix_len }) => {
-                if value.len() > MAX_LPM_KEY {
-                    *linear_only = true;
-                    return;
-                }
-                if (prefix_len / 8) as usize > value.len() {
-                    // `prefix_matches` rejects such entries unconditionally:
-                    // nothing to index.
-                    return;
-                }
-                let pos = buckets.partition_point(|(p, _)| *p > *prefix_len);
-                if buckets.get(pos).is_none_or(|(p, _)| p != prefix_len) {
-                    buckets.insert(pos, (*prefix_len, ByteIndex::default()));
-                }
-                let mut buf = [0u8; MAX_LPM_KEY];
-                let n = mask_into(&mut buf, value, *prefix_len);
-                buckets[pos].1.insert_first(&buf[..n], idx);
-            }
-            (Index::Ternary(order), Key::Ternary { priority, .. }) => {
-                // Positional insert keeping (priority desc, insertion asc):
-                // `idx` is the newest entry, so it goes after every entry
-                // of equal or higher priority. Replaces the old full
-                // re-sort per insert (O(n² log n) to build a table).
-                let pos = order.partition_point(|&e| {
-                    ternary_priority(&entries[e as usize].0) >= *priority
-                });
-                order.insert(pos, idx);
-            }
-            _ => unreachable!("kind checked at insert"),
-        }
-    }
-
-    fn rebuild_index(&mut self) {
-        self.index = Index::empty(self.kind);
-        self.linear_only = false;
-        for idx in 0..self.entries.len() as u32 {
-            Self::index_entry(&mut self.index, &mut self.linear_only, &self.entries, idx);
-        }
-    }
-
-    /// Remove an entry by exact key equality; returns true if removed.
-    pub fn remove(&mut self, key: &Key) -> bool {
-        let before = self.entries.len();
-        self.entries.retain(|(k, _)| k != key);
-        if self.entries.len() == before {
-            return false;
-        }
-        // Entry indices shifted: rebuild (removal is control-plane-rate).
-        self.rebuild_index();
-        true
-    }
-
-    /// Look up the action for `key_bytes`: most specific matching entry, or
-    /// the default action. Served from the kind-specialized index; agrees
-    /// with [`lookup_linear`](Self::lookup_linear) on every probe (pinned
-    /// by property tests).
+    /// Look up the action for `key_bytes`: the longest matching prefix.
+    /// Served from the index; agrees with
+    /// [`lookup_linear`](Self::lookup_linear) on every probe (pinned by
+    /// property tests).
     pub fn lookup(&self, key_bytes: &[u8]) -> Option<&A> {
-        if self.linear_only {
-            return self.lookup_linear(key_bytes);
+        if key_bytes.len() > MAX_LPM_KEY {
+            return None; // no entry is that long, and lengths must agree
         }
-        let hit = match &self.index {
-            Index::Exact(map) => map.get(key_bytes).map(|e| &self.entries[e as usize].1),
-            Index::Lpm(buckets) => {
-                if key_bytes.len() > MAX_LPM_KEY {
-                    return self.lookup_linear(key_bytes);
-                }
-                let mut buf = [0u8; MAX_LPM_KEY];
-                let mut hit = None;
-                for (plen, map) in buckets {
-                    let n = mask_into(&mut buf, key_bytes, *plen);
-                    if let Some(e) = map.get(&buf[..n]) {
-                        hit = Some(&self.entries[e as usize].1);
-                        break;
-                    }
-                }
-                hit
+        let mut buf = [0u8; MAX_LPM_KEY];
+        for (plen, map) in &self.buckets {
+            let n = mask_into(&mut buf, key_bytes, *plen);
+            if let Some(e) = map.get(&buf[..n]) {
+                return Some(&self.entries[e as usize].1);
             }
-            Index::Ternary(order) => order
-                .iter()
-                .find(|&&e| self.entries[e as usize].0.matches(key_bytes))
-                .map(|&e| &self.entries[e as usize].1),
-        };
-        hit.or(self.default_action.as_ref())
+        }
+        None
     }
 
-    /// Reference lookup: linear scan over all entries tracking the most
-    /// specific match (earliest-inserted wins ties) — the pre-index
-    /// implementation. Kept public as the semantics oracle for property
-    /// tests and as the bench baseline the indexed path is measured
-    /// against.
+    /// Reference lookup: linear scan over all entries tracking the longest
+    /// match (earliest-inserted wins ties) — the pre-index implementation.
+    /// Kept public as the semantics oracle for property tests and as the
+    /// bench baseline the indexed path is measured against.
     pub fn lookup_linear(&self, key_bytes: &[u8]) -> Option<&A> {
-        let mut best: Option<(i64, usize)> = None;
+        let mut best: Option<(u16, usize)> = None;
         for (i, (k, _)) in self.entries.iter().enumerate() {
             if k.matches(key_bytes) {
                 let s = k.specificity();
@@ -404,29 +240,13 @@ impl<A: Clone> MatchActionTable<A> {
                 }
             }
         }
-        best.map(|(_, i)| &self.entries[i].1).or(self.default_action.as_ref())
-    }
-}
-
-fn ternary_priority(k: &Key) -> i32 {
-    match k {
-        Key::Ternary { priority, .. } => *priority,
-        _ => unreachable!("ternary index holds only ternary keys"),
+        best.map(|(_, i)| &self.entries[i].1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_match() {
-        let mut t = MatchActionTable::new("t", MatchKind::Exact);
-        t.insert(Key::Exact(vec![10, 0, 0, 1]), "to-h1");
-        t.insert(Key::Exact(vec![10, 0, 0, 2]), "to-h2");
-        assert_eq!(t.lookup(&[10, 0, 0, 2]), Some(&"to-h2"));
-        assert_eq!(t.lookup(&[10, 0, 0, 3]), None);
-    }
 
     #[test]
     fn lpm_longest_prefix_wins() {
@@ -457,51 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn ternary_priority_breaks_overlap() {
-        let mut t = MatchActionTable::new("acl", MatchKind::Ternary);
-        t.insert(
-            Key::Ternary { value: vec![10, 0, 0, 0], mask: vec![255, 0, 0, 0], priority: 1 },
-            "allow",
-        );
-        t.insert(
-            Key::Ternary { value: vec![10, 0, 0, 99], mask: vec![255, 255, 255, 255], priority: 9 },
-            "deny",
-        );
-        assert_eq!(t.lookup(&[10, 0, 0, 99]), Some(&"deny"));
-        assert_eq!(t.lookup(&[10, 0, 0, 98]), Some(&"allow"));
-    }
-
-    #[test]
-    fn default_action_fires_when_nothing_matches() {
-        let mut t = MatchActionTable::new("t", MatchKind::Exact);
-        t.set_default("drop");
-        assert_eq!(t.lookup(&[1]), Some(&"drop"));
-    }
-
-    #[test]
     fn reinsert_same_key_modifies() {
-        let mut t = MatchActionTable::new("t", MatchKind::Exact);
-        t.insert(Key::Exact(vec![1]), 1);
-        t.insert(Key::Exact(vec![1]), 2);
+        let mut t = MatchActionTable::new("t", MatchKind::Lpm);
+        t.insert(Key::Lpm { value: vec![10, 0, 0, 1], prefix_len: 32 }, 1);
+        t.insert(Key::Lpm { value: vec![10, 0, 0, 1], prefix_len: 32 }, 2);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.lookup(&[1]), Some(&2));
-    }
-
-    #[test]
-    fn remove_entry() {
-        let mut t = MatchActionTable::new("t", MatchKind::Exact);
-        let k = Key::Exact(vec![1]);
-        t.insert(k.clone(), 1);
-        assert!(t.remove(&k));
-        assert!(!t.remove(&k));
-        assert!(t.lookup(&[1]).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "key kind mismatch")]
-    fn wrong_kind_insert_panics() {
-        let mut t = MatchActionTable::<u8>::new("t", MatchKind::Exact);
-        t.insert(Key::Lpm { value: vec![1], prefix_len: 8 }, 0);
+        assert_eq!(t.lookup(&[10, 0, 0, 1]), Some(&2));
     }
 
     #[test]
@@ -511,31 +292,26 @@ mod tests {
         assert!(t.lookup(&[10, 0]).is_none());
     }
 
-    /// Interleaved insert / remove / lookup stays consistent — the
+    /// Interleaved insert / modify / lookup stays consistent — the
     /// regression test for the old behavior of re-sorting the whole entry
-    /// vector per insert and for index staleness after removal.
+    /// vector per insert.
     #[test]
-    fn interleaved_insert_remove_lookup() {
+    fn interleaved_insert_lookup() {
         let mut t = MatchActionTable::new("fwd", MatchKind::Lpm);
         let k8 = Key::Lpm { value: vec![10, 0, 0, 0], prefix_len: 8 };
         let k16 = Key::Lpm { value: vec![10, 1, 0, 0], prefix_len: 16 };
         let k24 = Key::Lpm { value: vec![10, 1, 2, 0], prefix_len: 24 };
-        t.insert(k8.clone(), 1);
+        t.insert(k8, 1);
         t.insert(k24.clone(), 3);
         assert_eq!(t.lookup(&[10, 1, 2, 9]), Some(&3));
         t.insert(k16.clone(), 2);
         assert_eq!(t.lookup(&[10, 1, 9, 9]), Some(&2));
-        assert!(t.remove(&k24));
-        assert_eq!(t.lookup(&[10, 1, 2, 9]), Some(&2), "falls back to /16 after /24 removal");
-        t.insert(k24.clone(), 33);
+        t.insert(k24, 33);
         assert_eq!(t.lookup(&[10, 1, 2, 9]), Some(&33));
-        t.insert(k16.clone(), 22); // MODIFY in place
+        t.insert(k16, 22); // MODIFY in place
         assert_eq!(t.len(), 3);
         assert_eq!(t.lookup(&[10, 1, 9, 9]), Some(&22));
-        assert!(t.remove(&k8));
-        assert!(t.remove(&k16));
-        assert_eq!(t.lookup(&[10, 9, 9, 9]), None);
-        assert_eq!(t.lookup(&[10, 1, 2, 9]), Some(&33));
+        assert_eq!(t.lookup(&[10, 9, 9, 9]), Some(&1));
     }
 
     /// Two same-prefix entries whose values differ only past the prefix
@@ -551,8 +327,7 @@ mod tests {
         assert_eq!(t.lookup(&[10, 0, 0, 1]), t.lookup_linear(&[10, 0, 0, 1]));
         t.insert(Key::Lpm { value: vec![10, 9, 9, 9], prefix_len: 8 }, 22);
         assert_eq!(t.len(), 2, "MODIFY hit the shadowed entry");
-        t.remove(&Key::Lpm { value: vec![10, 1, 2, 3], prefix_len: 8 });
-        assert_eq!(t.lookup(&[10, 0, 0, 1]), Some(&22), "shadowed entry surfaces after removal");
+        assert_eq!(t.lookup(&[10, 0, 0, 1]), Some(&1), "the shadowed entry stays shadowed");
     }
 
     /// A prefix length past the key width can never match (mirroring
@@ -568,20 +343,12 @@ mod tests {
         assert!(t.lookup(&[10, 1]).is_some());
     }
 
-    /// Keys longer than the index's mask buffer drop the table to the
-    /// linear path without changing answers.
+    /// A key longer than the index's mask buffer is rejected at insert.
     #[test]
-    fn lpm_oversize_key_falls_back_to_linear() {
+    #[should_panic(expected = "exceeds the 64-byte limit of table `fwd`")]
+    fn lpm_oversize_key_panics_at_insert() {
         let mut t = MatchActionTable::new("fwd", MatchKind::Lpm);
-        let long = vec![7u8; MAX_LPM_KEY + 8];
-        t.insert(Key::Lpm { value: long.clone(), prefix_len: 16 }, 1);
-        t.insert(Key::Lpm { value: vec![10, 0, 0, 0], prefix_len: 8 }, 2);
-        let mut probe = vec![0u8; MAX_LPM_KEY + 8];
-        probe[0] = 7;
-        probe[1] = 7;
-        assert_eq!(t.lookup(&probe), Some(&1));
-        assert_eq!(t.lookup(&[10, 5, 5, 5]), Some(&2));
-        assert_eq!(t.lookup(&probe), t.lookup_linear(&probe));
+        t.insert(Key::Lpm { value: vec![7u8; MAX_LPM_KEY + 8], prefix_len: 16 }, 1);
     }
 
     mod prop {
@@ -602,41 +369,14 @@ mod tests {
         }
 
         proptest! {
-            /// Exact tables: random inserts (duplicate values exercise
-            /// MODIFY), removes, and probes drawn from the same byte pool
-            /// so hits are common.
-            #[test]
-            fn exact_agrees_with_reference(
-                inserts in proptest::collection::vec((0u8..8, 0u8..8, 0u32..100), 1..60),
-                removes in proptest::collection::vec(0usize..60, 0..12),
-            ) {
-                let mut t = MatchActionTable::new("t", MatchKind::Exact);
-                let keys: Vec<Vec<u8>> =
-                    inserts.iter().map(|&(a, b, _)| vec![a, b]).collect();
-                let probes: Vec<Vec<u8>> = keys.iter().cloned()
-                    .chain([vec![], vec![0], vec![0, 0, 0]])
-                    .collect();
-                for (i, &(a, b, act)) in inserts.iter().enumerate() {
-                    t.insert(Key::Exact(vec![a, b]), act);
-                    if i % 5 == 0 {
-                        check_agreement(&t, &probes);
-                    }
-                }
-                for &r in &removes {
-                    t.remove(&Key::Exact(keys[r % keys.len()].clone()));
-                }
-                check_agreement(&t, &probes);
-            }
-
             /// LPM tables: random values (non-canonical bits past the
             /// prefix included), prefix lengths past the key width
-            /// included, interleaved removes; probes drawn from installed
-            /// values plus mutations.
+            /// included; probes drawn from installed values plus
+            /// mutations.
             #[test]
             fn lpm_agrees_with_reference(
                 inserts in proptest::collection::vec(
                     (any::<[u8; 4]>(), 0u16..40, 0u32..100), 1..60),
-                removes in proptest::collection::vec(0usize..60, 0..12),
                 flips in proptest::collection::vec((0usize..60, 0u8..32), 0..20),
             ) {
                 let mut t = MatchActionTable::new("fwd", MatchKind::Lpm);
@@ -654,49 +394,6 @@ mod tests {
                     if i % 5 == 0 {
                         check_agreement(&t, &probes);
                     }
-                }
-                check_agreement(&t, &probes);
-                for &r in &removes {
-                    let (v, plen, _) = inserts[r % inserts.len()];
-                    t.remove(&Key::Lpm { value: v.to_vec(), prefix_len: plen });
-                }
-                check_agreement(&t, &probes);
-            }
-
-            /// Ternary tables: random value/mask/priority triples
-            /// (duplicate priorities exercise the insertion-order
-            /// tie-break), interleaved removes.
-            #[test]
-            fn ternary_agrees_with_reference(
-                inserts in proptest::collection::vec(
-                    (any::<[u8; 2]>(), any::<[u8; 2]>(), 0i32..4, 0u32..100), 1..40),
-                removes in proptest::collection::vec(0usize..40, 0..8),
-                probes in proptest::collection::vec(any::<[u8; 2]>(), 1..30),
-            ) {
-                let mut t = MatchActionTable::new("acl", MatchKind::Ternary);
-                let probes: Vec<Vec<u8>> = probes.iter().map(|p| p.to_vec())
-                    .chain(inserts.iter().map(|&(v, _, _, _)| v.to_vec()))
-                    .collect();
-                for (i, &(v, m, prio, act)) in inserts.iter().enumerate() {
-                    t.insert(
-                        Key::Ternary {
-                            value: v.to_vec(),
-                            mask: m.to_vec(),
-                            priority: prio,
-                        },
-                        act,
-                    );
-                    if i % 5 == 0 {
-                        check_agreement(&t, &probes);
-                    }
-                }
-                for &r in &removes {
-                    let (v, m, prio, _) = &inserts[r % inserts.len()];
-                    t.remove(&Key::Ternary {
-                        value: v.to_vec(),
-                        mask: m.to_vec(),
-                        priority: *prio,
-                    });
                 }
                 check_agreement(&t, &probes);
             }

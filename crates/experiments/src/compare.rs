@@ -238,37 +238,6 @@ impl CompareOutput {
             })
             .collect()
     }
-
-    /// Render the paper-style per-class table for a metric.
-    pub fn render(&self, metric: Metric) -> String {
-        let policies = [self.config.int_policy, Policy::Nearest, Policy::Random];
-        let mut rows = Vec::new();
-        for class in &self.config.classes {
-            let mut row = vec![class.label().to_string()];
-            for &p in &policies {
-                row.push(match self.mean(p, *class, metric) {
-                    Some(v) => crate::report::ms(v),
-                    None => "-".into(),
-                });
-            }
-            row.push(match self.gain_vs_nearest(*class, metric) {
-                Some(g) => crate::report::pct(g),
-                None => "-".into(),
-            });
-            rows.push(row);
-        }
-        let metric_name = match metric {
-            Metric::Completion => "completion (ms)",
-            Metric::Transfer => "transfer (ms)",
-        };
-        let int_label = format!("INT {metric_name}");
-        let near_label = format!("Nearest {metric_name}");
-        let rand_label = format!("Random {metric_name}");
-        crate::report::table(
-            &["class", &int_label, &near_label, &rand_label, "gain vs Nearest"],
-            &rows,
-        )
-    }
 }
 
 #[cfg(test)]

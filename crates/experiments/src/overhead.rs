@@ -74,7 +74,7 @@ pub fn run(seed: u64, duration: SimDuration) -> OverheadOutput {
 
 fn measure(seed: u64, duration: SimDuration, mode: ProbeMode) -> OverheadRow {
     let mut tb = Testbed::new(&TestbedConfig { seed, probe_mode: mode, ..TestbedConfig::default() });
-    tb.sim_enable_accounting();
+    tb.sim.set_account_traffic(true);
 
     let nodes: Vec<u32> = tb.hosts.iter().map(|h| h.0).collect();
     let flows = BackgroundScenario::Default.generate(
@@ -150,18 +150,6 @@ fn measure(seed: u64, duration: SimDuration, mode: ProbeMode) -> OverheadRow {
         ping_share: share(ping_bytes),
         per_packet_int_bytes,
         per_packet_int_share: share(per_packet_int_bytes),
-    }
-}
-
-impl Testbed {
-    /// Rebuild-free accounting enable is impossible post-construction, so
-    /// the testbed exposes this shim used only by the overhead harness.
-    fn sim_enable_accounting(&mut self) {
-        // Accounting is set via SimConfig at construction; the testbed
-        // builds with it off. Rather than plumb one more flag everywhere,
-        // rebuild the testbed config here would lose installed apps —
-        // instead the engine exposes a runtime switch.
-        self.sim.set_account_traffic(true);
     }
 }
 

@@ -66,7 +66,7 @@ struct HostState {
 }
 
 struct SwitchState {
-    program: Box<dyn DataPlaneProgram>,
+    program: IntTelemetryProgram,
     ports: Vec<PortState>,
     /// Egress serialization ceiling (BMv2 processing-rate model).
     egress_rate_bps: Option<u64>,
@@ -96,9 +96,6 @@ pub struct SimConfig {
     pub tcp: TcpConfig,
     /// Whether switches run the INT program with telemetry enabled.
     pub int_enabled: bool,
-    /// Classify and count every frame put on the wire (adds one parse per
-    /// transmission; off by default).
-    pub account_traffic: bool,
     /// Multipath selection at every hop (hosts and switches). The default
     /// [`EcmpSelect::Primary`] keeps the pre-multipath single-route
     /// behaviour bit-for-bit; [`EcmpSelect::FlowHash`] spreads flows over
@@ -113,7 +110,6 @@ impl Default for SimConfig {
             switch_egress_rate_bps: Some(20_000_000),
             tcp: TcpConfig::default(),
             int_enabled: true,
-            account_traffic: false,
             ecmp: EcmpSelect::Primary,
         }
     }
@@ -170,14 +166,16 @@ impl DomainCtx {
 /// The discrete-event network simulator.
 pub struct Simulator {
     topo: Arc<Topology>,
-    routes: Arc<Routes>,
     cfg: SimConfig,
     now: SimTime,
     events: EventQueue,
     nodes: Vec<NodeState>,
     stats: NetStats,
     accounting: TrafficAccountant,
-    next_trace_id: u64,
+    /// Classify and count every frame put on the wire (adds one parse per
+    /// transmission; off by default).
+    account_traffic: bool,
+    next_ip_id: u16,
     started: bool,
     /// Freelist of frame boxes: delivered and dropped frames are recycled
     /// into the host send paths, so steady state allocates no frames.
@@ -233,7 +231,7 @@ impl Simulator {
     pub fn new(topo: Topology, cfg: SimConfig) -> Simulator {
         topo.validate().expect("invalid topology");
         let routes = Routes::Table(RouteTable::compute(&topo));
-        Self::build(Arc::new(topo), Arc::new(routes), cfg, None)
+        Self::build(Arc::new(topo), &routes, cfg, None)
     }
 
     /// Build a simulator over a Clos fabric using structural O(1) routing
@@ -250,7 +248,7 @@ impl Simulator {
             clos.hosts() + clos.leaves() + clos.spines(),
             "ClosRoutes shape does not match topology"
         );
-        Self::build(Arc::new(topo), Arc::new(Routes::Clos(clos)), cfg, None)
+        Self::build(Arc::new(topo), &Routes::Clos(clos), cfg, None)
     }
 
     /// Shared constructor body. `domain` scopes construction to one domain
@@ -259,7 +257,7 @@ impl Simulator {
     /// uplink tables are built for them.
     pub(crate) fn build(
         topo: Arc<Topology>,
-        routes: Arc<Routes>,
+        routes: &Routes,
         cfg: SimConfig,
         domain: Option<DomainCtx>,
     ) -> Simulator {
@@ -298,14 +296,14 @@ impl Simulator {
                     }));
                 }
                 NodeKind::Switch => {
-                    let mut program = Box::new(IntTelemetryProgram::new(IntProgramConfig {
+                    let mut program = IntTelemetryProgram::new(IntProgramConfig {
                         switch_id: spec.id.0,
                         num_ports: spec.ports.len(),
                         int_enabled: cfg.int_enabled,
-                    }));
+                    });
                     program.set_ecmp_select(cfg.ecmp);
                     if owns(spec.id) {
-                        match &*routes {
+                        match routes {
                             // Control plane: /32 ECMP routes for every host.
                             // The group's primary is the old single-path
                             // `egress_port` answer, so Primary selection
@@ -318,8 +316,11 @@ impl Simulator {
                                             primary,
                                             rt.equal_cost_ports(&topo, spec.id, host),
                                         );
-                                        program
-                                            .install_host_route_multi(Topology::host_ip(host), &group);
+                                        program.install_route_multi(
+                                            Topology::host_ip(host),
+                                            32,
+                                            &group,
+                                        );
                                     }
                                 }
                             }
@@ -347,9 +348,8 @@ impl Simulator {
                                 ClosNodeKind::Spine(_) => {
                                     let hpl = c.hosts_per_leaf();
                                     for host in 0..c.hosts() {
-                                        program.install_route(
+                                        program.install_host_route(
                                             Topology::host_ip(NodeId(host)),
-                                            32,
                                             c.spine_port_to_leaf(host / hpl),
                                         );
                                     }
@@ -376,7 +376,7 @@ impl Simulator {
         // Clos mode leaves every row empty: a Clos host has exactly one
         // port, and `host_uplink`'s `group() == None` path already falls
         // back to port 0, so no per-destination table is needed.
-        if let Routes::Table(rt) = &*routes {
+        if let Routes::Table(rt) = routes {
             for spec in &topo.nodes {
                 if matches!(spec.kind, NodeKind::Host) && owns(spec.id) {
                     let mut table = HostRouteTable::default();
@@ -398,14 +398,14 @@ impl Simulator {
 
         Simulator {
             topo,
-            routes,
             cfg,
             now: SimTime::ZERO,
             events: EventQueue::new(),
             nodes,
             stats: NetStats::default(),
             accounting: TrafficAccountant::new(),
-            next_trace_id: 1,
+            account_traffic: false,
+            next_ip_id: 1,
             started: false,
             pool: BufPool::new(),
             faults: None,
@@ -474,14 +474,14 @@ impl Simulator {
     }
 
     /// Per-class traffic accounting (empty unless
-    /// [`SimConfig::account_traffic`] is set).
+    /// [`Simulator::set_account_traffic`] turned it on).
     pub fn traffic(&self) -> &TrafficAccountant {
         &self.accounting
     }
 
     /// Turn per-frame traffic accounting on or off at runtime.
     pub fn set_account_traffic(&mut self, on: bool) {
-        self.cfg.account_traffic = on;
+        self.account_traffic = on;
     }
 
     /// The metrics registry (disabled by default).
@@ -523,34 +523,11 @@ impl Simulator {
         &self.topo
     }
 
-    /// The dense routing table (paths, distances, hop counts).
-    ///
-    /// Panics on a simulator built with [`Simulator::new_clos`] — structural
-    /// Clos routing has no dense table; use [`Simulator::routing`] there.
-    pub fn routes(&self) -> &RouteTable {
-        self.routes
-            .table()
-            .expect("routes(): built with structural Clos routing; use routing()")
-    }
-
-    /// The routing state in either form (dense table or structural Clos).
-    pub fn routing(&self) -> &Routes {
-        &self.routes
-    }
-
     /// Ground-truth statistics of one egress queue.
     pub fn queue_stats(&self, node: NodeId, port: PortId) -> QueueStats {
         match &self.nodes[node.0 as usize] {
             NodeState::Host(h) => h.ports[port as usize].queue.stats(),
             NodeState::Switch(s) => s.ports[port as usize].queue.stats(),
-        }
-    }
-
-    /// Read-only view of a switch's data-plane registers.
-    pub fn switch_registers(&self, node: NodeId) -> &int_dataplane::RegisterFile {
-        match &self.nodes[node.0 as usize] {
-            NodeState::Switch(s) => s.program.registers(),
-            NodeState::Host(_) => panic!("{node} is not a switch"),
         }
     }
 
@@ -903,7 +880,7 @@ impl Simulator {
             self.trace_scratch.clear();
         }
         frame.meta.clear_per_hop();
-        if self.cfg.account_traffic {
+        if self.account_traffic {
             // Classification reuses the frame's cached parse when present
             // (and primes it for the receiving host otherwise).
             let class = match frame.parsed() {
@@ -1133,11 +1110,10 @@ impl Simulator {
         };
         let dst_node = Topology::node_of_ip(dst).unwrap_or(NodeId(u32::MAX));
         let mut builder = PacketBuilder::between(node.0, src_ip, dst_node.0, dst);
-        builder.ip_id = (self.next_trace_id & 0xFFFF) as u16;
+        builder.ip_id = self.next_ip_id;
         let mut frame = self.pool.take();
         builder.udp_into(src_port, dst_port, payload, &mut frame.bytes);
-        frame.meta.trace_id = self.next_trace_id;
-        self.next_trace_id += 1;
+        self.next_ip_id = self.next_ip_id.wrapping_add(1);
         let uplink = self.host_uplink(node, dst, 17, src_port, dst_port);
         self.enqueue(node, uplink, frame);
     }
@@ -1277,12 +1253,11 @@ impl Simulator {
         };
         let dst_node = Topology::node_of_ip(dst).unwrap_or(NodeId(u32::MAX));
         let mut builder = PacketBuilder::between(node.0, src_ip, dst_node.0, dst);
-        builder.ip_id = (self.next_trace_id & 0xFFFF) as u16;
+        builder.ip_id = self.next_ip_id;
         let (sport, dport) = (header.src_port, header.dst_port);
         let mut frame = self.pool.take();
         builder.tcp_into(header, payload, &mut frame.bytes);
-        frame.meta.trace_id = self.next_trace_id;
-        self.next_trace_id += 1;
+        self.next_ip_id = self.next_ip_id.wrapping_add(1);
         let uplink = self.host_uplink(node, dst, 6, sport, dport);
         self.enqueue(node, uplink, frame);
     }
@@ -2156,28 +2131,5 @@ mod more_tests {
         t.add_link(h1, s1, LinkParams::paper_default());
         let mut sim = Simulator::new(t, SimConfig::default());
         sim.install_app(s1, Box::new(Beeper { beeps: 0 }));
-    }
-
-    #[test]
-    fn queue_and_register_accessors_work() {
-        let mut t = Topology::new();
-        let h1 = t.add_host("h1");
-        let s1 = t.add_switch("s1");
-        let h2 = t.add_host("h2");
-        t.add_link(h1, s1, LinkParams::paper_default());
-        t.add_link(s1, h2, LinkParams::paper_default());
-        let mut sim = Simulator::new(t, SimConfig::default());
-        sim.run_for(SimDuration::from_millis(10));
-        assert_eq!(sim.queue_stats(s1, 1).enqueued, 0);
-        let regs = sim.switch_registers(s1);
-        assert!(regs.names().count() >= 3, "INT program registers declared");
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a switch")]
-    fn host_registers_panic() {
-        let (t, h1, _h2) = tiny();
-        let sim = Simulator::new(t, SimConfig::default());
-        let _ = sim.switch_registers(h1);
     }
 }

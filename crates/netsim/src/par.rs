@@ -51,17 +51,17 @@ impl ParSim {
     pub fn new(topo: Topology, cfg: SimConfig, domains: u16) -> ParSim {
         topo.validate().expect("invalid topology");
         let routes = Routes::Table(RouteTable::compute(&topo));
-        Self::build(Arc::new(topo), Arc::new(routes), cfg, domains)
+        Self::build(Arc::new(topo), &routes, cfg, domains)
     }
 
     /// Partitioned simulator over structural Clos routes (the giant-run
     /// configuration: no dense table is ever materialized).
     pub fn new_clos(topo: Topology, clos: ClosRoutes, cfg: SimConfig, domains: u16) -> ParSim {
         topo.validate().expect("invalid topology");
-        Self::build(Arc::new(topo), Arc::new(Routes::Clos(clos)), cfg, domains)
+        Self::build(Arc::new(topo), &Routes::Clos(clos), cfg, domains)
     }
 
-    fn build(topo: Arc<Topology>, routes: Arc<Routes>, cfg: SimConfig, want: u16) -> ParSim {
+    fn build(topo: Arc<Topology>, routes: &Routes, cfg: SimConfig, want: u16) -> ParSim {
         let part = DomainPartition::compute(&topo, want);
         debug_assert!(part.validate(&topo).is_ok());
         let sims = if part.domains == 1 {
@@ -72,7 +72,7 @@ impl ParSim {
                 .map(|d| {
                     Simulator::build(
                         topo.clone(),
-                        routes.clone(),
+                        routes,
                         cfg,
                         Some(DomainCtx::new(d, of.clone())),
                     )

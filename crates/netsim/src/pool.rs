@@ -92,13 +92,13 @@ mod tests {
         let mut pool = BufPool::new();
         let mut f = pool.take();
         f.bytes.extend_from_slice(&[1, 2, 3]);
-        f.meta.trace_id = 7;
+        f.meta.ingress_port = Some(7);
         let cap = f.bytes.capacity();
         pool.recycle(f);
 
         let f2 = pool.take();
         assert!(f2.bytes.is_empty(), "recycled frame is reset");
-        assert_eq!(f2.meta.trace_id, 0);
+        assert_eq!(f2.meta.ingress_port, None);
         assert!(f2.bytes.capacity() >= cap, "byte-buffer allocation survives recycling");
 
         let s = pool.stats();

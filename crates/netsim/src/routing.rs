@@ -262,24 +262,6 @@ pub enum Routes {
     Clos(ClosRoutes),
 }
 
-impl Routes {
-    /// The all-pairs table, if this is table mode.
-    pub fn table(&self) -> Option<&RouteTable> {
-        match self {
-            Routes::Table(t) => Some(t),
-            Routes::Clos(_) => None,
-        }
-    }
-
-    /// The structural Clos routes, if this is Clos mode.
-    pub fn clos(&self) -> Option<&ClosRoutes> {
-        match self {
-            Routes::Table(_) => None,
-            Routes::Clos(c) => Some(c),
-        }
-    }
-}
-
 fn dijkstra(topo: &Topology, src: NodeId) -> (Vec<u64>, Vec<Option<NodeId>>) {
     let n = topo.nodes.len();
     let mut dist = vec![u64::MAX; n];

@@ -18,8 +18,8 @@
 //!   byte-identical file.
 //! * [`SlabIndex`] — the open-addressed hash index from a caller's hash
 //!   to a dense slab id that the metrics registry, the learned map's
-//!   edges, the collector's route memo and the data plane's match-action
-//!   tables all look up through.
+//!   edges, the collector's route memo and the data plane's LPM
+//!   forwarding table all look up through.
 //!
 //! Everything is **deterministic** (sim time only, integer values,
 //! fixed-order exports, counter-based sampling) so exports are

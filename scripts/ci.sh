@@ -61,4 +61,10 @@ if grep -rn '(i + 1) & mask' crates/*/src | grep -v '^crates/obs/src/index.rs:';
     echo "hand-rolled probe loop outside obs::index"; exit 1
 fi
 
+echo "== one switch program (IntTelemetryProgram, held by value)"
+if grep -rn 'impl DataPlaneProgram for' crates/*/src | grep -v '^crates/dataplane/src/programs/int_telemetry.rs:' \
+    || grep -rn 'dyn DataPlaneProgram' crates src tests examples; then
+    echo "a second switch program or a boxed one"; exit 1
+fi
+
 echo "CI OK"

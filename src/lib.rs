@@ -12,7 +12,7 @@
 //! | Re-export | Crate | Role |
 //! |---|---|---|
 //! | [`packet`] | `int-packet` | Ethernet/IPv4/UDP/TCP/Geneve/INT wire formats |
-//! | [`dataplane`] | `int-dataplane` | P4-like pipelines, tables, registers, the INT program |
+//! | [`dataplane`] | `int-dataplane` | the P4-like INT switch program, its LPM table and register |
 //! | [`netsim`] | `int-netsim` | discrete-event simulator: queues, links, TCP-Reno, apps |
 //! | [`core`] | `int-core` | **the paper's contribution**: collector, map, estimators, rankers |
 //! | [`apps`] | `int-apps` | probes, scheduler service, task submit/execute, iperf, ping |
@@ -66,9 +66,7 @@ pub mod prelude {
         BandwidthEstimator, CoreConfig, DelayEstimator, IntCollector, NetNode, NetworkMap,
         Policy, RankedServer, SchedulerCore,
     };
-    pub use int_dataplane::{
-        DataPlaneProgram, Frame, IntProgramConfig, IntTelemetryProgram, L3ForwardProgram,
-    };
+    pub use int_dataplane::{DataPlaneProgram, Frame, IntProgramConfig, IntTelemetryProgram};
     pub use int_netsim::{
         App, AppCtx, LinkParams, NodeId, SimConfig, SimDuration, SimTime, Simulator, TcpEvent,
         Topology,

@@ -18,12 +18,14 @@
 
 #[path = "common/alloc.rs"]
 mod alloc;
+#[path = "common/probe.rs"]
+mod probes;
 
 use alloc::allocations_in;
 use int_edge_sched::core::{IntCollector, NetworkMap};
-use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::wire::WireEncode;
 use int_edge_sched::packet::ProbePayload;
+use probes::{hop, probe};
 
 const SCHED: u32 = 100_000;
 const ORIGINS: u32 = 4096;
@@ -36,19 +38,10 @@ fn probe_round(round: u64) -> Vec<ProbePayload> {
     let now_ns = (round + 1) * ROUND_NS;
     (0..ORIGINS)
         .map(|o| {
-            let mut p = ProbePayload::new(o, round, 0);
-            for (i, switch_id) in [1_000 + o % 64, 2_000 + o % 4, 3_000].into_iter().enumerate() {
-                p.int.push(IntRecord {
-                    switch_id,
-                    ingress_port: 0,
-                    egress_port: 1,
-                    max_qlen_pkts: 5,
-                    qlen_at_probe_pkts: 2,
-                    link_latency_ns: 10_000 + round,
-                    egress_ts_ns: now_ns - (3 - i as u64) * 10_000,
-                });
-            }
-            p
+            let switches = [1_000 + o % 64, 2_000 + o % 4, 3_000].into_iter().enumerate();
+            let hops = switches
+                .map(|(i, sw)| hop(sw, 5, 2, 10_000 + round, now_ns - (3 - i as u64) * 10_000));
+            probe(o, round, hops)
         })
         .collect()
 }

@@ -16,33 +16,16 @@
 
 #[path = "common/alloc.rs"]
 mod alloc;
+#[path = "common/probe.rs"]
+mod probes;
 
 use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::shard::ShardedScheduler;
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy};
-use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
-
-/// Host `h`'s probe through its leaf `10 + h` and one of two spines
-/// (`20` or `21`) — two switch-disjoint routes per host, so `k_paths =
-/// 3` genuinely resolves multipath k-sets.
-fn probe(h: u32, spine: u32, seq: u64, qbase: u32, now_ns: u64) -> ProbePayload {
-    let mut p = ProbePayload::new(h, seq, 0);
-    for (i, sw) in [10 + h, spine].into_iter().enumerate() {
-        p.int.push(IntRecord {
-            switch_id: sw,
-            ingress_port: 0,
-            egress_port: 1,
-            max_qlen_pkts: qbase + h * 3,
-            qlen_at_probe_pkts: (qbase + h * 3) / 2,
-            link_latency_ns: 10_000_000,
-            egress_ts_ns: now_ns.saturating_sub((1 - i as u64) * 50_000),
-        });
-    }
-    p
-}
+use probes::{hop, probe};
 
 #[test]
 fn steady_state_publish_and_kpath_serving_allocate_nothing() {
@@ -56,14 +39,21 @@ fn steady_state_publish_and_kpath_serving_allocate_nothing() {
     // one slot layout (so the third begins recycling spare arrays).
     let warm_rounds = 32u64;
     let rounds = 200u64;
+    // Host `h` probes through its leaf `10 + h` and each of two spines
+    // (`20` and `21`) — two switch-disjoint routes per host, so `k_paths =
+    // 3` genuinely resolves multipath k-sets.
     let mk_round = |round: u64| -> (u64, Vec<ProbePayload>) {
         let now = (round + 1) * ROUND_NS;
         let probes = (0..8u32)
             .flat_map(|h| {
-                [
-                    probe(h, 20, round * 2 + 1, (round % 5) as u32, now),
-                    probe(h, 21, round * 2 + 2, (round % 5) as u32, now),
-                ]
+                let q = (round % 5) as u32 + h * 3;
+                [(20, 1), (21, 2)].map(|(spine, k)| {
+                    let hops = [
+                        hop(10 + h, q, q / 2, 10_000_000, now - 50_000),
+                        hop(spine, q, q / 2, 10_000_000, now),
+                    ];
+                    probe(h, round * 2 + k, hops)
+                })
             })
             .collect();
         (now, probes)

@@ -16,13 +16,15 @@
 
 #[path = "common/alloc.rs"]
 mod alloc;
+#[path = "common/probe.rs"]
+mod probes;
 
 use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankedServer, SchedulerCore};
-use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::ProbePayload;
+use probes::{hop, probe};
 
 /// One probe round of the testbed-scale map: 8 servers, each behind its
 /// own leaf switch, all joined by spine switch 20 next to scheduler host
@@ -30,19 +32,8 @@ use int_edge_sched::packet::ProbePayload;
 fn probe_round(seq: u64, churn: u64, now_ns: u64) -> Vec<ProbePayload> {
     (0..8u32)
         .map(|h| {
-            let mut p = ProbePayload::new(h, seq, 0);
-            for (i, sw) in [10 + h, 20].into_iter().enumerate() {
-                p.int.push(IntRecord {
-                    switch_id: sw,
-                    ingress_port: 0,
-                    egress_port: 1,
-                    max_qlen_pkts: (h * 3 + churn as u32) % 40,
-                    qlen_at_probe_pkts: h,
-                    link_latency_ns: 10_000_000 + churn * 1_000_000,
-                    egress_ts_ns: now_ns - (1 - i as u64) * 10_000_000,
-                });
-            }
-            p
+            let (q, lat) = ((h * 3 + churn as u32) % 40, 10_000_000 + churn * 1_000_000);
+            probe(h, seq, [hop(10 + h, q, h, lat, now_ns - 10_000_000), hop(20, q, h, lat, now_ns)])
         })
         .collect()
 }

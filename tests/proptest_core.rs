@@ -6,29 +6,18 @@ use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::{
     BandwidthEstimator, CoreConfig, DelayEstimator, NetNode, NetworkMap, Policy, SchedulerCore,
 };
-use int_edge_sched::packet::int::IntRecord;
-use int_edge_sched::packet::ProbePayload;
 use proptest::prelude::*;
 
-fn rec(switch_id: u32, maxq: u32, ts_ms: u64) -> IntRecord {
-    IntRecord {
-        switch_id,
-        ingress_port: 0,
-        egress_port: 1,
-        max_qlen_pkts: maxq,
-        qlen_at_probe_pkts: maxq / 2,
-        link_latency_ns: 10_000_000,
-        egress_ts_ns: ts_ms * 1_000_000,
-    }
-}
+#[path = "common/probe.rs"]
+mod probes;
+use probes::{hop, probe};
 
 /// A map where host `o` reaches the scheduler (host 100) via its own
 /// dedicated switch `10 + o` with queue `q`.
 fn star_map(qlens: &[u32]) -> NetworkMap {
     let mut m = NetworkMap::new();
     for (o, &q) in qlens.iter().enumerate() {
-        let mut p = ProbePayload::new(o as u32, 1, 0);
-        p.int.push(rec(10 + o as u32, q, 11));
+        let p = probe(o as u32, 1, [hop(10 + o as u32, q, q / 2, 10_000_000, 11_000_000)]);
         m.apply_probe(&p, 100, 30_000_000);
     }
     m
@@ -125,8 +114,7 @@ proptest! {
     fn reapplying_probe_is_topology_idempotent(qlens in proptest::collection::vec(0u32..64, 1..6)) {
         let mut m = star_map(&qlens);
         let edges_before: Vec<_> = m.edges().map(|(a, b, _)| (a, b)).collect();
-        let mut p = ProbePayload::new(0, 2, 0);
-        p.int.push(rec(10, qlens[0], 11));
+        let p = probe(0, 2, [hop(10, qlens[0], qlens[0] / 2, 10_000_000, 11_000_000)]);
         m.apply_probe(&p, 100, 31_000_000);
         let edges_after: Vec<_> = m.edges().map(|(a, b, _)| (a, b)).collect();
         prop_assert_eq!(edges_before, edges_after);
@@ -137,9 +125,8 @@ proptest! {
     #[test]
     fn instantaneous_signal_used_when_configured(q in 2u32..60) {
         let mut m = NetworkMap::new();
-        let mut p = ProbePayload::new(0, 1, 0);
-        // max = q, instantaneous = q/2 (from rec()).
-        p.int.push(rec(10, q, 11));
+        // max = q, instantaneous = q/2.
+        let p = probe(0, 1, [hop(10, q, q / 2, 10_000_000, 11_000_000)]);
         m.apply_probe(&p, 100, 30_000_000);
 
         let max_cfg = CoreConfig::default();
@@ -227,20 +214,12 @@ fn serving_matches_reference_under_churn(k_paths: u32, ops: &[(u32, u32, u64, u3
                 1 => vec![10 + origin, 20],
                 _ => vec![20, 10 + (origin + 1) % 5],
             };
-            let mut p = ProbePayload::new(origin, seq as u64 + 1, 0);
             let last = chain.len() as u64 - 1;
-            for (i, sw) in chain.iter().enumerate() {
-                p.int.push(IntRecord {
-                    switch_id: *sw,
-                    ingress_port: 0,
-                    egress_port: 1,
-                    max_qlen_pkts: qlen,
-                    qlen_at_probe_pkts: qlen / 2,
-                    link_latency_ns: lat_ms * 1_000_000,
-                    egress_ts_ns: now_ns - (last - i as u64) * lat_ms * 1_000_000,
-                });
-            }
-            core.collector_mut().ingest(&p, now_ns);
+            let hops = chain.iter().enumerate().map(|(i, &sw)| {
+                let ts = now_ns - (last - i as u64) * lat_ms * 1_000_000;
+                hop(sw, qlen, qlen / 2, lat_ms * 1_000_000, ts)
+            });
+            core.collector_mut().ingest(&probe(origin, seq as u64 + 1, hops), now_ns);
         }
 
         for &from in &hosts {

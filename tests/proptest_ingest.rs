@@ -21,11 +21,14 @@
 use int_edge_sched::core::collector::OriginStats;
 use int_edge_sched::core::map::EdgeId;
 use int_edge_sched::core::{IntCollector, NetworkMap};
-use int_edge_sched::packet::int::IntRecord;
 use int_edge_sched::packet::wire::WireEncode;
 use int_edge_sched::packet::ProbePayload;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+
+#[path = "common/probe.rs"]
+mod probes;
+use probes::{hop, probe};
 
 const SCHED: u32 = 100;
 const MS: u64 = 1_000_000;
@@ -66,24 +69,6 @@ impl Reference {
         }
         self.map.apply_probe(probe, terminal, rx_ns);
     }
-}
-
-fn probe(origin: u32, seq: u64, switches: &[u32], lat_ms: u64, qlen: u32, rx_ns: u64) -> ProbePayload {
-    let mut p = ProbePayload::new(origin, seq, 0);
-    let hops = switches.len() as u64;
-    for (i, &switch_id) in switches.iter().enumerate() {
-        p.int.push(IntRecord {
-            switch_id,
-            ingress_port: 0,
-            egress_port: 1,
-            // Depths differ along the path so staircases grow and shrink.
-            max_qlen_pkts: (qlen + 3 * i as u32) % 40,
-            qlen_at_probe_pkts: qlen / 2,
-            link_latency_ns: lat_ms * MS + i as u64,
-            egress_ts_ns: rx_ns.saturating_sub((hops - i as u64) * lat_ms * MS),
-        });
-    }
-    p
 }
 
 fn assert_same(col: &IntCollector, reference: &Reference, now_ns: u64) {
@@ -148,7 +133,13 @@ proptest! {
                         route: &[u32],
                         bytes: bool| {
                 let rx_ns = if terminal == SCHED { now_ns } else { now_ns - late_ms * MS };
-                let p = probe(origin, seq, route, lat_ms, qlen, rx_ns);
+                let n = route.len() as u64;
+                let hops = route.iter().enumerate().map(|(i, &switch_id)| {
+                    let ts = rx_ns.saturating_sub((n - i as u64) * lat_ms * MS);
+                    // Depths differ along the path so staircases grow and shrink.
+                    hop(switch_id, (qlen + 3 * i as u32) % 40, qlen / 2, lat_ms * MS + i as u64, ts)
+                });
+                let p = probe(origin, seq, hops);
                 if terminal != SCHED {
                     col.ingest_relayed(&p, terminal, rx_ns);
                 } else if bytes {

@@ -1,5 +1,5 @@
-//! Property-based tests on the simulator substrates: match-action tables
-//! against a reference model, event ordering, register semantics, queue
+//! Property-based tests on the simulator substrates: the LPM forwarding
+//! table against a reference model, event ordering, register semantics, queue
 //! conservation, and TCP stream integrity under arbitrary loss patterns.
 
 use int_edge_sched::dataplane::{Key, MatchActionTable, MatchKind, RegisterArray};

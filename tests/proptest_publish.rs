@@ -27,11 +27,13 @@
 use int_edge_sched::core::rank::StaticDistances;
 use int_edge_sched::core::config::DirectionFallback;
 use int_edge_sched::core::{CoreConfig, IntCollector, SchedSnapshot, SnapshotPublisher};
-use int_edge_sched::packet::int::IntRecord;
-use int_edge_sched::packet::ProbePayload;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+#[path = "common/probe.rs"]
+mod probes;
+use probes::{hop, probe};
 
 const SCHED: u32 = 100;
 const EVICT_HORIZON_NS: u64 = 350_000_000;
@@ -61,20 +63,12 @@ impl Route {
         } else {
             (self.host, SCHED)
         };
-        let mut p = ProbePayload::new(origin, seq, 0);
         let last = chain.len() as u64 - 1;
-        for (i, sw) in chain.iter().enumerate() {
-            p.int.push(IntRecord {
-                switch_id: *sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: qlen,
-                qlen_at_probe_pkts: qlen / 2,
-                link_latency_ns: lat_ms * 1_000_000,
-                egress_ts_ns: now_ns - (last - i as u64) * lat_ms * 1_000_000,
-            });
-        }
-        col.ingest_relayed(&p, terminal, now_ns);
+        let hops = chain.iter().enumerate().map(|(i, &sw)| {
+            let ts = now_ns - (last - i as u64) * lat_ms * 1_000_000;
+            hop(sw, qlen, qlen / 2, lat_ms * 1_000_000, ts)
+        });
+        col.ingest_relayed(&probe(origin, seq, hops), terminal, now_ns);
     }
 }
 

@@ -14,10 +14,12 @@ use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::shard::{RankQuery, ShardedScheduler};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
-use int_edge_sched::packet::int::IntRecord;
-use int_edge_sched::packet::ProbePayload;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+#[path = "common/probe.rs"]
+mod probes;
+use probes::{hop, probe};
 
 /// Churn rounds: modest by default, heavy under `--cfg shard_stress`.
 fn churn_rounds() -> usize {
@@ -28,42 +30,24 @@ fn churn_rounds() -> usize {
     }
 }
 
-fn probe(origin: u32, seq: u64, chain: &[(u32, u32)], ts_ns: u64) -> ProbePayload {
-    let mut p = ProbePayload::new(origin, seq, 0);
-    for (i, &(sw, q)) in chain.iter().enumerate() {
-        p.int.push(IntRecord {
-            switch_id: sw,
-            ingress_port: 0,
-            egress_port: 1,
-            max_qlen_pkts: q,
-            qlen_at_probe_pkts: q / 2,
-            link_latency_ns: 8_000_000,
-            egress_ts_ns: ts_ns.saturating_sub((chain.len() - i) as u64 * 40_000),
-        });
-    }
-    p
-}
-
 /// The ingest applied at `round`: three origins behind partially shared
 /// switches, queue depths churned per round, origin 2 silent in a
-/// mid-run window.
+/// mid-run window. Each probe crosses two switches, 40 µs apart.
 fn ingest_round(core: &mut SchedulerCore, round: usize, rounds: usize) {
     let now = (round as u64 + 1) * 100_000_000;
     let q = |k: usize| ((round * 7 + k * 13) % 32) as u32;
-    core.collector_mut().ingest(
-        &probe(1, round as u64, &[(10, q(0)), (11, q(1))], now),
-        now,
-    );
+    let send = |core: &mut SchedulerCore, origin: u32, [(s0, q0), (s1, q1)]: [(u32, u32); 2]| {
+        let hops = [
+            hop(s0, q0, q0 / 2, 8_000_000, now.saturating_sub(80_000)),
+            hop(s1, q1, q1 / 2, 8_000_000, now.saturating_sub(40_000)),
+        ];
+        core.collector_mut().ingest(&probe(origin, round as u64, hops), now);
+    };
+    send(core, 1, [(10, q(0)), (11, q(1))]);
     if !(rounds / 4..rounds / 2).contains(&round) {
-        core.collector_mut().ingest(
-            &probe(2, round as u64, &[(12, q(2)), (11, q(3))], now),
-            now,
-        );
+        send(core, 2, [(12, q(2)), (11, q(3))]);
     }
-    core.collector_mut().ingest(
-        &probe(3, round as u64, &[(13, q(4)), (11, q(5))], now),
-        now,
-    );
+    send(core, 3, [(13, q(4)), (11, q(5))]);
 }
 
 fn query_set() -> Vec<RankQuery> {
