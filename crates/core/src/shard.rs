@@ -269,13 +269,15 @@ impl ShardedScheduler {
         }
 
         if self.metrics.enabled() {
+            // Gauges are stamped on the collector clock: the batch's latest query time.
+            let at_ns = queries.iter().map(|q| q.now_ns).max().expect("batch is non-empty");
             for (i, shard) in self.shards.iter().enumerate() {
                 let served = shard.lock().expect("shard poisoned").served;
                 self.metrics.gauge_set(
                     "shard_queries_served",
                     Labels::one("shard", i as u64),
                     served as i64,
-                    tag_base,
+                    at_ns,
                 );
             }
             self.metrics.histogram_record(
@@ -475,6 +477,13 @@ mod tests {
             s.metrics().gauge("shard_queries_served", Labels::one("shard", 1)),
             Some(4)
         );
+        // Stamped with the batch's latest query time, not its first slot
+        // number (0 here): queries(8, t) ask at t, t + 1 µs, …, t + 7 µs.
+        let json = s.metrics().snapshot_json();
+        for shard in 0..2 {
+            let want = format!(r#""shard_queries_served{{shard={shard}}}":{{"value":4,"at_ns":33007000}}"#);
+            assert!(json.contains(&want), "{want} not in {json}");
+        }
     }
 
     #[test]

@@ -33,6 +33,12 @@
 //! and every candidate's estimate is a table read at its dense id — no
 //! per-pair path is ever materialised. (`k_paths > 1` still resolves and
 //! caches explicit k-path sets, because banning edges needs real paths.)
+//! Two things keep a cold query cheap: degree-1 nodes (hosts, which hang
+//! off one switch) settle as they are relaxed instead of passing through
+//! the Dijkstra's heap, and a switch-tail arc's queue price — `k·Q` and
+//! the available bandwidth at `Q` — is computed once per (snapshot, query
+//! time) and memoized in the scratch, so a batch of queries sharing a
+//! `now` evaluates each arc's queue evidence once.
 //! The evaluation mirrors the reference [`Ranker`](crate::rank::Ranker)
 //! over the live map decision-for-decision; the proptests here and in
 //! `tests/` pin equality across churn, eviction, and faults.
@@ -501,7 +507,7 @@ impl SchedSnapshot {
         let mut best_delay = u64::MAX;
         let mut best_bw = 0;
         for path in kset {
-            let (d, bw) = self.price_path(path, now_ns);
+            let (d, bw) = self.price_path(&mut scratch.hops, path, now_ns);
             if d < best_delay {
                 best_delay = d;
                 best_bw = bw;
@@ -515,15 +521,29 @@ impl SchedSnapshot {
     /// — including their saturating arithmetic (8+-hop fabric paths with
     /// saturated link estimates must pin at the ceiling, not wrap). Both
     /// the tree sweep and [`Self::price_path`] price through this one
-    /// step, source → leaf, which is what makes them bit-identical.
-    fn fold_arc(&self, acc: &mut Priced, u: u32, ai: usize, now_ns: u64) {
+    /// step, source → leaf, which is what makes them bit-identical; a
+    /// switch-tail arc's `(k·Q, available bandwidth)` comes from `hops`,
+    /// priced at its current query time.
+    fn fold_arc(&self, hops: &mut HopMemo, acc: &mut Priced, u: u32, ai: usize) {
         acc.link_delay_ns = acc.link_delay_ns.saturating_add(self.est_delay[ai]);
         if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
-            let q = self.arc_qlen(ai, now_ns);
-            acc.hop_delay_ns =
-                acc.hop_delay_ns.saturating_add(self.cfg.k_ns_per_pkt.saturating_mul(q as u64));
-            acc.bottleneck_bps = acc.bottleneck_bps.min(self.cfg.available_bw_for_qlen(q));
+            let (hop_ns, bw_bps) = self.hop_price(hops, ai);
+            acc.hop_delay_ns = acc.hop_delay_ns.saturating_add(hop_ns);
+            acc.bottleneck_bps = acc.bottleneck_bps.min(bw_bps);
         }
+    }
+
+    /// Arc `ai`'s `(k·Q saturating, available_bw_for_qlen(Q))` at the
+    /// memo's query time, `Q` its effective queue length: computed on the
+    /// first ask per (snapshot, query time), a memo read after that.
+    fn hop_price(&self, hops: &mut HopMemo, ai: usize) -> (u64, u64) {
+        let entry = &mut hops.arcs[ai];
+        if entry.0 != hops.stamp {
+            let q = self.arc_qlen(ai, hops.now_ns);
+            let hop_ns = self.cfg.k_ns_per_pkt.saturating_mul(q as u64);
+            *entry = (hops.stamp, hop_ns, self.cfg.available_bw_for_qlen(q));
+        }
+        (entry.1, entry.2)
     }
 
     /// Price every node reachable from `from` into `scratch.table`: one
@@ -532,13 +552,14 @@ impl SchedSnapshot {
     /// folded exactly once onto its parent's figures.
     fn price_tree(&self, scratch: &mut SnapshotScratch, from: u32, now_ns: u64) {
         let (start, end) = self.ensure_tree(scratch, from);
-        let table = &mut scratch.table;
+        let SnapshotScratch { table, arena, hops, .. } = scratch;
+        hops.at(now_ns);
         table.clear();
         table.resize(self.topo.nodes.len(), None);
         table[from as usize] = Some(Priced::at_source(&self.cfg));
-        for t in &scratch.arena[start + 1..end] {
+        for t in &arena[start + 1..end] {
             let mut acc = table[t.parent as usize].expect("parents settle before children");
-            self.fold_arc(&mut acc, t.parent, t.arc as usize, now_ns);
+            self.fold_arc(hops, &mut acc, t.parent, t.arc as usize);
             table[t.node as usize] = Some(acc);
         }
     }
@@ -565,11 +586,12 @@ impl SchedSnapshot {
     /// Price one explicit dense-id path (the `k_paths > 1` route, and the
     /// reference the tree sweep is tested against): the arcs folded
     /// source → leaf through [`Self::fold_arc`].
-    fn price_path(&self, path: &[u32], now_ns: u64) -> (u64, u64) {
+    fn price_path(&self, hops: &mut HopMemo, path: &[u32], now_ns: u64) -> (u64, u64) {
+        hops.at(now_ns);
         let mut acc = Priced::at_source(&self.cfg);
         for w in path.windows(2) {
             let ai = self.arc_index(w[0], w[1]).expect("path arcs exist in the CSR");
-            self.fold_arc(&mut acc, w[0], ai, now_ns);
+            self.fold_arc(hops, &mut acc, w[0], ai);
         }
         acc.finish()
     }
@@ -656,6 +678,17 @@ impl SchedSnapshot {
     /// sees every node as it settles, with its final parent and parent
     /// arc (`NO_PREV` for the source): weights are ≥ 1, so that order
     /// lists every parent before its children.
+    ///
+    /// A node with exactly one CSR arc — a host on its one switch —
+    /// settles the moment it is relaxed and never enters the heap. That
+    /// is exact: rows are symmetric, so its one arc out mirrors its one
+    /// arc in, whose tail `u` is being settled; `dist[u] + w` can never
+    /// improve again, there is no tie to break, and the node can relax
+    /// nothing (its only neighbour is final), so it is never an interior
+    /// node of a route. `dist`, `prev` and every extracted path equal the
+    /// heap-only run's; only the settle order moves, still parent first.
+    /// A banned in-arc leaves the node unreached, and a relaxation to
+    /// `u64::MAX` never fires (strict `<`), so neither settles it.
     fn dijkstra(
         &self,
         sp: &mut Sssp,
@@ -677,7 +710,7 @@ impl SchedSnapshot {
 
         sp.dist[source as usize] = 0;
         sp.heap.push(Reverse((0, source)));
-        while let Some(Reverse((d, u))) = sp.heap.pop() {
+        'run: while let Some(Reverse((d, u))) = sp.heap.pop() {
             if sp.dist[u as usize] < d {
                 continue; // stale heap entry
             }
@@ -695,7 +728,14 @@ impl SchedSnapshot {
                 if nd < sp.dist[v as usize] {
                     sp.dist[v as usize] = nd;
                     sp.prev[v as usize] = (u, i as u32);
-                    sp.heap.push(Reverse((nd, v)));
+                    if topo.row[v as usize + 1] - topo.row[v as usize] == 1 {
+                        settled(TreeArc { node: v, parent: u, arc: i as u32 });
+                        if target == Some(v) {
+                            break 'run;
+                        }
+                    } else {
+                        sp.heap.push(Reverse((nd, v)));
+                    }
                 }
             }
         }
@@ -876,6 +916,37 @@ struct Sssp {
     heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
+/// Per-arc queue prices for one (snapshot, query time), without an
+/// O(arcs) clear when either moves: an entry counts only while its stamp
+/// is the current one, and the stamp moves on every rebind and every new
+/// query time. 24 B per arc, sized once per snapshot (capacity kept).
+#[derive(Debug, Default)]
+struct HopMemo {
+    /// Current stamp; never 0 once bound, so fresh entries never count.
+    stamp: u64,
+    /// The query time entries with the current stamp were priced at.
+    now_ns: u64,
+    /// Per arc: `(stamp, k·Q saturating, available_bw_for_qlen(Q))`,
+    /// written for switch-tail arcs only.
+    arcs: Vec<(u64, u64, u64)>,
+}
+
+impl HopMemo {
+    /// A new snapshot with `arcs` arcs: forget every entry.
+    fn rebind(&mut self, arcs: usize) {
+        self.stamp += 1;
+        self.arcs.resize(arcs, (0, 0, 0));
+    }
+
+    /// Price at `now_ns` from here on: entries of another time lapse.
+    fn at(&mut self, now_ns: u64) {
+        if self.now_ns != now_ns {
+            self.now_ns = now_ns;
+            self.stamp += 1;
+        }
+    }
+}
+
 /// SplitMix64's finalizer: a cheap, well-distributed u64 → u64 mix for
 /// deriving per-query RNG seeds from `(seed, epoch, slot)`.
 fn mix(mut x: u64) -> u64 {
@@ -907,13 +978,13 @@ pub struct SnapshotServeStats {
 
 /// Per-shard mutable state for evaluating queries against a
 /// [`SchedSnapshot`]: the reusable Dijkstra buffers, this epoch's
-/// shortest-path trees, and the per-query price table. One scratch must
-/// only ever be used by one thread at a time (each shard owns its own);
-/// it revalidates itself against the snapshot's identity on every query,
-/// so handing it any sequence of snapshots — advancing epochs, or
-/// different schedulers' — is safe and cheap. Nothing here is freed on
-/// an epoch move (`clear()` keeps capacity), so steady churn serving does
-/// not allocate.
+/// shortest-path trees, the per-query price table and the per-arc queue
+/// prices of the last query time. One scratch must only ever be used by
+/// one thread at a time (each shard owns its own); it revalidates itself
+/// against the snapshot's identity on every query, so handing it any
+/// sequence of snapshots — advancing epochs, or different schedulers' —
+/// is safe and cheap. Nothing here is freed on an epoch move (`clear()`
+/// keeps capacity), so steady churn serving does not allocate.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
     /// [`SchedSnapshot::uid`] the per-epoch state below belongs to.
@@ -931,6 +1002,8 @@ pub struct SnapshotScratch {
     /// The current query's priced routes by dense node id (`None` =
     /// unreachable from the requester).
     table: Vec<Option<Priced>>,
+    /// Switch-tail arcs' queue prices at the last priced query time.
+    hops: HopMemo,
     /// Nearest-policy sort keys: `(static distance, estimate)`.
     nearest: Vec<(u32, RankedServer)>,
     /// `(from, to)` → cached k-path set (empty = unreachable); used only
@@ -956,8 +1029,9 @@ impl SnapshotScratch {
     }
 
     /// Revalidate against `snap`: any other snapshot than the one last
-    /// served invalidates the trees, the k-set cache and the memoized
-    /// SSSP (dense ids and arc indices belong to one frozen graph).
+    /// served invalidates the trees, the k-set cache, the memoized SSSP
+    /// and the queue prices (dense ids and arc indices belong to one
+    /// frozen graph, the prices to one epoch's evidence).
     fn bind(&mut self, snap: &SchedSnapshot) {
         if self.bound != Some(snap.uid) {
             self.bound = Some(snap.uid);
@@ -966,6 +1040,7 @@ impl SnapshotScratch {
             self.tree_of.clear();
             self.tree_of.resize(snap.topo.nodes.len(), (0, 0));
             self.kcache.clear();
+            self.hops.rebind(snap.topo.cols.len());
         }
     }
 }
@@ -1344,6 +1419,47 @@ mod tests {
         );
     }
 
+    /// The queue-price memo is keyed on (snapshot, query time), not on
+    /// time moving forward: one scratch answering one requester at times
+    /// that jump past the staleness horizon and the queue window and back
+    /// again answers each exactly as a fresh scratch and the reference
+    /// do — through the tree sweep (`k_paths = 1`) and explicit k-paths.
+    #[test]
+    fn queue_prices_follow_query_time_backwards_and_forwards() {
+        for k_paths in [1, 2] {
+            let cfg = CoreConfig {
+                origin_silence_ns: 60_000_000_000,
+                k_paths,
+                ..CoreConfig::default()
+            };
+            let mut d = StaticDistances::new();
+            d.set(6, 1, 3);
+            d.set(6, 2, 5);
+            let mut core = SchedulerCore::new(6, cfg, d, 42);
+            core.collector_mut().ingest(&probe(1, 1, &[(10, 20), (11, 0)]), 32_000_000);
+            core.collector_mut().ingest(&probe(2, 1, &[(12, 0), (11, 0)]), 32_000_000);
+            let t = 32_000_000;
+            let (stale, unwindowed) = (t + 4_000_000_000, t + core.config().qlen_window_ns + 1);
+            let snap = snap_of(&core, 1, t);
+            let mut scratch = SnapshotScratch::new();
+            let mut delays = BTreeMap::new();
+            for now in [t, stale, t, unwindowed, t] {
+                for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+                    let want = reference(&core, 6, policy, now);
+                    let fresh = snap.rank_detailed(&mut SnapshotScratch::new(), 6, policy, now, 0);
+                    let got = snap.rank_detailed(&mut scratch, 6, policy, now, 0);
+                    assert_eq!(got, want, "k={k_paths} {policy:?} at {now}");
+                    assert_eq!(got, fresh, "k={k_paths} {policy:?} at {now}");
+                    if policy == Policy::IntDelay {
+                        delays.insert(now, got.ranked);
+                    }
+                }
+            }
+            assert_ne!(delays[&t], delays[&stale], "staleness empties the queue");
+            assert_ne!(delays[&t], delays[&unwindowed], "the window empties the queue");
+        }
+    }
+
     #[test]
     fn snapshot_excludes_silent_origins_by_query_now() {
         let mut core = core_with_two_servers();
@@ -1553,18 +1669,21 @@ mod tests {
     }
 
     proptest! {
-        /// Tree pricing against its two references over random
-        /// probe/churn/eviction sequences: after every op, at query times
-        /// on both sides of the queue window, the staleness horizon and
-        /// the silence horizon, (1) the swept table equals the explicit
-        /// path — walked off an independent SSSP and priced arc by arc —
-        /// for every host pair, unreachable ones included, and (2) the
-        /// full ranking equals the single-threaded oracle's. Latency
-        /// classes ≥ 50 put links near `u64::MAX` (two of them in a row
-        /// are unreachable: Dijkstra never settles a node at distance
-        /// `u64::MAX`), and `big_k` does the same to `k·Q`, so the
-        /// saturating hop sum, the saturating link + hop total and the
-        /// `MAX − 1` clamp are all hit.
+        /// Tree pricing against its references over random
+        /// probe/churn/eviction sequences: after every op, (1) every host
+        /// pair's route equals the reference `NetworkMap::path` (a
+        /// heap-only Dijkstra, so the degree-1 rule is checked against a
+        /// run without it; route shape 2 multi-homes origins), and, at
+        /// query times on both sides of the queue window, the staleness
+        /// horizon and the silence horizon, (2) the swept table equals
+        /// the explicit path — walked off a second scratch's SSSP and
+        /// priced arc by arc — for every host pair, unreachable ones
+        /// included, and (3) the full ranking equals the single-threaded
+        /// oracle's. Latency classes ≥ 50 put links near `u64::MAX` (two
+        /// of them in a row are unreachable: Dijkstra never settles a
+        /// node at distance `u64::MAX`), and `big_k` does the same to
+        /// `k·Q`, so the saturating hop sum, the saturating link + hop
+        /// total and the `MAX − 1` clamp are all hit.
         #[test]
         fn tree_pricing_matches_explicit_paths_and_oracle_under_churn(
             ops in proptest::collection::vec(
@@ -1650,6 +1769,17 @@ mod tests {
                 shared.bind(&snap);
                 let mut walk = SnapshotScratch::new();
                 walk.bind(&snap);
+                let (map, map_cfg) = (core.collector().map(), core.config());
+                for &a in &snap.topo.hosts {
+                    for &b in &snap.topo.hosts {
+                        let (from, to) = (NetNode::Host(a), NetNode::Host(b));
+                        prop_assert_eq!(
+                            snap.path(&mut walk, from, to),
+                            map.path(map_cfg, from, to),
+                            "route {}→{}, op {}", a, b, seq
+                        );
+                    }
+                }
                 let mut path = Vec::new();
                 for later_ms in [0u64, 100, 200, 400, 900] {
                     let at = now_ns + later_ms * MS;
@@ -1658,7 +1788,7 @@ mod tests {
                         snap.ensure_sssp(&mut walk, from);
                         for to in 0..snap.topo.hosts.len() as u32 {
                             let want = extract_path_into(&walk.sssp, from, to, &mut path)
-                                .then(|| snap.price_path(&path, at));
+                                .then(|| snap.price_path(&mut walk.hops, &path, at));
                             let got = shared.table[to as usize].map(Priced::finish);
                             prop_assert_eq!(
                                 got, want,

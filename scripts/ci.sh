@@ -37,6 +37,7 @@ done
 echo "== intbench (the benchmark of record: its tests + every workload's correctness gate)"
 cargo test --release -q --manifest-path intbench/Cargo.toml
 cargo run --release -q --manifest-path intbench/Cargo.toml -- --all --smoke
+cargo run --release -q --manifest-path intbench/Cargo.toml -- --all --smoke --seed 2 --runs 1
 
 echo "== shard stress (publish/read races: more churn rounds, same oracle equality)"
 RUSTFLAGS="--cfg shard_stress --check-cfg=cfg(shard_stress)" \

@@ -183,3 +183,40 @@ fn split_batches_equal_one_batch() {
     first.extend(second);
     assert_eq!(first, whole, "slot numbering must not depend on batch boundaries");
 }
+
+/// One batch whose query times jump back and forth — across the queue
+/// window (500 ms) and the staleness and silence horizons (3 s) — while
+/// each shard's scratch keeps its per-arc queue prices between queries:
+/// at 1 and 2 shards the batch equals the single-threaded core answering
+/// the same queries in order.
+#[test]
+fn mixed_query_times_in_one_batch_match_the_core() {
+    const T: u64 = 800_000_000;
+    let queries: Vec<RankQuery> = [T, T + 4_000_000_000, T, T + 600_000_000, T - 50_000_000, T]
+        .into_iter()
+        .flat_map(|now_ns| query_set().into_iter().map(move |q| RankQuery { now_ns, ..q }))
+        .collect();
+
+    // The core publishes its one epoch at the first query's time, T; no
+    // later query time evicts anything (10 s horizon), so it never moves.
+    let mut core = SchedulerCore::new(6, CoreConfig::default(), scheduler_distances(), 9);
+    for round in 0..8 {
+        ingest_round(&mut core, round, 8);
+    }
+    let want: Vec<RankOutcome> = queries
+        .iter()
+        .map(|q| core.rank_detailed_with(q.requester, q.policy, q.now_ns))
+        .collect();
+    assert_ne!(want[0], want[query_set().len()], "the +4 s answers differ");
+
+    for shards in [1, 2] {
+        let mut s = ShardedScheduler::new(6, CoreConfig::default(), scheduler_distances(), 9, shards);
+        for round in 0..8 {
+            ingest_round(s.core_mut(), round, 8);
+        }
+        s.advance(T);
+        let mut got = Vec::new();
+        s.serve_batch(&queries, &mut got);
+        assert_eq!(got, want, "shards={shards}");
+    }
+}
