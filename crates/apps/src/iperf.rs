@@ -172,7 +172,7 @@ mod tests {
     fn queue_grows_with_utilization() {
         let max_q = |rate: u64| {
             let (t, h1, h2) = line();
-            let s1 = t.node_by_name("s1").unwrap();
+            let s1 = t.node(h1).ports[0].peer;
             let mut sim = Simulator::new(t, SimConfig::default());
             sim.install_app(
                 h1,

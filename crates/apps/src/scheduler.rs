@@ -6,10 +6,7 @@
 //! baselines ignore it.
 
 use int_core::rank::StaticDistances;
-use int_core::{
-    Capabilities, CompositePolicy, ComputeTracker, CoreConfig, ExcludeReason, Policy,
-    SchedulerCore,
-};
+use int_core::{CompositePolicy, ComputeTracker, CoreConfig, ExcludeReason, Policy, SchedulerCore};
 use int_netsim::{App, AppCtx};
 use int_packet::msgs::ControlMsg;
 use int_packet::wire::{WireDecode, WireEncode};
@@ -17,13 +14,16 @@ use int_packet::{RelayedProbe, PROBE_RELAY_UDP_PORT, PROBE_UDP_PORT, SCHEDULER_U
 use std::any::Any;
 use std::net::Ipv4Addr;
 
+/// Execution-time estimate the compute-aware re-ranking converts backlog
+/// into queue wait with, ns: the mean Table I execution time of the
+/// VerySmall class the workflow experiment draws.
+const EXEC_EST_NS: u64 = 1_000_000_000;
+
 /// Compute-aware re-ranking state: a composite policy plus the load
 /// tracker it consults (fed by executor `LoadReport`s).
 struct ComputeMode {
     policy: CompositePolicy,
     tracker: ComputeTracker,
-    /// Execution-time estimate used to convert backlog into queue wait, ns.
-    exec_est_ns: u64,
 }
 
 /// The scheduler application.
@@ -61,18 +61,16 @@ impl SchedulerApp {
 
     /// Enable compute-aware re-ranking: candidate lists produced by the
     /// base [`Policy`] are post-processed by `policy` using tracked
-    /// executor load (see [`ComputeTracker`]). `exec_est_ns` is the
-    /// execution-time estimate used to convert backlog into queue wait.
-    pub fn set_compute(&mut self, policy: CompositePolicy, exec_est_ns: u64) {
-        self.compute =
-            Some(ComputeMode { policy, tracker: ComputeTracker::new(), exec_est_ns });
+    /// executor load (see [`ComputeTracker`]).
+    pub fn set_compute(&mut self, policy: CompositePolicy) {
+        self.compute = Some(ComputeMode { policy, tracker: ComputeTracker::new() });
     }
 
     /// Register an executor's slot count with the compute tracker (no-op
     /// unless [`SchedulerApp::set_compute`] was called).
     pub fn register_executor(&mut self, host: u32, slots: u32) {
         if let Some(c) = &mut self.compute {
-            c.tracker.register(host, Capabilities::new(), slots);
+            c.tracker.register(host, slots);
         }
     }
 
@@ -181,7 +179,7 @@ impl App for SchedulerApp {
                 self.exclusions += outcome.excluded.len() as u64;
                 self.last_excluded = outcome.excluded;
                 if let Some(c) = &mut self.compute {
-                    c.policy.apply(&c.tracker, &mut outcome.ranked, c.exec_est_ns);
+                    c.policy.apply(&c.tracker, &mut outcome.ranked, EXEC_EST_NS);
                     // Optimistically count the placements this response will
                     // trigger (submitters assign task i to candidate
                     // i % len): the executor's next ground-truth LoadReport

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use int_core::rank::{Ranker, StaticDistances};
 use int_core::shard::{RankQuery, ShardedScheduler};
 use int_core::{
-    CoreConfig, DelayEstimator, IntCollector, NetNode, NetworkMap, Policy, SchedulerCore,
+    CoreConfig, DelayEstimator, IntCollector, NetNode, NetworkMap, Policy, RankOutcome,
+    SchedulerCore,
 };
 use int_packet::int::IntRecord;
 use int_packet::ProbePayload;
@@ -104,9 +105,8 @@ fn bench_probe_ingest(c: &mut Criterion) {
 
 fn bench_path_traversal(c: &mut Criterion) {
     let m = ring_map(8);
-    let cfg = CoreConfig::default();
     c.bench_function("map/path_lookup", |b| {
-        b.iter(|| black_box(m.path(&cfg, NetNode::Host(0), NetNode::Host(4))))
+        b.iter(|| black_box(m.path(NetNode::Host(0), NetNode::Host(4))))
     });
 }
 
@@ -160,10 +160,10 @@ fn bench_rank_throughput(c: &mut Criterion) {
     {
         g.bench_function(name, |b| {
             let mut core = core_of(scheduler, CoreConfig::default(), &probes);
-            let mut out = Vec::new();
+            let mut out = RankOutcome::default();
             b.iter(|| {
-                core.rank_with_into(scheduler, Policy::IntDelay, LEARNED_AT_NS, &mut out);
-                black_box(out.len())
+                core.rank_detailed_into_with(scheduler, Policy::IntDelay, LEARNED_AT_NS, &mut out);
+                black_box(out.ranked.len())
             })
         });
     }
@@ -190,10 +190,10 @@ fn bench_rank_throughput_kpaths(c: &mut Criterion) {
     for k in [1u32, 2, 4, 8] {
         g.bench_with_input(BenchmarkId::new("fabric_mp_128h", k), &k, |b, &k| {
             let mut core = core_of(1000, CoreConfig { k_paths: k, ..CoreConfig::default() }, &probes);
-            let mut out = Vec::new();
+            let mut out = RankOutcome::default();
             b.iter(|| {
-                core.rank_with_into(1000, Policy::IntDelay, LEARNED_AT_NS, &mut out);
-                black_box(out.len())
+                core.rank_detailed_into_with(1000, Policy::IntDelay, LEARNED_AT_NS, &mut out);
+                black_box(out.ranked.len())
             })
         });
     }

@@ -243,7 +243,8 @@ impl IntCollector {
         self.scheduler_host
     }
 
-    /// Per-origin accounting.
+    /// Per-origin accounting. Diagnostic: `tests/proptest_ingest.rs`
+    /// reads it against the unmemoized reference.
     pub fn origin_stats(&self, origin: u32) -> OriginStats {
         let routes = &self.routes;
         routes
@@ -274,7 +275,8 @@ impl IntCollector {
     }
 
     /// `(hits, misses)` of the route memo: probes folded straight into
-    /// their memo'd edges vs. probes that took the full walk. Diagnostic.
+    /// their memo'd edges vs. probes that took the full walk. Diagnostic:
+    /// `tests/alloc_ingest.rs` and `tests/proptest_ingest.rs` read it.
     pub fn memo_stats(&self) -> (u64, u64) {
         (self.routes.hits, self.probes_accepted - self.routes.hits)
     }

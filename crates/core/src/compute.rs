@@ -1,46 +1,21 @@
-//! Compute-aware and heterogeneity-aware scheduling extensions.
+//! Compute-aware scheduling extension.
 //!
-//! The paper's conclusion names two future-work directions: (1) take the
-//! availability of compute on edge servers into account and (2) respect
-//! hardware/software requirements (e.g. GPU, specific frameworks). This
-//! module implements both as a post-processing layer over the network
-//! ranking: filter candidates by capability, then re-order by a blend of
-//! network estimate and current server load.
+//! The paper's conclusion names taking the availability of compute on
+//! edge servers into account as future work. This module implements it
+//! as a post-processing layer over the network ranking: re-order by a
+//! blend of network estimate and current server load. (Its other
+//! direction, hardware/software requirements such as a GPU, has no
+//! workload here that needs it, so nothing filters on capabilities.)
 
 use crate::rank::RankedServer;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// Capabilities an edge server advertises (GPU, ISA, installed runtimes…).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Capabilities {
-    tags: BTreeSet<String>,
-}
-
-impl Capabilities {
-    /// No capabilities.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder-style tag addition.
-    pub fn with(mut self, tag: &str) -> Self {
-        self.tags.insert(tag.to_string());
-        self
-    }
-
-    /// Does this server satisfy every required tag?
-    pub fn satisfies(&self, required: &Capabilities) -> bool {
-        required.tags.is_subset(&self.tags)
-    }
-}
+use std::collections::BTreeMap;
 
 /// Tracked compute state of the fleet.
 #[derive(Debug, Clone, Default)]
 pub struct ComputeTracker {
-    caps: BTreeMap<u32, Capabilities>,
-    /// Outstanding tasks per server (incremented on dispatch, decremented
-    /// on completion callbacks).
+    /// Outstanding tasks per server (incremented on dispatch, overwritten
+    /// by executor load reports).
     load: BTreeMap<u32, u32>,
     /// Task slots per server (1 = serial executor).
     slots: BTreeMap<u32, u32>,
@@ -52,9 +27,8 @@ impl ComputeTracker {
         Self::default()
     }
 
-    /// Register a server with its capabilities and parallel slots.
-    pub fn register(&mut self, host: u32, caps: Capabilities, slots: u32) {
-        self.caps.insert(host, caps);
+    /// Register a server with its parallel slots.
+    pub fn register(&mut self, host: u32, slots: u32) {
         self.slots.insert(host, slots.max(1));
         self.load.entry(host).or_insert(0);
     }
@@ -64,16 +38,9 @@ impl ComputeTracker {
         *self.load.entry(host).or_insert(0) += 1;
     }
 
-    /// A task finished on `host`.
-    pub fn on_complete(&mut self, host: u32) {
-        if let Some(l) = self.load.get_mut(&host) {
-            *l = l.saturating_sub(1);
-        }
-    }
-
     /// Overwrite `host`'s outstanding-task count from an absolute load
-    /// report (executors push these; reports win over the dispatch /
-    /// complete deltas because they come from the ground truth).
+    /// report (executors push these; reports win over the dispatch
+    /// deltas because they come from the ground truth).
     pub fn set_load(&mut self, host: u32, outstanding: u32) {
         self.load.insert(host, outstanding);
     }
@@ -92,22 +59,6 @@ impl ComputeTracker {
     /// tasks that are actually *waiting* (0 while every task has a slot).
     pub fn pressure(&self, host: u32) -> u32 {
         self.load(host).saturating_sub(self.slots(host))
-    }
-
-    /// Filter a network ranking down to servers satisfying `required`,
-    /// preserving order. Unregistered servers are assumed capable (the
-    /// tracker may simply not know them yet).
-    pub fn filter_capable<'a>(
-        &self,
-        ranked: &'a [RankedServer],
-        required: &Capabilities,
-    ) -> Vec<&'a RankedServer> {
-        ranked
-            .iter()
-            .filter(|s| {
-                self.caps.get(&s.host).map(|c| c.satisfies(required)).unwrap_or(true)
-            })
-            .collect()
     }
 
     /// Compute-aware re-ranking: stable-sort a network ranking by queue
@@ -203,31 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn capability_subset_check() {
-        let gpu_server = Capabilities::new().with("gpu").with("keras");
-        let needs_gpu = Capabilities::new().with("gpu");
-        let needs_tpu = Capabilities::new().with("tpu");
-        assert!(gpu_server.satisfies(&needs_gpu));
-        assert!(!gpu_server.satisfies(&needs_tpu));
-        assert!(gpu_server.satisfies(&Capabilities::new()), "no requirements always pass");
-    }
-
-    #[test]
-    fn filter_keeps_order_and_unknown_servers() {
-        let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new().with("gpu"), 1);
-        t.register(2, Capabilities::new(), 1);
-        // host 3 never registered.
-        let ranked = vec![server(2, 10), server(1, 20), server(3, 30)];
-        let need_gpu = Capabilities::new().with("gpu");
-        let hosts: Vec<u32> = t.filter_capable(&ranked, &need_gpu).iter().map(|s| s.host).collect();
-        assert_eq!(hosts, vec![1, 3], "non-GPU host 2 dropped, unknown host 3 kept");
-    }
-
-    #[test]
     fn load_tracking_and_pressure() {
         let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new(), 2);
+        t.register(1, 2);
         assert_eq!(t.pressure(1), 0);
         t.on_dispatch(1);
         assert_eq!(t.load(1), 1);
@@ -236,18 +165,12 @@ mod tests {
         assert_eq!(t.pressure(1), 0, "both slots busy but nothing queued");
         t.on_dispatch(1);
         assert_eq!(t.pressure(1), 1, "one task actually waits");
-        t.on_complete(1);
-        assert_eq!(t.load(1), 2);
-        t.on_complete(1);
-        t.on_complete(1);
-        t.on_complete(1); // extra completion must not underflow
-        assert_eq!(t.load(1), 0);
     }
 
     #[test]
     fn set_load_overwrites_deltas() {
         let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new(), 1);
+        t.register(1, 1);
         t.on_dispatch(1);
         t.set_load(1, 5);
         assert_eq!(t.load(1), 5);
@@ -259,8 +182,8 @@ mod tests {
     #[test]
     fn queue_wait_drains_across_slots() {
         let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new(), 1);
-        t.register(2, Capabilities::new(), 4);
+        t.register(1, 1);
+        t.register(2, 4);
         // Same backlog of 4 queued tasks on both…
         for _ in 0..5 {
             t.on_dispatch(1);
@@ -278,8 +201,8 @@ mod tests {
     #[test]
     fn rerank_pushes_backlogged_server_down() {
         let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new(), 1);
-        t.register(2, Capabilities::new(), 1);
+        t.register(1, 1);
+        t.register(2, 1);
         // Network prefers host 1 (30 ms vs 50 ms)…
         let ranked = vec![server(1, 30), server(2, 50)];
         // …but host 1 has 3 outstanding tasks of ~100 ms each.
@@ -296,8 +219,8 @@ mod tests {
     #[test]
     fn composite_policies_reorder_as_documented() {
         let mut t = ComputeTracker::new();
-        t.register(1, Capabilities::new(), 1);
-        t.register(2, Capabilities::new(), 1);
+        t.register(1, 1);
+        t.register(2, 1);
         // Network prefers host 1; host 1 carries a 3-task backlog.
         let base = vec![server(1, 30), server(2, 50)];
         for _ in 0..3 {

@@ -1,4 +1,19 @@
 //! Tunables for the scheduler core, with the paper's values as defaults.
+//!
+//! A field is settable only because some experiment or deployment sets
+//! it to a value other than the default:
+//!
+//! - `k_ns_per_pkt` and `hop_signal`: the two ablations vary them.
+//! - `staleness_ns`, `qlen_window_ns`, `eviction_horizon_ns` and
+//!   `origin_silence_ns`: failover, fig9, fabric and the testbed scale
+//!   them to their probing intervals.
+//! - `k_paths`: the fabric experiment prices 4 paths per pair.
+//! - `link_capacity_bps` and `util_curve`: they describe the deployment's
+//!   links, not the algorithm.
+//!
+//! What no caller varies is a constant beside the code that reads it: the
+//! delay EWMA weight lives in [`crate::map`], and an unprobed direction
+//! always reads the reverse direction's measurements.
 
 use serde::{Deserialize, Serialize};
 
@@ -24,17 +39,6 @@ pub enum HopSignal {
     InstantaneousQueue,
 }
 
-/// What to do when estimating a path direction no probe covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DirectionFallback {
-    /// Use the reverse direction's measurements when the forward direction
-    /// is unknown (default — probes flow server→scheduler, task data flows
-    /// device→server, so the forward direction is often unprobed).
-    ReverseOk,
-    /// Treat unprobed directions as uncongested with zero queue.
-    Strict,
-}
-
 /// Configuration of the scheduler core.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CoreConfig {
@@ -49,12 +53,6 @@ pub struct CoreConfig {
     /// Measurements older than this are treated as stale (queue assumed
     /// empty): congestion signals must come from the last probing rounds.
     pub staleness_ns: u64,
-    /// EWMA weight (numerator of x/8) for link-delay smoothing; 8 = "use
-    /// the newest sample only", 1 = heavy smoothing. Default 2 keeps jitter
-    /// visible, as the paper intends probes to capture it.
-    pub delay_ewma_new_eighths: u32,
-    /// Behaviour for unprobed directions.
-    pub direction_fallback: DirectionFallback,
     /// Queue signal for hop-delay inference (ablation knob).
     pub hop_signal: HopSignal,
     /// Sliding window over which per-edge max-queue harvests are combined.
@@ -72,14 +70,6 @@ pub struct CoreConfig {
     /// presumed unreachable and excluded from INT-based rankings until it
     /// is heard from again.
     pub origin_silence_ns: u64,
-    /// Nominal delay assumed for a link the map knows exists but has no
-    /// delay sample for in the queried direction (and, under
-    /// [`DirectionFallback::Strict`], none in the reverse either). Used
-    /// both as the Dijkstra traversal weight and as the per-link term of
-    /// delay estimates, so routing and estimation can never silently
-    /// diverge on unmeasured links.
-    #[serde(default = "default_unmeasured_delay_ns")]
-    pub unmeasured_delay_ns: u64,
     /// Number of candidate paths the ranking engine prices per host pair
     /// (k-shortest by successive edge exclusion). 1 (the default) is the
     /// paper's single delay-weighted route; fabrics with ECMP set this to
@@ -87,10 +77,6 @@ pub struct CoreConfig {
     /// per-path estimates.
     #[serde(default = "default_k_paths")]
     pub k_paths: u32,
-}
-
-fn default_unmeasured_delay_ns() -> u64 {
-    10_000_000 // 10 ms, comfortably worse than any measured testbed link
 }
 
 fn default_k_paths() -> u32 {
@@ -104,13 +90,10 @@ impl Default for CoreConfig {
             link_capacity_bps: 20_000_000,
             util_curve: default_util_curve(),
             staleness_ns: 3_000_000_000, // 3 s
-            delay_ewma_new_eighths: 2,
-            direction_fallback: DirectionFallback::ReverseOk,
             hop_signal: HopSignal::MaxQueue,
             qlen_window_ns: 500_000_000,
             eviction_horizon_ns: 10_000_000_000, // 10 s ≈ 100 default intervals
             origin_silence_ns: 3_000_000_000,    // 3 s ≈ 30 default intervals
-            unmeasured_delay_ns: default_unmeasured_delay_ns(),
             k_paths: default_k_paths(),
         }
     }

@@ -68,11 +68,17 @@ impl DelayEstimator {
         to: NetNode,
         now_ns: u64,
     ) -> Option<DelayBreakdown> {
-        let path = map.path(&self.cfg, from, to)?;
+        let path = map.path(from, to)?;
         Some(self.estimate_along(map, &path, now_ns))
     }
 
     /// Estimate along an explicit node path (exposed for ablations).
+    ///
+    /// # Panics
+    ///
+    /// If two consecutive nodes of `path` are not joined by a live edge
+    /// of `map`, as they are on every path [`NetworkMap::path`] and
+    /// [`NetworkMap::k_paths`] return.
     pub fn estimate_along(
         &self,
         map: &NetworkMap,
@@ -89,11 +95,9 @@ impl DelayEstimator {
         // must pin at `u64::MAX`, not wrap around to "nearby".
         for w in path.windows(2) {
             let (a, b) = (w[0], w[1]);
-            // Unmeasured links contribute the configured nominal delay —
-            // the same value `NetworkMap::path` uses as traversal weight,
-            // so routing and estimation cannot diverge on warm-up links.
             link_delay_ns = link_delay_ns.saturating_add(
-                map.effective_delay_ns(&self.cfg, a, b).unwrap_or(self.cfg.unmeasured_delay_ns),
+                map.effective_delay_ns(a, b)
+                    .expect("consecutive path nodes are joined by a live edge in one direction"),
             );
             links += 1;
             if matches!(a, NetNode::Switch(_)) {
@@ -127,7 +131,7 @@ impl BandwidthEstimator {
         to: NetNode,
         now_ns: u64,
     ) -> Option<u64> {
-        let path = map.path(&self.cfg, from, to)?;
+        let path = map.path(from, to)?;
         Some(self.estimate_along(map, &path, now_ns))
     }
 
@@ -237,61 +241,6 @@ mod tests {
         let d = est.estimate(&m, NetNode::Host(1), NetNode::Host(1), 0).unwrap();
         assert_eq!(d.total_ns(), 0);
         assert_eq!(d.links, 0);
-    }
-
-    /// Regression (the 10 ms unmeasured-link fallback used to be hardcoded
-    /// twice, in `NetworkMap::path` and here): a non-default
-    /// `unmeasured_delay_ns` must flow into *both* the traversal weight
-    /// (route choice) and the per-link estimate.
-    #[test]
-    fn unmeasured_fallback_flows_to_traversal_and_estimate() {
-        use crate::config::DirectionFallback;
-        // Route A (via 10, 11): measured at 30 ms per link in the 1→6
-        // direction. Route B (via 13, 12): probed only 6→1, so under
-        // Strict fallback the 1→6 direction is unmeasured everywhere.
-        let mut m = NetworkMap::new();
-        let mut pa = ProbePayload::new(1, 1, 0);
-        for (i, sw) in [10u32, 11].into_iter().enumerate() {
-            pa.int.push(IntRecord {
-                switch_id: sw,
-                ingress_port: 0,
-                egress_port: 1,
-                max_qlen_pkts: 0,
-                qlen_at_probe_pkts: 0,
-                link_latency_ns: 30_000_000,
-                egress_ts_ns: (i as u64 + 1) * 30_000_000,
-            });
-        }
-        m.apply_probe(&pa, 6, 90_000_000); // final hop: 90 − 60 = 30 ms
-        let mut pb = ProbePayload::new(6, 1, 0);
-        for (i, sw) in [13u32, 12].into_iter().enumerate() {
-            pb.int.push(rec(sw, 0, (i as u64 + 1) * 10));
-        }
-        m.apply_probe(&pb, 1, 30_000_000);
-
-        let strict = |fallback_ns: u64| CoreConfig {
-            direction_fallback: DirectionFallback::Strict,
-            unmeasured_delay_ns: fallback_ns,
-            ..CoreConfig::default()
-        };
-
-        // Cheap fallback (1 ms): the all-unmeasured route B wins and the
-        // estimate prices each of its 3 links at the configured value.
-        let cfg = strict(1_000_000);
-        let est = DelayEstimator::new(cfg.clone());
-        let d = est.estimate(&m, NetNode::Host(1), NetNode::Host(6), 90_000_000).unwrap();
-        assert_eq!(d.links, 3);
-        assert_eq!(d.link_delay_ns, 3_000_000, "estimate uses the configured fallback");
-        let p = m.path(&cfg, NetNode::Host(1), NetNode::Host(6)).unwrap();
-        assert!(p.contains(&NetNode::Switch(12)), "traversal weighs it too: {p:?}");
-
-        // Expensive fallback (1 s): the measured route A wins instead.
-        let cfg = strict(1_000_000_000);
-        let est = DelayEstimator::new(cfg.clone());
-        let d = est.estimate(&m, NetNode::Host(1), NetNode::Host(6), 90_000_000).unwrap();
-        assert_eq!(d.link_delay_ns, 90_000_000, "3 × 30 ms measured links");
-        let p = m.path(&cfg, NetNode::Host(1), NetNode::Host(6)).unwrap();
-        assert!(p.contains(&NetNode::Switch(10)), "{p:?}");
     }
 
     /// Satellite regression for long Clos paths: the per-link and per-hop

@@ -30,8 +30,8 @@
 //!    benches hold the serving stack to it; nothing else calls it.
 //!
 //! Extensions the paper lists as future work are also implemented:
-//! [`compute`] (compute-aware and heterogeneity-aware filtering) and
-//! [`coverage`] (probe route coverage audit).
+//! [`compute`] (compute-aware re-ranking) and [`coverage`] (probe route
+//! coverage audit).
 
 pub mod collector;
 pub mod compute;
@@ -45,7 +45,7 @@ pub mod shard;
 pub mod snapshot;
 
 pub use collector::IntCollector;
-pub use compute::{Capabilities, CompositePolicy, ComputeTracker};
+pub use compute::{CompositePolicy, ComputeTracker};
 pub use config::CoreConfig;
 pub use estimate::{BandwidthEstimator, DelayEstimator};
 pub use map::{EdgeId, EdgeState, NetNode, NetworkMap};

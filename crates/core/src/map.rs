@@ -6,7 +6,7 @@
 //! annotates each directed link with the latest measured latency and the
 //! max queue occupancy harvested from the upstream switch's register.
 
-use crate::config::{CoreConfig, DirectionFallback, HopSignal};
+use crate::config::{CoreConfig, HopSignal};
 use int_obs::SlabIndex;
 use int_packet::ProbePayload;
 use serde::{Deserialize, Serialize};
@@ -124,6 +124,11 @@ impl EdgeState {
     }
 }
 
+/// EWMA weight of a new link-delay sample, in eighths: 2/8 rides out one
+/// odd sample yet keeps jitter visible, as the paper intends probes to
+/// capture it.
+const DELAY_EWMA_NEW_EIGHTHS: u64 = 2;
+
 /// Hard backstop on per-edge history length. A staircase only gets here
 /// through > 1 024 strictly falling depths inside one retention window.
 /// (The one sanctioned divergence from the raw per-harvest history the
@@ -200,9 +205,6 @@ pub struct NetworkMap {
     /// keyed to their eviction time — the "newly dead" set surfaced by the
     /// coverage report. Cleared per edge when a probe re-learns it.
     evicted: BTreeMap<(NetNode, NetNode), u64>,
-    /// EWMA weight (numerator of x/8) applied to new delay samples;
-    /// mirrors [`CoreConfig::delay_ewma_new_eighths`].
-    delay_ewma_new_eighths: u32,
     /// Retention horizon for per-edge queue-harvest history; mirrors
     /// [`CoreConfig::qlen_window_ns`].
     qlen_retention_ns: u64,
@@ -233,7 +235,6 @@ impl Default for NetworkMap {
             hosts: BTreeSet::new(),
             switches: BTreeSet::new(),
             evicted: BTreeMap::new(),
-            delay_ewma_new_eighths: defaults.delay_ewma_new_eighths,
             qlen_retention_ns: defaults.qlen_window_ns,
             topo_gen: 0,
             metrics_gen: 0,
@@ -247,12 +248,6 @@ impl NetworkMap {
     /// An empty map.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the delay-EWMA weight (numerator of x/8, clamped to `1..=8`).
-    /// 8 = trust only the newest sample; 1 = heavy smoothing.
-    pub fn set_delay_ewma(&mut self, new_eighths: u32) {
-        self.delay_ewma_new_eighths = new_eighths.clamp(1, 8);
     }
 
     /// Set the retention horizon for queue-harvest history. Harvests older
@@ -405,7 +400,7 @@ impl NetworkMap {
     fn fold(&mut self, id: EdgeId, delay_ns: u64, harvest: Option<(u32, u32)>, now_ns: u64) {
         self.mark_dirty(id);
         let e = &mut self.slots[id as usize].state;
-        e.fold_delay(self.delay_ewma_new_eighths as u64, delay_ns, now_ns);
+        e.fold_delay(DELAY_EWMA_NEW_EIGHTHS, delay_ns, now_ns);
         if let Some((max_q, inst_q)) = harvest {
             e.fold_harvest(max_q, inst_q, now_ns, self.qlen_retention_ns);
         }
@@ -435,9 +430,9 @@ impl NetworkMap {
     }
 
     /// Metrics generation: incremented on every metric refresh of an
-    /// existing edge (and on map-side tunable changes). Cached shortest
-    /// paths must be revalidated when this moves — route choice is
-    /// delay-weighted, so fresher metrics can select a different path.
+    /// existing edge. Cached shortest paths must be revalidated when this
+    /// moves — route choice is delay-weighted, so fresher metrics can
+    /// select a different path.
     pub fn metrics_generation(&self) -> u64 {
         self.metrics_gen
     }
@@ -585,48 +580,34 @@ impl NetworkMap {
         self.evicted.iter().map(|((a, b), at)| (*a, *b, *at))
     }
 
-    /// Effective delay of a directed edge for estimation, honouring the
-    /// direction-fallback policy; `None` if neither direction was probed.
-    pub fn effective_delay_ns(&self, cfg: &CoreConfig, from: NetNode, to: NetNode) -> Option<u64> {
-        if let Some(e) = self.edge(from, to) {
-            if e.samples > 0 {
-                return Some(e.delay_ns);
-            }
-        }
-        match cfg.direction_fallback {
-            DirectionFallback::ReverseOk => {
-                self.edge(to, from).filter(|e| e.samples > 0).map(|e| e.delay_ns)
-            }
-            DirectionFallback::Strict => None,
-        }
+    /// The live edge that answers for the `from → to` direction: that
+    /// edge if probed, else the reverse one. Probes flow server →
+    /// scheduler while task data flows device → server, so the forward
+    /// direction is often unprobed and the reverse measurement stands in.
+    fn answering_edge(&self, from: NetNode, to: NetNode) -> Option<&EdgeState> {
+        self.edge(from, to).or_else(|| self.edge(to, from))
     }
 
-    /// Effective max queue length of a directed edge, honouring fallback
-    /// and staleness (stale measurements read as an empty queue).
+    /// Effective delay of a directed edge for estimation (the reverse
+    /// direction's when this one is unprobed); `None` if neither direction
+    /// is a live edge. Every live edge carries a delay sample: the probe
+    /// walk folds one into each edge it creates or revives.
+    pub fn effective_delay_ns(&self, from: NetNode, to: NetNode) -> Option<u64> {
+        self.answering_edge(from, to).map(|e| e.delay_ns)
+    }
+
+    /// Effective max queue length of a directed edge, with the same
+    /// reverse fallback; stale measurements read as an empty queue (they
+    /// do not fall through to the reverse edge).
     pub fn effective_qlen(&self, cfg: &CoreConfig, from: NetNode, to: NetNode, now_ns: u64) -> u32 {
-        let fresh = |e: &EdgeState| {
-            if now_ns.saturating_sub(e.qlen_updated_ns) <= cfg.staleness_ns {
-                Some(match cfg.hop_signal {
-                    HopSignal::MaxQueue => e.windowed_max_qlen(now_ns, cfg.qlen_window_ns),
-                    HopSignal::InstantaneousQueue => e.qlen_at_probe_pkts,
-                })
-            } else {
-                Some(0)
-            }
-        };
-        if let Some(e) = self.edge(from, to) {
-            if let Some(q) = fresh(e) {
-                return q;
-            }
+        let Some(e) = self.answering_edge(from, to) else { return 0 };
+        if now_ns.saturating_sub(e.qlen_updated_ns) > cfg.staleness_ns {
+            return 0;
         }
-        if cfg.direction_fallback == DirectionFallback::ReverseOk {
-            if let Some(e) = self.edge(to, from) {
-                if let Some(q) = fresh(e) {
-                    return q;
-                }
-            }
+        match cfg.hop_signal {
+            HopSignal::MaxQueue => e.windowed_max_qlen(now_ns, cfg.qlen_window_ns),
+            HopSignal::InstantaneousQueue => e.qlen_at_probe_pkts,
         }
-        0
     }
 
     /// Undirected neighbours of a node (for graph traversal).
@@ -651,8 +632,8 @@ impl NetworkMap {
     /// [`crate::snapshot::SchedSnapshot`], whose routes must agree with
     /// this byte-for-byte (pinned by the churn proptests). Keep the two
     /// in lockstep when changing traversal semantics.
-    pub fn path(&self, cfg: &CoreConfig, from: NetNode, to: NetNode) -> Option<Vec<NetNode>> {
-        self.path_banned(cfg, from, to, &BTreeSet::new())
+    pub fn path(&self, from: NetNode, to: NetNode) -> Option<Vec<NetNode>> {
+        self.path_banned(from, to, &BTreeSet::new())
     }
 
     /// [`NetworkMap::path`] with an undirected ban list: edges whose
@@ -661,7 +642,6 @@ impl NetworkMap {
     /// path; [`NetworkMap::k_paths`] layers successive bans on top.
     fn path_banned(
         &self,
-        cfg: &CoreConfig,
         from: NetNode,
         to: NetNode,
         banned: &BTreeSet<(NetNode, NetNode)>,
@@ -670,7 +650,7 @@ impl NetworkMap {
             return Some(vec![from]);
         }
         // Dijkstra over the undirected learned graph with directed-delay
-        // weights (fallback applies).
+        // weights (reverse fallback applies).
         let mut dist: BTreeMap<NetNode, u64> = BTreeMap::new();
         let mut prev: BTreeMap<NetNode, NetNode> = BTreeMap::new();
         let mut heap = std::collections::BinaryHeap::new();
@@ -688,9 +668,9 @@ impl NetworkMap {
                 if !banned.is_empty() && banned.contains(&undirected_key(u, v)) {
                     continue;
                 }
-                // Unmeasured edges get a nominal fallback weight so
-                // traversal still works while the map is warming up.
-                let w = self.effective_delay_ns(cfg, u, v).unwrap_or(cfg.unmeasured_delay_ns);
+                let w = self
+                    .effective_delay_ns(u, v)
+                    .expect("a neighbour is joined by a live edge in one direction");
                 let nd = d.saturating_add(w.max(1));
                 if nd < dist.get(&v).copied().unwrap_or(u64::MAX) {
                     dist.insert(v, nd);
@@ -722,11 +702,11 @@ impl NetworkMap {
     /// The first element always equals [`NetworkMap::path`] exactly. Like
     /// `path`, this is the *reference* implementation for the k-path rank:
     /// the snapshot's k-sets must agree byte-for-byte.
-    pub fn k_paths(&self, cfg: &CoreConfig, from: NetNode, to: NetNode, k: u32) -> Vec<Vec<NetNode>> {
+    pub fn k_paths(&self, from: NetNode, to: NetNode, k: u32) -> Vec<Vec<NetNode>> {
         let mut out: Vec<Vec<NetNode>> = Vec::new();
         let mut banned: BTreeSet<(NetNode, NetNode)> = BTreeSet::new();
         for _ in 0..k.max(1) {
-            let Some(path) = self.path_banned(cfg, from, to, &banned) else { break };
+            let Some(path) = self.path_banned(from, to, &banned) else { break };
             if out.contains(&path) {
                 break;
             }
@@ -826,39 +806,6 @@ mod tests {
         assert_eq!(e.samples, 2);
     }
 
-    /// Regression (the map used to hardcode a 2/8 weight): with the knob
-    /// at 8/8 the smoothed delay must equal the newest sample exactly.
-    #[test]
-    fn delay_ewma_weight_is_configurable() {
-        let mut m = NetworkMap::new();
-        m.set_delay_ewma(8);
-        m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let mut p = ProbePayload::new(1, 2, 0);
-        p.int.push(rec(10, 0, 20, 120));
-        p.int.push(rec(11, 0, 10, 130));
-        m.apply_probe(&p, 6, 140_000_000);
-        let e = m.edge(NetNode::Host(1), NetNode::Switch(10)).unwrap();
-        assert_eq!(e.delay_ns, 20_000_000, "8/8 tracks the newest sample");
-
-        // Heavy smoothing at 1/8: (7·10 + 1·20)/8 = 11.25 ms.
-        let mut m = NetworkMap::new();
-        m.set_delay_ewma(1);
-        m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let mut p = ProbePayload::new(1, 2, 0);
-        p.int.push(rec(10, 0, 20, 120));
-        p.int.push(rec(11, 0, 10, 130));
-        m.apply_probe(&p, 6, 140_000_000);
-        let e = m.edge(NetNode::Host(1), NetNode::Switch(10)).unwrap();
-        assert_eq!(e.delay_ns, 11_250_000);
-
-        // Out-of-range weights clamp instead of zeroing the delay.
-        let mut m = NetworkMap::new();
-        m.set_delay_ewma(0);
-        m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let e = m.edge(NetNode::Host(1), NetNode::Switch(10)).unwrap();
-        assert_eq!(e.delay_ns, 10_000_000);
-    }
-
     /// Regression (history used to be capped at the 32 most recent
     /// entries): a window wider than 32 probing intervals must still see
     /// an early congestion spike inside the window, and only there.
@@ -943,11 +890,10 @@ mod tests {
     fn eviction_disconnects_paths() {
         let mut m = NetworkMap::new();
         m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let cfg = CoreConfig::default();
-        assert!(m.path(&cfg, NetNode::Host(6), NetNode::Host(1)).is_some());
+        assert!(m.path(NetNode::Host(6), NetNode::Host(1)).is_some());
         m.evict_stale(32_000_000 + 10_000_000_001, 10_000_000_000);
         assert!(
-            m.path(&cfg, NetNode::Host(6), NetNode::Host(1)).is_none(),
+            m.path(NetNode::Host(6), NetNode::Host(1)).is_none(),
             "a dead path must not be traversable"
         );
     }
@@ -958,21 +904,11 @@ mod tests {
         m.apply_probe(&two_hop_probe(), 6, 32_000_000);
         let cfg = CoreConfig::default();
         // Forward (device→server) direction s11→s10 was never probed.
-        let d = m.effective_delay_ns(&cfg, NetNode::Switch(11), NetNode::Switch(10));
+        let d = m.effective_delay_ns(NetNode::Switch(11), NetNode::Switch(10));
         assert_eq!(d, Some(10_000_000), "reverse measurement reused");
         let q =
             m.effective_qlen(&cfg, NetNode::Switch(11), NetNode::Switch(10), 32_000_000);
         assert_eq!(q, 4);
-
-        let strict = CoreConfig {
-            direction_fallback: DirectionFallback::Strict,
-            ..CoreConfig::default()
-        };
-        assert_eq!(m.effective_delay_ns(&strict, NetNode::Switch(11), NetNode::Switch(10)), None);
-        assert_eq!(
-            m.effective_qlen(&strict, NetNode::Switch(11), NetNode::Switch(10), 32_000_000),
-            0
-        );
     }
 
     #[test]
@@ -991,14 +927,13 @@ mod tests {
     fn path_over_learned_graph() {
         let mut m = NetworkMap::new();
         m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let cfg = CoreConfig::default();
-        let p = m.path(&cfg, NetNode::Host(6), NetNode::Host(1)).unwrap();
+        let p = m.path(NetNode::Host(6), NetNode::Host(1)).unwrap();
         assert_eq!(
             p,
             vec![NetNode::Host(6), NetNode::Switch(11), NetNode::Switch(10), NetNode::Host(1)]
         );
-        assert_eq!(m.path(&cfg, NetNode::Host(1), NetNode::Host(1)).unwrap().len(), 1);
-        assert!(m.path(&cfg, NetNode::Host(1), NetNode::Host(99)).is_none());
+        assert_eq!(m.path(NetNode::Host(1), NetNode::Host(1)).unwrap().len(), 1);
+        assert!(m.path(NetNode::Host(1), NetNode::Host(99)).is_none());
     }
 
     #[test]
@@ -1041,11 +976,10 @@ mod tests {
     #[test]
     fn k_paths_first_is_the_shortest_path_and_banning_finds_the_alternate() {
         let m = two_route_map();
-        let cfg = CoreConfig::default();
         let (a, b) = (NetNode::Host(1), NetNode::Host(6));
-        let ks = m.k_paths(&cfg, a, b, 3);
+        let ks = m.k_paths(a, b, 3);
         assert_eq!(ks.len(), 2, "two disjoint routes exist: {ks:?}");
-        assert_eq!(ks[0], m.path(&cfg, a, b).unwrap(), "first k-path is the oracle path");
+        assert_eq!(ks[0], m.path(a, b).unwrap(), "first k-path is the oracle path");
         assert!(ks[0].contains(&NetNode::Switch(10)), "fast route first: {ks:?}");
         assert!(ks[1].contains(&NetNode::Switch(12)), "banning reveals the slow route: {ks:?}");
     }
@@ -1056,30 +990,27 @@ mod tests {
         // must return exactly one path, not sever the hosts.
         let mut m = NetworkMap::new();
         m.apply_probe(&two_hop_probe(), 6, 32_000_000);
-        let cfg = CoreConfig::default();
-        let ks = m.k_paths(&cfg, NetNode::Host(1), NetNode::Host(6), 4);
+        let ks = m.k_paths(NetNode::Host(1), NetNode::Host(6), 4);
         assert_eq!(ks.len(), 1, "the lone interior edge bans out: {ks:?}");
-        assert_eq!(ks[0], m.path(&cfg, NetNode::Host(1), NetNode::Host(6)).unwrap());
+        assert_eq!(ks[0], m.path(NetNode::Host(1), NetNode::Host(6)).unwrap());
     }
 
     #[test]
     fn k_paths_of_one_reduces_to_path() {
         let m = two_route_map();
-        let cfg = CoreConfig::default();
         for (a, b) in [(1u32, 6u32), (6, 1)] {
-            let ks = m.k_paths(&cfg, NetNode::Host(a), NetNode::Host(b), 1);
+            let ks = m.k_paths(NetNode::Host(a), NetNode::Host(b), 1);
             assert_eq!(ks.len(), 1);
-            assert_eq!(ks[0], m.path(&cfg, NetNode::Host(a), NetNode::Host(b)).unwrap());
+            assert_eq!(ks[0], m.path(NetNode::Host(a), NetNode::Host(b)).unwrap());
         }
     }
 
     #[test]
     fn k_paths_self_and_unknown_endpoints() {
         let m = two_route_map();
-        let cfg = CoreConfig::default();
-        let selfp = m.k_paths(&cfg, NetNode::Host(1), NetNode::Host(1), 3);
+        let selfp = m.k_paths(NetNode::Host(1), NetNode::Host(1), 3);
         assert_eq!(selfp, vec![vec![NetNode::Host(1)]]);
-        assert!(m.k_paths(&cfg, NetNode::Host(1), NetNode::Host(42), 3).is_empty());
+        assert!(m.k_paths(NetNode::Host(1), NetNode::Host(42), 3).is_empty());
     }
 
     #[test]
@@ -1201,12 +1132,11 @@ mod tests {
             }
             path.push(NetNode::Host(scheduler_host));
 
-            let w = self.delay_ewma_new_eighths as u64;
             let final_hop = now_ns.saturating_sub(records.last().unwrap().egress_ts_ns);
             let samples = records.iter().map(|r| r.link_latency_ns).chain([final_hop]);
             for (i, sample_ns) in samples.enumerate() {
                 let id = self.intern_two_pass(path[i], path[i + 1], now_ns);
-                self.slots[id as usize].state.fold_delay(w, sample_ns, now_ns);
+                self.slots[id as usize].state.fold_delay(DELAY_EWMA_NEW_EIGHTHS, sample_ns, now_ns);
             }
             let retention = self.qlen_retention_ns;
             for (i, r) in records.iter().enumerate() {

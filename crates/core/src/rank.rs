@@ -264,7 +264,7 @@ impl Ranker {
     fn estimate(&self, map: &NetworkMap, requester: u32, host: u32, now_ns: u64) -> RankedServer {
         let (from, to) = (NetNode::Host(requester), NetNode::Host(host));
         let mut best = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-        for path in &map.k_paths(&self.cfg, from, to, self.cfg.k_paths) {
+        for path in &map.k_paths(from, to, self.cfg.k_paths) {
             let d = self.delay.estimate_along(map, path, now_ns).total_ns().min(u64::MAX - 1);
             if d < best.est_delay_ns {
                 best.est_delay_ns = d;

@@ -15,7 +15,6 @@ use crate::map::NetNode;
 use crate::rank::{Policy, RankOutcome, RankedServer, StaticDistances};
 use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotPublisher, SnapshotScratch};
 use int_obs::{CandidateEstimate, DecisionAudit, DecisionRecord};
-use int_packet::msgs::{Candidate, RankingKind};
 use std::sync::Arc;
 
 /// Serving-work counters of one [`SchedulerCore`]: what its scratch and
@@ -76,8 +75,6 @@ pub struct SchedulerCore {
     queries: u64,
     /// Decision audit trail (disabled by default: one branch per query).
     audit: DecisionAudit,
-    /// The outcome buffer behind the by-value entry points.
-    outcome_scratch: RankOutcome,
 }
 
 impl SchedulerCore {
@@ -92,8 +89,6 @@ impl SchedulerCore {
     ) -> Self {
         let cfg = cfg.into();
         let mut collector = IntCollector::new(scheduler_host);
-        // Thread the map-side tunables into the learned map.
-        collector.map_mut().set_delay_ewma(cfg.delay_ewma_new_eighths);
         collector.map_mut().set_qlen_retention(cfg.qlen_window_ns);
         SchedulerCore {
             collector,
@@ -106,7 +101,6 @@ impl SchedulerCore {
             scratch: SnapshotScratch::new(),
             queries: 0,
             audit: DecisionAudit::default(),
-            outcome_scratch: RankOutcome::default(),
         }
     }
 
@@ -224,53 +218,8 @@ impl SchedulerCore {
         self.collector.map_mut().register_host(host);
     }
 
-    /// Answer a query with the given wire-level ranking kind (Fig. 1
-    /// steps 3–4), best candidate first.
-    pub fn handle_request(
-        &mut self,
-        requester: u32,
-        ranking: RankingKind,
-        now_ns: u64,
-    ) -> Vec<Candidate> {
-        let policy = match ranking {
-            RankingKind::Delay => Policy::IntDelay,
-            RankingKind::Bandwidth => Policy::IntBandwidth,
-        };
-        self.rank_with(requester, policy, now_ns)
-            .into_iter()
-            .map(|r| Candidate {
-                node: r.host,
-                est_delay_ns: r.est_delay_ns,
-                est_bandwidth_bps: r.est_bandwidth_bps,
-            })
-            .collect()
-    }
-
-    /// Rank under an explicit policy (INT-based or baseline).
-    pub fn rank_with(&mut self, requester: u32, policy: Policy, now_ns: u64) -> Vec<RankedServer> {
-        let mut out = Vec::new();
-        self.rank_with_into(requester, policy, now_ns, &mut out);
-        out
-    }
-
-    /// [`SchedulerCore::rank_with`] into a caller-owned buffer: steady
-    /// state performs zero heap allocations (all intermediate buffers are
-    /// scheduler-owned scratch).
-    pub fn rank_with_into(
-        &mut self,
-        requester: u32,
-        policy: Policy,
-        now_ns: u64,
-        out: &mut Vec<RankedServer>,
-    ) {
-        let mut scratch = std::mem::take(&mut self.outcome_scratch);
-        self.rank_detailed_into_with(requester, policy, now_ns, &mut scratch);
-        out.clear();
-        out.extend_from_slice(&scratch.ranked);
-        self.outcome_scratch = scratch;
-    }
-
-    /// Rank under an explicit policy, reporting exclusions.
+    /// Rank under an explicit policy (INT-based or baseline), best
+    /// candidate first, reporting exclusions (Fig. 1 steps 3–4).
     ///
     /// Failure handling happens here: telemetry older than the eviction
     /// horizon is removed from the map before the epoch is frozen, and
@@ -325,25 +274,12 @@ impl SchedulerCore {
     /// The paper's second serving option (§III-B): an *unsorted* list of
     /// every candidate with its estimated delay and bandwidth, so the edge
     /// device can run its own selection algorithm. Candidates come back in
-    /// ascending host-id order, carrying the same estimates `rank_with`
-    /// would sort by.
+    /// ascending host-id order (ids are unique, so the unstable sort is
+    /// exact), carrying the same estimates the `IntDelay` ranking sorts by.
     pub fn candidates_with_estimates(&mut self, requester: u32, now_ns: u64) -> Vec<RankedServer> {
-        let mut all = Vec::new();
-        self.candidates_with_estimates_into(requester, now_ns, &mut all);
+        let mut all = self.rank_detailed_with(requester, Policy::IntDelay, now_ns).ranked;
+        all.sort_unstable_by_key(|s| s.host);
         all
-    }
-
-    /// [`SchedulerCore::candidates_with_estimates`] into a caller-owned
-    /// buffer (zero-alloc steady state). Host ids are unique, so the
-    /// in-place unstable sort orders exactly as a stable sort would.
-    pub fn candidates_with_estimates_into(
-        &mut self,
-        requester: u32,
-        now_ns: u64,
-        out: &mut Vec<RankedServer>,
-    ) {
-        self.rank_with_into(requester, Policy::IntDelay, now_ns, out);
-        out.sort_unstable_by_key(|s| s.host);
     }
 }
 
@@ -386,39 +322,39 @@ mod tests {
     #[test]
     fn request_excludes_requester_and_ranks() {
         let mut core = core_with_two_servers();
-        let resp = core.handle_request(6, RankingKind::Delay, 32_000_000);
-        let hosts: Vec<u32> = resp.iter().map(|c| c.node).collect();
+        let resp = core.rank_detailed_with(6, Policy::IntDelay, 32_000_000).ranked;
+        let hosts: Vec<u32> = resp.iter().map(|c| c.host).collect();
         assert_eq!(hosts, vec![2, 1], "clean server first, requester absent");
 
-        let resp = core.handle_request(1, RankingKind::Delay, 32_000_000);
-        assert!(resp.iter().all(|c| c.node != 1));
+        let resp = core.rank_detailed_with(1, Policy::IntDelay, 32_000_000).ranked;
+        assert!(resp.iter().all(|c| c.host != 1));
     }
 
     #[test]
     fn bandwidth_request_sorts_by_bandwidth() {
         let mut core = core_with_two_servers();
-        let resp = core.handle_request(6, RankingKind::Bandwidth, 32_000_000);
-        assert_eq!(resp[0].node, 2);
+        let resp = core.rank_detailed_with(6, Policy::IntBandwidth, 32_000_000).ranked;
+        assert_eq!(resp[0].host, 2);
         assert!(resp[0].est_bandwidth_bps > resp[1].est_bandwidth_bps);
     }
 
     #[test]
     fn baseline_policies_available() {
         let mut core = core_with_two_servers();
-        let nearest = core.rank_with(6, Policy::Nearest, 32_000_000);
+        let nearest = core.rank_detailed_with(6, Policy::Nearest, 32_000_000).ranked;
         assert_eq!(nearest[0].host, 1, "nearest ignores congestion");
-        let random = core.rank_with(6, Policy::Random, 32_000_000);
+        let random = core.rank_detailed_with(6, Policy::Random, 32_000_000).ranked;
         assert_eq!(random.len(), 2);
     }
 
     #[test]
     fn empty_map_yields_empty_candidates() {
         let mut core = SchedulerCore::new(6, CoreConfig::default(), StaticDistances::new(), 1);
-        assert!(core.handle_request(6, RankingKind::Delay, 0).is_empty());
+        assert!(core.rank_detailed_with(6, Policy::IntDelay, 0).ranked.is_empty());
         // Only the scheduler itself is known; a different requester sees it.
-        let resp = core.handle_request(1, RankingKind::Delay, 0);
+        let resp = core.rank_detailed_with(1, Policy::IntDelay, 0).ranked;
         assert_eq!(resp.len(), 1);
-        assert_eq!(resp[0].node, 6);
+        assert_eq!(resp[0].host, 6);
     }
 
     #[test]
@@ -428,7 +364,7 @@ mod tests {
         let hosts: Vec<u32> = all.iter().map(|s| s.host).collect();
         assert_eq!(hosts, vec![1, 2], "host-id order, not ranked order");
         // Same estimates the sorted path computes.
-        let ranked = core.rank_with(6, Policy::IntDelay, 32_000_000);
+        let ranked = core.rank_detailed_with(6, Policy::IntDelay, 32_000_000).ranked;
         for s in &all {
             let r = ranked.iter().find(|r| r.host == s.host).unwrap();
             assert_eq!(r.est_delay_ns, s.est_delay_ns);
@@ -454,10 +390,6 @@ mod tests {
         let out = core.rank_detailed_with(6, Policy::IntDelay, now);
         assert_eq!(out.ranked.iter().map(|s| s.host).collect::<Vec<_>>(), vec![2]);
         assert_eq!(out.excluded, vec![(1, ExcludeReason::OriginSilent)]);
-        assert!(
-            core.rank_with(6, Policy::IntDelay, now).iter().all(|s| s.host != 1),
-            "the plain ranking path honours the exclusion too"
-        );
 
         // Server 1 resumes probing: it rejoins the ranking.
         let mut p1 = ProbePayload::new(1, 2, 0);
@@ -506,7 +438,7 @@ mod tests {
         );
 
         // Baselines are oblivious: they still schedule onto the dead host.
-        let nearest = core.rank_with(6, Policy::Nearest, now);
+        let nearest = core.rank_detailed_with(6, Policy::Nearest, now).ranked;
         assert_eq!(nearest.first().map(|s| s.host), Some(1));
 
         // No stale route survives the eviction; re-learning restores it.
@@ -519,7 +451,7 @@ mod tests {
         let relearned = core.learned_path(6, 1, now + 100 * ms);
         assert_eq!(
             relearned,
-            core.collector().map().path(core.config(), NetNode::Host(6), NetNode::Host(1))
+            core.collector().map().path(NetNode::Host(6), NetNode::Host(1))
         );
         assert!(relearned.is_some());
     }
@@ -536,7 +468,9 @@ mod tests {
             core
         };
         let first_of = |core: &mut SchedulerCore| -> Vec<u32> {
-            (0..QUERIES).map(|_| core.rank_with(100, Policy::Random, 0)[0].host).collect()
+            (0..QUERIES)
+                .map(|_| core.rank_detailed_with(100, Policy::Random, 0).ranked[0].host)
+                .collect()
         };
         let firsts = first_of(&mut fresh());
         assert_eq!(firsts, first_of(&mut fresh()), "equal (seed, epoch, slot) ⇒ equal order");
@@ -552,7 +486,10 @@ mod tests {
         // One epoch, consecutive slots: the full orders differ.
         let mut core = fresh();
         let orders: std::collections::BTreeSet<Vec<u32>> = (0..16)
-            .map(|_| core.rank_with(100, Policy::Random, 0).iter().map(|s| s.host).collect())
+            .map(|_| {
+                let out = core.rank_detailed_with(100, Policy::Random, 0);
+                out.ranked.iter().map(|s| s.host).collect()
+            })
             .collect();
         assert!(orders.len() > 8, "the shuffle varies across slots: {}", orders.len());
     }
@@ -563,11 +500,11 @@ mod tests {
     #[test]
     fn audit_trail_records_decisions() {
         let mut core = core_with_two_servers();
-        core.rank_with(6, Policy::IntDelay, 32_000_000);
+        core.rank_detailed_with(6, Policy::IntDelay, 32_000_000);
         assert_eq!(core.audit().total(), 0, "audit off by default");
 
         core.set_audit_enabled(true);
-        core.rank_with(6, Policy::IntDelay, 33_000_000);
+        core.rank_detailed_with(6, Policy::IntDelay, 33_000_000);
         let ms = 1_000_000u64;
         // Server 2 keeps probing; server 1 goes silent past the horizon.
         for i in 1..=60u64 {
@@ -576,7 +513,7 @@ mod tests {
             p2.int.push(rec(11, 0, 22));
             core.on_probe(&p2.to_bytes(), 32 * ms + i * 100 * ms);
         }
-        core.rank_with(6, Policy::IntDelay, 32 * ms + 6_000 * ms);
+        core.rank_detailed_with(6, Policy::IntDelay, 32 * ms + 6_000 * ms);
 
         let records = core.audit().records();
         assert_eq!(records.len(), 2);

@@ -50,7 +50,7 @@
 //! worker count, an equally uniform shuffle, but a different stream.
 
 use crate::collector::IntCollector;
-use crate::config::{CoreConfig, DirectionFallback, HopSignal};
+use crate::config::{CoreConfig, HopSignal};
 use crate::map::{EdgeId, EdgeState, NetNode, NetworkMap};
 use crate::rank::{ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances};
 use rand::rngs::SmallRng;
@@ -77,12 +77,9 @@ fn next_uid() -> u64 {
 /// Mirrors [`NetworkMap::effective_qlen`]: the forward directed edge
 /// answers if it exists (even if its harvest is stale — staleness reads
 /// as an empty queue, it does not fall through to the reverse edge);
-/// otherwise, under [`DirectionFallback::ReverseOk`], the reverse edge
-/// answers; otherwise the queue reads as empty.
+/// otherwise the reverse edge answers.
 #[derive(Debug, Clone, Copy)]
 struct ArcQlen {
-    /// Does any directed edge answer for this arc?
-    present: bool,
     /// When the answering edge's queue measurement was taken, ns.
     updated_ns: u64,
     /// Instantaneous occupancy at the probe (the ablation signal).
@@ -97,21 +94,12 @@ struct ArcQlen {
     hist_cap: u32,
 }
 
-const NO_QLEN: ArcQlen = ArcQlen {
-    present: false,
-    updated_ns: 0,
-    at_probe_pkts: 0,
-    hist_start: 0,
-    hist_len: 0,
-    hist_cap: 0,
-};
-
 impl ArcQlen {
     /// Copy `e`'s queue evidence into this arc's slot of `qlen_hist`.
-    /// `Err(run length)` when the arc has no slot or the run outgrew it.
+    /// `Err(run length)` when the run outgrew the slot.
     fn store(&mut self, e: &EdgeState, qlen_hist: &mut [(u64, u32)]) -> Result<(), usize> {
         let run = &e.qlen_history;
-        if !self.present || run.len() > self.hist_cap as usize {
+        if run.len() > self.hist_cap as usize {
             return Err(run.len());
         }
         let start = self.hist_start as usize;
@@ -191,26 +179,16 @@ impl CsrTopo {
     }
 }
 
-/// Price one arc straight off the edge slab, given its `[forward,
-/// reverse]` edge ids from [`CsrTopo::arc_edges`]: the unclamped
-/// effective link delay ([`NetworkMap::effective_delay_ns`] with the
-/// unmeasured fallback applied) and the edge whose queue evidence answers
-/// for the arc (see [`ArcQlen`]). Full and incremental builds both price
-/// through here.
-fn price_arc<'m>(
-    map: &'m NetworkMap,
-    cfg: &CoreConfig,
-    [fwd, rev]: [EdgeId; 2],
-) -> (u64, Option<&'m EdgeState>) {
+/// The edge that answers for one arc, given its `[forward, reverse]` edge
+/// ids from [`CsrTopo::arc_edges`]: its delay is the arc's unclamped
+/// effective link delay ([`NetworkMap::effective_delay_ns`]) and its queue
+/// evidence the arc's (see [`ArcQlen`]). Full and incremental builds both
+/// price through here.
+fn price_arc(map: &NetworkMap, [fwd, rev]: [EdgeId; 2]) -> &EdgeState {
     let state = |id| map.edge_by_id(id).map(|(_, _, e)| e);
-    let fwd = state(fwd);
-    let rev = match cfg.direction_fallback {
-        DirectionFallback::ReverseOk => state(rev),
-        DirectionFallback::Strict => None,
-    };
-    let measured = |e: &&EdgeState| e.samples > 0;
-    let delay = fwd.filter(measured).or(rev.filter(measured)).map(|e| e.delay_ns);
-    (delay.unwrap_or(cfg.unmeasured_delay_ns), fwd.or(rev))
+    state(fwd)
+        .or_else(|| state(rev))
+        .expect("every CSR arc is an orientation of a live edge")
 }
 
 /// One frozen epoch of the scheduler control plane. Immutable and
@@ -241,8 +219,8 @@ pub struct SchedSnapshot {
     /// ≥1-clamped traversal weight per arc (parallel to `cols`).
     weights: Vec<u64>,
     /// Unclamped effective link delay per arc — the estimate's per-link
-    /// term (`effective_delay_ns` with the unmeasured fallback applied,
-    /// *without* the traversal `.max(1)` clamp).
+    /// term (`effective_delay_ns`, *without* the traversal `.max(1)`
+    /// clamp).
     est_delay: Vec<u64>,
     /// Queue evidence per arc (parallel to `cols`).
     arc_q: Vec<ArcQlen>,
@@ -291,18 +269,17 @@ impl SchedSnapshot {
         let mut arc_q = Vec::with_capacity(arcs);
         let mut qlen_hist = Vec::with_capacity(arcs * slot_floor as usize);
         for &edges in &topo.arc_edges {
-            let (est, evidence) = price_arc(map, cfg, edges);
-            est_delay.push(est);
-            weights.push(est.max(1));
-            arc_q.push(evidence.map_or(NO_QLEN, |e| {
-                let hist_start = qlen_hist.len() as u32;
-                let hist_cap = (e.qlen_history.len() as u32).max(slot_floor);
-                let mut q = ArcQlen { present: true, hist_start, hist_cap, ..NO_QLEN };
-                // Slack beyond the run is inert padding.
-                qlen_hist.resize((hist_start + hist_cap) as usize, (0, 0));
-                q.store(e, &mut qlen_hist).expect("the slot was sized for the run");
-                q
-            }));
+            let e = price_arc(map, edges);
+            est_delay.push(e.delay_ns);
+            weights.push(e.delay_ns.max(1));
+            let hist_start = qlen_hist.len() as u32;
+            let hist_cap = (e.qlen_history.len() as u32).max(slot_floor);
+            let mut q =
+                ArcQlen { updated_ns: 0, at_probe_pkts: 0, hist_start, hist_len: 0, hist_cap };
+            // Slack beyond the run is inert padding.
+            qlen_hist.resize((hist_start + hist_cap) as usize, (0, 0));
+            q.store(e, &mut qlen_hist).expect("the slot was sized for the run");
+            arc_q.push(q);
         }
 
         SchedSnapshot {
@@ -345,8 +322,7 @@ impl SchedSnapshot {
             && self.origins == other.origins
             && self.arc_q.len() == other.arc_q.len()
             && self.arc_q.iter().zip(&other.arc_q).all(|(a, b)| {
-                a.present == b.present
-                    && a.updated_ns == b.updated_ns
+                a.updated_ns == b.updated_ns
                     && a.at_probe_pkts == b.at_probe_pkts
                     && self.hist_run(a) == other.hist_run(b)
             })
@@ -367,7 +343,8 @@ impl SchedSnapshot {
         self.published_at_ns
     }
 
-    /// Directed arcs in the frozen graph (diagnostics).
+    /// Directed arcs in the frozen graph. Diagnostic: the slot-floor test
+    /// below bounds history reservation by it.
     pub fn arc_count(&self) -> usize {
         self.topo.cols.len()
     }
@@ -779,9 +756,6 @@ impl SchedSnapshot {
     /// equivalent of [`NetworkMap::effective_qlen`].
     fn arc_qlen(&self, ai: usize, now_ns: u64) -> u32 {
         let a = self.arc_q[ai];
-        if !a.present {
-            return 0;
-        }
         if now_ns.saturating_sub(a.updated_ns) > self.cfg.staleness_ns {
             return 0; // stale measurements read as an empty queue
         }
@@ -1070,7 +1044,7 @@ const INITIAL_SLOT_FLOOR: u32 = 8;
 /// arrays recycled from the epoch-before-last when no reader holds it)
 /// and reprices only the arcs of edges on the map's dirty list, each edge
 /// once: its two arcs come from the frozen `EdgeId → arcs` table and are
-/// priced by [`price_arc`] straight off the edge slab, their `qlen_hist`
+/// priced by `price_arc` straight off the edge slab, their `qlen_hist`
 /// runs spliced in place. Any structural change — or a history run
 /// outgrowing its reserved slot — falls back to the full rebuild, which
 /// remains the reference: an incremental epoch is pinned `content_eq` to
@@ -1165,7 +1139,7 @@ impl SnapshotPublisher {
                     && Arc::ptr_eq(&p.distances, distances)
             });
         let snap = if reusable {
-            match self.build_incremental(collector, cfg, epoch, published_at_ns) {
+            match self.build_incremental(collector, epoch, published_at_ns) {
                 Some(s) => {
                     self.stats.incremental_builds += 1;
                     s
@@ -1224,7 +1198,6 @@ impl SnapshotPublisher {
     fn build_incremental(
         &mut self,
         collector: &IntCollector,
-        cfg: &CoreConfig,
         epoch: u64,
         published_at_ns: u64,
     ) -> Option<SchedSnapshot> {
@@ -1284,12 +1257,9 @@ impl SnapshotPublisher {
             // (b,a) via the reverse-direction fallback.
             for ai in prev.topo.edge_arcs[id as usize] {
                 let ai = ai as usize;
-                let (est, evidence) = price_arc(map, cfg, *prev.topo.arc_edges.get(ai)?);
-                est_delay[ai] = est;
-                weights[ai] = est.max(1);
-                // No evidence (Strict fallback, unprobed orientation)
-                // leaves the arc's `NO_QLEN` untouched, as a full build.
-                let Some(e) = evidence else { continue };
+                let e = price_arc(map, *prev.topo.arc_edges.get(ai)?);
+                est_delay[ai] = e.delay_ns;
+                weights[ai] = e.delay_ns.max(1);
                 if let Err(run) = arc_q[ai].store(e, &mut qlen_hist) {
                     self.slot_floor = self.slot_floor.max(2 * run as u32);
                     return None;
@@ -1576,14 +1546,14 @@ mod tests {
             for (a, b) in [(1u32, 6u32), (6, 1), (2, 1), (1, 42), (42, 1), (42, 42)] {
                 let (from, to) = (NetNode::Host(a), NetNode::Host(b));
                 let route = snap.path(&mut scratch, from, to);
-                assert_eq!(route, map.path(cfg, from, to), "{a}->{b}");
+                assert_eq!(route, map.path(from, to), "{a}->{b}");
                 let (Some(f), Some(t)) = (snap.node_id(from), snap.node_id(to)) else { continue };
                 snap.ensure_k_paths(&mut scratch, f, t);
                 let kset: Vec<Vec<NetNode>> = scratch.kcache[&(f, t)]
                     .iter()
                     .map(|p| p.iter().map(|&i| snap.topo.nodes[i as usize]).collect())
                     .collect();
-                assert_eq!(kset, map.k_paths(cfg, from, to, cfg.k_paths), "{a}->{b}");
+                assert_eq!(kset, map.k_paths(from, to, cfg.k_paths), "{a}->{b}");
                 assert_eq!(kset.first(), route.as_ref(), "{a}->{b}: first k-path is the path");
             }
         };
@@ -1692,19 +1662,12 @@ mod tests {
                 1..24,
             ),
             big_k in any::<bool>(),
-            strict in any::<bool>(),
         ) {
             const SCHED: u32 = 100;
             const MS: u64 = 1_000_000;
+            // Kind-6 ops probe scheduler → host, so some links carry an
+            // edge per direction and some only the reverse one.
             let cfg = CoreConfig {
-                // Under Strict an arc reads its own direction's edge only;
-                // kind-6 ops probe scheduler → host, so some links carry
-                // an edge per direction and some only the reverse one.
-                direction_fallback: if strict {
-                    DirectionFallback::Strict
-                } else {
-                    DirectionFallback::ReverseOk
-                },
                 k_ns_per_pkt: if big_k { u64::MAX / 64 } else { 20 * MS },
                 qlen_window_ns: 120 * MS,
                 staleness_ns: 300 * MS,
@@ -1769,13 +1732,13 @@ mod tests {
                 shared.bind(&snap);
                 let mut walk = SnapshotScratch::new();
                 walk.bind(&snap);
-                let (map, map_cfg) = (core.collector().map(), core.config());
+                let map = core.collector().map();
                 for &a in &snap.topo.hosts {
                     for &b in &snap.topo.hosts {
                         let (from, to) = (NetNode::Host(a), NetNode::Host(b));
                         prop_assert_eq!(
                             snap.path(&mut walk, from, to),
-                            map.path(map_cfg, from, to),
+                            map.path(from, to),
                             "route {}→{}, op {}", a, b, seq
                         );
                     }

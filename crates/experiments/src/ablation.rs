@@ -13,7 +13,7 @@
 use crate::compare::{CompareConfig, CompareOutput, Metric};
 use crate::par;
 use crate::report;
-use int_core::compute::{Capabilities, ComputeTracker};
+use int_core::compute::ComputeTracker;
 use int_core::config::HopSignal;
 use int_core::rank::RankedServer;
 use int_core::Policy;
@@ -160,8 +160,8 @@ pub fn render_signal(out: &SignalAblationOutput) -> String {
 /// in `int-core::compute`). Pure and deterministic.
 pub fn demo_compute_aware() -> String {
     let mut tracker = ComputeTracker::new();
-    tracker.register(1, Capabilities::new().with("gpu"), 1);
-    tracker.register(2, Capabilities::new().with("gpu"), 1);
+    tracker.register(1, 1);
+    tracker.register(2, 1);
 
     let network_ranking = vec![
         RankedServer { host: 1, est_delay_ns: 30_000_000, est_bandwidth_bps: 15_000_000 },

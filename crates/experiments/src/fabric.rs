@@ -196,7 +196,6 @@ fn build(p: &FabricParams, mode: Mode) -> FabricSim {
         switch_egress_rate_bps: None,
         int_enabled: true,
         ecmp,
-        ..SimConfig::default()
     };
     let mut sim = Simulator::new(fab.topo.clone(), sim_cfg);
 

@@ -252,7 +252,7 @@ mod tests {
             seed: 7,
             policy: Policy::IntDelay,
             probe_interval: interval,
-            core: core.clone(),
+            core,
             int_enabled: true,
             ..TestbedConfig::default()
         };
@@ -281,13 +281,9 @@ mod tests {
 
             // Serving must track the live map exactly — a stale epoch
             // would diverge from the reference right after the eviction
-            // restructures the graph. (The reference's routing weights
-            // only read cfg fields Testbed::new leaves alone.)
-            let oracle = app.core().collector().map().path(
-                &core,
-                NetNode::Host(requester),
-                NetNode::Host(target),
-            );
+            // restructures the graph.
+            let oracle =
+                app.core().collector().map().path(NetNode::Host(requester), NetNode::Host(target));
             let got = app.core_mut().learned_path(requester, target, t.as_nanos());
             assert_eq!(got, oracle, "served route diverged from the reference at t={}ns", t.as_nanos());
 

@@ -27,6 +27,8 @@ pub const NUM_SWITCHES: usize = 12;
 pub const SCHEDULER_NODE: usize = 6;
 /// Ring positions the hosts attach to.
 const HOST_POSITIONS: [usize; NUM_NODES] = [0, 1, 3, 4, 6, 7, 9, 10];
+/// Egress queue capacity of every link, packets.
+const QUEUE_CAP_PKTS: usize = 128;
 
 /// The constructed testbed: simulator + node handles.
 pub struct Testbed {
@@ -70,10 +72,6 @@ pub struct TestbedConfig {
     pub probe_interval: SimDuration,
     /// Scheduler-core configuration.
     pub core: CoreConfig,
-    /// Switch egress ceiling (the BMv2 bottleneck), bit/s.
-    pub switch_rate_bps: u64,
-    /// Egress queue capacity at switches, packets.
-    pub queue_cap_pkts: usize,
     /// Disable INT entirely (baselines don't need it, and this models
     /// their zero-telemetry overhead faithfully).
     pub int_enabled: bool,
@@ -90,9 +88,6 @@ pub struct TestbedConfig {
     /// Compute-aware composite re-ranking at the scheduler (the workflow
     /// experiment's policy axis); `None` leaves the base policy's order.
     pub compute_policy: Option<CompositePolicy>,
-    /// Execution-time estimate the scheduler uses to convert backlog into
-    /// queue wait, ns.
-    pub exec_est_ns: u64,
 }
 
 impl Default for TestbedConfig {
@@ -102,30 +97,28 @@ impl Default for TestbedConfig {
             policy: Policy::IntDelay,
             probe_interval: ProbeSenderApp::DEFAULT_INTERVAL,
             core: CoreConfig::default(),
-            switch_rate_bps: 20_000_000,
-            queue_cap_pkts: 128,
             int_enabled: true,
             probe_mode: ProbeMode::AllPairs,
             executor_slots: u32::MAX,
             executor_order: RunQueueOrder::Fifo,
             executor_report_load: false,
             compute_policy: None,
-            exec_est_ns: 1_000_000_000,
         }
     }
 }
 
 /// Build the Fig. 4 stand-in topology only (no apps).
-pub fn build_topology(queue_cap_pkts: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+pub fn build_topology() -> (Topology, Vec<NodeId>, Vec<NodeId>) {
     let mut t = Topology::new();
     let hosts: Vec<NodeId> = (1..=NUM_NODES).map(|i| t.add_host(format!("node{i}"))).collect();
     let switches: Vec<NodeId> = (0..NUM_SWITCHES).map(|i| t.add_switch(format!("sw{i}"))).collect();
 
-    // Links are fast; the switch egress ceiling models the BMv2 bottleneck.
+    // Links are fast; the switch egress ceiling (`SimConfig`'s default
+    // 20 Mbit/s) models the BMv2 bottleneck.
     let params = LinkParams {
         bandwidth_bps: 1_000_000_000,
         delay: SimDuration::from_millis(10),
-        queue_cap_pkts,
+        queue_cap_pkts: QUEUE_CAP_PKTS,
     };
     for i in 0..NUM_SWITCHES {
         t.add_link(switches[i], switches[(i + 1) % NUM_SWITCHES], params);
@@ -141,7 +134,7 @@ impl Testbed {
     /// per-node probes (except the scheduler), the scheduler service,
     /// task executors, iperf sinks, and echo responders everywhere.
     pub fn new(cfg: &TestbedConfig) -> Testbed {
-        let (topo, hosts, switches) = build_topology(cfg.queue_cap_pkts);
+        let (topo, hosts, switches) = build_topology();
 
         // Precompute static hop counts for the Nearest baseline, exactly
         // "ahead of time" as the paper assumes.
@@ -157,7 +150,6 @@ impl Testbed {
 
         let sim_cfg = SimConfig {
             seed: cfg.seed,
-            switch_egress_rate_bps: Some(cfg.switch_rate_bps),
             int_enabled: cfg.int_enabled,
             ..SimConfig::default()
         };
@@ -233,7 +225,7 @@ impl Testbed {
             .expect("scheduler app just installed");
         sched.register_hosts(&host_ids);
         if let Some(composite) = cfg.compute_policy {
-            sched.set_compute(composite, cfg.exec_est_ns);
+            sched.set_compute(composite);
             for &h in &host_ids {
                 sched.register_executor(h, cfg.executor_slots);
             }
@@ -255,7 +247,7 @@ mod tests {
 
     #[test]
     fn structure_matches_paper_text() {
-        let (t, hosts, switches) = build_topology(128);
+        let (t, hosts, switches) = build_topology();
         assert_eq!(hosts.len(), 8);
         assert_eq!(switches.len(), 12);
         assert_eq!(t.links.len(), 20, "12 ring + 8 host links");
@@ -288,7 +280,7 @@ mod tests {
     /// traffic at the first hop.
     #[test]
     fn host_uplink_memo_matches_route_table() {
-        let (t, hosts, _switches) = build_topology(128);
+        let (t, hosts, _switches) = build_topology();
         let routes = int_netsim::RouteTable::compute(&t);
         let sim = Simulator::new(t.clone(), SimConfig::default());
         for &a in &hosts {

@@ -137,8 +137,6 @@ fn workflow_stream(seed: u64, scale: f64, slack_pct: u64, submitters: Vec<u32>) 
 
 /// Run one (policy × slack) cell.
 fn run_cell(seed: u64, scale: f64, policy: CompositePolicy, slack_pct: u64) -> WorkflowCell {
-    // Mean Table I execution time of the VerySmall class the stream draws.
-    let exec_est_ns = 1_000_000_000u64;
     let cfg = TestbedConfig {
         seed,
         policy: if policy.uses_int() { Policy::IntDelay } else { Policy::Nearest },
@@ -151,7 +149,6 @@ fn run_cell(seed: u64, scale: f64, policy: CompositePolicy, slack_pct: u64) -> W
         },
         executor_report_load: true,
         compute_policy: Some(policy),
-        exec_est_ns,
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::new(&cfg);

@@ -21,7 +21,7 @@ use crate::pool::{BufPool, PoolStats};
 use crate::queue::{DropTailQueue, QueueStats};
 use crate::routing::{ClosNodeKind, ClosRoutes, RouteTable, Routes};
 use crate::stats::NetStats;
-use crate::tcp::{TcpConfig, TcpHost};
+use crate::tcp::TcpHost;
 use crate::trace::{TrafficAccountant, TrafficClass};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, NodeKind, PortId, Topology};
@@ -92,8 +92,6 @@ pub struct SimConfig {
     /// Egress-rate ceiling applied to every switch port (None = link rate).
     /// The paper's BMv2 setup behaved like a 20 Mbit/s ceiling.
     pub switch_egress_rate_bps: Option<u64>,
-    /// TCP parameters for every host.
-    pub tcp: TcpConfig,
     /// Whether switches run the INT program with telemetry enabled.
     pub int_enabled: bool,
     /// Multipath selection at every hop (hosts and switches). The default
@@ -108,7 +106,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 1,
             switch_egress_rate_bps: Some(20_000_000),
-            tcp: TcpConfig::default(),
             int_enabled: true,
             ecmp: EcmpSelect::Primary,
         }
@@ -284,7 +281,7 @@ impl Simulator {
                         ip,
                         apps: Vec::new(),
                         udp_bindings: Vec::new(),
-                        tcp: TcpHost::new(ip, cfg.tcp),
+                        tcp: TcpHost::new(ip),
                         conn_owner: HashMap::new(),
                         listener_owner: Vec::new(),
                         rng: SmallRng::seed_from_u64(
@@ -501,7 +498,7 @@ impl Simulator {
         &self.trace
     }
 
-    /// Mutable access to the trace ring (sampling, capacity via rebuild).
+    /// Mutable access to the trace ring.
     pub fn trace_ring_mut(&mut self) -> &mut TraceRing {
         &mut self.trace
     }
@@ -1180,15 +1177,6 @@ impl Simulator {
             .map_or(0, |g| g[0])
     }
 
-    /// The full equal-cost uplink group (primary first) a host holds
-    /// toward `dst` — the multipath route state behind
-    /// [`Simulator::host_uplink_port`].
-    pub fn host_uplink_group(&self, node: NodeId, dst: Ipv4Addr) -> &[PortId] {
-        Topology::node_of_ip(dst)
-            .and_then(|d| self.host_uplinks.get(node.0 as usize)?.group(d))
-            .unwrap_or(&[])
-    }
-
     /// Drain the TCP outboxes of a host until quiescent.
     fn flush_tcp(&mut self, node: NodeId) {
         loop {
@@ -1790,11 +1778,6 @@ mod tests {
         t.add_link(s1, h2, LinkParams::paper_default());
         t.add_link(s2, h2, LinkParams::paper_default());
         let mut sim = Simulator::new(t, cfg());
-        assert_eq!(
-            sim.host_uplink_group(h1, Topology::host_ip(h2)).len(),
-            2,
-            "both uplinks are equal-cost members"
-        );
         sim.install_app(
             h1,
             Box::new(CbrUdp {

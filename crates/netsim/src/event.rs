@@ -236,7 +236,9 @@ impl EventQueue {
 
     /// Mirror every subsequent push into a reference binary heap and assert
     /// on every pop that the wheel produces the exact heap order. Test-only
-    /// (costs a heap op per push/pop). Enable on a fresh queue.
+    /// (costs a heap op per push/pop). Enable on a fresh queue. The
+    /// wheel tests below and the engine's
+    /// `wheel_pops_in_exact_heap_order_on_congested_run` turn it on.
     #[cfg(test)]
     pub(crate) fn enable_cross_check(&mut self) {
         assert!(self.len == 0, "enable the cross-check before scheduling events");

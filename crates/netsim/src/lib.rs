@@ -52,9 +52,9 @@ pub use pool::{BufPool, PoolStats};
 pub use queue::{DropTailQueue, QueueStats};
 pub use routing::{ClosNodeKind, ClosRoutes, RouteTable, Routes};
 pub use stats::NetStats;
-pub use tcp::{TcpConfig, TcpEvent, TcpHost};
+pub use tcp::{TcpEvent, TcpHost};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TrafficAccountant, TrafficClass};
 pub use topology::{
-    ClosParams, Fabric, FatTreeParams, LinkId, LinkParams, NodeId, NodeKind, PortId, Topology,
+    ClosParams, Fabric, LinkId, LinkParams, NodeId, NodeKind, PortId, Topology,
 };

@@ -72,7 +72,8 @@ impl BufPool {
         }
     }
 
-    /// Frames currently on the freelist.
+    /// Frames currently on the freelist. Diagnostic: `freelist_is_bounded`
+    /// below reads it.
     pub fn free_len(&self) -> usize {
         self.free.len()
     }

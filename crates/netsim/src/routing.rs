@@ -202,16 +202,6 @@ impl ClosRoutes {
         }
     }
 
-    /// The leaf switch a host attaches to.
-    pub fn leaf_of_host(&self, host: u32) -> NodeId {
-        NodeId(self.hosts() + host / self.hosts_per_leaf)
-    }
-
-    /// The leaf port a host attaches to (hosts are the low ports).
-    pub fn leaf_port_of_host(&self, host: u32) -> PortId {
-        (host % self.hosts_per_leaf) as PortId
-    }
-
     /// A leaf's uplink ports toward the spines, in spine order — the
     /// equal-cost group for every remote destination.
     pub fn leaf_uplink_ports(&self) -> Vec<PortId> {
@@ -227,6 +217,8 @@ impl ClosRoutes {
 
     /// Shortest-path propagation delay between two hosts: 0 to self,
     /// two host hops within a leaf, plus two uplink hops across leaves.
+    /// Only the parity test below reads it; it is what checks the
+    /// per-tier delays [`ClosRoutes::new`] takes.
     pub fn host_distance(&self, a: u32, b: u32) -> SimDuration {
         let ns = if a == b {
             0
@@ -236,18 +228,6 @@ impl ClosRoutes {
             2 * self.host_delay_ns + 2 * self.uplink_delay_ns
         };
         SimDuration::from_nanos(ns)
-    }
-
-    /// Links on the shortest path between two hosts (the paper's
-    /// "hops"): 2 within a leaf, 4 across leaves.
-    pub fn host_hop_count(&self, a: u32, b: u32) -> usize {
-        if a == b {
-            0
-        } else if a / self.hosts_per_leaf == b / self.hosts_per_leaf {
-            2
-        } else {
-            4
-        }
     }
 }
 
@@ -443,19 +423,13 @@ mod tests {
                     Some(c.host_distance(a, b)),
                     "distance {a}->{b}"
                 );
-                if a != b {
-                    assert_eq!(
-                        table.hop_count(NodeId(a), NodeId(b)),
-                        Some(c.host_hop_count(a, b)),
-                        "hops {a}->{b}"
-                    );
-                }
                 // Leaf forwarding toward b: exact port for own hosts,
                 // the full spine uplink group for remote ones.
-                let leaf = c.leaf_of_host(a);
+                let leaf = NodeId(h + a / 2);
+                assert_eq!(c.kind_of(leaf), ClosNodeKind::Leaf(a / 2));
                 let ecmp = table.equal_cost_ports(t, leaf, NodeId(b));
-                if c.leaf_of_host(b) == leaf {
-                    assert_eq!(ecmp, vec![c.leaf_port_of_host(b)], "leaf {leaf}->{b}");
+                if a / 2 == b / 2 {
+                    assert_eq!(ecmp, vec![(b % 2) as PortId], "leaf {leaf}->{b}");
                 } else {
                     assert_eq!(ecmp, c.leaf_uplink_ports(), "leaf {leaf}->{b}");
                 }

@@ -29,40 +29,6 @@ use int_packet::{TcpFlags, TcpHeader};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
-/// Transport tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpConfig {
-    /// Maximum segment payload, bytes. 1400 keeps full segments near the
-    /// paper's 1.5 KB packets once Ethernet/IP/TCP headers are added.
-    pub mss: usize,
-    /// Initial congestion window, in MSS (RFC 6928 IW10).
-    pub initial_cwnd_mss: u64,
-    /// Initial slow-start threshold, bytes.
-    pub initial_ssthresh: u64,
-    /// Fixed advertised receive window, bytes (apps consume immediately).
-    pub recv_window: u32,
-    /// Lower bound for the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Initial RTO before any RTT sample (RFC 6298: 1 s).
-    pub initial_rto: SimDuration,
-    /// Upper bound for backed-off RTOs.
-    pub max_rto: SimDuration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            mss: 1400,
-            initial_cwnd_mss: 10,
-            initial_ssthresh: 256 * 1024,
-            recv_window: 1024 * 1024,
-            min_rto: SimDuration::from_millis(200),
-            initial_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(60),
-        }
-    }
-}
-
 /// Events surfaced to the owning application.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TcpEvent {
@@ -128,6 +94,22 @@ enum State {
     /// Everything done; kept briefly for bookkeeping then dropped.
     Done,
 }
+
+/// Maximum segment payload, bytes. 1400 keeps full segments near the
+/// paper's 1.5 KB packets once Ethernet/IP/TCP headers are added.
+const MSS: u64 = 1400;
+/// Initial congestion window, in MSS (RFC 6928 IW10).
+const INITIAL_CWND_MSS: u64 = 10;
+/// Initial slow-start threshold, bytes.
+const INITIAL_SSTHRESH: u64 = 256 * 1024;
+/// Fixed advertised receive window, bytes (apps consume immediately).
+const RECV_WINDOW: u32 = 1024 * 1024;
+/// Lower bound for the retransmission timeout.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Initial RTO before any RTT sample (RFC 6298: 1 s).
+const INITIAL_RTO: SimDuration = SimDuration::from_secs(1);
+/// Upper bound for backed-off RTOs.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 
 const CONNECT_MAX_RETRIES: u32 = 8;
 
@@ -232,7 +214,6 @@ impl Conn {
 
 /// Per-host TCP endpoint: all connections plus the three outboxes.
 pub struct TcpHost {
-    cfg: TcpConfig,
     local_ip: Ipv4Addr,
     conns: HashMap<ConnId, Conn>,
     by_tuple: HashMap<(Ipv4Addr, u16, u16), ConnId>,
@@ -251,9 +232,8 @@ pub struct TcpHost {
 
 impl TcpHost {
     /// New endpoint for a host with address `local_ip`.
-    pub fn new(local_ip: Ipv4Addr, cfg: TcpConfig) -> Self {
+    pub fn new(local_ip: Ipv4Addr) -> Self {
         TcpHost {
-            cfg,
             local_ip,
             conns: HashMap::new(),
             by_tuple: HashMap::new(),
@@ -321,7 +301,7 @@ impl TcpHost {
             seq: iss,
             ack: 0,
             flags: TcpFlags::SYN,
-            window: wire_window(self.cfg.recv_window),
+            window: wire_window(RECV_WINDOW),
         };
         self.segments.push(SegmentOut { dst_ip, header: hdr, payload: Vec::new() });
         self.conns.insert(conn, c);
@@ -385,7 +365,7 @@ impl TcpHost {
                     self.drop_conn(conn);
                     return;
                 }
-                c.rto = (c.rto * 2).min(self.cfg.max_rto);
+                c.rto = (c.rto * 2).min(MAX_RTO);
                 let flags =
                     if c.state == State::SynSent { TcpFlags::SYN } else { TcpFlags::SYN_ACK };
                 let ack = if c.state == State::SynSent { 0 } else { c.wire_ack() };
@@ -395,7 +375,7 @@ impl TcpHost {
                     seq: c.iss,
                     ack,
                     flags,
-                    window: wire_window(self.cfg.recv_window),
+                    window: wire_window(RECV_WINDOW),
                 };
                 let dst_ip = c.peer_ip;
                 self.segments.push(SegmentOut { dst_ip, header: hdr, payload: Vec::new() });
@@ -404,15 +384,15 @@ impl TcpHost {
             State::Established | State::Closing => {
                 // RTO: multiplicative decrease, go-back-N, backoff.
                 let flight = c.flight_size().max(1);
-                c.ssthresh = (flight / 2).max(2 * self.cfg.mss as u64);
-                c.cwnd = self.cfg.mss as u64;
+                c.ssthresh = (flight / 2).max(2 * MSS);
+                c.cwnd = MSS;
                 c.snd_nxt = c.snd_una;
                 c.dup_acks = 0;
                 c.recover = None;
                 if c.fin_sent && !c.fin_acked {
                     c.fin_sent = false; // pump() will retransmit the FIN
                 }
-                c.rto = (c.rto * 2).min(self.cfg.max_rto);
+                c.rto = (c.rto * 2).min(MAX_RTO);
                 c.rtt_sample = None; // Karn: no sampling across retransmits
                 self.pump(conn, now);
             }
@@ -452,9 +432,9 @@ impl TcpHost {
             snd_buf: Vec::new(),
             snd_una: 0,
             snd_nxt: 0,
-            snd_wnd: self.cfg.recv_window,
-            cwnd: self.cfg.initial_cwnd_mss * self.cfg.mss as u64,
-            ssthresh: self.cfg.initial_ssthresh,
+            snd_wnd: RECV_WINDOW,
+            cwnd: INITIAL_CWND_MSS * MSS,
+            ssthresh: INITIAL_SSTHRESH,
             dup_acks: 0,
             recover: None,
             fin_queued: false,
@@ -469,7 +449,7 @@ impl TcpHost {
             peer_fin_processed: false,
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: self.cfg.initial_rto,
+            rto: INITIAL_RTO,
             rtt_sample: None,
             timer_gen: 0,
             timer_armed: false,
@@ -490,7 +470,7 @@ impl TcpHost {
             seq: iss,
             ack: hdr.seq.wrapping_add(1),
             flags: TcpFlags::SYN_ACK,
-            window: wire_window(self.cfg.recv_window),
+            window: wire_window(RECV_WINDOW),
         };
         self.by_tuple.insert((src_ip, hdr.src_port, hdr.dst_port), conn);
         self.segments.push(SegmentOut { dst_ip: src_ip, header: synack, payload: Vec::new() });
@@ -532,7 +512,7 @@ impl TcpHost {
                         seq: c.iss,
                         ack: c.irs.wrapping_add(1),
                         flags: TcpFlags::SYN_ACK,
-                        window: wire_window(self.cfg.recv_window),
+                        window: wire_window(RECV_WINDOW),
                     };
                     let dst = c.peer_ip;
                     self.segments.push(SegmentOut { dst_ip: dst, header: synack, payload: Vec::new() });
@@ -580,7 +560,7 @@ impl TcpHost {
             if let Some((target, sent_at)) = c.rtt_sample {
                 if c.snd_una >= target {
                     let sample = now.since(sent_at);
-                    update_rtt(c, sample, &self.cfg);
+                    update_rtt(c, sample);
                     c.rtt_sample = None;
                 }
             }
@@ -597,10 +577,10 @@ impl TcpHost {
                 }
             } else if c.cwnd < c.ssthresh {
                 // Slow start.
-                c.cwnd += self.cfg.mss as u64;
+                c.cwnd += MSS;
             } else {
                 // Congestion avoidance: +MSS per cwnd-worth of ACKs.
-                let inc = (self.cfg.mss as u64 * self.cfg.mss as u64 / c.cwnd).max(1);
+                let inc = (MSS * MSS / c.cwnd).max(1);
                 c.cwnd += inc;
             }
 
@@ -626,13 +606,13 @@ impl TcpHost {
             c.dup_acks += 1;
             if c.recover.is_some() {
                 // Inflate during recovery; each dupack signals a departure.
-                c.cwnd += self.cfg.mss as u64;
+                c.cwnd += MSS;
                 self.pump(conn, now);
             } else if c.dup_acks == 3 {
                 // Fast retransmit.
                 let flight = c.flight_size();
-                c.ssthresh = (flight / 2).max(2 * self.cfg.mss as u64);
-                c.cwnd = c.ssthresh + 3 * self.cfg.mss as u64;
+                c.ssthresh = (flight / 2).max(2 * MSS);
+                c.cwnd = c.ssthresh + 3 * MSS;
                 c.recover = Some(c.snd_nxt);
                 self.retransmit_head(conn, now);
             }
@@ -646,12 +626,12 @@ impl TcpHost {
         let data_len = c.snd_buf.len() as u64;
         if c.snd_una >= data_len {
             if c.fin_sent {
-                Self::emit_fin(&mut self.segments, c, self.cfg.recv_window);
+                Self::emit_fin(&mut self.segments, c, RECV_WINDOW);
             }
         } else {
-            let end = (c.snd_una + self.cfg.mss as u64).min(data_len);
+            let end = (c.snd_una + MSS).min(data_len);
             let seg = c.snd_buf[c.snd_una as usize..end as usize].to_vec();
-            Self::emit_data(&mut self.segments, c, c.snd_una, seg, self.cfg.recv_window);
+            Self::emit_data(&mut self.segments, c, c.snd_una, seg, RECV_WINDOW);
         }
         self.arm_timer(conn, now);
     }
@@ -671,7 +651,7 @@ impl TcpHost {
             if in_flight >= wnd {
                 break;
             }
-            let budget = (wnd - in_flight).min(self.cfg.mss as u64);
+            let budget = (wnd - in_flight).min(MSS);
             let end = (c.snd_nxt + budget).min(data_len);
             if end == c.snd_nxt {
                 break;
@@ -683,7 +663,7 @@ impl TcpHost {
             if c.rtt_sample.is_none() {
                 c.rtt_sample = Some((end, now));
             }
-            Self::emit_data(&mut self.segments, c, offset, seg, self.cfg.recv_window);
+            Self::emit_data(&mut self.segments, c, offset, seg, RECV_WINDOW);
             sent_any = true;
         }
 
@@ -692,7 +672,7 @@ impl TcpHost {
         {
             c.fin_sent = true;
             c.snd_nxt = data_len + 1; // FIN consumes one sequence slot
-            Self::emit_fin(&mut self.segments, c, self.cfg.recv_window);
+            Self::emit_fin(&mut self.segments, c, RECV_WINDOW);
             sent_any = true;
         }
 
@@ -739,7 +719,7 @@ impl TcpHost {
             seq: c.wire_seq(c.snd_nxt),
             ack: c.wire_ack(),
             flags: TcpFlags::ACK,
-            window: wire_window(self.cfg.recv_window),
+            window: wire_window(RECV_WINDOW),
         };
         self.segments.push(SegmentOut { dst_ip: c.peer_ip, header: hdr, payload: Vec::new() });
     }
@@ -868,7 +848,7 @@ impl Conn {
     }
 }
 
-fn update_rtt(c: &mut Conn, sample: SimDuration, cfg: &TcpConfig) {
+fn update_rtt(c: &mut Conn, sample: SimDuration) {
     match c.srtt {
         None => {
             c.srtt = Some(sample);
@@ -888,7 +868,7 @@ fn update_rtt(c: &mut Conn, sample: SimDuration, cfg: &TcpConfig) {
     let rto = SimDuration::from_nanos(
         c.srtt.expect("just set").as_nanos() + 4 * c.rttvar.as_nanos().max(1_000_000),
     );
-    c.rto = rto.max(cfg.min_rto).min(cfg.max_rto);
+    c.rto = rto.max(MIN_RTO).min(MAX_RTO);
 }
 
 #[cfg(test)]
@@ -928,7 +908,7 @@ mod tests {
     }
 
     fn pair() -> (TcpHost, TcpHost) {
-        (TcpHost::new(A_IP, TcpConfig::default()), TcpHost::new(B_IP, TcpConfig::default()))
+        (TcpHost::new(A_IP), TcpHost::new(B_IP))
     }
 
     fn collect_data(events: &[TcpEvent]) -> Vec<u8> {
@@ -1139,7 +1119,7 @@ mod tests {
         });
         let c = &a.conns[&conn];
         assert!(
-            c.ssthresh < TcpConfig::default().initial_ssthresh,
+            c.ssthresh < INITIAL_SSTHRESH,
             "ssthresh reduced after loss: {}",
             c.ssthresh
         );
@@ -1199,14 +1179,13 @@ mod tests {
 
     #[test]
     fn rtt_estimator_tracks_sample() {
-        let mut c = TcpHost::new(A_IP, TcpConfig::default()).new_conn(1, B_IP, 1, 2, 0);
-        let cfg = TcpConfig::default();
-        update_rtt(&mut c, SimDuration::from_millis(40), &cfg);
+        let mut c = TcpHost::new(A_IP).new_conn(1, B_IP, 1, 2, 0);
+        update_rtt(&mut c, SimDuration::from_millis(40));
         assert_eq!(c.srtt.unwrap(), SimDuration::from_millis(40));
-        assert_eq!(c.rto, SimDuration::from_millis(120).max(cfg.min_rto));
+        assert_eq!(c.rto, SimDuration::from_millis(120).max(MIN_RTO));
         // Converges toward a stable series of samples.
         for _ in 0..50 {
-            update_rtt(&mut c, SimDuration::from_millis(60), &cfg);
+            update_rtt(&mut c, SimDuration::from_millis(60));
         }
         let srtt = c.srtt.unwrap().as_millis_f64();
         assert!((srtt - 60.0).abs() < 2.0, "srtt converged: {srtt}");
@@ -1233,9 +1212,10 @@ mod window_tests {
     #[test]
     fn sender_respects_peer_receive_window() {
         // Tiny receiver window: the sender must not exceed it in flight.
-        let small = TcpConfig { recv_window: 4096, ..TcpConfig::default() };
-        let mut a = TcpHost::new(A_IP, TcpConfig::default());
-        let mut b = TcpHost::new(B_IP, small);
+        // The test plays the network and shrinks the window every segment
+        // of the receiver advertises.
+        let mut a = TcpHost::new(A_IP);
+        let mut b = TcpHost::new(B_IP);
         b.listen(7100);
         let conn = a.alloc_conn_id();
         a.connect(conn, B_IP, 7100, SimTime(0));
@@ -1246,7 +1226,8 @@ mod window_tests {
                 b.on_segment(SimTime(1), A_IP, &s.header, &s.payload);
             }
             for s in b.take_segments() {
-                a.on_segment(SimTime(1), B_IP, &s.header, &s.payload);
+                let small = TcpHeader { window: wire_window(4096), ..s.header };
+                a.on_segment(SimTime(1), B_IP, &small, &s.payload);
             }
         }
         a.take_events();
@@ -1260,7 +1241,7 @@ mod window_tests {
 
     #[test]
     fn connect_gives_up_after_max_syn_retries() {
-        let mut a = TcpHost::new(A_IP, TcpConfig::default());
+        let mut a = TcpHost::new(A_IP);
         let conn = a.alloc_conn_id();
         a.connect(conn, B_IP, 9999, SimTime(0));
         assert_eq!(a.conn_count(), 1);
@@ -1277,8 +1258,8 @@ mod window_tests {
     #[test]
     fn out_of_order_segments_reassemble() {
         let (mut a, mut b) = (
-            TcpHost::new(A_IP, TcpConfig::default()),
-            TcpHost::new(B_IP, TcpConfig::default()),
+            TcpHost::new(A_IP),
+            TcpHost::new(B_IP),
         );
         b.listen(7100);
         let conn = a.alloc_conn_id();

@@ -65,13 +65,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// From fractional seconds (rounds to whole ns). Panics on negative or
-    /// non-finite input — those are configuration bugs.
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -178,7 +171,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
         assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
-        assert_eq!(SimDuration::from_secs_f64(0.1), SimDuration::from_millis(100));
     }
 
     #[test]

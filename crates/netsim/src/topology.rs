@@ -92,17 +92,6 @@ pub struct LinkSpec {
     pub params: LinkParams,
 }
 
-impl LinkSpec {
-    /// The far end of this link as seen from `node`.
-    pub fn peer_of(&self, node: NodeId) -> (NodeId, PortId) {
-        if self.a.0 == node {
-            self.b
-        } else {
-            debug_assert_eq!(self.b.0, node, "node {node} is not on link {:?}", self.id);
-            self.a
-        }
-    }
-}
 
 /// A complete network description, built incrementally.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -180,11 +169,6 @@ impl Topology {
         self.nodes.iter().filter(|n| n.kind == NodeKind::Switch).map(|n| n.id)
     }
 
-    /// Look a node up by name.
-    pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes.iter().find(|n| n.name == name).map(|n| n.id)
-    }
-
     /// Deterministic IPv4 address of a host: `10.x.y.z` derived from the
     /// node id (`10.0.y.z` for the first 65,535 nodes, so small-fabric
     /// addresses are unchanged). Switches are transparent L3 devices and
@@ -246,8 +230,8 @@ pub struct Fabric {
     pub topo: Topology,
     /// All hosts, leaf-major (hosts of leaf 0 first).
     pub hosts: Vec<NodeId>,
-    /// Switch tiers, host-facing tier first: `tiers[0]` = leaves/edges,
-    /// `tiers[1]` = spines/aggregation, `tiers[2]` = core (fat-tree only).
+    /// Switch tiers, host-facing tier first: `tiers[0]` = leaves,
+    /// `tiers[1]` = spines.
     pub tiers: Vec<Vec<NodeId>>,
 }
 
@@ -257,7 +241,7 @@ impl Fabric {
         self.tiers.iter().flatten().copied()
     }
 
-    /// The leaf (edge) switch a host attaches to.
+    /// The leaf switch a host attaches to.
     pub fn leaf_of(&self, host: NodeId) -> NodeId {
         self.topo.node(host).ports[0].peer
     }
@@ -339,63 +323,6 @@ impl ClosParams {
     }
 }
 
-/// Parameters of a classic k-ary fat-tree: `k` pods of `k/2` edge and
-/// `k/2` aggregation switches, `(k/2)²` core switches; edge *e* of every
-/// pod connects to all pod aggregations, aggregation *a* connects to core
-/// group *a* (cores `a·k/2 .. (a+1)·k/2`).
-#[derive(Debug, Clone, Copy)]
-pub struct FatTreeParams {
-    /// Pod arity; must be even and ≥ 2.
-    pub k: u32,
-    /// Hosts per edge switch (classic fat-tree uses `k/2`).
-    pub hosts_per_edge: u32,
-    /// Link parameters used fabric-wide.
-    pub link: LinkParams,
-}
-
-impl FatTreeParams {
-    /// Build the fat-tree. Creation order: hosts (pod-, then edge-major),
-    /// edges, aggregations, cores.
-    pub fn build(&self) -> Fabric {
-        assert!(self.k >= 2 && self.k.is_multiple_of(2), "fat-tree arity must be even, got {}", self.k);
-        let (k, half) = (self.k, self.k / 2);
-        let mut t = Topology::new();
-        let hosts: Vec<NodeId> = (0..k * half * self.hosts_per_edge)
-            .map(|i| t.add_host(format!("h{i}")))
-            .collect();
-        let edges: Vec<NodeId> =
-            (0..k * half).map(|i| t.add_switch(format!("edge{i}"))).collect();
-        let aggs: Vec<NodeId> =
-            (0..k * half).map(|i| t.add_switch(format!("agg{i}"))).collect();
-        let cores: Vec<NodeId> =
-            (0..half * half).map(|i| t.add_switch(format!("core{i}"))).collect();
-        for (i, &h) in hosts.iter().enumerate() {
-            t.add_link(h, edges[i / self.hosts_per_edge as usize], self.link);
-        }
-        for pod in 0..k {
-            for e in 0..half {
-                for a in 0..half {
-                    t.add_link(
-                        edges[(pod * half + e) as usize],
-                        aggs[(pod * half + a) as usize],
-                        self.link,
-                    );
-                }
-            }
-            for a in 0..half {
-                for c in 0..half {
-                    t.add_link(
-                        aggs[(pod * half + a) as usize],
-                        cores[(a * half + c) as usize],
-                        self.link,
-                    );
-                }
-            }
-        }
-        Fabric { topo: t, hosts, tiers: vec![edges, aggs, cores] }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,24 +338,12 @@ mod tests {
 
         assert_eq!(t.hosts().collect::<Vec<_>>(), vec![h1, h2]);
         assert_eq!(t.switches().collect::<Vec<_>>(), vec![s1]);
-        assert_eq!(t.node_by_name("s1"), Some(s1));
         assert_eq!(t.node(h1).ports[0], PortBinding { link: l1, peer: s1, peer_port: 0 });
         assert_eq!(t.node(s1).ports[1], PortBinding { link: l2, peer: h2, peer_port: 0 });
         assert_eq!(t.link_between(h1, s1), Some(l1));
         assert_eq!(t.link_between(h2, s1), Some(l2), "order-insensitive");
         assert_eq!(t.link_between(h1, h2), None);
         assert!(t.validate().is_ok());
-    }
-
-    #[test]
-    fn peer_of_both_sides() {
-        let mut t = Topology::new();
-        let a = t.add_host("a");
-        let b = t.add_host("b");
-        t.add_link(a, b, LinkParams::paper_default());
-        let l = t.link(LinkId(0));
-        assert_eq!(l.peer_of(a), (b, 0));
-        assert_eq!(l.peer_of(b), (a, 0));
     }
 
     #[test]

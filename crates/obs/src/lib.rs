@@ -5,7 +5,7 @@
 //! * [`MetricsRegistry`] — counters / gauges / histograms keyed by a
 //!   `'static` name plus a small label set, sim-time-stamped, owned per
 //!   component (no global state), with a deterministic JSON snapshot.
-//! * [`TraceRing`] — a bounded, sampling-capable ring of typed
+//! * [`TraceRing`] — a bounded ring of typed
 //!   [`TraceEvent`]s (enqueue / dequeue / drop / fault / probe-harvest /
 //!   register-reset), the replacement for ad-hoc debug prints in the
 //!   simulator and data plane.

@@ -1,11 +1,9 @@
 //! Typed trace-event ring buffer.
 //!
 //! Replaces ad-hoc `println!` debugging in `netsim`/`dataplane`: the
-//! engine and data-plane programs push typed events, the ring keeps the
-//! most recent `capacity` of them, and a deterministic counter-based
-//! sampler (`keep every Nth event`, never a clock or RNG) thins
-//! high-rate streams. Disabled (the default) it costs one branch per
-//! emit.
+//! engine and data-plane programs push typed events and the ring keeps
+//! the most recent `capacity` of them. Disabled (the default) it costs one
+//! branch per emit.
 
 use crate::json::JsonBuf;
 use std::collections::VecDeque;
@@ -139,12 +137,11 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// Bounded ring of [`TraceEvent`]s with deterministic sampling.
+/// Bounded ring of [`TraceEvent`]s.
 #[derive(Debug)]
 pub struct TraceRing {
     enabled: bool,
     capacity: usize,
-    sample_every: u64,
     seen: u64,
     evicted: u64,
     buf: VecDeque<TraceEvent>,
@@ -162,7 +159,6 @@ impl TraceRing {
         Self {
             enabled: false,
             capacity: capacity.max(1),
-            sample_every: 1,
             seen: 0,
             evicted: 0,
             buf: VecDeque::new(),
@@ -179,13 +175,6 @@ impl TraceRing {
         self.enabled
     }
 
-    /// Keep every `n`th event (counter-based, so the same event stream
-    /// always keeps the same subset — no clocks, no randomness).
-    /// `n = 1` keeps everything; `n = 0` is clamped to 1.
-    pub fn set_sample_every(&mut self, n: u64) {
-        self.sample_every = n.max(1);
-    }
-
     /// Record an event (single branch when disabled).
     #[inline]
     pub fn push(&mut self, at_ns: u64, kind: TraceKind) {
@@ -198,9 +187,6 @@ impl TraceRing {
     #[cold]
     fn push_slow(&mut self, at_ns: u64, kind: TraceKind) {
         self.seen += 1;
-        if !self.seen.is_multiple_of(self.sample_every) {
-            return;
-        }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.evicted += 1;
@@ -208,7 +194,7 @@ impl TraceRing {
         self.buf.push_back(TraceEvent { at_ns, kind });
     }
 
-    /// Events seen while enabled (before sampling/eviction).
+    /// Events seen while enabled (before eviction).
     pub fn seen(&self) -> u64 {
         self.seen
     }
@@ -313,8 +299,7 @@ pub fn render_events_json<'a>(
 /// dispatch, and a node's dispatch sequence does not depend on how the
 /// fabric is partitioned into domains — so after this sort, a merged
 /// multi-domain event stream is byte-identical to the single-loop one
-/// (provided nothing was sampled out or evicted differently, i.e.
-/// `sample_every == 1` and no eviction).
+/// (provided nothing was evicted).
 pub fn canonical_order(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| (e.at_ns, e.kind.node_key()));
 }
@@ -344,19 +329,6 @@ mod tests {
         assert_eq!((r.seen(), r.evicted(), r.len()), (5, 3, 2));
         let held: Vec<u64> = r.iter().map(|e| e.at_ns).collect();
         assert_eq!(held, vec![3, 4]);
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth() {
-        let mut r = TraceRing::new(16);
-        r.set_enabled(true);
-        r.set_sample_every(3);
-        for i in 1..=9u32 {
-            r.push(i as u64, ev(i));
-        }
-        let held: Vec<u64> = r.iter().map(|e| e.at_ns).collect();
-        assert_eq!(held, vec![3, 6, 9]);
-        assert_eq!(r.seen(), 9);
     }
 
     #[test]

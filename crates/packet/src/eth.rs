@@ -22,16 +22,6 @@ impl MacAddr {
         let b = node_id.to_be_bytes();
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
-
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if the I/G bit marks this address as multicast (or broadcast).
-    pub fn is_multicast(&self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl fmt::Display for MacAddr {
@@ -132,7 +122,7 @@ mod tests {
     #[test]
     fn mac_for_node_is_unicast_local() {
         let m = MacAddr::for_node(42);
-        assert!(!m.is_multicast());
+        assert_eq!(m.0[0] & 0x01, 0, "I/G bit clear: unicast");
         assert_eq!(m.0[0] & 0x02, 0x02, "locally administered bit set");
     }
 
@@ -143,13 +133,6 @@ mod tests {
         let c = MacAddr::for_node(1);
         assert_ne!(a, b);
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn broadcast_is_multicast() {
-        assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::for_node(7).is_broadcast());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl IntStack {
     pub fn adjacencies(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.records.windows(2).map(|w| (w[0].switch_id, w[1].switch_id))
     }
-
-    /// Sum of all recorded link latencies along the probe path, ns.
-    pub fn total_link_latency_ns(&self) -> u64 {
-        self.records.iter().map(|r| r.link_latency_ns).sum()
-    }
 }
 
 impl WireEncode for IntStack {
@@ -373,13 +368,5 @@ mod tests {
         let short = &bytes[..bytes.len() - 5];
         let contiguous = IntStack::decode(&mut &short[..]).unwrap_err();
         assert_eq!(IntStack::decode(&mut TwoChunks(&short[..40], &short[40..])).unwrap_err(), contiguous);
-    }
-
-    #[test]
-    fn total_link_latency_sums() {
-        let mut s = IntStack::new();
-        s.push(rec(1, 0));
-        s.push(rec(2, 0));
-        assert_eq!(s.total_link_latency_ns(), 20_000_000);
     }
 }

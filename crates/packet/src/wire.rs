@@ -56,16 +56,6 @@ pub fn get_bytes16<B: Buf>(buf: &mut B, what: &'static str) -> Result<Vec<u8>> {
     Ok(v)
 }
 
-/// Encode a length-prefixed (u16) UTF-8 string.
-pub fn put_str16<B: BufMut>(buf: &mut B, s: &str) {
-    put_bytes16(buf, s.as_bytes());
-}
-
-/// Decode a length-prefixed (u16) UTF-8 string (lossy on invalid UTF-8).
-pub fn get_str16<B: Buf>(buf: &mut B, what: &'static str) -> Result<String> {
-    Ok(String::from_utf8_lossy(&get_bytes16(buf, what)?).into_owned())
-}
-
 /// RFC 1071 internet checksum over `data` (as used by IPv4 headers).
 ///
 /// The checksum field itself must be zeroed in `data` before calling.
@@ -135,13 +125,5 @@ mod tests {
         let mut slice = &buf[..];
         let err = get_bytes16(&mut slice, "test").unwrap_err();
         assert!(matches!(err, PacketError::Truncated { .. }));
-    }
-
-    #[test]
-    fn str16_roundtrip() {
-        let mut buf = Vec::new();
-        put_str16(&mut buf, "edge-server-3");
-        let mut slice = &buf[..];
-        assert_eq!(get_str16(&mut slice, "test").unwrap(), "edge-server-3");
     }
 }

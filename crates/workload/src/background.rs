@@ -32,11 +32,6 @@ impl BgFlow {
     pub fn end_ns(&self) -> u64 {
         self.start_ns + self.duration_ns
     }
-
-    /// Is the flow active at `t`?
-    pub fn active_at(&self, t_ns: u64) -> bool {
-        (self.start_ns..self.end_ns()).contains(&t_ns)
-    }
 }
 
 /// A background-traffic scenario.
@@ -149,7 +144,7 @@ mod tests {
     const NODES: [u32; 8] = [0, 1, 2, 3, 4, 5, 6, 7];
 
     fn active_count(flows: &[BgFlow], t: u64) -> usize {
-        flows.iter().filter(|f| f.active_at(t)).count()
+        flows.iter().filter(|f| (f.start_ns..f.end_ns()).contains(&t)).count()
     }
 
     #[test]

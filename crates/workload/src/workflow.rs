@@ -46,13 +46,6 @@ pub struct WorkflowSpec {
     pub tasks: Vec<WorkflowTaskSpec>,
 }
 
-impl WorkflowSpec {
-    /// Root tasks (no parents) — released at `release_at_ns`.
-    pub fn roots(&self) -> impl Iterator<Item = &WorkflowTaskSpec> {
-        self.tasks.iter().filter(|t| t.parents.is_empty())
-    }
-}
-
 /// The DAG shapes the generator draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DagShape {
@@ -200,7 +193,7 @@ mod tests {
         let wfs = WorkflowGenerator::new(1).generate(&cfg());
         assert_eq!(wfs.len(), 20);
         for wf in &wfs {
-            assert!(wf.roots().count() >= 1);
+            assert!(wf.tasks.iter().any(|t| t.parents.is_empty()), "a root task exists");
             for (i, t) in wf.tasks.iter().enumerate() {
                 assert_eq!(t.task_id, i as u64, "ids are list positions");
                 for &p in &t.parents {

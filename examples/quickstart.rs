@@ -61,7 +61,7 @@ fn main() {
         .app_mut::<SchedulerApp>(scheduler, sched_app)
         .expect("scheduler app");
     let ranking: Vec<RankedServer> =
-        app.core_mut().rank_with(device.0, Policy::IntDelay, 1_000_000_000);
+        app.core_mut().rank_detailed_with(device.0, Policy::IntDelay, 1_000_000_000).ranked;
     println!("\nranked servers for the device (best first):");
     for r in &ranking {
         println!(

@@ -17,6 +17,9 @@ cargo test --workspace --release -q
 echo "== clippy (deny warnings)"
 cargo clippy --workspace --release --all-targets -- -D warnings
 
+echo "== rustdoc (deny warnings: a doc link to a deleted item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== benches (smoke: one iteration each, and every guard still registered)"
 bench_log="$(cargo bench -p int-bench -- --test 2>&1)"
 echo "$bench_log"

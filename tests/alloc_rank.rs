@@ -3,8 +3,8 @@
 //! A counting allocator (`tests/common/alloc.rs`) wraps the system
 //! allocator. After one warm-up query per (requester, policy) — which
 //! publishes the epoch and grows the requester's shortest-path tree —
-//! every further query through `SchedulerCore`'s `_into` entry points must
-//! sweep the cached tree into reused scratch and sort in place.
+//! every further query through `SchedulerCore::rank_detailed_into_with`
+//! must sweep the cached tree into reused scratch and sort in place.
 //!
 //! The later sections cover the *cold* serve path too: under churn (every
 //! epoch re-learns every link) serving regrows its per-requester trees
@@ -22,7 +22,7 @@ mod probes;
 use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::snapshot::SnapshotScratch;
-use int_edge_sched::core::{CoreConfig, Policy, RankedServer, SchedulerCore};
+use int_edge_sched::core::{CoreConfig, Policy, SchedulerCore};
 use int_edge_sched::packet::ProbePayload;
 use probes::{hop, probe};
 
@@ -40,28 +40,26 @@ fn probe_round(seq: u64, churn: u64, now_ns: u64) -> Vec<ProbePayload> {
 
 #[test]
 fn steady_state_rank_queries_allocate_nothing() {
-    // The scheduler's `_into` entry points: the full query path —
+    // The scheduler's `_into` entry point: the full query path —
     // eviction check, publish-key check, tree sweep, detailed ranking
-    // with exclusions — reuses internal scratch and the caller's buffers.
+    // with exclusions — reuses internal scratch and the caller's outcome.
     let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 1);
     for p in probe_round(1, 0, 30_000_000) {
         core.collector_mut().ingest(&p, 30_000_000);
     }
     let mut detailed = RankOutcome::default();
-    let mut ranked: Vec<RankedServer> = Vec::new();
+    let mut other = RankOutcome::default();
     // Warm-up grows every buffer (including the audit-off fast path).
     for policy in [Policy::IntDelay, Policy::IntBandwidth] {
         core.rank_detailed_into_with(100, policy, 30_000_000, &mut detailed);
-        core.rank_with_into(100, policy, 30_000_000, &mut ranked);
+        core.rank_detailed_into_with(100, policy, 30_000_000, &mut other);
     }
-    core.candidates_with_estimates_into(100, 30_000_000, &mut ranked);
 
     let (allocs, ()) = allocations_in(|| {
         for round in 0..1_000u64 {
             let now = 30_000_000 + round;
             core.rank_detailed_into_with(100, Policy::IntDelay, now, &mut detailed);
-            core.rank_with_into(100, Policy::IntBandwidth, now, &mut ranked);
-            core.candidates_with_estimates_into(100, now, &mut ranked);
+            core.rank_detailed_into_with(100, Policy::IntBandwidth, now, &mut other);
         }
     });
     assert_eq!(
@@ -93,8 +91,7 @@ fn steady_state_rank_queries_allocate_nothing() {
         let (allocs, ()) = allocations_in(|| {
             for requester in requesters {
                 core.rank_detailed_into_with(requester, Policy::IntDelay, now, &mut detailed);
-                core.rank_with_into(requester, Policy::Nearest, now, &mut ranked);
-                core.candidates_with_estimates_into(requester, now, &mut ranked);
+                core.rank_detailed_into_with(requester, Policy::Nearest, now, &mut other);
             }
         });
         if epoch >= 2 {

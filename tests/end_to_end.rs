@@ -118,7 +118,7 @@ fn congestion_shifts_the_delay_ranking() {
         let sched = tb.scheduler;
         let idx = tb.scheduler_app;
         let app = tb.sim.app_mut::<SchedulerApp>(sched, idx).expect("scheduler app");
-        let ranked = app.core_mut().rank_with(requester, Policy::IntDelay, now_ns);
+        let ranked = app.core_mut().rank_detailed_with(requester, Policy::IntDelay, now_ns).ranked;
         let node7 = ranked.iter().find(|r| r.host == 6).expect("node7 ranked");
         (node7.est_delay_ns, ranked[0].host)
     };

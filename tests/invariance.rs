@@ -9,14 +9,24 @@
 //! strategy that diverges from the others *and* a change that moves every
 //! strategy together both fail, naming `scenario × strategy`.
 //!
-//! `heavy` rows (the workflow sweep has a ≈ 20 s floor unoptimised) run
-//! only in optimised builds: `cargo test --workspace --release` in
-//! `scripts/ci.sh` covers them.
+//! `heavy` rows (the workflow sweep has a ≈ 20 s floor unoptimised, fig5
+//! several seconds) run only in optimised builds: `cargo test --workspace
+//! --release` in `scripts/ci.sh` covers them.
 
 use int_edge_sched::experiments::giant::GiantParams;
-use int_edge_sched::experiments::{audit, fabric, failover, giant, sustained, workflow};
+use int_edge_sched::experiments::{
+    ablation, audit, fabric, failover, fig5, giant, overhead, sustained, workflow,
+};
+use int_edge_sched::netsim::SimDuration;
 
 const SEED: u64 = 1;
+
+/// What `report::save_json` writes.
+macro_rules! artifact {
+    ($out:expr) => {
+        serde_json::to_string_pretty($out).expect("serializable").into_bytes()
+    };
+}
 
 /// `(scenario, strategy, heavy, artifact bytes)`.
 type Row = (&'static str, &'static str, bool, fn() -> Vec<u8>);
@@ -38,6 +48,9 @@ const ROWS: &[Row] = &[
     ("giant", "domains=1", false, || giant(1)),
     ("giant", "domains=2", false, || giant(2)),
     ("giant", "domains=4", false, || giant(4)),
+    ("fig5", "workers=auto", true, || artifact!(&fig5::run(SEED, 4))),
+    ("overhead", "serial", false, || artifact!(&overhead::run(SEED, SimDuration::from_secs(20)))),
+    ("ext-compute", "serial", false, || ablation::demo_compute_aware().into_bytes()),
 ];
 
 /// `(scenario, artifact length, FNV-1a 64)`.
@@ -48,6 +61,9 @@ const PINS: &[(&str, usize, u64)] = &[
     ("workflow", 5_818, 0x0a97_4a04_1832_25f3),
     ("sustained", 242, 0x74f0_f7b1_11b2_f2c4),
     ("giant", 29_928, 0x7289_f8f3_53a9_6dc0),
+    ("fig5", 5_440, 0xa69a_428a_538c_878d),
+    ("overhead", 877, 0x2faf_a473_ab4e_79df),
+    ("ext-compute", 156, 0xf9ad_2a81_1df8_3cbb),
 ];
 
 #[test]
@@ -68,13 +84,6 @@ fn every_strategy_reproduces_the_pinned_artifact() {
             bytes.len()
         );
     }
-}
-
-/// What `report::save_json` writes.
-macro_rules! artifact {
-    ($out:expr) => {
-        serde_json::to_string_pretty($out).expect("serializable").into_bytes()
-    };
 }
 
 /// `repro failover --scale 0.25`: the first probing interval only.

@@ -227,10 +227,10 @@ fn serving_matches_reference_under_churn(k_paths: u32, ops: &[(u32, u32, u64, u3
                 let (a, b) = (NetNode::Host(from), NetNode::Host(to));
                 let got = core.learned_path(from, to, now_ns);
                 let map = core.collector().map();
-                assert_eq!(&got, &map.path(&cfg, a, b), "path {}->{} after op {}", from, to, seq);
+                assert_eq!(&got, &map.path(a, b), "path {}->{} after op {}", from, to, seq);
                 assert_eq!(
                     got,
-                    map.k_paths(&cfg, a, b, k_paths).into_iter().next(),
+                    map.k_paths(a, b, k_paths).into_iter().next(),
                     "first k-path {}->{} after op {}", from, to, seq
                 );
             }

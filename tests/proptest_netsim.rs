@@ -3,8 +3,8 @@
 //! conservation, and TCP stream integrity under arbitrary loss patterns.
 
 use int_edge_sched::dataplane::{Key, MatchActionTable, MatchKind, RegisterArray};
-use int_edge_sched::netsim::tcp::{TcpConfig, TcpHost};
-use int_edge_sched::netsim::topology::{ClosParams, FatTreeParams, LinkParams};
+use int_edge_sched::netsim::tcp::TcpHost;
+use int_edge_sched::netsim::topology::{ClosParams, LinkParams};
 use int_edge_sched::netsim::{DropTailQueue, EventQueue, NodeKind, RouteTable, SimTime};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -174,48 +174,6 @@ proptest! {
         }
     }
 
-    /// Fat-tree generator invariants: classic counts for arity k, adjacent-
-    /// tier wiring only, and 2/4/6-link hop bounds (same edge / same pod /
-    /// cross pod).
-    #[test]
-    fn fat_tree_generator_invariants(half in 1u32..3, hosts_per_edge in 1u32..3) {
-        let k = half * 2;
-        let p = FatTreeParams { k, hosts_per_edge, link: LinkParams::paper_default() };
-        let f = p.build();
-        prop_assert_eq!(f.hosts.len() as u32, k * half * hosts_per_edge);
-        prop_assert_eq!(f.tiers[0].len() as u32, k * half, "edge switches");
-        prop_assert_eq!(f.tiers[1].len() as u32, k * half, "aggregation switches");
-        prop_assert_eq!(f.tiers[2].len() as u32, half * half, "core switches");
-
-        let tier_of = |n: int_edge_sched::netsim::NodeId| -> usize {
-            if f.topo.node(n).kind == NodeKind::Host { return 0; }
-            1 + f.tiers.iter().position(|t| t.contains(&n)).expect("switch in a tier")
-        };
-        for l in &f.topo.links {
-            prop_assert_eq!(tier_of(l.a.0).abs_diff(tier_of(l.b.0)), 1, "{:?}", l.id);
-        }
-
-        let pod_of = |edge: int_edge_sched::netsim::NodeId| -> u32 {
-            f.tiers[0].iter().position(|&e| e == edge).unwrap() as u32 / half
-        };
-        let routes = RouteTable::compute(&f.topo);
-        for &a in &f.hosts {
-            for &b in &f.hosts {
-                if a == b { continue; }
-                let hops = routes.hop_count(a, b).expect("all host pairs connected");
-                let (ea, eb) = (f.leaf_of(a), f.leaf_of(b));
-                let expect = if ea == eb {
-                    2
-                } else if pod_of(ea) == pod_of(eb) {
-                    4
-                } else {
-                    6
-                };
-                prop_assert_eq!(hops, expect, "{a} -> {b}");
-            }
-        }
-    }
-
     /// TCP delivers the exact byte stream for any loss pattern that is not
     /// total (each direction keeps at least some packets), using explicit
     /// timer firing to recover.
@@ -226,8 +184,8 @@ proptest! {
     ) {
         let a_ip = Ipv4Addr::new(10, 0, 0, 1);
         let b_ip = Ipv4Addr::new(10, 0, 0, 2);
-        let mut a = TcpHost::new(a_ip, TcpConfig::default());
-        let mut b = TcpHost::new(b_ip, TcpConfig::default());
+        let mut a = TcpHost::new(a_ip);
+        let mut b = TcpHost::new(b_ip);
         b.listen(7100);
         let conn = a.alloc_conn_id();
         a.connect(conn, b_ip, 7100, SimTime(0));

@@ -6,8 +6,7 @@
 //! both directions of a link carry their own edge), whole re-probing
 //! rounds (every edge learned so far dirty in one epoch, often in
 //! consecutive epochs — the paper's cadence) and stale-link evictions
-//! drives three planes over identical collector state, under either
-//! direction-fallback policy:
+//! drives three planes over identical collector state:
 //!
 //! * a [`SnapshotPublisher`] with the incremental path enabled (the
 //!   default) — patches dirty arcs in place while `topo_gen` holds,
@@ -25,7 +24,6 @@
 //! patch), allocation reuse (clone_from), and fresh clone.
 
 use int_edge_sched::core::rank::StaticDistances;
-use int_edge_sched::core::config::DirectionFallback;
 use int_edge_sched::core::{CoreConfig, IntCollector, SchedSnapshot, SnapshotPublisher};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -81,11 +79,8 @@ proptest! {
             1..40,
         ),
         seed in any::<u64>(),
-        strict in any::<bool>(),
     ) {
-        let direction_fallback =
-            if strict { DirectionFallback::Strict } else { DirectionFallback::ReverseOk };
-        let cfg = Arc::new(CoreConfig { direction_fallback, ..CoreConfig::default() });
+        let cfg = Arc::new(CoreConfig::default());
         let distances = Arc::new(StaticDistances::new());
 
         // Two collectors fed identically: each publisher must drain its
