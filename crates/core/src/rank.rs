@@ -17,6 +17,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -127,6 +128,27 @@ impl StaticDistances {
     pub fn row(&self, a: u32) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.hops.range((a, 0)..=(a, u32::MAX)).map(|(&(_, b), &hops)| (b, hops))
     }
+}
+
+/// The reference IntDelay order (Algorithm 1): lowest estimated delay
+/// first, then host id.
+pub(crate) fn delay_key(s: &RankedServer) -> (u64, u32) {
+    (s.est_delay_ns, s.host)
+}
+
+/// The reference IntBandwidth order (§III-D): widest bottleneck first.
+/// Bandwidth estimates are coarse (a piecewise curve over integer queue
+/// lengths), so ties are common; they break by estimated delay, then host
+/// id, instead of herding every equal-bandwidth query onto the lowest
+/// host id.
+pub(crate) fn bandwidth_key(s: &RankedServer) -> (Reverse<u64>, u64, u32) {
+    (Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host)
+}
+
+/// The reference Nearest order: fewest static hops (`hops`, unknown last),
+/// then host id.
+pub(crate) fn nearest_key(hops: Option<u32>, s: &RankedServer) -> (u32, u32) {
+    (hops.unwrap_or(u32::MAX), s.host)
 }
 
 /// **The reference ranker** — the paper's rule written the obvious way,
@@ -278,22 +300,10 @@ impl Ranker {
         // Every key but Random's ends in the host id, so keys are unique
         // and the order does not depend on the sort's stability.
         match policy {
-            Policy::IntDelay => {
-                out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
-            }
-            Policy::IntBandwidth => {
-                // Bandwidth estimates are coarse (a piecewise curve over
-                // integer queue lengths), so ties are common; break them by
-                // estimated delay, then host id, instead of herding every
-                // equal-bandwidth query onto the lowest host id.
-                out.sort_unstable_by_key(|s| {
-                    (std::cmp::Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host)
-                });
-            }
+            Policy::IntDelay => out.sort_unstable_by_key(delay_key),
+            Policy::IntBandwidth => out.sort_unstable_by_key(bandwidth_key),
             Policy::Nearest => {
-                out.sort_unstable_by_key(|s| {
-                    (self.distances.get(requester, s.host).unwrap_or(u32::MAX), s.host)
-                });
+                out.sort_unstable_by_key(|s| nearest_key(self.distances.get(requester, s.host), s));
             }
             Policy::Random => {
                 out.shuffle(&mut self.rng);

@@ -43,6 +43,23 @@
 //! over the live map decision-for-decision; the proptests here and in
 //! `tests/` pin equality across churn, eviction, and faults.
 //!
+//! **Ordering.** The ranked candidates are ordered by packed integer
+//! keys, sorted with `sort_unstable()`, and gathered from a scratch copy;
+//! no tuple comparator runs. Candidates arrive ascending by host, so a
+//! candidate's input position `i` (< 2^20: `CsrTopo::build` asserts
+//! fewer hosts) is its host-order rank, the last tie-break of every
+//! policy. IntDelay keys are `min(delay, 2^44 − 1) << 20 | i` (`u64`),
+//! Nearest keys `hops << 32 | i` (`u64`, exact), IntBandwidth keys
+//! `(!bandwidth) << 64 |` the IntDelay word (`u128`). The delay clamp is
+//! the only lossy step — it hits delays ≥ 2^44 ns (≈ 4.9 h), i.e.
+//! saturated estimates and the pathless `u64::MAX` of the warm-up
+//! ranking — and one rule repairs it for both policies: after the sort,
+//! each maximal run of entries that share the primary key and carry a
+//! clamped delay is re-sorted by the full reference key. The tree sweep
+//! asks whether an arc's tail is a switch by its dense id alone: hosts
+//! sort before switches, so switches are exactly the ids past the hosts;
+//! a queue-price memo hit is read in line, only a miss calls out.
+//!
 //! The only sanctioned divergence is [`Policy::Random`]: the reference
 //! draws from one long-lived RNG stream, which cannot be reproduced when
 //! queries are served concurrently. Snapshot evaluation derives an RNG
@@ -52,7 +69,9 @@
 use crate::collector::IntCollector;
 use crate::config::{CoreConfig, HopSignal};
 use crate::map::{EdgeId, EdgeState, NetNode, NetworkMap};
-use crate::rank::{ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances};
+use crate::rank::{
+    bandwidth_key, delay_key, ExcludeReason, Policy, RankOutcome, RankedServer, StaticDistances,
+};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -147,6 +166,10 @@ impl CsrTopo {
         let mut nodes: Vec<NetNode> = hosts.iter().map(|&h| NetNode::Host(h)).collect();
         nodes.extend(map.switches().map(NetNode::Switch));
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "dense ids must be sorted");
+        assert!(
+            hosts.len() < 1 << POS_BITS,
+            "sort keys carry a candidate position in {POS_BITS} bits"
+        );
         let id = |n: NetNode| nodes.binary_search(&n).expect("edge endpoints are known nodes") as u32;
 
         let edges: Vec<(EdgeId, u32, u32)> = (0..map.interned_edges() as EdgeId)
@@ -176,6 +199,12 @@ impl CsrTopo {
         }
         let cols = arcs.iter().map(|&(_, v)| v).collect();
         CsrTopo { nodes, row, cols, hosts, edge_arcs, arc_edges }
+    }
+
+    /// Whether dense id `u` is a switch. Hosts sort before switches, so
+    /// that is `u`'s position past the hosts — no node lookup.
+    fn is_switch(&self, u: u32) -> bool {
+        u as usize >= self.hosts.len()
     }
 }
 
@@ -391,46 +420,75 @@ impl SchedSnapshot {
         out.excluded.clear();
 
         // Resolve the requester once. Single-path serving prices its whole
-        // shortest-path tree up front; every candidate is then a table read.
+        // shortest-path tree up front; every candidate is then a table read
+        // (an unknown requester reaches nothing).
         let from = self.node_id(NetNode::Host(requester));
+        let mut pathless = std::mem::take(&mut scratch.pathless);
         if self.cfg.k_paths <= 1 {
-            if let Some(from) = from {
-                self.price_tree(scratch, from, now_ns);
+            match from {
+                Some(from) => self.price_tree(scratch, from, now_ns),
+                None => {
+                    scratch.table.clear();
+                    scratch.table.resize(self.topo.nodes.len(), None);
+                }
             }
+            let table = &scratch.table;
+            self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
+                table[to as usize].map_or(no_path(host), |p| p.ranked(host))
+            });
+        } else {
+            self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
+                from.map_or(no_path(host), |from| {
+                    self.estimate_k_paths(scratch, from, host, to, now_ns)
+                })
+            });
         }
+        scratch.pathless = pathless;
+        self.sort(scratch, &mut out.ranked, requester, policy, slot);
+    }
 
-        // Candidate set: every known host except the requester (paper §IV:
-        // all nodes can execute tasks unless they are the submitter), with
-        // its dense id.
-        let topo = &*self.topo;
-        let candidates =
-            topo.hosts.iter().zip(0u32..).filter(|&(&host, _)| host != requester);
-        out.ranked.reserve(topo.hosts.len());
-
+    /// The candidate pass: every known host except the requester (paper
+    /// §IV: all nodes can execute tasks unless they are the submitter),
+    /// estimated by `estimate(host, dense id)`, into `out` in ascending
+    /// host order. The INT policies set silent origins and pathless
+    /// candidates aside with a reason, unless *every* candidate is
+    /// pathless (warm-up, not failure: they are all ranked instead);
+    /// `pathless` is the buffer for that.
+    fn collect(
+        &self,
+        requester: u32,
+        policy: Policy,
+        now_ns: u64,
+        out: &mut RankOutcome,
+        pathless: &mut Vec<RankedServer>,
+        mut estimate: impl FnMut(u32, u32) -> RankedServer,
+    ) {
+        let hosts = &self.topo.hosts;
+        let candidates = hosts.iter().zip(0u32..).filter(|&(&host, _)| host != requester);
+        out.ranked.reserve(hosts.len());
         if matches!(policy, Policy::Nearest | Policy::Random) {
-            for (&host, to) in candidates {
-                out.ranked.push(self.estimate(scratch, from, host, to, now_ns));
-            }
-            self.sort(scratch, &mut out.ranked, requester, policy, slot);
+            out.ranked.extend(candidates.map(|(&host, to)| estimate(host, to)));
             return;
         }
 
-        let mut pathless = std::mem::take(&mut scratch.pathless);
         pathless.clear();
         // Origin silence is `IntCollector::silent_origins` membership, a
         // pure function of the frozen origin table and the query `now`;
         // hosts and origins both ascend, so one merged walk answers it.
-        let mut origins = self.origins.iter().peekable();
+        let origins = &self.origins[..];
+        let mut o = 0;
         for (&host, to) in candidates {
-            while origins.next_if(|&&(o, _)| o < host).is_some() {}
-            let silent = origins.peek().is_some_and(|&&(o, last_rx_ns)| {
-                o == host && now_ns.saturating_sub(last_rx_ns) > self.cfg.origin_silence_ns
+            while o < origins.len() && origins[o].0 < host {
+                o += 1;
+            }
+            let silent = origins.get(o).is_some_and(|&(origin, last_rx_ns)| {
+                origin == host && now_ns.saturating_sub(last_rx_ns) > self.cfg.origin_silence_ns
             });
             if silent {
                 out.excluded.push((host, ExcludeReason::OriginSilent));
                 continue;
             }
-            let est = self.estimate(scratch, from, host, to, now_ns);
+            let est = estimate(host, to);
             if est.est_delay_ns == u64::MAX {
                 out.excluded.push((host, ExcludeReason::NoFreshPath));
                 pathless.push(est);
@@ -442,43 +500,31 @@ impl SchedSnapshot {
         if out.ranked.is_empty()
             && out.excluded.iter().all(|(_, r)| *r == ExcludeReason::NoFreshPath)
         {
-            // Warm-up, not failure: rank the pathless estimates instead.
-            out.ranked.extend_from_slice(&pathless);
+            out.ranked.extend_from_slice(pathless);
             out.excluded.clear();
-        } else {
-            out.excluded.sort_unstable_by_key(|(h, _)| *h);
         }
-        self.sort(scratch, &mut out.ranked, requester, policy, slot);
-        scratch.pathless = pathless;
+        debug_assert!(
+            out.excluded.windows(2).all(|w| w[0].0 < w[1].0),
+            "exclusions are pushed in ascending candidate order"
+        );
     }
 
-    /// Estimate one candidate (`to` is `host`'s dense id) with the frozen
-    /// per-arc delay and queue evidence — the same numbers the live
-    /// estimators produce against the map state this snapshot froze.
-    /// Single-path serving reads the table [`Self::price_tree`] just
-    /// filled. With `k_paths > 1`, resolve the whole k-set
-    /// (route-identical to [`NetworkMap::k_paths`]) and report the
-    /// cheapest path's figures, ties breaking to the lowest path index —
-    /// exactly the reference `Ranker::estimate` rule.
-    fn estimate(
+    /// Estimate one candidate (`to` is `host`'s dense id) with
+    /// `k_paths > 1`: resolve the whole k-set (route-identical to
+    /// [`NetworkMap::k_paths`]), price each path with the frozen per-arc
+    /// delay and queue evidence, and report the cheapest path's figures,
+    /// ties breaking to the lowest path index — exactly the reference
+    /// `Ranker::estimate` rule.
+    fn estimate_k_paths(
         &self,
         scratch: &mut SnapshotScratch,
-        from: Option<u32>,
+        from: u32,
         host: u32,
         to: u32,
         now_ns: u64,
     ) -> RankedServer {
-        let pathless = RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 };
-        let Some(from) = from else { return pathless };
-        if self.cfg.k_paths <= 1 {
-            return scratch.table[to as usize].map_or(pathless, |p| {
-                let (est_delay_ns, est_bandwidth_bps) = p.finish();
-                RankedServer { host, est_delay_ns, est_bandwidth_bps }
-            });
-        }
-
         if !self.ensure_k_paths(scratch, from, to) {
-            return pathless;
+            return no_path(host);
         }
         let kset = scratch.kcache.get(&(from, to)).expect("just ensured");
         let mut best_delay = u64::MAX;
@@ -501,9 +547,10 @@ impl SchedSnapshot {
     /// step, source → leaf, which is what makes them bit-identical; a
     /// switch-tail arc's `(k·Q, available bandwidth)` comes from `hops`,
     /// priced at its current query time.
+    #[inline]
     fn fold_arc(&self, hops: &mut HopMemo, acc: &mut Priced, u: u32, ai: usize) {
         acc.link_delay_ns = acc.link_delay_ns.saturating_add(self.est_delay[ai]);
-        if matches!(self.topo.nodes[u as usize], NetNode::Switch(_)) {
+        if self.topo.is_switch(u) {
             let (hop_ns, bw_bps) = self.hop_price(hops, ai);
             acc.hop_delay_ns = acc.hop_delay_ns.saturating_add(hop_ns);
             acc.bottleneck_bps = acc.bottleneck_bps.min(bw_bps);
@@ -513,14 +560,23 @@ impl SchedSnapshot {
     /// Arc `ai`'s `(k·Q saturating, available_bw_for_qlen(Q))` at the
     /// memo's query time, `Q` its effective queue length: computed on the
     /// first ask per (snapshot, query time), a memo read after that.
+    #[inline]
     fn hop_price(&self, hops: &mut HopMemo, ai: usize) -> (u64, u64) {
-        let entry = &mut hops.arcs[ai];
-        if entry.0 != hops.stamp {
-            let q = self.arc_qlen(ai, hops.now_ns);
-            let hop_ns = self.cfg.k_ns_per_pkt.saturating_mul(q as u64);
-            *entry = (hops.stamp, hop_ns, self.cfg.available_bw_for_qlen(q));
+        let (stamp, hop_ns, bw_bps) = hops.arcs[ai];
+        if stamp == hops.stamp {
+            return (hop_ns, bw_bps);
         }
-        (entry.1, entry.2)
+        self.price_hop(hops, ai)
+    }
+
+    /// [`Self::hop_price`]'s memo miss: price arc `ai` and record it.
+    #[inline(never)]
+    fn price_hop(&self, hops: &mut HopMemo, ai: usize) -> (u64, u64) {
+        let q = self.arc_qlen(ai, hops.now_ns);
+        let priced =
+            (self.cfg.k_ns_per_pkt.saturating_mul(q as u64), self.cfg.available_bw_for_qlen(q));
+        hops.arcs[ai] = (hops.stamp, priced.0, priced.1);
+        priced
     }
 
     /// Price every node reachable from `from` into `scratch.table`: one
@@ -613,9 +669,7 @@ impl SchedSnapshot {
     fn ban_interior_edges(&self, scratch: &mut SnapshotScratch, path: &[u32]) {
         for w in path.windows(2) {
             let (u, v) = (w[0], w[1]);
-            if matches!(self.topo.nodes[u as usize], NetNode::Switch(_))
-                && matches!(self.topo.nodes[v as usize], NetNode::Switch(_))
-            {
+            if self.topo.is_switch(u) && self.topo.is_switch(v) {
                 for (a, b) in [(u, v), (v, u)] {
                     if let Some(ai) = self.arc_index(a, b) {
                         scratch.arc_mask[ai] = true;
@@ -774,8 +828,9 @@ impl SchedSnapshot {
         }
     }
 
-    /// Order `out` best-first — the reference `Ranker::sort` keys, with the
-    /// Random shuffle drawn from the per-query derived RNG. `out` arrives
+    /// Order `out` best-first: the reference `Ranker::sort` order, by
+    /// packed integer keys (see [`order_by_keys`]), with the Random
+    /// shuffle drawn from the per-query derived RNG. `out` arrives
     /// ascending by host (candidate order).
     fn sort(
         &self,
@@ -785,33 +840,35 @@ impl SchedSnapshot {
         policy: Policy,
         slot: u64,
     ) {
+        debug_assert!(out.windows(2).all(|w| w[0].host < w[1].host), "candidates ascend");
+        let SnapshotScratch { keys, wide_keys, gather, .. } = scratch;
         match policy {
             Policy::IntDelay => {
-                out.sort_unstable_by_key(|s| (s.est_delay_ns, s.host));
+                keys.clear();
+                keys.extend(out.iter().enumerate().map(|(i, s)| delay_word(s.est_delay_ns, i)));
+                order_by_keys(keys, out, gather, |k| k as usize & POS_MASK);
+                resort_clamped_runs(out, |s| s.est_delay_ns.min(DELAY_CLAMP), delay_key);
             }
             Policy::IntBandwidth => {
-                out.sort_unstable_by_key(|s| {
-                    (Reverse(s.est_bandwidth_bps), s.est_delay_ns, s.host)
-                });
+                wide_keys.clear();
+                wide_keys.extend(out.iter().enumerate().map(|(i, s)| {
+                    u128::from(!s.est_bandwidth_bps) << 64
+                        | u128::from(delay_word(s.est_delay_ns, i))
+                }));
+                order_by_keys(wide_keys, out, gather, |k| k as usize & POS_MASK);
+                resort_clamped_runs(out, |s| s.est_bandwidth_bps, bandwidth_key);
             }
             Policy::Nearest => {
-                // Key = (static distance or MAX, host). One merge of the
-                // requester's ascending distance row against the ascending
-                // candidates finds every distance; the sort then compares
-                // precomputed keys instead of probing the table.
-                debug_assert!(out.windows(2).all(|w| w[0].host < w[1].host));
-                let keyed = &mut scratch.nearest;
-                keyed.clear();
+                // One merge of the requester's ascending distance row
+                // against the ascending candidates finds every distance.
+                keys.clear();
                 let mut row = self.distances.row(requester).peekable();
-                for s in out.iter() {
+                for (i, s) in out.iter().enumerate() {
                     while row.next_if(|&(h, _)| h < s.host).is_some() {}
                     let hops = row.next_if(|&(h, _)| h == s.host).map_or(u32::MAX, |(_, d)| d);
-                    keyed.push((hops, *s));
+                    keys.push(u64::from(hops) << 32 | i as u64);
                 }
-                keyed.sort_unstable_by_key(|&(hops, s)| (hops, s.host));
-                for (dst, &(_, s)) in out.iter_mut().zip(keyed.iter()) {
-                    *dst = s;
-                }
+                order_by_keys(keys, out, gather, |k| k as u32 as usize);
             }
             Policy::Random => {
                 let mut rng = SmallRng::seed_from_u64(mix(
@@ -820,6 +877,65 @@ impl SchedSnapshot {
                 out.shuffle(&mut rng);
             }
         }
+    }
+}
+
+/// Bits at the bottom of an IntDelay / IntBandwidth sort key that hold the
+/// candidate's position in the input ([`CsrTopo::build`] bounds the hosts).
+const POS_BITS: u32 = 20;
+const POS_MASK: usize = (1 << POS_BITS) - 1;
+/// The largest delay a sort key holds exactly (2^44 − 1 ns, ≈ 4.9 h);
+/// longer delays share this value in the key.
+const DELAY_CLAMP: u64 = (1 << (64 - POS_BITS)) - 1;
+
+/// The low word of the delay-bearing sort keys: the clamped delay above
+/// the candidate's position `i`.
+fn delay_word(delay_ns: u64, i: usize) -> u64 {
+    delay_ns.min(DELAY_CLAMP) << POS_BITS | i as u64
+}
+
+/// Sort `keys` — one per entry of `out`, each ending in its entry's
+/// position, which `pos` extracts — and permute `out` into that order
+/// through `gather`. Positions are unique, so the order is total and
+/// equals the stable one.
+fn order_by_keys<K: Ord + Copy>(
+    keys: &mut [K],
+    out: &mut [RankedServer],
+    gather: &mut Vec<RankedServer>,
+    pos: impl Fn(K) -> usize,
+) {
+    keys.sort_unstable();
+    gather.clear();
+    gather.extend_from_slice(out);
+    for (dst, &k) in out.iter_mut().zip(keys.iter()) {
+        *dst = gather[pos(k)];
+    }
+}
+
+/// Repair the one lossy step of the packed keys: entries whose delay the
+/// key clamped and that share the key's `primary` field tie in the key
+/// and fall back to input (host) order, so each maximal run of them is
+/// re-sorted by the full reference key `full`. Runs are empty unless a
+/// delay reaches [`DELAY_CLAMP`] — saturated estimates and the pathless
+/// `u64::MAX` of the warm-up ranking.
+fn resort_clamped_runs<P: PartialEq, K: Ord>(
+    out: &mut [RankedServer],
+    primary: impl Fn(&RankedServer) -> P,
+    full: impl Fn(&RankedServer) -> K,
+) {
+    let mut i = 0;
+    while i < out.len() {
+        if out[i].est_delay_ns < DELAY_CLAMP {
+            i += 1;
+            continue;
+        }
+        let p = primary(&out[i]);
+        let run = out[i..]
+            .iter()
+            .take_while(|s| s.est_delay_ns >= DELAY_CLAMP && primary(s) == p)
+            .count();
+        out[i..i + run].sort_unstable_by_key(&full);
+        i += run;
     }
 }
 
@@ -878,6 +994,18 @@ impl Priced {
             self.bottleneck_bps,
         )
     }
+
+    /// `host`'s estimate over this route.
+    fn ranked(self, host: u32) -> RankedServer {
+        let (est_delay_ns, est_bandwidth_bps) = self.finish();
+        RankedServer { host, est_delay_ns, est_bandwidth_bps }
+    }
+}
+
+/// The estimate of a candidate with no fresh path: the `u64::MAX` delay
+/// sentinel and no bandwidth.
+fn no_path(host: u32) -> RankedServer {
+    RankedServer { host, est_delay_ns: u64::MAX, est_bandwidth_bps: 0 }
 }
 
 /// Dijkstra working set, reused across runs.
@@ -952,12 +1080,12 @@ pub struct SnapshotServeStats {
 
 /// Per-shard mutable state for evaluating queries against a
 /// [`SchedSnapshot`]: the reusable Dijkstra buffers, this epoch's
-/// shortest-path trees, the per-query price table and the per-arc queue
-/// prices of the last query time. One scratch must only ever be used by
-/// one thread at a time (each shard owns its own); it revalidates itself
-/// against the snapshot's identity on every query, so handing it any
-/// sequence of snapshots — advancing epochs, or different schedulers' —
-/// is safe and cheap. Nothing here is freed on an epoch move (`clear()`
+/// shortest-path trees, the per-query price table, the per-arc queue
+/// prices of the last query time and the sort-key buffers. One scratch
+/// must only ever be used by one thread at a time (each shard owns its
+/// own); it revalidates itself against the snapshot's identity on every
+/// query, so handing it any sequence of snapshots — advancing epochs, or
+/// different schedulers' — is safe and cheap. Nothing here is freed on an epoch move (`clear()`
 /// keeps capacity), so steady churn serving does not allocate.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
@@ -978,8 +1106,13 @@ pub struct SnapshotScratch {
     table: Vec<Option<Priced>>,
     /// Switch-tail arcs' queue prices at the last priced query time.
     hops: HopMemo,
-    /// Nearest-policy sort keys: `(static distance, estimate)`.
-    nearest: Vec<(u32, RankedServer)>,
+    /// Packed sort keys of the IntDelay and Nearest orders.
+    keys: Vec<u64>,
+    /// Packed sort keys of the IntBandwidth order.
+    wide_keys: Vec<u128>,
+    /// The candidates in input order while they are gathered into key
+    /// order.
+    gather: Vec<RankedServer>,
     /// `(from, to)` → cached k-path set (empty = unreachable); used only
     /// when `k_paths > 1`.
     kcache: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
@@ -1297,7 +1430,7 @@ impl SnapshotPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::Ranker;
+    use crate::rank::{nearest_key, Ranker};
     use crate::sched::SchedulerCore;
     use int_packet::int::IntRecord;
     use int_packet::ProbePayload;
@@ -1639,6 +1772,64 @@ mod tests {
     }
 
     proptest! {
+        /// The packed-key order against the reference keys: candidate
+        /// lists of up to 1200 entries, ascending by host, with heavy
+        /// delay and bandwidth ties, delays on both sides of the key's
+        /// clamp, saturated (`u64::MAX − 1`) and pathless (`u64::MAX`)
+        /// estimates, and hosts without a static distance. Every policy
+        /// but Random must order them exactly as sorting by
+        /// [`Ranker`]'s reference keys does.
+        #[test]
+        fn packed_keys_order_like_the_reference_keys(
+            entries in proptest::collection::vec(
+                // (host gap, delay class, bandwidth class, hops class, raw bits)
+                (1u32..4, 0u8..8, 0u8..4, 0u32..6, any::<u64>()),
+                0..1200,
+            ),
+        ) {
+            const REQUESTER: u32 = 1_000_000;
+            let mut d = StaticDistances::new();
+            let mut host = 0;
+            let mut servers = Vec::with_capacity(entries.len());
+            for &(gap, delay_class, bw_class, hops, raw) in &entries {
+                host += gap;
+                let est_delay_ns = match delay_class {
+                    0 => raw % 4,
+                    1 => 1_000 * (raw % 8),
+                    2 => raw % (1 << 44),
+                    3 => DELAY_CLAMP - 1 + raw % 3,
+                    4 => (1 << 44) + raw % 16,
+                    5 => raw.max(1 << 44),
+                    6 => u64::MAX - 1,
+                    _ => u64::MAX,
+                };
+                let est_bandwidth_bps = match bw_class {
+                    0 => 0,
+                    1 => 5_000_000,
+                    2 => 20_000_000,
+                    _ => raw.rotate_left(17),
+                };
+                if hops < 5 {
+                    d.set(REQUESTER, host, hops);
+                }
+                servers.push(RankedServer { host, est_delay_ns, est_bandwidth_bps });
+            }
+            let core = SchedulerCore::new(REQUESTER, CoreConfig::default(), d.clone(), 1);
+            let snap = snap_of(&core, 1, 0);
+            let mut scratch = SnapshotScratch::new();
+            for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                let mut got = servers.clone();
+                snap.sort(&mut scratch, &mut got, REQUESTER, policy, 0);
+                let mut want = servers.clone();
+                match policy {
+                    Policy::IntDelay => want.sort_unstable_by_key(delay_key),
+                    Policy::IntBandwidth => want.sort_unstable_by_key(bandwidth_key),
+                    _ => want.sort_unstable_by_key(|s| nearest_key(d.get(REQUESTER, s.host), s)),
+                }
+                prop_assert_eq!(got, want, "{:?}", policy);
+            }
+        }
+
         /// Tree pricing against its references over random
         /// probe/churn/eviction sequences: after every op, (1) every host
         /// pair's route equals the reference `NetworkMap::path` (a

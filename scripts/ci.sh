@@ -11,6 +11,9 @@ echo "== tier 1: build + root tests"
 cargo build --release
 cargo test -q
 
+echo "== int-core unit tests in debug (debug_asserts and overflow checks fire only here)"
+cargo test -q -p int-core
+
 echo "== tier 2: workspace tests"
 cargo test --workspace --release -q
 

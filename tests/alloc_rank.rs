@@ -4,7 +4,9 @@
 //! allocator. After one warm-up query per (requester, policy) — which
 //! publishes the epoch and grows the requester's shortest-path tree —
 //! every further query through `SchedulerCore::rank_detailed_into_with`
-//! must sweep the cached tree into reused scratch and sort in place.
+//! must sweep the cached tree into reused scratch and order the answer
+//! through the scratch's reused sort-key and gather buffers — under all
+//! three ordered policies, Nearest over a non-empty distance table.
 //!
 //! The later sections cover the *cold* serve path too: under churn (every
 //! epoch re-learns every link) serving regrows its per-requester trees
@@ -38,19 +40,33 @@ fn probe_round(seq: u64, churn: u64, now_ns: u64) -> Vec<ProbePayload> {
         .collect()
 }
 
+/// Static hop counts from scheduler host 100 to every server (with ties)
+/// and between neighbouring servers, so the Nearest order has real keys.
+fn distances() -> StaticDistances {
+    let mut d = StaticDistances::new();
+    for h in 0..8u32 {
+        d.set(100, h, 3 + h % 3);
+        d.set(h, (h + 1) % 8, 4);
+    }
+    d
+}
+
+/// The policies whose orders go through the packed sort keys.
+const ORDERED: [Policy; 3] = [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest];
+
 #[test]
 fn steady_state_rank_queries_allocate_nothing() {
     // The scheduler's `_into` entry point: the full query path —
     // eviction check, publish-key check, tree sweep, detailed ranking
     // with exclusions — reuses internal scratch and the caller's outcome.
-    let mut core = SchedulerCore::new(100, CoreConfig::default(), StaticDistances::new(), 1);
+    let mut core = SchedulerCore::new(100, CoreConfig::default(), distances(), 1);
     for p in probe_round(1, 0, 30_000_000) {
         core.collector_mut().ingest(&p, 30_000_000);
     }
     let mut detailed = RankOutcome::default();
     let mut other = RankOutcome::default();
     // Warm-up grows every buffer (including the audit-off fast path).
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+    for policy in ORDERED {
         core.rank_detailed_into_with(100, policy, 30_000_000, &mut detailed);
         core.rank_detailed_into_with(100, policy, 30_000_000, &mut other);
     }
@@ -60,6 +76,7 @@ fn steady_state_rank_queries_allocate_nothing() {
             let now = 30_000_000 + round;
             core.rank_detailed_into_with(100, Policy::IntDelay, now, &mut detailed);
             core.rank_detailed_into_with(100, Policy::IntBandwidth, now, &mut other);
+            core.rank_detailed_into_with(100, Policy::Nearest, now, &mut other);
         }
     });
     assert_eq!(
@@ -108,7 +125,7 @@ fn steady_state_rank_queries_allocate_nothing() {
     let mut sharded = int_edge_sched::core::shard::ShardedScheduler::new(
         100,
         CoreConfig::default(),
-        StaticDistances::new(),
+        distances(),
         1,
         1,
     );
@@ -118,29 +135,16 @@ fn steady_state_rank_queries_allocate_nothing() {
     sharded.advance(30_000_000);
     let snap = sharded.epoch_slot().current().expect("published");
     let mut scratch = SnapshotScratch::new();
-    for policy in [Policy::IntDelay, Policy::IntBandwidth] {
+    for policy in ORDERED {
         snap.rank_detailed_into(&mut scratch, 100, policy, 30_000_000, 0, &mut detailed);
     }
 
     let (allocs, ()) = allocations_in(|| {
         for round in 0..1_000u64 {
             let now = 30_000_000 + round;
-            snap.rank_detailed_into(
-                &mut scratch,
-                100,
-                Policy::IntDelay,
-                now,
-                round,
-                &mut detailed,
-            );
-            snap.rank_detailed_into(
-                &mut scratch,
-                100,
-                Policy::IntBandwidth,
-                now,
-                round,
-                &mut detailed,
-            );
+            for policy in ORDERED {
+                snap.rank_detailed_into(&mut scratch, 100, policy, now, round, &mut detailed);
+            }
         }
     });
     assert_eq!(
@@ -169,7 +173,7 @@ fn steady_state_rank_queries_allocate_nothing() {
         let requesters = (0..3).map(|i| hosts[(3 * epoch as usize + i) % hosts.len()]);
         let (allocs, ()) = allocations_in(|| {
             for requester in requesters {
-                for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                for policy in ORDERED {
                     let slot = served;
                     snap.rank_detailed_into(
                         &mut scratch,
