@@ -6,7 +6,7 @@
 //! baselines ignore it.
 
 use int_core::rank::StaticDistances;
-use int_core::{CompositePolicy, ComputeTracker, CoreConfig, ExcludeReason, Policy, SchedulerCore};
+use int_core::{CompositePolicy, ComputeTracker, CoreConfig, Policy, SchedulerCore};
 use int_netsim::{App, AppCtx};
 use int_packet::msgs::ControlMsg;
 use int_packet::wire::{WireDecode, WireEncode};
@@ -35,7 +35,6 @@ pub struct SchedulerApp {
     probes_received: u64,
     load_reports: u64,
     exclusions: u64,
-    last_excluded: Vec<(u32, ExcludeReason)>,
 }
 
 impl SchedulerApp {
@@ -55,7 +54,6 @@ impl SchedulerApp {
             probes_received: 0,
             load_reports: 0,
             exclusions: 0,
-            last_excluded: Vec::new(),
         }
     }
 
@@ -123,13 +121,6 @@ impl SchedulerApp {
     pub fn exclusions(&self) -> u64 {
         self.exclusions
     }
-
-    /// Candidates excluded from the most recent query, with reasons —
-    /// hosts the scheduler currently presumes unreachable (origin silence)
-    /// or whose telemetry was evicted (no fresh path).
-    pub fn last_excluded(&self) -> &[(u32, ExcludeReason)] {
-        &self.last_excluded
-    }
 }
 
 impl App for SchedulerApp {
@@ -177,7 +168,6 @@ impl App for SchedulerApp {
                 let mut outcome =
                     self.core.rank_detailed_with(requester, self.policy, ctx.now.as_nanos());
                 self.exclusions += outcome.excluded.len() as u64;
-                self.last_excluded = outcome.excluded;
                 if let Some(c) = &mut self.compute {
                     c.policy.apply(&c.tracker, &mut outcome.ranked, EXEC_EST_NS);
                     // Optimistically count the placements this response will

@@ -117,7 +117,7 @@ impl IntTelemetryProgram {
                 at_ns: ctx.now_ns,
                 kind: TraceKind::ProbeHarvest {
                     switch: self.cfg.switch_id,
-                    port: ctx.egress_port as u8,
+                    port: ctx.egress_port,
                     max_qlen_pkts: max_qlen.min(u32::MAX as u64) as u32,
                 },
             });
@@ -126,7 +126,7 @@ impl IntTelemetryProgram {
                 kind: TraceKind::RegisterReset {
                     switch: self.cfg.switch_id,
                     register: Self::REG_MAX_QLEN,
-                    port: ctx.egress_port as u8,
+                    port: ctx.egress_port,
                 },
             });
         }

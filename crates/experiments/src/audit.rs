@@ -87,11 +87,7 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> AuditCell {
 
     // Same horizon handling as the failover harness: let the testbed's
     // interval scaling set eviction (10 intervals) and silence (5).
-    let mut core = CoreConfig::default();
-    core.eviction_horizon_ns = 0;
-    core.origin_silence_ns = 0;
-    core.qlen_window_ns = core.qlen_window_ns.max(iv_ns + 100_000_000);
-    core.staleness_ns = core.staleness_ns.max(2 * iv_ns);
+    let core = CoreConfig { eviction_horizon_ns: 0, origin_silence_ns: 0, ..CoreConfig::default() };
 
     let cfg = TestbedConfig {
         seed,

@@ -87,12 +87,8 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
     // Zero the failure horizons so the testbed's interval scaling sets
     // them exactly: eviction after 10 missed intervals, silence after 5.
     // Detection budgets are then measured in probing intervals, matching
-    // how the sweep varies. Staleness/window scale as in Fig. 9.
-    let mut core = CoreConfig::default();
-    core.eviction_horizon_ns = 0;
-    core.origin_silence_ns = 0;
-    core.qlen_window_ns = core.qlen_window_ns.max(iv_ns + 100_000_000);
-    core.staleness_ns = core.staleness_ns.max(2 * iv_ns);
+    // how the sweep varies; the testbed scales staleness and window too.
+    let core = CoreConfig { eviction_horizon_ns: 0, origin_silence_ns: 0, ..CoreConfig::default() };
 
     let cfg = TestbedConfig {
         seed,
@@ -243,11 +239,7 @@ mod tests {
     fn eviction_invalidates_cached_paths_immediately() {
         let interval = SimDuration::from_millis(100);
         let iv_ns = interval.as_nanos();
-        let mut core = CoreConfig::default();
-        core.eviction_horizon_ns = 0;
-        core.origin_silence_ns = 0;
-        core.qlen_window_ns = core.qlen_window_ns.max(iv_ns + 100_000_000);
-        core.staleness_ns = core.staleness_ns.max(2 * iv_ns);
+        let core = CoreConfig { eviction_horizon_ns: 0, origin_silence_ns: 0, ..CoreConfig::default() };
         let cfg = TestbedConfig {
             seed: 7,
             policy: Policy::IntDelay,

@@ -65,16 +65,9 @@ pub fn run_sweep(seed: u64, total_tasks: usize, intervals: &[SimDuration]) -> Fi
         cmp.scenario = scenario;
         cmp.probe_interval = iv;
         cmp.classes = vec![class];
-        let mut ecfg = cmp.experiment_for(Policy::IntDelay);
-        // A deployment polling at interval T treats T-old data
-        // as current (the paper's SNMP comparison): scale the
-        // collector's aggregation window and staleness horizon
-        // with the interval instead of discarding old data.
-        let iv_ns = iv.as_nanos();
-        ecfg.testbed.core.qlen_window_ns =
-            ecfg.testbed.core.qlen_window_ns.max(iv_ns + 100_000_000);
-        ecfg.testbed.core.staleness_ns = ecfg.testbed.core.staleness_ns.max(2 * iv_ns);
-        (iv, label, run(&ecfg))
+        // `Testbed::new` scales the collector's window and staleness
+        // horizon with the interval.
+        (iv, label, run(&cmp.experiment_for(Policy::IntDelay)))
     });
 
     let points = results

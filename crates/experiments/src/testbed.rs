@@ -158,14 +158,18 @@ impl Testbed {
         let scheduler = hosts[SCHEDULER_NODE - 1];
         let scheduler_ip = Topology::host_ip(scheduler);
 
-        // Scale the failure-detection horizons with the probing interval
-        // (same spirit as Fig. 9's staleness scaling): at long intervals the
-        // defaults would read every healthy link as dead. The defaults win at
-        // the paper's 100 ms interval.
+        // Scale every telemetry horizon with the probing interval: at long
+        // intervals the defaults would read every healthy link as dead, and
+        // a deployment polling at interval T treats T-old data as current
+        // (the paper's SNMP comparison, Fig. 9), so the aggregation window
+        // and staleness horizon stretch instead of discarding old data. The
+        // defaults win at the paper's 100 ms interval.
         let mut core = cfg.core.clone();
         let iv_ns = cfg.probe_interval.as_nanos();
         core.origin_silence_ns = core.origin_silence_ns.max(5 * iv_ns);
         core.eviction_horizon_ns = core.eviction_horizon_ns.max(10 * iv_ns);
+        core.qlen_window_ns = core.qlen_window_ns.max(iv_ns + 100_000_000);
+        core.staleness_ns = core.staleness_ns.max(2 * iv_ns);
 
         let scheduler_app = sim.install_app(
             scheduler,

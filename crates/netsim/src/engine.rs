@@ -13,6 +13,21 @@
 //! rate)`. The per-switch egress rate models the BMv2 processing ceiling
 //! the paper observed (~20 Mbit/s) — links themselves were fast, the
 //! software switch was the bottleneck (paper §III-C footnote 3).
+//!
+//! ## Node record
+//!
+//! Every node is one `Node`: its egress ports and its `sim.drops` series,
+//! which hosts and switches share, plus a `Role` holding what only one
+//! kind has. The queueing and transmission paths index
+//! `nodes[n].ports[p]` without asking the role. Only switch ingress, the
+//! enqueue/egress hooks and the egress-rate ceiling look at
+//! `Role::Switch`; only delivery, apps and TCP look at `Role::Host`.
+//!
+//! ## Drops
+//!
+//! Every dropped frame leaves through `drop_frame`: one
+//! `NetStats::count_drop` under its [`DropReason`], one `sim.drops{node}`
+//! record, one `Drop` trace event, and the frame back to the pool.
 
 use crate::app::{App, AppCtx, AppOp};
 use crate::event::{ConnId, Event, EventQueue};
@@ -32,7 +47,7 @@ use int_dataplane::{
 use int_obs::{
     CounterId, DropReason, HistogramId, Labels, MetricsRegistry, TraceEvent, TraceKind, TraceRing,
 };
-use int_packet::{L4View, PacketBuilder, TcpHeader};
+use int_packet::{L4View, PacketBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -49,8 +64,23 @@ struct PortState {
     depth_series: Option<HistogramId>,
 }
 
+/// One node's runtime state (see the module doc).
+struct Node {
+    ports: Vec<PortState>,
+    /// `sim.drops{node}`.
+    drops_series: Option<CounterId>,
+    role: Role,
+}
+
+// The size skew (HostState ≫ SwitchState) is fine: nodes live in one `Vec`
+// built at construction and are only ever borrowed afterwards.
+#[allow(clippy::large_enum_variant)]
+enum Role {
+    Host(HostState),
+    Switch(SwitchState),
+}
+
 struct HostState {
-    ip: Ipv4Addr,
     apps: Vec<Box<dyn App>>,
     /// (port, app index) — later binds shadow earlier ones.
     udp_bindings: Vec<(u16, usize)>,
@@ -58,30 +88,22 @@ struct HostState {
     conn_owner: HashMap<ConnId, usize>,
     listener_owner: Vec<(u16, usize)>,
     rng: SmallRng,
-    ports: Vec<PortState>,
+    /// Egress port group toward every destination, built once at
+    /// construction so the send path never reconstructs a route
+    /// (`RouteTable::egress_port` → `path()` allocates and reverses a
+    /// `Vec<NodeId>` per call). Each entry is the full equal-cost *group*
+    /// (primary first), so selection can hash across ports and fail over
+    /// to a live member when a fault retires the primary. Empty on Clos
+    /// fabrics and on hosts another domain owns.
+    uplinks: HostRouteTable,
     /// `sim.frames_delivered{node}`.
     delivered_series: Option<CounterId>,
-    /// `sim.drops{node}`.
-    drops_series: Option<CounterId>,
 }
 
 struct SwitchState {
     program: IntTelemetryProgram,
-    ports: Vec<PortState>,
-    /// Egress serialization ceiling (BMv2 processing-rate model).
-    egress_rate_bps: Option<u64>,
     /// `sim.frames_forwarded{node}`.
     forwarded_series: Option<CounterId>,
-    /// `sim.drops{node}`.
-    drops_series: Option<CounterId>,
-}
-
-// The size skew (HostState ≫ SwitchState) is fine: `NodeState`s live in one
-// `Vec` built at construction and are only ever borrowed afterwards.
-#[allow(clippy::large_enum_variant)]
-enum NodeState {
-    Host(HostState),
-    Switch(SwitchState),
 }
 
 /// Simulator configuration.
@@ -166,7 +188,7 @@ pub struct Simulator {
     cfg: SimConfig,
     now: SimTime,
     events: EventQueue,
-    nodes: Vec<NodeState>,
+    nodes: Vec<Node>,
     stats: NetStats,
     accounting: TrafficAccountant,
     /// Classify and count every frame put on the wire (adds one parse per
@@ -190,15 +212,6 @@ pub struct Simulator {
     trace: TraceRing,
     /// Scratch for draining data-plane program trace buffers.
     trace_scratch: Vec<TraceEvent>,
-    /// Per-host multipath route state toward every node, indexed
-    /// `[node][dst_node]`; switch rows stay empty. Built once at
-    /// construction so the host send path never reconstructs a route
-    /// (`RouteTable::egress_port` → `path()` allocates and reverses a
-    /// `Vec<NodeId>` per call). Unlike the old single-port memo, each
-    /// entry resolves to the full equal-cost port *group* (primary first),
-    /// so selection can hash across ports and — crucially — fail over to a
-    /// live member when a fault retires the memoized primary.
-    host_uplinks: Vec<HostRouteTable>,
     /// `Some` only when this simulator is one domain of a partitioned run.
     domain: Option<DomainCtx>,
 }
@@ -216,6 +229,22 @@ struct HostRouteTable {
 }
 
 impl HostRouteTable {
+    fn build(topo: &Topology, rt: &RouteTable, host: NodeId) -> HostRouteTable {
+        let mut table = HostRouteTable::default();
+        let mut index: HashMap<Vec<PortId>, u16> = HashMap::new();
+        for d in 0..topo.nodes.len() {
+            let dst = NodeId(d as u32);
+            let primary = rt.egress_port(topo, host, dst).unwrap_or(0);
+            let group = ecmp_group(primary, rt.equal_cost_ports(topo, host, dst));
+            let g = *index.entry(group.clone()).or_insert_with(|| {
+                table.groups.push(group);
+                (table.groups.len() - 1) as u16
+            });
+            table.group_of.push(g);
+        }
+        table
+    }
+
     fn group(&self, dst: NodeId) -> Option<&[PortId]> {
         let g = *self.group_of.get(dst.0 as usize)?;
         Some(&self.groups[g as usize])
@@ -274,24 +303,27 @@ impl Simulator {
                     depth_series: None,
                 })
                 .collect();
-            match spec.kind {
-                NodeKind::Host => {
-                    let ip = Topology::host_ip(spec.id);
-                    nodes.push(NodeState::Host(HostState {
-                        ip,
-                        apps: Vec::new(),
-                        udp_bindings: Vec::new(),
-                        tcp: TcpHost::new(ip),
-                        conn_owner: HashMap::new(),
-                        listener_owner: Vec::new(),
-                        rng: SmallRng::seed_from_u64(
-                            cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(spec.id.0 as u64 + 1)),
-                        ),
-                        ports,
-                        delivered_series: None,
-                        drops_series: None,
-                    }));
-                }
+            let role = match spec.kind {
+                NodeKind::Host => Role::Host(HostState {
+                    apps: Vec::new(),
+                    udp_bindings: Vec::new(),
+                    tcp: TcpHost::new(Topology::host_ip(spec.id)),
+                    conn_owner: HashMap::new(),
+                    listener_owner: Vec::new(),
+                    rng: SmallRng::seed_from_u64(
+                        cfg.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(spec.id.0 as u64 + 1)),
+                    ),
+                    // A Clos host has exactly one port, and `host_uplink`
+                    // falls back to port 0 when no group is found, so
+                    // Clos mode needs no per-destination table.
+                    uplinks: match routes {
+                        Routes::Table(rt) if owns(spec.id) => {
+                            HostRouteTable::build(&topo, rt, spec.id)
+                        }
+                        _ => HostRouteTable::default(),
+                    },
+                    delivered_series: None,
+                }),
                 NodeKind::Switch => {
                     let mut program = IntTelemetryProgram::new(IntProgramConfig {
                         switch_id: spec.id.0,
@@ -357,40 +389,10 @@ impl Simulator {
                             },
                         }
                     }
-                    nodes.push(NodeState::Switch(SwitchState {
-                        program,
-                        ports,
-                        egress_rate_bps: cfg.switch_egress_rate_bps,
-                        forwarded_series: None,
-                        drops_series: None,
-                    }));
+                    Role::Switch(SwitchState { program, forwarded_series: None })
                 }
-            }
-        }
-
-        let n = topo.nodes.len();
-        let mut host_uplinks: Vec<HostRouteTable> = (0..n).map(|_| HostRouteTable::default()).collect();
-        // Clos mode leaves every row empty: a Clos host has exactly one
-        // port, and `host_uplink`'s `group() == None` path already falls
-        // back to port 0, so no per-destination table is needed.
-        if let Routes::Table(rt) = routes {
-            for spec in &topo.nodes {
-                if matches!(spec.kind, NodeKind::Host) && owns(spec.id) {
-                    let mut table = HostRouteTable::default();
-                    let mut index: HashMap<Vec<PortId>, u16> = HashMap::new();
-                    for d in 0..n {
-                        let dst = NodeId(d as u32);
-                        let primary = rt.egress_port(&topo, spec.id, dst).unwrap_or(0);
-                        let group = ecmp_group(primary, rt.equal_cost_ports(&topo, spec.id, dst));
-                        let g = *index.entry(group.clone()).or_insert_with(|| {
-                            table.groups.push(group);
-                            (table.groups.len() - 1) as u16
-                        });
-                        table.group_of.push(g);
-                    }
-                    host_uplinks[spec.id.0 as usize] = table;
-                }
-            }
+            };
+            nodes.push(Node { ports, drops_series: None, role });
         }
 
         Simulator {
@@ -410,7 +412,6 @@ impl Simulator {
             metrics: MetricsRegistry::new(),
             trace: TraceRing::default(),
             trace_scratch: Vec::new(),
-            host_uplinks,
             domain,
         }
     }
@@ -436,15 +437,12 @@ impl Simulator {
     /// Install an application on a host (before or after start; `on_start`
     /// runs at the next opportunity if the sim already started).
     pub fn install_app(&mut self, node: NodeId, app: Box<dyn App>) -> usize {
-        let started = self.started;
-        let idx = match &mut self.nodes[node.0 as usize] {
-            NodeState::Host(h) => {
-                h.apps.push(app);
-                h.apps.len() - 1
-            }
-            NodeState::Switch(_) => panic!("cannot install an app on a switch"),
+        let Role::Host(h) = &mut self.nodes[node.0 as usize].role else {
+            panic!("cannot install an app on a switch");
         };
-        if started {
+        h.apps.push(app);
+        let idx = h.apps.len() - 1;
+        if self.started {
             self.invoke_app(node, idx, |app, ctx| app.on_start(ctx));
         }
         idx
@@ -509,7 +507,7 @@ impl Simulator {
     pub fn set_tracing(&mut self, on: bool) {
         self.trace.set_enabled(on);
         for node in &mut self.nodes {
-            if let NodeState::Switch(sw) = node {
+            if let Role::Switch(sw) = &mut node.role {
                 sw.program.set_tracing(on);
             }
         }
@@ -522,26 +520,19 @@ impl Simulator {
 
     /// Ground-truth statistics of one egress queue.
     pub fn queue_stats(&self, node: NodeId, port: PortId) -> QueueStats {
-        match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ports[port as usize].queue.stats(),
-            NodeState::Switch(s) => s.ports[port as usize].queue.stats(),
-        }
+        self.nodes[node.0 as usize].ports[port as usize].queue.stats()
     }
 
     /// Downcast an installed app's state for inspection.
     pub fn app<T: 'static>(&self, node: NodeId, app_idx: usize) -> Option<&T> {
-        match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.apps.get(app_idx)?.as_any().downcast_ref::<T>(),
-            NodeState::Switch(_) => None,
-        }
+        let Role::Host(h) = &self.nodes[node.0 as usize].role else { return None };
+        h.apps.get(app_idx)?.as_any().downcast_ref::<T>()
     }
 
     /// Mutable downcast of an installed app's state.
     pub fn app_mut<T: 'static>(&mut self, node: NodeId, app_idx: usize) -> Option<&mut T> {
-        match &mut self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.apps.get_mut(app_idx)?.as_any_mut().downcast_mut::<T>(),
-            NodeState::Switch(_) => None,
-        }
+        let Role::Host(h) = &mut self.nodes[node.0 as usize].role else { return None };
+        h.apps.get_mut(app_idx)?.as_any_mut().downcast_mut::<T>()
     }
 
     /// Start all apps (idempotent; called automatically by `run_until`).
@@ -554,9 +545,9 @@ impl Simulator {
             .topo
             .hosts()
             .flat_map(|n| {
-                let count = match &self.nodes[n.0 as usize] {
-                    NodeState::Host(h) => h.apps.len(),
-                    _ => 0,
+                let count = match &self.nodes[n.0 as usize].role {
+                    Role::Host(h) => h.apps.len(),
+                    Role::Switch(_) => 0,
                 };
                 (0..count).map(move |i| (n, i))
             })
@@ -617,9 +608,7 @@ impl Simulator {
             }
             Event::TcpTimer { node, conn, generation } => {
                 let now = self.now;
-                if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                    h.tcp.on_timer(conn, generation, now);
-                }
+                self.host(node).tcp.on_timer(conn, generation, now);
                 self.flush_tcp(node);
             }
             Event::Fault(_) => unreachable!("handled above"),
@@ -656,42 +645,41 @@ impl Simulator {
         }
     }
 
-    /// Record one drop in the metrics registry and trace ring (both
-    /// disabled by default — two predictable branches on the hot path).
-    fn note_drop(&mut self, node: NodeId, port: PortId, reason: DropReason) {
-        if self.metrics.enabled() {
-            let series = match &mut self.nodes[node.0 as usize] {
-                NodeState::Host(h) => &mut h.drops_series,
-                NodeState::Switch(s) => &mut s.drops_series,
-            };
-            self.metrics
-                .counter_add_cached(series, "sim.drops", Labels::one("node", node.0 as u64), 1);
+    /// The host state of `node`. Only host paths (delivery, apps, TCP)
+    /// call this; a switch here is an engine bug.
+    fn host(&mut self, node: NodeId) -> &mut HostState {
+        match &mut self.nodes[node.0 as usize].role {
+            Role::Host(h) => h,
+            Role::Switch(_) => unreachable!("host path on switch {node}"),
         }
-        self.trace.push(
-            self.now.as_nanos(),
-            TraceKind::Drop { node: node.0, port: port as u8, reason },
+    }
+
+    /// The one drop path: count the frame under its reason, record it in
+    /// the metrics registry and trace ring (both disabled by default — two
+    /// predictable branches on the hot path), and recycle it.
+    fn drop_frame(&mut self, node: NodeId, port: PortId, reason: DropReason, frame: Box<Frame>) {
+        self.stats.count_drop(reason);
+        self.metrics.counter_add_cached(
+            &mut self.nodes[node.0 as usize].drops_series,
+            "sim.drops",
+            Labels::one("node", node.0 as u64),
+            1,
         );
+        self.trace.push(self.now.as_nanos(), TraceKind::Drop { node: node.0, port, reason });
+        self.pool.recycle(frame);
     }
 
     /// A frame reached a host's transport or app.
     fn note_delivered(&mut self, node: NodeId) {
         self.stats.frames_delivered += 1;
-        if self.metrics.enabled() {
-            if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                self.metrics.counter_add_cached(
-                    &mut h.delivered_series,
-                    "sim.frames_delivered",
-                    Labels::one("node", node.0 as u64),
-                    1,
-                );
-            }
+        if let Role::Host(h) = &mut self.nodes[node.0 as usize].role {
+            self.metrics.counter_add_cached(
+                &mut h.delivered_series,
+                "sim.frames_delivered",
+                Labels::one("node", node.0 as u64),
+                1,
+            );
         }
-    }
-
-    /// A frame died at a host (no binding, bad parse, misaddressed).
-    fn drop_at_host(&mut self, node: NodeId) {
-        self.stats.drops_host += 1;
-        self.note_drop(node, 0, DropReason::HostUnbound);
     }
 
     /// Record a fault-plan transition in the trace ring.
@@ -720,41 +708,29 @@ impl Simulator {
             // reaches a switch that died while it propagated.
             let link = self.topo.node(node).ports[port as usize].link;
             if !f.link_is_up(link) {
-                self.stats.drops_link_down += 1;
-                self.note_drop(node, port, DropReason::LinkDown);
-                self.pool.recycle(frame);
-                return;
+                return self.drop_frame(node, port, DropReason::LinkDown, frame);
             }
             if !f.node_is_up(node) {
-                self.stats.drops_switch_down += 1;
-                self.note_drop(node, port, DropReason::SwitchDown);
-                self.pool.recycle(frame);
-                return;
+                return self.drop_frame(node, port, DropReason::SwitchDown, frame);
             }
         }
-        match &mut self.nodes[node.0 as usize] {
-            NodeState::Switch(sw) => {
-                let ictx =
-                    IngressCtx { now_ns: self.now.as_nanos(), switch_id: node.0, ingress_port: port };
-                match sw.program.ingress(&mut frame, &ictx) {
-                    IngressVerdict::Forward(eport) => {
-                        self.stats.frames_forwarded += 1;
-                        self.metrics.counter_add_cached(
-                            &mut sw.forwarded_series,
-                            "sim.frames_forwarded",
-                            Labels::one("node", node.0 as u64),
-                            1,
-                        );
-                        self.enqueue(node, eport, frame);
-                    }
-                    IngressVerdict::Drop => {
-                        self.stats.drops_dataplane += 1;
-                        self.note_drop(node, port, DropReason::DataPlane);
-                        self.pool.recycle(frame);
-                    }
-                }
+        let Role::Switch(sw) = &mut self.nodes[node.0 as usize].role else {
+            return self.deliver_to_host(node, frame);
+        };
+        let ictx =
+            IngressCtx { now_ns: self.now.as_nanos(), switch_id: node.0, ingress_port: port };
+        match sw.program.ingress(&mut frame, &ictx) {
+            IngressVerdict::Forward(eport) => {
+                self.stats.frames_forwarded += 1;
+                self.metrics.counter_add_cached(
+                    &mut sw.forwarded_series,
+                    "sim.frames_forwarded",
+                    Labels::one("node", node.0 as u64),
+                    1,
+                );
+                self.enqueue(node, eport, frame);
             }
-            NodeState::Host(_) => self.deliver_to_host(node, frame),
+            IngressVerdict::Drop => self.drop_frame(node, port, DropReason::DataPlane, frame),
         }
     }
 
@@ -762,40 +738,22 @@ impl Simulator {
     /// starting transmission if the port is idle.
     fn enqueue(&mut self, node: NodeId, port: PortId, frame: Box<Frame>) {
         let now_ns = self.now.as_nanos();
-        let rejected = match &mut self.nodes[node.0 as usize] {
-            NodeState::Switch(sw) => {
-                let SwitchState { program, ports, .. } = sw;
-                let ps = &mut ports[port as usize];
-                if ps.queue.depth_pkts() < ps.queue.capacity_pkts() {
-                    // Fire the observation hook (BMv2 `enq_qdepth`): the
-                    // number of packets *ahead* of this one — an idle
-                    // network reports zero, so probes do not observe
-                    // themselves as congestion.
-                    let depth_ahead = ps.queue.depth_pkts() as u32;
-                    program.on_enqueue(
-                        &frame,
-                        &EnqueueCtx { now_ns, port, qdepth_after_pkts: depth_ahead },
-                    );
-                    let rejected = ps.queue.enqueue(frame);
-                    debug_assert!(rejected.is_none(), "capacity was just checked");
-                    rejected
-                } else {
-                    ps.queue.enqueue(frame) // full: records the drop
-                }
+        let Node { ports, role, .. } = &mut self.nodes[node.0 as usize];
+        let ps = &mut ports[port as usize];
+        if let Role::Switch(sw) = role {
+            if ps.queue.depth_pkts() < ps.queue.capacity_pkts() {
+                // Fire the observation hook (BMv2 `enq_qdepth`): the number
+                // of packets *ahead* of this one — an idle network reports
+                // zero, so probes do not observe themselves as congestion.
+                let depth_ahead = ps.queue.depth_pkts() as u32;
+                let ectx = EnqueueCtx { now_ns, port, qdepth_after_pkts: depth_ahead };
+                sw.program.on_enqueue(&frame, &ectx);
             }
-            NodeState::Host(h) => h.ports[port as usize].queue.enqueue(frame),
-        };
-        if let Some(dropped) = rejected {
-            self.stats.drops_queue_full += 1;
-            self.note_drop(node, port, DropReason::QueueFull);
-            self.pool.recycle(dropped);
-            return;
+        }
+        if let Some(dropped) = ps.queue.enqueue(frame) {
+            return self.drop_frame(node, port, DropReason::QueueFull, dropped);
         }
         if self.metrics.enabled() || self.trace.enabled() {
-            let ps = match &mut self.nodes[node.0 as usize] {
-                NodeState::Host(h) => &mut h.ports[port as usize],
-                NodeState::Switch(s) => &mut s.ports[port as usize],
-            };
             let depth = ps.queue.depth_pkts() as u32;
             self.metrics.histogram_record_cached(
                 &mut ps.depth_series,
@@ -803,33 +761,17 @@ impl Simulator {
                 Labels::two("node", node.0 as u64, "port", port as u64),
                 depth as u64,
             );
-            self.trace.push(
-                now_ns,
-                TraceKind::Enqueue { node: node.0, port: port as u8, depth_pkts: depth },
-            );
+            self.trace.push(now_ns, TraceKind::Enqueue { node: node.0, port, depth_pkts: depth });
         }
-        if !self.port_transmitting(node, port) {
+        if !ps.transmitting {
             self.start_tx(node, port);
         }
     }
 
-    fn port_transmitting(&self, node: NodeId, port: PortId) -> bool {
-        match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ports[port as usize].transmitting,
-            NodeState::Switch(s) => s.ports[port as usize].transmitting,
-        }
-    }
-
     fn handle_tx_done(&mut self, node: NodeId, port: PortId) {
-        match &mut self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ports[port as usize].transmitting = false,
-            NodeState::Switch(s) => s.ports[port as usize].transmitting = false,
-        }
-        let empty = match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ports[port as usize].queue.is_empty(),
-            NodeState::Switch(s) => s.ports[port as usize].queue.is_empty(),
-        };
-        if !empty {
+        let ps = &mut self.nodes[node.0 as usize].ports[port as usize];
+        ps.transmitting = false;
+        if !ps.queue.is_empty() {
             self.start_tx(node, port);
         }
     }
@@ -837,39 +779,34 @@ impl Simulator {
     /// Dequeue the head frame, run egress processing, and put it on the wire.
     fn start_tx(&mut self, node: NodeId, port: PortId) {
         let now_ns = self.now.as_nanos();
-        let (mut frame, egress_rate, qdepth_after) = match &mut self.nodes[node.0 as usize] {
-            NodeState::Host(h) => {
-                let ps = &mut h.ports[port as usize];
-                let Some(frame) = ps.queue.dequeue() else { return };
-                ps.transmitting = true;
-                let qdepth = ps.queue.depth_pkts() as u32;
-                (frame, None, qdepth)
-            }
-            NodeState::Switch(s) => {
-                let ps = &mut s.ports[port as usize];
-                let Some(mut frame) = ps.queue.dequeue() else { return };
-                ps.transmitting = true;
-                let qdepth = ps.queue.depth_pkts() as u32;
+        let Node { ports, role, .. } = &mut self.nodes[node.0 as usize];
+        let ps = &mut ports[port as usize];
+        let Some(mut frame) = ps.queue.dequeue() else { return };
+        ps.transmitting = true;
+        let qdepth_after = ps.queue.depth_pkts() as u32;
+        let egress_rate = match role {
+            Role::Switch(sw) => {
                 let ectx = EgressCtx {
                     now_ns,
                     switch_id: node.0,
                     egress_port: port,
-                    qdepth_at_deq_pkts: qdepth,
+                    qdepth_at_deq_pkts: qdepth_after,
                 };
-                s.program.egress(&mut frame, &ectx);
-                (frame, s.egress_rate_bps, qdepth)
+                sw.program.egress(&mut frame, &ectx);
+                // Pull any probe-harvest / register-reset events the egress
+                // hook buffered; they are traced after the dequeue below.
+                if self.trace.enabled() {
+                    sw.program.drain_trace(&mut self.trace_scratch);
+                }
+                self.cfg.switch_egress_rate_bps
             }
+            Role::Host(_) => None,
         };
         if self.trace.enabled() {
             self.trace.push(
                 now_ns,
-                TraceKind::Dequeue { node: node.0, port: port as u8, depth_pkts: qdepth_after },
+                TraceKind::Dequeue { node: node.0, port, depth_pkts: qdepth_after },
             );
-            // Pull any probe-harvest / register-reset events the egress
-            // hook buffered inside the data-plane program.
-            if let NodeState::Switch(s) = &mut self.nodes[node.0 as usize] {
-                s.program.drain_trace(&mut self.trace_scratch);
-            }
             for i in 0..self.trace_scratch.len() {
                 let ev = self.trace_scratch[i];
                 self.trace.push(ev.at_ns, ev.kind);
@@ -903,29 +840,15 @@ impl Simulator {
         // queues behind a dead link drain at line rate instead of wedging.
         self.events.push(self.now + tx, Event::TxDone { node, port });
 
-        let fault_drop = if let Some(f) = &mut self.faults {
-            if !f.node_is_up(node) {
-                // A failed switch drains its queues into the void.
-                Some(DropReason::SwitchDown)
-            } else if !f.link_is_up(binding.link) {
-                Some(DropReason::LinkDown)
-            } else if f.roll_loss(binding.link, from_a) {
-                Some(DropReason::LinkLoss)
-            } else {
-                None
-            }
-        } else {
-            None
+        let fault_drop = match &mut self.faults {
+            None => None,
+            // A failed switch drains its queues into the void.
+            Some(f) if !f.node_is_up(node) => Some(DropReason::SwitchDown),
+            Some(f) if !f.link_is_up(binding.link) => Some(DropReason::LinkDown),
+            Some(f) => f.roll_loss(binding.link, from_a).then_some(DropReason::LinkLoss),
         };
         if let Some(reason) = fault_drop {
-            match reason {
-                DropReason::SwitchDown => self.stats.drops_switch_down += 1,
-                DropReason::LinkDown => self.stats.drops_link_down += 1,
-                _ => self.stats.drops_link_loss += 1,
-            }
-            self.note_drop(node, port, reason);
-            self.pool.recycle(frame);
-            return;
+            return self.drop_frame(node, port, reason, frame);
         }
 
         // In a partitioned run, a frame bound for a foreign node crosses
@@ -955,42 +878,21 @@ impl Simulator {
     fn deliver_to_host(&mut self, node: NodeId, mut frame: Box<Frame>) {
         // The frame is owned locally, so app callbacks can borrow the
         // payload straight out of its buffer — no copies on delivery. Every
-        // exit recycles the frame into the pool.
-        let Ok(parsed) = frame.parsed() else {
-            self.drop_at_host(node);
-            self.pool.recycle(frame);
-            return;
+        // exit recycles the frame into the pool; an unparsable, misaddressed
+        // or L4-less frame, or a datagram to an unbound port, dies here.
+        let reason = DropReason::HostUnbound;
+        let Ok(parsed) = frame.parsed() else { return self.drop_frame(node, 0, reason, frame) };
+        let ip = match parsed.ip {
+            Some(ip) if ip.dst == Topology::host_ip(node) => ip,
+            _ => return self.drop_frame(node, 0, reason, frame),
         };
-        let Some(ip) = parsed.ip else {
-            self.drop_at_host(node);
-            self.pool.recycle(frame);
-            return;
-        };
-        let host_ip = match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ip,
-            _ => unreachable!("deliver_to_host on a switch"),
-        };
-        if ip.dst != host_ip {
-            self.drop_at_host(node);
-            self.pool.recycle(frame);
-            return;
-        }
 
         match parsed.l4 {
             Some(L4View::Udp(udp)) => {
-                let app_idx = match &self.nodes[node.0 as usize] {
-                    NodeState::Host(h) => h
-                        .udp_bindings
-                        .iter()
-                        .rev()
-                        .find(|(p, _)| *p == udp.dst_port)
-                        .map(|(_, i)| *i),
-                    _ => unreachable!(),
-                };
-                let Some(app_idx) = app_idx else {
-                    self.drop_at_host(node);
-                    self.pool.recycle(frame);
-                    return;
+                let bindings = &self.host(node).udp_bindings;
+                let bound = bindings.iter().rev().find(|(p, _)| *p == udp.dst_port);
+                let Some(&(_, app_idx)) = bound else {
+                    return self.drop_frame(node, 0, reason, frame);
                 };
                 self.note_delivered(node);
                 let payload = parsed.payload(&frame.bytes);
@@ -1003,17 +905,11 @@ impl Simulator {
             Some(L4View::Tcp(tcp)) => {
                 self.note_delivered(node);
                 let now = self.now;
-                if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                    h.tcp.on_segment(now, ip.src, &tcp, parsed.payload(&frame.bytes));
-                }
+                self.host(node).tcp.on_segment(now, ip.src, &tcp, parsed.payload(&frame.bytes));
                 self.flush_tcp(node);
                 self.pool.recycle(frame);
             }
-            None => {
-                // Parsed as IP but no usable L4 — host drop.
-                self.drop_at_host(node);
-                self.pool.recycle(frame);
-            }
+            None => self.drop_frame(node, 0, reason, frame),
         }
     }
 
@@ -1028,22 +924,17 @@ impl Simulator {
         // Scratch buffer reuse; the freelist depth tracks callback
         // re-entrancy, which is shallow (delivery → TCP event → app).
         let mut ops = self.ops_free.pop().unwrap_or_default();
-        {
-            let NodeState::Host(h) = &mut self.nodes[node.0 as usize] else {
-                panic!("app callback on non-host {node}");
+        let HostState { apps, rng, tcp, .. } = self.host(node);
+        if let Some(app) = apps.get_mut(app_idx) {
+            let mut ctx = AppCtx {
+                now,
+                node,
+                node_ip: Topology::host_ip(node),
+                rng,
+                ops: &mut ops,
+                next_conn: &mut tcp.next_conn,
             };
-            let HostState { apps, rng, tcp, ip, .. } = h;
-            if let Some(app) = apps.get_mut(app_idx) {
-                let mut ctx = AppCtx {
-                    now,
-                    node,
-                    node_ip: *ip,
-                    rng,
-                    ops: &mut ops,
-                    next_conn: &mut tcp.next_conn,
-                };
-                f(app.as_mut(), &mut ctx);
-            }
+            f(app.as_mut(), &mut ctx);
         }
         self.apply_ops(node, app_idx, &mut ops);
         self.flush_tcp(node);
@@ -1055,63 +946,49 @@ impl Simulator {
         let now = self.now;
         for op in ops.drain(..) {
             match op {
-                AppOp::BindUdp { port } => {
-                    if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.udp_bindings.push((port, app_idx));
-                    }
-                }
+                AppOp::BindUdp { port } => self.host(node).udp_bindings.push((port, app_idx)),
                 AppOp::SendUdp { src_port, dst, dst_port, payload } => {
-                    self.send_udp_from(node, src_port, dst, dst_port, &payload);
+                    self.send_from(node, dst, 17, src_port, dst_port, |b, f| {
+                        b.udp_into(src_port, dst_port, &payload, &mut f.bytes)
+                    });
                 }
                 AppOp::SetTimer { delay, timer_id } => {
                     self.events.push(now + delay, Event::AppTimer { node, app_idx, timer_id });
                 }
                 AppOp::TcpListen { port } => {
-                    if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.tcp.listen(port);
-                        h.listener_owner.push((port, app_idx));
-                    }
+                    let h = self.host(node);
+                    h.tcp.listen(port);
+                    h.listener_owner.push((port, app_idx));
                 }
                 AppOp::TcpConnect { conn, dst, dst_port } => {
-                    if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.conn_owner.insert(conn, app_idx);
-                        h.tcp.connect(conn, dst, dst_port, now);
-                    }
+                    let h = self.host(node);
+                    h.conn_owner.insert(conn, app_idx);
+                    h.tcp.connect(conn, dst, dst_port, now);
                 }
-                AppOp::TcpSend { conn, data } => {
-                    if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.tcp.send(conn, &data, now);
-                    }
-                }
-                AppOp::TcpClose { conn } => {
-                    if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                        h.tcp.close(conn, now);
-                    }
-                }
+                AppOp::TcpSend { conn, data } => self.host(node).tcp.send(conn, &data, now),
+                AppOp::TcpClose { conn } => self.host(node).tcp.close(conn, now),
             }
         }
     }
 
-    /// Send a UDP datagram from a host onto the wire.
-    fn send_udp_from(
+    /// Build one frame from host `node` to `dst` (stamped with the next IP
+    /// id) and enqueue it on the uplink its 5-tuple selects.
+    fn send_from(
         &mut self,
         node: NodeId,
-        src_port: u16,
         dst: Ipv4Addr,
-        dst_port: u16,
-        payload: &[u8],
+        proto: u8,
+        sport: u16,
+        dport: u16,
+        fill: impl FnOnce(&PacketBuilder, &mut Frame),
     ) {
-        let src_ip = match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ip,
-            _ => unreachable!(),
-        };
         let dst_node = Topology::node_of_ip(dst).unwrap_or(NodeId(u32::MAX));
-        let mut builder = PacketBuilder::between(node.0, src_ip, dst_node.0, dst);
+        let mut builder = PacketBuilder::between(node.0, Topology::host_ip(node), dst_node.0, dst);
         builder.ip_id = self.next_ip_id;
-        let mut frame = self.pool.take();
-        builder.udp_into(src_port, dst_port, payload, &mut frame.bytes);
         self.next_ip_id = self.next_ip_id.wrapping_add(1);
-        let uplink = self.host_uplink(node, dst, 17, src_port, dst_port);
+        let mut frame = self.pool.take();
+        fill(&builder, &mut frame);
+        let uplink = self.host_uplink(node, dst, proto, sport, dport);
         self.enqueue(node, uplink, frame);
     }
 
@@ -1130,22 +1007,12 @@ impl Simulator {
     ///   dead the selected port is kept — the fault drop paths account the
     ///   loss. Fault-free runs never take the liveness branch.
     fn host_uplink(&self, node: NodeId, dst: Ipv4Addr, proto: u8, sport: u16, dport: u16) -> PortId {
-        let Some(dst_node) = Topology::node_of_ip(dst) else { return 0 };
-        let Some(group) = self
-            .host_uplinks
-            .get(node.0 as usize)
-            .and_then(|row| row.group(dst_node))
-        else {
-            return 0;
-        };
+        let Some(group) = self.uplink_group(node, dst) else { return 0 };
         let selected = match self.cfg.ecmp {
             EcmpSelect::Primary => group[0],
             EcmpSelect::FlowHash => {
-                let src_ip = match &self.nodes[node.0 as usize] {
-                    NodeState::Host(h) => h.ip,
-                    _ => return group[0],
-                };
-                let h = int_dataplane::flow_hash_tuple(src_ip, dst, proto, sport, dport);
+                let src = Topology::host_ip(node);
+                let h = int_dataplane::flow_hash_tuple(src, dst, proto, sport, dport);
                 group[(h % group.len() as u64) as usize]
             }
         };
@@ -1155,6 +1022,13 @@ impl Simulator {
             }
         }
         selected
+    }
+
+    /// The equal-cost port group a host uses toward `dst`; `None` (send on
+    /// port 0) for Clos hosts, switches and unknown destinations.
+    fn uplink_group(&self, node: NodeId, dst: Ipv4Addr) -> Option<&[PortId]> {
+        let Role::Host(h) = &self.nodes[node.0 as usize].role else { return None };
+        h.uplinks.group(Topology::node_of_ip(dst)?)
     }
 
     /// Whether a port's attached link and peer are currently up. Always
@@ -1172,24 +1046,24 @@ impl Simulator {
     /// with no faults armed. Exposed for regression tests pinning the memo
     /// against fresh `RouteTable` answers.
     pub fn host_uplink_port(&self, node: NodeId, dst: Ipv4Addr) -> PortId {
-        Topology::node_of_ip(dst)
-            .and_then(|d| self.host_uplinks.get(node.0 as usize)?.group(d))
-            .map_or(0, |g| g[0])
+        self.uplink_group(node, dst).map_or(0, |g| g[0])
     }
 
     /// Drain the TCP outboxes of a host until quiescent.
     fn flush_tcp(&mut self, node: NodeId) {
         loop {
-            let (segments, timers, tcp_events) = {
-                let NodeState::Host(h) = &mut self.nodes[node.0 as usize] else { return };
-                (h.tcp.take_segments(), h.tcp.take_timer_requests(), h.tcp.take_events())
-            };
+            let tcp = &mut self.host(node).tcp;
+            let (segments, timers, tcp_events) =
+                (tcp.take_segments(), tcp.take_timer_requests(), tcp.take_events());
             if segments.is_empty() && timers.is_empty() && tcp_events.is_empty() {
                 return;
             }
 
             for seg in segments {
-                self.send_tcp_segment(node, seg.dst_ip, seg.header, &seg.payload);
+                let (h, sport, dport) = (seg.header, seg.header.src_port, seg.header.dst_port);
+                self.send_from(node, seg.dst_ip, 6, sport, dport, |b, f| {
+                    b.tcp_into(h, &seg.payload, &mut f.bytes)
+                });
             }
             for t in timers {
                 self.events.push(
@@ -1204,53 +1078,26 @@ impl Simulator {
                     | crate::tcp::TcpEvent::Closed { conn } => *conn,
                     crate::tcp::TcpEvent::Accepted { conn, local_port, .. } => {
                         // Assign ownership to the app listening on the port.
-                        if let NodeState::Host(h) = &mut self.nodes[node.0 as usize] {
-                            let owner = h
-                                .listener_owner
-                                .iter()
-                                .rev()
-                                .find(|(p, _)| p == local_port)
-                                .map(|(_, i)| *i)
-                                .unwrap_or(0);
-                            h.conn_owner.insert(*conn, owner);
-                        }
+                        let h = self.host(node);
+                        let owner = h
+                            .listener_owner
+                            .iter()
+                            .rev()
+                            .find(|(p, _)| p == local_port)
+                            .map(|(_, i)| *i)
+                            .unwrap_or(0);
+                        h.conn_owner.insert(*conn, owner);
                         *conn
                     }
                 };
-                let owner = match &self.nodes[node.0 as usize] {
-                    NodeState::Host(h) => h.conn_owner.get(&conn).copied(),
-                    _ => None,
-                };
+                let owner = self.host(node).conn_owner.get(&conn).copied();
                 if let Some(app_idx) = owner {
                     self.invoke_app(node, app_idx, move |app, ctx| app.on_tcp(ctx, ev));
                 }
             }
         }
     }
-
-    fn send_tcp_segment(
-        &mut self,
-        node: NodeId,
-        dst: Ipv4Addr,
-        header: TcpHeader,
-        payload: &[u8],
-    ) {
-        let src_ip = match &self.nodes[node.0 as usize] {
-            NodeState::Host(h) => h.ip,
-            _ => unreachable!(),
-        };
-        let dst_node = Topology::node_of_ip(dst).unwrap_or(NodeId(u32::MAX));
-        let mut builder = PacketBuilder::between(node.0, src_ip, dst_node.0, dst);
-        builder.ip_id = self.next_ip_id;
-        let (sport, dport) = (header.src_port, header.dst_port);
-        let mut frame = self.pool.take();
-        builder.tcp_into(header, payload, &mut frame.bytes);
-        self.next_ip_id = self.next_ip_id.wrapping_add(1);
-        let uplink = self.host_uplink(node, dst, 6, sport, dport);
-        self.enqueue(node, uplink, frame);
-    }
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -2046,6 +1893,112 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
         assert_eq!(sim.stats().drops_host, 1);
         assert_eq!(sim.stats().frames_delivered, 0);
+    }
+
+    /// Trace events carry the full 16-bit port: on a 300-port switch the
+    /// datagram to the last host is enqueued on port 299, not 299 mod 256.
+    #[test]
+    fn trace_events_name_ports_above_255() {
+        let mut t = Topology::new();
+        let hosts: Vec<NodeId> = (0..300).map(|i| t.add_host(format!("h{i}"))).collect();
+        let s = t.add_switch("s");
+        for &h in &hosts {
+            t.add_link(h, s, LinkParams::paper_default());
+        }
+        let mut sim = Simulator::new(t, cfg());
+        sim.set_tracing(true);
+        let last = hosts[299];
+        let sender = UdpSender { dst: Topology::host_ip(last), payload: vec![1] };
+        sim.install_app(hosts[0], Box::new(sender));
+        let sink = sim.install_app(last, Box::new(UdpSink::default()));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(1));
+
+        assert_eq!(sim.app::<UdpSink>(last, sink).unwrap().got.len(), 1);
+        let switch_enqueues: Vec<u16> = sim
+            .trace_ring()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::Enqueue { node, port, .. } if node == s.0 => Some(port),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(switch_enqueues, vec![299]);
+    }
+
+    /// Every drop is counted once, under its reason, in all three places:
+    /// `NetStats`, the per-node `sim.drops` series and the trace ring. The
+    /// run congests a bottleneck, loses frames on a lossy link, cuts a
+    /// link, fails a switch, and sends to an unknown address and to an
+    /// unbound port, so all six reasons occur.
+    #[test]
+    fn drops_agree_across_stats_metrics_and_trace() {
+        let mut t = Topology::new();
+        let h1 = t.add_host("h1");
+        let h2 = t.add_host("h2");
+        let s1 = t.add_switch("s1");
+        let s2 = t.add_switch("s2");
+        let h3 = t.add_host("h3");
+        let h4 = t.add_host("h4");
+        let tight = LinkParams { queue_cap_pkts: 8, ..LinkParams::paper_default() };
+        t.add_link(h1, s1, tight);
+        t.add_link(h2, s1, tight);
+        t.add_link(s1, s2, tight); // the bottleneck
+        t.add_link(s2, h3, tight);
+        t.add_link(s2, h4, tight);
+        let nodes = t.nodes.len() as u64;
+
+        let mut sim = Simulator::new(t, SimConfig::default());
+        sim.set_metrics_enabled(true);
+        *sim.trace_ring_mut() = TraceRing::new(1 << 20);
+        sim.set_tracing(true);
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        let cbr = |dst: Ipv4Addr, dst_port: u16, period_ms: u64| CbrUdp {
+            dst,
+            dst_port,
+            payload: 1400,
+            period: SimDuration::from_millis(period_ms),
+            until: at(4_000),
+        };
+        let h3_ip = Topology::host_ip(h3);
+        sim.install_app(h1, Box::new(cbr(h3_ip, 5001, 1)));
+        sim.install_app(h2, Box::new(cbr(h3_ip, 5001, 1)));
+        sim.install_app(h4, Box::new(cbr(h3_ip, 7000, 20))); // nobody binds 7000
+        sim.install_app(h4, Box::new(cbr(Ipv4Addr::new(10, 200, 0, 1), 5001, 50))); // no route
+        sim.install_app(h3, Box::new(UdpSink::default()));
+        sim.install_fault_plan(
+            &FaultPlan::new()
+                .link_loss(s2, h3, 0.05)
+                .link_down(h4, s2, at(1_000))
+                .link_up(h4, s2, at(2_000))
+                .switch_fail(s2, at(3_000))
+                .switch_recover(s2, at(3_200)),
+        );
+        sim.run_until(at(5_000));
+
+        let stats = sim.stats();
+        assert_eq!(sim.trace_ring().evicted(), 0, "the ring holds every event");
+        let per_node: u64 = (0..nodes)
+            .map(|n| sim.metrics().counter("sim.drops", Labels::one("node", n)))
+            .sum();
+        assert_eq!(per_node, stats.total_drops());
+        let traced = |reason: DropReason| {
+            let drops = sim.trace_ring().iter().filter(|e| match e.kind {
+                TraceKind::Drop { reason: r, .. } => r == reason,
+                _ => false,
+            });
+            drops.count() as u64
+        };
+        for (reason, counted) in [
+            (DropReason::QueueFull, stats.drops_queue_full),
+            (DropReason::DataPlane, stats.drops_dataplane),
+            (DropReason::HostUnbound, stats.drops_host),
+            (DropReason::LinkDown, stats.drops_link_down),
+            (DropReason::SwitchDown, stats.drops_switch_down),
+            (DropReason::LinkLoss, stats.drops_link_loss),
+        ] {
+            assert!(counted > 0, "{reason:?} occurs: {stats:?}");
+            assert_eq!(traced(reason), counted, "{reason:?}");
+        }
     }
 }
 

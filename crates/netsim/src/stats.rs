@@ -1,6 +1,7 @@
 //! Ground-truth simulator statistics (what *actually* happened, as opposed
 //! to what INT *measured* — the tests compare the two).
 
+use int_obs::DropReason;
 use serde::{Deserialize, Serialize};
 
 /// Engine-wide counters.
@@ -51,6 +52,20 @@ impl NetStats {
             .saturating_add(self.fault_drops())
     }
 
+    /// Count one dropped frame under the counter its reason names (one
+    /// counter per [`DropReason`]).
+    pub(crate) fn count_drop(&mut self, reason: DropReason) {
+        let counter = match reason {
+            DropReason::QueueFull => &mut self.drops_queue_full,
+            DropReason::DataPlane => &mut self.drops_dataplane,
+            DropReason::HostUnbound => &mut self.drops_host,
+            DropReason::LinkDown => &mut self.drops_link_down,
+            DropReason::SwitchDown => &mut self.drops_switch_down,
+            DropReason::LinkLoss => &mut self.drops_link_loss,
+        };
+        *counter += 1;
+    }
+
     /// Drops attributable to injected faults.
     pub fn fault_drops(&self) -> u64 {
         self.drops_link_down
@@ -88,6 +103,38 @@ mod tests {
         };
         assert_eq!(s.fault_drops(), u64::MAX);
         assert_eq!(s.total_drops(), u64::MAX);
+    }
+
+    #[test]
+    fn each_drop_reason_moves_exactly_its_own_counter() {
+        let counters = |s: &NetStats| {
+            [
+                s.drops_queue_full,
+                s.drops_dataplane,
+                s.drops_host,
+                s.drops_link_down,
+                s.drops_switch_down,
+                s.drops_link_loss,
+            ]
+        };
+        let reasons = [
+            DropReason::QueueFull,
+            DropReason::DataPlane,
+            DropReason::HostUnbound,
+            DropReason::LinkDown,
+            DropReason::SwitchDown,
+            DropReason::LinkLoss,
+        ];
+        for (i, reason) in reasons.into_iter().enumerate() {
+            let mut s = NetStats::default();
+            s.count_drop(reason);
+            s.count_drop(reason);
+            let mut expected = [0; 6];
+            expected[i] = 2;
+            assert_eq!(counters(&s), expected, "{reason:?}");
+            assert_eq!(s.total_drops(), 2);
+            assert_eq!((s.events_processed, s.frames_delivered, s.frames_forwarded), (0, 0, 0));
+        }
     }
 
     #[test]

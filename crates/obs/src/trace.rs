@@ -47,7 +47,7 @@ pub enum TraceKind {
         /// Queue owner node id.
         node: u32,
         /// Egress port.
-        port: u8,
+        port: u16,
         /// Queue depth in packets after the enqueue.
         depth_pkts: u32,
     },
@@ -56,7 +56,7 @@ pub enum TraceKind {
         /// Queue owner node id.
         node: u32,
         /// Egress port.
-        port: u8,
+        port: u16,
         /// Queue depth in packets after the dequeue.
         depth_pkts: u32,
     },
@@ -65,7 +65,7 @@ pub enum TraceKind {
         /// Node at which the drop happened.
         node: u32,
         /// Port involved (egress for queue drops, ingress otherwise).
-        port: u8,
+        port: u16,
         /// Why.
         reason: DropReason,
     },
@@ -83,7 +83,7 @@ pub enum TraceKind {
         /// Switch the probe crossed.
         switch: u32,
         /// Egress port whose register was read.
-        port: u8,
+        port: u16,
         /// Harvested max queue depth, packets.
         max_qlen_pkts: u32,
     },
@@ -94,7 +94,7 @@ pub enum TraceKind {
         /// Register name.
         register: &'static str,
         /// Port index within the register array.
-        port: u8,
+        port: u16,
     },
 }
 

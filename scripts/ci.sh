@@ -74,4 +74,10 @@ if grep -rn 'impl DataPlaneProgram for' crates/*/src | grep -v '^crates/dataplan
     echo "a second switch program or a boxed one"; exit 1
 fi
 
+echo "== one node record and one drop path (drop counters move only in NetStats::count_drop)"
+if grep -rn 'drops_[a-z_]* += 1' crates/netsim/src | grep -v '^crates/netsim/src/stats.rs:' \
+    || grep -rn 'enum NodeState' crates/netsim/src; then
+    echo "a drop counted outside NetStats::count_drop, or a per-kind node enum"; exit 1
+fi
+
 echo "CI OK"
