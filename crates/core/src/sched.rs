@@ -5,9 +5,11 @@
 //! go into the [`IntCollector`]; every query evicts stale telemetry at
 //! its `now`, republishes an epoch snapshot iff anything moved since the
 //! last one (O(dirty) through the [`SnapshotPublisher`]), and is answered
-//! by [`SchedSnapshot::rank_detailed_into`] with the core's own scratch.
-//! [`crate::shard::ShardedScheduler`] serves the very same epochs from N
-//! shards.
+//! by [`SchedSnapshot::rank_detailed_into`] with the core's own scratch,
+//! so consecutive queries that share a serving root (the requester, or
+//! the switch a single-homed requester hangs off) and a query time reuse
+//! one price table. [`crate::shard::ShardedScheduler`] serves the very
+//! same epochs from N shards.
 
 use crate::collector::IntCollector;
 use crate::config::CoreConfig;

@@ -25,7 +25,10 @@
 //! is a pure function of `(snapshot, query, slot)`, the outcome vector
 //! is byte-identical for 1, 2, or 8 shards, and equal to what the
 //! wrapped core — or the reference ranker over the live map — answers at
-//! the same map state.
+//! the same map state. Within its chunk a shard serves in `(query time,
+//! tree root)` order, so queries that share a root and a time reuse one
+//! price table; each outcome still lands at its admission position with
+//! its pre-assigned slot, so the order changes no answer.
 
 use crate::config::CoreConfig;
 use crate::rank::{Policy, RankOutcome, StaticDistances};
@@ -113,6 +116,9 @@ struct RankShard {
     scratch: SnapshotScratch,
     cached: Option<Arc<SchedSnapshot>>,
     served: u64,
+    /// The chunk's serve order: `(query time, tree root, position)`,
+    /// sorted (capacity kept across batches).
+    order: Vec<(u64, u32, u32)>,
 }
 
 /// The sharded scheduler control plane: ingest + publish (the wrapped
@@ -290,7 +296,9 @@ impl ShardedScheduler {
 }
 
 /// Serve a contiguous chunk on one shard. `tag_base` is the global slot
-/// number of `queries[0]`.
+/// number of `queries[0]`. Queries run in `(query time, tree root)` order
+/// (see the module docs); query `j`'s outcome goes to `out[j]` with slot
+/// `tag_base + j` whatever its turn.
 fn serve_chunk(
     slot: &EpochSlot,
     shard: &Mutex<RankShard>,
@@ -299,13 +307,25 @@ fn serve_chunk(
     tag_base: u64,
 ) {
     let mut shard = shard.lock().expect("shard poisoned");
-    let RankShard { scratch, cached, served } = &mut *shard;
+    let RankShard { scratch, cached, served, order } = &mut *shard;
     if !slot.refresh(cached) {
-        return; // nothing published yet; outcomes stay empty
+        // Nothing published yet: every outcome is empty, whatever a
+        // reused `out` held before.
+        for o in out.iter_mut() {
+            o.ranked.clear();
+            o.excluded.clear();
+        }
+        return;
     }
     let snap = cached.as_ref().expect("refresh returned true");
-    for (j, (q, o)) in queries.iter().zip(out.iter_mut()).enumerate() {
-        snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, tag_base + j as u64, o);
+    order.clear();
+    order.extend(
+        queries.iter().zip(0u32..).map(|(q, j)| (q.now_ns, snap.serve_root(q.requester), j)),
+    );
+    order.sort_unstable();
+    for &(_, _, j) in order.iter() {
+        let (q, o) = (&queries[j as usize], &mut out[j as usize]);
+        snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, tag_base + u64::from(j), o);
     }
     *served += queries.len() as u64;
 }
@@ -430,14 +450,23 @@ mod tests {
         assert_eq!(s.queries_total(), 13);
     }
 
+    /// With nothing published every outcome is empty, in a fresh `out`
+    /// and in a reused one. Regression: an unserved chunk used to return
+    /// before touching its outcomes, so a reused `out` came back holding
+    /// the previous batch's answers.
     #[test]
     fn serve_before_publish_yields_empty_outcomes() {
-        let mut s = sharded(2);
         let qs = queries(4, 32_000_000);
-        let mut out = Vec::new();
-        s.serve_batch(&qs, &mut out);
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|o| o.ranked.is_empty() && o.excluded.is_empty()));
+        let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+        let mut published = sharded(2);
+        published.advance(32_000_000);
+        published.serve_batch(&qs, &mut reused);
+        assert!(reused.iter().all(|o| !o.ranked.is_empty()), "the pre-filled answers are real");
+        for out in [&mut fresh, &mut reused] {
+            sharded(2).serve_batch(&qs, out);
+            assert_eq!(out.len(), 4);
+            assert!(out.iter().all(|o| o.ranked.is_empty() && o.excluded.is_empty()), "{out:?}");
+        }
     }
 
     /// The shards serve the core's own epochs: a query answered by the

@@ -26,13 +26,33 @@
 //!
 //! Queries evaluate against a per-shard [`SnapshotScratch`], so N shards
 //! serve concurrently with zero shared mutable state. Serving is **tree
-//! pricing**: one Dijkstra per distinct requester per epoch records the
-//! shortest-path tree (settle order, each node's parent and parent arc)
-//! in a flat per-epoch arena; each query sweeps that tree once, carrying
-//! `(Σ link delay, Σ k·Q, min available bandwidth)` from parent to child,
-//! and every candidate's estimate is a table read at its dense id — no
-//! per-pair path is ever materialised. (`k_paths > 1` still resolves and
-//! caches explicit k-path sets, because banning edges needs real paths.)
+//! pricing**: one Dijkstra per distinct *serving root* per epoch records
+//! the shortest-path tree (settle order, each node's parent and parent
+//! arc) in a flat per-epoch arena; each `(root, query time)` sweeps that
+//! tree once into a price table, carrying `(Σ link delay, Σ k·Q, min
+//! available bandwidth)` from parent to child, and every candidate's
+//! estimate is a table read at its dense id — no per-pair path is ever
+//! materialised. (`k_paths > 1` still resolves and caches explicit k-path
+//! sets, because banning edges needs real paths.)
+//!
+//! **Serving roots.** A requester with exactly one CSR arc — a
+//! single-homed host — is served from its attachment switch's tree and
+//! table, every candidate's link-delay sum plus the access arc's
+//! `est_delay`; every other requester is its own root. Hosts on one
+//! access switch therefore share one Dijkstra and one sweep. This is
+//! exact: a degree-1 node is never interior to a route, so the Dijkstra
+//! from the host is the Dijkstra from its switch with every distance
+//! shifted by the access arc's weight — heap order, `(dist, id)`
+//! tie-breaks, strict-`<` relaxations and parents are unchanged — *as
+//! long as no distance saturates*. Sharing is therefore on only while the
+//! snapshot's Σ weights is below `u64::MAX` (computed once per publish,
+//! full or incremental); a route's distance sums distinct arcs, so it
+//! stays below the total. The pricing shift is bit-identical with or
+//! without saturation: saturating addition of non-negative `u64`s is
+//! `min(Σ, MAX)`, which is associative, so adding the access delay last
+//! equals folding it first; the access arc's tail is a host, so it adds
+//! no `k·Q` term and no bandwidth term.
+//!
 //! Two things keep a cold query cheap: degree-1 nodes (hosts, which hang
 //! off one switch) settle as they are relaxed instead of passing through
 //! the Dijkstra's heap, and a switch-tail arc's queue price — `k·Q` and
@@ -256,6 +276,10 @@ pub struct SchedSnapshot {
     /// Flat slotted storage for all arcs' harvest histories (runs padded
     /// to their slot capacity).
     qlen_hist: Vec<(u64, u32)>,
+    /// Σ `weights` < `u64::MAX`: no Dijkstra distance can saturate, so
+    /// single-homed requesters may share their switch's tree (see the
+    /// module docs and [`SchedSnapshot::serving_root`]).
+    share_roots: bool,
     /// `(origin, last_rx_ns)` per probe origin with ≥1 probe, ascending.
     origins: Vec<(u32, u64)>,
 }
@@ -321,6 +345,7 @@ impl SchedSnapshot {
             topo,
             topo_gen: map.topology_generation(),
             layout_gen,
+            share_roots: no_distance_saturates(&weights),
             weights,
             est_delay,
             arc_q,
@@ -419,22 +444,29 @@ impl SchedSnapshot {
         out.ranked.clear();
         out.excluded.clear();
 
-        // Resolve the requester once. Single-path serving prices its whole
-        // shortest-path tree up front; every candidate is then a table read
-        // (an unknown requester reaches nothing).
+        // Resolve the requester once. Single-path serving prices its
+        // serving root's whole shortest-path tree up front; every candidate
+        // is then a table read behind the requester's access delay (an
+        // unknown requester reaches nothing).
         let from = self.node_id(NetNode::Host(requester));
         let mut pathless = std::mem::take(&mut scratch.pathless);
         if self.cfg.k_paths <= 1 {
-            match from {
-                Some(from) => self.price_tree(scratch, from, now_ns),
+            let access_ns = match from {
+                Some(from) => {
+                    let (root, access_ns) = self.serving_root(from);
+                    self.price_tree(scratch, root, now_ns);
+                    access_ns
+                }
                 None => {
+                    scratch.priced = None;
                     scratch.table.clear();
                     scratch.table.resize(self.topo.nodes.len(), None);
+                    0
                 }
-            }
+            };
             let table = &scratch.table;
             self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
-                table[to as usize].map_or(no_path(host), |p| p.ranked(host))
+                table[to as usize].map_or(no_path(host), |p| p.behind(access_ns).ranked(host))
             });
         } else {
             self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
@@ -579,22 +611,53 @@ impl SchedSnapshot {
         priced
     }
 
-    /// Price every node reachable from `from` into `scratch.table`: one
-    /// forward sweep over the source's shortest-path tree in settle order
-    /// (a parent always settles before its children), each tree arc
-    /// folded exactly once onto its parent's figures.
-    fn price_tree(&self, scratch: &mut SnapshotScratch, from: u32, now_ns: u64) {
-        let (start, end) = self.ensure_tree(scratch, from);
+    /// The node whose shortest-path tree serves `from`'s queries, and the
+    /// delay every candidate's link-delay sum gets on top: a node with
+    /// exactly one CSR arc (a single-homed host) is served from that arc's
+    /// head plus the arc's `est_delay`, while no distance can saturate;
+    /// any other node is its own root, with nothing added. See the module
+    /// docs for why the answers are the node's own tree's.
+    fn serving_root(&self, from: u32) -> (u32, u64) {
+        let (start, end) = (self.topo.row[from as usize], self.topo.row[from as usize + 1]);
+        if self.share_roots && end - start == 1 {
+            (self.topo.cols[start as usize], self.est_delay[start as usize])
+        } else {
+            (from, 0)
+        }
+    }
+
+    /// The tree root [`Self::rank_detailed_into`] serves `requester` from
+    /// (`u32::MAX` for a host this epoch does not know): a shard orders
+    /// its chunk by it, so queries sharing a root and a time run back to
+    /// back and reuse one price table.
+    pub(crate) fn serve_root(&self, requester: u32) -> u32 {
+        self.node_id(NetNode::Host(requester)).map_or(u32::MAX, |from| self.serving_root(from).0)
+    }
+
+    /// Price every node reachable from `root` at `now_ns` into
+    /// `scratch.table`: one forward sweep over the root's shortest-path
+    /// tree in settle order (a parent always settles before its children),
+    /// each tree arc folded exactly once onto its parent's figures. The
+    /// table is a pure function of (snapshot, root, query time), so when
+    /// it already holds this pair the sweep is skipped — counted as a hit
+    /// of the one tree lookup the query makes.
+    fn price_tree(&self, scratch: &mut SnapshotScratch, root: u32, now_ns: u64) {
+        if scratch.priced == Some((root, now_ns)) {
+            scratch.stats.cache_hits += 1;
+            return;
+        }
+        let (start, end) = self.ensure_tree(scratch, root);
         let SnapshotScratch { table, arena, hops, .. } = scratch;
         hops.at(now_ns);
         table.clear();
         table.resize(self.topo.nodes.len(), None);
-        table[from as usize] = Some(Priced::at_source(&self.cfg));
+        table[root as usize] = Some(Priced::at_source(&self.cfg));
         for t in &arena[start + 1..end] {
             let mut acc = table[t.parent as usize].expect("parents settle before children");
             self.fold_arc(hops, &mut acc, t.parent, t.arc as usize);
             table[t.node as usize] = Some(acc);
         }
+        scratch.priced = Some((root, now_ns));
     }
 
     /// The arena range of `source`'s shortest-path tree, growing it with
@@ -939,6 +1002,12 @@ fn resort_clamped_runs<P: PartialEq, K: Ord>(
     }
 }
 
+/// Whether Σ `weights` stays below `u64::MAX`, so that no Dijkstra
+/// distance — a sum over distinct arcs — saturates. O(arcs).
+fn no_distance_saturates(weights: &[u64]) -> bool {
+    weights.iter().try_fold(0u64, |sum, &w| sum.checked_add(w)).is_some_and(|sum| sum < u64::MAX)
+}
+
 /// Walk an SSSP's predecessor chain into `out` (endpoints included,
 /// forward order). `sp` must describe `from` and have settled `to` if it
 /// is reachable. Returns false (clearing `out`) when unreachable.
@@ -984,6 +1053,15 @@ impl Priced {
     /// The empty route at the source itself.
     fn at_source(cfg: &CoreConfig) -> Self {
         Priced { link_delay_ns: 0, hop_delay_ns: 0, bottleneck_bps: cfg.link_capacity_bps }
+    }
+
+    /// This route with a host's access arc of delay `access_ns` in front.
+    /// The arc's tail is a host, so it adds no `k·Q` and no bandwidth term,
+    /// and saturating `+` is associative, so adding it last equals folding
+    /// it first.
+    fn behind(mut self, access_ns: u64) -> Self {
+        self.link_delay_ns = self.link_delay_ns.saturating_add(access_ns);
+        self
     }
 
     /// `(est_delay_ns, est_bandwidth_bps)`. The `u64::MAX - 1` clamp keeps
@@ -1064,8 +1142,11 @@ fn mix(mut x: u64) -> u64 {
 /// keeps per epoch. With `k_paths == 1` that is one shortest-path-tree
 /// lookup per query whose requester is a known host: a miss is exactly
 /// one Dijkstra (so `cache_misses == sssp_runs`), a hit reuses the tree
-/// an earlier query of the same requester grew this epoch. With
-/// `k_paths > 1` it is one k-path-set lookup per (query, candidate).
+/// an earlier query with the same serving root (the requester, or the
+/// switch a single-homed requester hangs off) grew this epoch — or the
+/// price table the previous query left, when it had the same root and
+/// query time. With `k_paths > 1` it is one k-path-set lookup per
+/// (query, candidate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotServeStats {
     /// Queries evaluated through this scratch.
@@ -1080,13 +1161,15 @@ pub struct SnapshotServeStats {
 
 /// Per-shard mutable state for evaluating queries against a
 /// [`SchedSnapshot`]: the reusable Dijkstra buffers, this epoch's
-/// shortest-path trees, the per-query price table, the per-arc queue
-/// prices of the last query time and the sort-key buffers. One scratch
-/// must only ever be used by one thread at a time (each shard owns its
-/// own); it revalidates itself against the snapshot's identity on every
-/// query, so handing it any sequence of snapshots — advancing epochs, or
-/// different schedulers' — is safe and cheap. Nothing here is freed on an epoch move (`clear()`
-/// keeps capacity), so steady churn serving does not allocate.
+/// shortest-path trees (one per serving root asked), the price table of
+/// the last `(root, query time)`, the per-arc queue prices of the last
+/// query time and the sort-key buffers. One scratch must only ever be
+/// used by one thread at a time (each shard owns its own); it
+/// revalidates itself against the snapshot's identity on every query, so
+/// handing it any sequence of snapshots — advancing epochs, or different
+/// schedulers' — is safe and cheap. Nothing here is freed on an epoch
+/// move (`clear()` keeps capacity), so steady churn serving does not
+/// allocate.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
     /// [`SchedSnapshot::uid`] the per-epoch state below belongs to.
@@ -1096,14 +1179,16 @@ pub struct SnapshotScratch {
     /// The source `sssp` currently describes.
     sssp_source: Option<u32>,
     /// `k_paths == 1`: every tree grown this epoch, each in settle order
-    /// (source first), back to back. Bounded by sources asked this epoch
-    /// × reachable nodes × 12 B.
+    /// (root first), back to back. Bounded by roots asked this epoch ×
+    /// reachable nodes × 12 B.
     arena: Vec<TreeArc>,
-    /// Dense source id → its tree's `arena` range (empty = not grown).
+    /// Dense root id → its tree's `arena` range (empty = not grown).
     tree_of: Vec<(usize, usize)>,
-    /// The current query's priced routes by dense node id (`None` =
-    /// unreachable from the requester).
+    /// The priced routes of one `(root, query time)` by dense node id
+    /// (`None` = unreachable from the root).
     table: Vec<Option<Priced>>,
+    /// The `(root, query time)` `table` holds, if any.
+    priced: Option<(u32, u64)>,
     /// Switch-tail arcs' queue prices at the last priced query time.
     hops: HopMemo,
     /// Packed sort keys of the IntDelay and Nearest orders.
@@ -1136,13 +1221,14 @@ impl SnapshotScratch {
     }
 
     /// Revalidate against `snap`: any other snapshot than the one last
-    /// served invalidates the trees, the k-set cache, the memoized SSSP
-    /// and the queue prices (dense ids and arc indices belong to one
-    /// frozen graph, the prices to one epoch's evidence).
+    /// served invalidates the trees, the price table, the k-set cache, the
+    /// memoized SSSP and the queue prices (dense ids and arc indices
+    /// belong to one frozen graph, the prices to one epoch's evidence).
     fn bind(&mut self, snap: &SchedSnapshot) {
         if self.bound != Some(snap.uid) {
             self.bound = Some(snap.uid);
             self.sssp_source = None;
+            self.priced = None;
             self.arena.clear();
             self.tree_of.clear();
             self.tree_of.resize(snap.topo.nodes.len(), (0, 0));
@@ -1418,6 +1504,7 @@ impl SnapshotPublisher {
             topo: Arc::clone(&prev.topo),
             topo_gen: prev.topo_gen,
             layout_gen: prev.layout_gen,
+            share_roots: no_distance_saturates(&weights),
             weights,
             est_delay,
             arc_q,
@@ -1627,6 +1714,60 @@ mod tests {
                     assert_eq!(got, want, "{requester} {policy:?}");
                 }
             }
+        }
+    }
+
+    /// Single-homed requesters share their switch's tree only while Σ
+    /// weights stays below `u64::MAX`. Hosts 1 and 2 share leaf 10, host 3
+    /// hangs off leaf 12, and scheduler host 6 off switch 11, which joins
+    /// the leaves. With host 1's access link and leaf 12's uplink at
+    /// `u64::MAX / 2` each, host 1's route to host 3 saturates (no fresh
+    /// path) while leaf 10's does not, so sharing would change an answer:
+    /// there every requester must be its own root. With ordinary delays the
+    /// hosts are served from their switches' trees, access delay added.
+    /// Both must equal the reference.
+    #[test]
+    fn saturating_weights_keep_every_requester_on_its_own_root() {
+        const MS: u64 = 1_000_000;
+        let now = 40 * MS;
+        for saturated in [false, true] {
+            let big = if saturated { u64::MAX / 2 } else { 3 * MS };
+            let cfg = CoreConfig { origin_silence_ns: 60_000_000_000, ..CoreConfig::default() };
+            let mut core = SchedulerCore::new(6, cfg, StaticDistances::new(), 42);
+            for (origin, chain) in [
+                (1, [(10, big, 20), (11, 2 * MS, 0)]),
+                (2, [(10, MS, 5), (11, 2 * MS, 0)]),
+                (3, [(12, 0, 9), (11, big, 0)]),
+            ] {
+                let mut p = ProbePayload::new(origin, 1, 0);
+                for (sw, link_latency_ns, q) in chain {
+                    p.int.push(IntRecord {
+                        link_latency_ns,
+                        egress_ts_ns: now - MS,
+                        ..rec(sw, q, 0)
+                    });
+                }
+                core.collector_mut().ingest(&p, now);
+            }
+            let snap = snap_of(&core, 1, now);
+            assert_eq!(snap.share_roots, !saturated);
+            let mut scratch = SnapshotScratch::new();
+            for (host, switch) in [(1, 10), (2, 10), (3, 12), (6, 11)] {
+                let from = snap.node_id(NetNode::Host(host)).unwrap();
+                let attached = snap.node_id(NetNode::Switch(switch)).unwrap();
+                let want_root = if saturated { from } else { attached };
+                assert_eq!(snap.serving_root(from).0, want_root, "host {host}");
+                for policy in [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest] {
+                    let want = reference(&core, host, policy, now);
+                    let got = snap.rank_detailed(&mut scratch, host, policy, now, 0);
+                    assert_eq!(got, want, "saturated={saturated} host {host} {policy:?}");
+                }
+            }
+            if saturated {
+                let out = snap.rank_detailed(&mut scratch, 1, Policy::IntDelay, now, 0);
+                assert_eq!(out.excluded, vec![(3, ExcludeReason::NoFreshPath)]);
+            }
+            assert_eq!(scratch.stats().sssp_runs, if saturated { 4 } else { 3 });
         }
     }
 

@@ -80,4 +80,10 @@ if grep -rn 'drops_[a-z_]* += 1' crates/netsim/src | grep -v '^crates/netsim/src
     echo "a drop counted outside NetStats::count_drop, or a per-kind node enum"; exit 1
 fi
 
+echo "== one Dijkstra (the serving stack's heap lives in snapshot.rs; map.rs keeps the reference's)"
+if grep -rn 'BinaryHeap' crates/core/src | grep -v '^crates/core/src/snapshot.rs:\|^crates/core/src/map.rs:' \
+    || [ "$(grep -c 'fn dijkstra' crates/core/src/snapshot.rs)" -gt 1 ]; then
+    echo "a heap in int-core outside snapshot.rs and map.rs, or a second Dijkstra in snapshot.rs"; exit 1
+fi
+
 echo "CI OK"

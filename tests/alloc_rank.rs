@@ -9,9 +9,11 @@
 //! three ordered policies, Nearest over a non-empty distance table.
 //!
 //! The later sections cover the *cold* serve path too: under churn (every
-//! epoch re-learns every link) serving regrows its per-requester trees
-//! into retained capacity and allocates nothing, through the façade and
-//! through a bare snapshot + scratch alike.
+//! epoch re-learns every link) serving regrows its per-root trees into
+//! retained capacity and allocates nothing, through the façade, through a
+//! bare snapshot + scratch, and through a 1-shard
+//! `ShardedScheduler::serve_batch`, which orders its chunk through a
+//! buffer the shard keeps.
 //!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
@@ -23,6 +25,7 @@ mod probes;
 
 use alloc::allocations_in;
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
+use int_edge_sched::core::shard::RankQuery;
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, SchedulerCore};
 use int_edge_sched::packet::ProbePayload;
@@ -195,4 +198,32 @@ fn steady_state_rank_queries_allocate_nothing() {
     assert_eq!(churn_allocs, 0, "churn serving must not touch the heap after warm-up");
     let stats = scratch.stats();
     assert_eq!(stats.sssp_runs, 1 + 5 * 3, "one Dijkstra per requester per epoch");
+
+    // The sharded read path itself, one shard (no thread spawn): the
+    // shard sorts its chunk into `(time, root)` order through a buffer it
+    // keeps and fills the caller's outcomes in place, so once the first
+    // epochs have sized everything, a churned epoch's batch — every host
+    // under every ordered policy — allocates nothing.
+    let mut batch_allocs = 0u64;
+    let mut outcomes = Vec::new();
+    for epoch in 0..5u64 {
+        let now = 600_000_000 + epoch * 100_000_000;
+        for p in probe_round(10 + epoch, epoch, now) {
+            sharded.core_mut().collector_mut().ingest(&p, now);
+        }
+        assert!(sharded.advance(now), "every round publishes a new epoch");
+        let batch: Vec<RankQuery> = hosts
+            .iter()
+            .flat_map(|&requester| ORDERED.map(|policy| RankQuery { requester, policy, now_ns: now }))
+            .collect();
+        let (allocs, ()) = allocations_in(|| {
+            sharded.serve_batch(&batch, &mut outcomes);
+            sharded.serve_batch(&batch, &mut outcomes);
+        });
+        if epoch >= 2 {
+            batch_allocs += allocs;
+        }
+        assert!(outcomes.iter().all(|o| o.ranked.len() == 8), "everyone reachable, nobody silent");
+    }
+    assert_eq!(batch_allocs, 0, "steady-state 1-shard serve_batch must not touch the heap");
 }

@@ -14,6 +14,7 @@ use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::shard::{RankQuery, ShardedScheduler};
 use int_edge_sched::core::snapshot::SnapshotScratch;
 use int_edge_sched::core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
+use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -218,5 +219,187 @@ fn mixed_query_times_in_one_batch_match_the_core() {
         let mut got = Vec::new();
         s.serve_batch(&queries, &mut got);
         assert_eq!(got, want, "shards={shards}");
+    }
+}
+
+/// Leaf switch ids start here, spine switch ids (two spines) there.
+const LEAF: u32 = 100;
+const SPINE: u32 = 200;
+
+/// A leaf–spine fabric on which most hosts share their access switch:
+/// each leaf carries 1–6 single-homed hosts, numbered leaf by leaf, and
+/// the last host is multi-homed on leaves 0 and 1.
+struct SharedFabric {
+    /// Each host's leaf indices (two for the multi-homed host).
+    homes: Vec<Vec<usize>>,
+    /// Each host's access-link delay (host → leaf), ns.
+    access: Vec<u64>,
+    /// Each host's queue-depth seed.
+    queue: Vec<u32>,
+    /// Per leaf, the delay of its link to each spine (both directions), ns.
+    uplink: Vec<[u64; 2]>,
+}
+
+impl SharedFabric {
+    /// `leaves`: (single-homed hosts, uplink delay class, raw bits) per
+    /// leaf; `hosts`: (access delay class, queue seed, raw bits), indexed
+    /// by host id. `saturate` gives host 0's access link, the last leaf's
+    /// uplinks and the multi-homed host's access links (its detour
+    /// between leaves 0 and 1) `u64::MAX / 2` each, so Σ weights passes
+    /// `u64::MAX` and host 0's routes to the last leaf saturate while its
+    /// leaf's do not.
+    fn new(leaves: &[(usize, u8, u64)], hosts: &[(u8, u32, u64)], saturate: bool) -> Self {
+        let mut homes: Vec<Vec<usize>> = leaves
+            .iter()
+            .enumerate()
+            .flat_map(|(leaf, &(n, _, _))| std::iter::repeat_n(vec![leaf], n))
+            .collect();
+        homes.push(vec![0, 1]);
+        let ms = 1_000_000;
+        let mut access: Vec<u64> = hosts[..homes.len()]
+            .iter()
+            .map(|&(class, _, raw)| match class {
+                0 => 0,
+                1 => ms, // ties between siblings
+                2 => raw % (5 * ms),
+                _ => raw % 50_000,
+            })
+            .collect();
+        let mut uplink: Vec<[u64; 2]> = leaves
+            .iter()
+            .map(|&(_, class, raw)| match class {
+                0 | 1 => [2 * ms, 2 * ms], // equal-cost paths over both spines
+                2 => [2 * ms, 3 * ms],
+                _ => [ms + raw % (3 * ms), ms + (raw >> 32) % (3 * ms)],
+            })
+            .collect();
+        if saturate {
+            let multi_homed = access.len() - 1;
+            access[0] = u64::MAX / 2;
+            access[multi_homed] = u64::MAX / 2;
+            *uplink.last_mut().expect("at least two leaves") = [u64::MAX / 2; 2];
+        }
+        let queue = hosts.iter().map(|&(_, q, _)| q).collect();
+        SharedFabric { homes, access, queue, uplink }
+    }
+
+    fn hosts(&self) -> u32 {
+        self.homes.len() as u32
+    }
+
+    /// Hop counts for the Nearest baseline: 2 on a shared leaf, 4 across.
+    fn distances(&self) -> StaticDistances {
+        let mut d = StaticDistances::new();
+        for a in 0..self.hosts() {
+            for b in a + 1..self.hosts() {
+                let shared = self.homes[a as usize].iter().any(|l| self.homes[b as usize].contains(l));
+                d.set(a, b, if shared { 2 } else { 4 });
+            }
+        }
+        d
+    }
+
+    /// One probing round at `now`: every host probes two other hosts,
+    /// through its leaf, a spine and the terminal's leaf (only the shared
+    /// leaf when there is one). The multi-homed host alternates leaves.
+    fn learn_round(&self, core: &mut SchedulerCore, round: usize, now: u64) {
+        let n = self.hosts() as usize;
+        for h in 0..n {
+            for t in [(h + 1) % n, (h + n / 2) % n] {
+                if t == h {
+                    continue;
+                }
+                let from = self.homes[h][(round + t) % self.homes[h].len()];
+                let to = self.homes[t][(round + h) % self.homes[t].len()];
+                let spine = (h + t + round) % 2;
+                let q = |i: u32| (self.queue[h] + 7 * i + 11 * round as u32) % 48;
+                // The last record's egress time makes the final hop (the
+                // terminal's leaf → the terminal) read the terminal's own
+                // access delay, as far as the clock allows.
+                let at = now.saturating_sub(self.access[t]);
+                let mut hops = vec![hop(LEAF + from as u32, q(0), q(0) / 2, self.access[h], at)];
+                if from != to {
+                    let up = self.uplink[from][spine];
+                    let down = self.uplink[to][spine];
+                    hops.push(hop(SPINE + spine as u32, q(1), q(1) / 2, up, at));
+                    hops.push(hop(LEAF + to as u32, q(2), q(2) / 2, down, at));
+                }
+                let p = probe(h as u32, round as u64 + 1, hops);
+                core.collector_mut().ingest_relayed(&p, t as u32, now);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// Single-homed requesters share their switch's shortest-path tree and
+    /// price table; the answers must not show it. Over leaf–spine fabrics
+    /// with 1–6 single-homed hosts per leaf plus one multi-homed host,
+    /// equal-cost paths over two spines, per-host access delays (0 ns,
+    /// tied, spread) and, in a quarter of the cases, links at
+    /// `u64::MAX / 2` that make Σ weights pass `u64::MAX`: one batch of
+    /// every host (and one unknown requester) under every policy, at query
+    /// times scattered across the queue window, the staleness horizon and
+    /// the silence horizon, served at 1, 2 and 3 shards and by the
+    /// single-threaded core query by query, equals the reference `Ranker`
+    /// over the live map (Random: the shards equal the core).
+    #[test]
+    fn shared_trees_match_the_reference_at_every_shard_count(
+        leaves in proptest::collection::vec((1usize..=6, 0u8..4, any::<u64>()), 2..5),
+        hosts in proptest::collection::vec((0u8..4, 0u32..48, any::<u64>()), 25),
+        saturate in 0u8..4,
+    ) {
+        const MS: u64 = 1_000_000;
+        const T: u64 = 2_000 * MS;
+        let saturate = saturate == 0;
+        let fabric = SharedFabric::new(&leaves, &hosts, saturate);
+        let cfg = CoreConfig {
+            qlen_window_ns: 120 * MS,
+            staleness_ns: 300 * MS,
+            origin_silence_ns: 600 * MS,
+            eviction_horizon_ns: u64::MAX,
+            ..CoreConfig::default()
+        };
+        let learn = |core: &mut SchedulerCore| {
+            for (round, now) in [T - 100 * MS, T].into_iter().enumerate() {
+                fabric.learn_round(core, round, now);
+            }
+        };
+        let policies = [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest, Policy::Random];
+        let mut queries = Vec::new();
+        for later in [130, 0, 350, 50, 700, 0] {
+            for requester in (0..fabric.hosts()).chain([999]) {
+                for policy in policies {
+                    queries.push(RankQuery { requester, policy, now_ns: T + later * MS });
+                }
+            }
+        }
+
+        let mut core = SchedulerCore::new(0, cfg.clone(), fabric.distances(), 5);
+        learn(&mut core);
+        let mut reference = Ranker::new(cfg.clone(), fabric.distances(), 5);
+        let want: Vec<RankOutcome> = queries
+            .iter()
+            .map(|q| core.rank_detailed_with(q.requester, q.policy, q.now_ns))
+            .collect();
+        for (q, got) in queries.iter().zip(&want) {
+            if q.policy != Policy::Random {
+                let oracle = reference.answer(core.collector(), q.requester, q.policy, q.now_ns);
+                prop_assert_eq!(got, &oracle, "core vs reference: {:?}", q);
+            }
+        }
+        // Sharing is live unless the guard holds it off: one tree per leaf
+        // plus the multi-homed host's own, or one per known host.
+        let trees = if saturate { fabric.hosts() } else { leaves.len() as u32 + 1 };
+        prop_assert_eq!(core.path_stats().sssp_runs, u64::from(trees));
+
+        for shards in [1, 2, 3] {
+            let mut s = ShardedScheduler::new(0, cfg.clone(), fabric.distances(), 5, shards);
+            learn(s.core_mut());
+            s.advance(T);
+            let mut got = Vec::new();
+            s.serve_batch(&queries, &mut got);
+            prop_assert_eq!(&got, &want, "shards={}", shards);
+        }
     }
 }
