@@ -8,8 +8,10 @@
 //! by [`SchedSnapshot::rank_detailed_into`] with the core's own scratch,
 //! so consecutive queries that share a serving root (the requester, or
 //! the switch a single-homed requester hangs off) and a query time reuse
-//! one price table. [`crate::shard::ShardedScheduler`] serves the very
-//! same epochs from N shards.
+//! one price table, INT queries sharing a root and a time read one
+//! shared order, and each requester's Nearest order is built once per
+//! topology. [`crate::shard::ShardedScheduler`] serves the very same
+//! epochs from N shards.
 
 use crate::collector::IntCollector;
 use crate::config::CoreConfig;

@@ -27,8 +27,10 @@
 //! wrapped core — or the reference ranker over the live map — answers at
 //! the same map state. Within its chunk a shard serves in `(query time,
 //! tree root)` order, so queries that share a root and a time reuse one
-//! price table; each outcome still lands at its admission position with
-//! its pre-assigned slot, so the order changes no answer.
+//! price table (its shared IntDelay and IntBandwidth orders outlive the
+//! chunk, see [`crate::snapshot`]); each outcome still lands at its
+//! admission position with its pre-assigned slot, so the order changes
+//! no answer.
 
 use crate::config::CoreConfig;
 use crate::rank::{Policy, RankOutcome, StaticDistances};

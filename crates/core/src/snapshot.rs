@@ -53,6 +53,28 @@
 //! equals folding it first; the access arc's tail is a host, so it adds
 //! no `k·Q` term and no bandwidth term.
 //!
+//! **Shared orders.** Roots share the *order* too. Per serving root and
+//! its latest query time the scratch keeps one IntDelay and one
+//! IntBandwidth list: every host's estimate from the root with no access
+//! shift, built once by the candidate pass and sort every query uses, with
+//! no requester removed, plus the root's silent and pathless hosts. A
+//! query reads its root's list, drops itself, adds its access delay to
+//! each delay (`saturating_add`, then `min(u64::MAX − 1)`: the same
+//! figure as shifting before the finish), filters the exclusions and
+//! applies the warm-up rule. That is the order its own sort would give:
+//! removing one entry keeps the relative order of the rest, bandwidth
+//! does not move, and a uniform shift keeps every `(delay, host)` order
+//! and tie as long as nothing saturates — the guard: when the list's
+//! largest delay plus the shift could reach the sort keys' `DELAY_CLAMP`
+//! (2^44 ns), that query sorts its own list instead. Nearest depends only
+//! on the host set, the distance table and the requester, so each
+//! requester gets one permutation of dense ids per topology (keyed by the
+//! structure's process-unique id and by the distance table, never by an
+//! address) and a query gathers it from the price table. Memory: roots
+//! asked per epoch × hosts × 48 B of lists, and requesters × hosts × 4 B
+//! of permutations. Random, `k_paths > 1` and unknown requesters sort per
+//! query.
+//!
 //! Two things keep a cold query cheap: degree-1 nodes (hosts, which hang
 //! off one switch) settle as they are relaxed instead of passing through
 //! the Dijkstra's heap, and a switch-tail arc's queue price — `k·Q` and
@@ -103,12 +125,12 @@ use std::sync::Arc;
 /// Sentinel for "no predecessor" in the SSSP scratch.
 const NO_PREV: u32 = u32::MAX;
 
-/// Source of [`SchedSnapshot::uid`]. `Relaxed` suffices: the value only
-/// has to be unique, it publishes no other data.
-static NEXT_SNAPSHOT_UID: AtomicU64 = AtomicU64::new(0);
+/// Source of [`SchedSnapshot::uid`] and `CsrTopo::uid`. `Relaxed`
+/// suffices: the value only has to be unique, it publishes no other data.
+static NEXT_UID: AtomicU64 = AtomicU64::new(0);
 
 fn next_uid() -> u64 {
-    NEXT_SNAPSHOT_UID.fetch_add(1, Ordering::Relaxed)
+    NEXT_UID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Queue-occupancy evidence for one CSR arc, resolved at publish time.
@@ -160,6 +182,10 @@ const NONE: u32 = u32::MAX;
 /// consecutive incremental epochs share one allocation via `Arc`.
 #[derive(Debug)]
 struct CsrTopo {
+    /// Process-unique identity of this frozen structure: what a scratch's
+    /// Nearest permutations are keyed by. Never an address — a freed
+    /// structure's address can be reused by the next one.
+    uid: u64,
     /// All nodes in ascending `NetNode` order; index = dense id.
     nodes: Vec<NetNode>,
     /// CSR row offsets (`nodes.len() + 1` entries).
@@ -218,7 +244,7 @@ impl CsrTopo {
             arc_edges[pair[1] as usize][1] = e;
         }
         let cols = arcs.iter().map(|&(_, v)| v).collect();
-        CsrTopo { nodes, row, cols, hosts, edge_arcs, arc_edges }
+        CsrTopo { uid: next_uid(), nodes, row, cols, hosts, edge_arcs, arc_edges }
     }
 
     /// Whether dense id `u` is a switch. Hosts sort before switches, so
@@ -447,14 +473,30 @@ impl SchedSnapshot {
         // Resolve the requester once. Single-path serving prices its
         // serving root's whole shortest-path tree up front; every candidate
         // is then a table read behind the requester's access delay (an
-        // unknown requester reaches nothing).
+        // unknown requester reaches nothing). The INT policies read the
+        // root's shared order instead, and Nearest the requester's
+        // permutation (see the module docs).
         let from = self.node_id(NetNode::Host(requester));
-        let mut pathless = std::mem::take(&mut scratch.pathless);
         if self.cfg.k_paths <= 1 {
             let access_ns = match from {
                 Some(from) => {
                     let (root, access_ns) = self.serving_root(from);
+                    let shared = matches!(policy, Policy::IntDelay | Policy::IntBandwidth);
+                    let q = RootQuery { root, access_ns, requester, policy, now_ns };
+                    if shared && self.serve_shared(scratch, q, out) {
+                        scratch.stats.cache_hits += 1;
+                        return;
+                    }
                     self.price_tree(scratch, root, now_ns);
+                    if shared {
+                        self.build_shared(scratch, q);
+                        if self.serve_shared(scratch, q, out) {
+                            return;
+                        }
+                    } else if policy == Policy::Nearest {
+                        self.serve_nearest(scratch, from, access_ns, requester, out);
+                        return;
+                    }
                     access_ns
                 }
                 None => {
@@ -465,45 +507,163 @@ impl SchedSnapshot {
                 }
             };
             let table = &scratch.table;
-            self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
+            self.collect(Some(requester), policy, now_ns, out, |host, to| {
                 table[to as usize].map_or(no_path(host), |p| p.behind(access_ns).ranked(host))
             });
         } else {
-            self.collect(requester, policy, now_ns, out, &mut pathless, |host, to| {
+            self.collect(Some(requester), policy, now_ns, out, |host, to| {
                 from.map_or(no_path(host), |from| {
                     self.estimate_k_paths(scratch, from, host, to, now_ns)
                 })
             });
         }
-        scratch.pathless = pathless;
+        rank_all_if_pathless(out);
         self.sort(scratch, &mut out.ranked, requester, policy, slot);
     }
 
-    /// The candidate pass: every known host except the requester (paper
-    /// §IV: all nodes can execute tasks unless they are the submitter),
-    /// estimated by `estimate(host, dense id)`, into `out` in ascending
-    /// host order. The INT policies set silent origins and pathless
-    /// candidates aside with a reason, unless *every* candidate is
-    /// pathless (warm-up, not failure: they are all ranked instead);
-    /// `pathless` is the buffer for that.
+    /// Answer an IntDelay or IntBandwidth query from its serving root's
+    /// shared order: the root's list without the requester, every delay
+    /// shifted by the access delay, then the warm-up rule. `false`, with
+    /// `out` untouched, when the list is not built at this query time or
+    /// the shifted maximum could reach [`DELAY_CLAMP`] (the guard: the
+    /// caller then sorts the query's own list).
+    fn serve_shared(&self, scratch: &SnapshotScratch, q: RootQuery, out: &mut RankOutcome) -> bool {
+        let entry = scratch.order_of[q.root as usize];
+        if entry == NONE {
+            return false;
+        }
+        let shared = &scratch.orders[entry as usize][q.policy as usize];
+        let guard = shared.max_delay_ns.saturating_add(q.access_ns) >= DELAY_CLAMP;
+        if shared.at != Some(q.now_ns) || guard {
+            return false;
+        }
+        let list = &shared.list;
+        out.ranked.reserve(list.ranked.len());
+        out.ranked.extend(list.ranked.iter().filter(|s| s.host != q.requester).map(|s| {
+            let est_delay_ns = s.est_delay_ns.saturating_add(q.access_ns).min(u64::MAX - 1);
+            RankedServer { est_delay_ns, ..*s }
+        }));
+        out.excluded.extend(list.excluded.iter().filter(|&&(host, _)| host != q.requester));
+        rank_all_if_pathless(out);
+        true
+    }
+
+    /// Build the query's root's shared order for its policy and time
+    /// unless it is already built: the candidate pass and sort a query of
+    /// its own runs, over the price table `scratch` holds for that root
+    /// and time, with no access shift and no requester removed (the
+    /// requester only keys Nearest's sort). A root gets its entry in
+    /// `scratch.orders` the first time it is asked this epoch, so a root
+    /// asked for the first time reuses capacity another root left.
+    fn build_shared(&self, scratch: &mut SnapshotScratch, q: RootQuery) {
+        debug_assert_eq!(scratch.priced, Some((q.root, q.now_ns)), "the table is the root's");
+        let mut entry = scratch.order_of[q.root as usize];
+        if entry == NONE {
+            entry = scratch.orders_used as u32;
+            scratch.orders_used += 1;
+            if scratch.orders.len() < scratch.orders_used {
+                scratch.orders.push(Default::default());
+            }
+            for shared in &mut scratch.orders[entry as usize] {
+                shared.at = None;
+            }
+            scratch.order_of[q.root as usize] = entry;
+        }
+        let shared = &mut scratch.orders[entry as usize][q.policy as usize];
+        if shared.at == Some(q.now_ns) {
+            return;
+        }
+        let mut list = std::mem::take(&mut shared.list);
+        list.ranked.clear();
+        list.excluded.clear();
+        let table = &scratch.table;
+        self.collect(None, q.policy, q.now_ns, &mut list, |host, to| {
+            table[to as usize].map_or(no_path(host), |p| p.ranked(host))
+        });
+        self.sort(scratch, &mut list.ranked, q.requester, q.policy, 0);
+        let shared = &mut scratch.orders[entry as usize][q.policy as usize];
+        shared.max_delay_ns = list.ranked.iter().map(|s| s.est_delay_ns).max().unwrap_or(0);
+        shared.list = list;
+        shared.at = Some(q.now_ns);
+    }
+
+    /// Answer a Nearest query from `from`'s permutation of dense ids,
+    /// gathered from the price table `scratch` holds for its serving root
+    /// behind its access delay.
+    fn serve_nearest(
+        &self,
+        scratch: &mut SnapshotScratch,
+        from: u32,
+        access_ns: u64,
+        requester: u32,
+        out: &mut RankOutcome,
+    ) {
+        let start = self.ensure_nearest(scratch, from, requester);
+        let order = &scratch.nearest[start..start + self.topo.hosts.len() - 1];
+        let table = &scratch.table;
+        out.ranked.extend(order.iter().map(|&to| {
+            let host = self.topo.hosts[to as usize];
+            table[to as usize].map_or(no_path(host), |p| p.behind(access_ns).ranked(host))
+        }));
+    }
+
+    /// The start in `scratch.nearest` of `from`'s Nearest permutation —
+    /// every other host's dense id, in [`Self::sort`]'s Nearest order —
+    /// built the first time `from` asks under this topology and distance
+    /// table. The permutations are keyed by [`CsrTopo::uid`] and by the
+    /// distance table itself (the scratch holds that `Arc`, so its address
+    /// cannot be reused while it keys anything): `SnapshotPublisher::full`
+    /// reuses a topology across a distance-table change.
+    fn ensure_nearest(&self, scratch: &mut SnapshotScratch, from: u32, requester: u32) -> usize {
+        let hosts = &self.topo.hosts;
+        let current = scratch.nearest_for.as_ref().is_some_and(|(uid, distances)| {
+            *uid == self.topo.uid && Arc::ptr_eq(distances, &self.distances)
+        });
+        if !current {
+            scratch.nearest_for = Some((self.topo.uid, Arc::clone(&self.distances)));
+            scratch.nearest.clear();
+            // Room for every requester's permutation: a requester asking
+            // for the first time under this topology allocates nothing.
+            scratch.nearest.reserve(hosts.len() * (hosts.len() - 1));
+            scratch.nearest_of.clear();
+            scratch.nearest_of.resize(hosts.len(), usize::MAX);
+        }
+        let start = scratch.nearest_of[from as usize];
+        if start != usize::MAX {
+            return start;
+        }
+        let SnapshotScratch { nearest, nearest_of, keys, gather_ids, .. } = scratch;
+        let start = nearest.len();
+        nearest.extend((0..hosts.len() as u32).filter(|&to| to != from));
+        let order = &mut nearest[start..];
+        self.nearest_keys(requester, order.iter().map(|&to| hosts[to as usize]), keys);
+        order_by_keys(keys, order, gather_ids, |k| k as u32 as usize);
+        nearest_of[from as usize] = start;
+        start
+    }
+
+    /// The candidate pass: every known host except `requester` (paper §IV:
+    /// all nodes can execute tasks unless they are the submitter; `None`
+    /// keeps every host, for a shared order), estimated by
+    /// `estimate(host, dense id)`, into `out` in ascending host order. The
+    /// INT policies set silent origins and pathless candidates aside with
+    /// a reason; [`rank_all_if_pathless`] is the warm-up rule after it.
     fn collect(
         &self,
-        requester: u32,
+        requester: Option<u32>,
         policy: Policy,
         now_ns: u64,
         out: &mut RankOutcome,
-        pathless: &mut Vec<RankedServer>,
         mut estimate: impl FnMut(u32, u32) -> RankedServer,
     ) {
         let hosts = &self.topo.hosts;
-        let candidates = hosts.iter().zip(0u32..).filter(|&(&host, _)| host != requester);
+        let candidates = hosts.iter().zip(0u32..).filter(|&(&host, _)| Some(host) != requester);
         out.ranked.reserve(hosts.len());
         if matches!(policy, Policy::Nearest | Policy::Random) {
             out.ranked.extend(candidates.map(|(&host, to)| estimate(host, to)));
             return;
         }
 
-        pathless.clear();
         // Origin silence is `IntCollector::silent_origins` membership, a
         // pure function of the frozen origin table and the query `now`;
         // hosts and origins both ascend, so one merged walk answers it.
@@ -522,18 +682,11 @@ impl SchedSnapshot {
             }
             let est = estimate(host, to);
             if est.est_delay_ns == u64::MAX {
+                debug_assert_eq!(est, no_path(host), "only a missing route reads u64::MAX");
                 out.excluded.push((host, ExcludeReason::NoFreshPath));
-                pathless.push(est);
             } else {
                 out.ranked.push(est);
             }
-        }
-
-        if out.ranked.is_empty()
-            && out.excluded.iter().all(|(_, r)| *r == ExcludeReason::NoFreshPath)
-        {
-            out.ranked.extend_from_slice(pathless);
-            out.excluded.clear();
         }
         debug_assert!(
             out.excluded.windows(2).all(|w| w[0].0 < w[1].0),
@@ -922,15 +1075,7 @@ impl SchedSnapshot {
                 resort_clamped_runs(out, |s| s.est_bandwidth_bps, bandwidth_key);
             }
             Policy::Nearest => {
-                // One merge of the requester's ascending distance row
-                // against the ascending candidates finds every distance.
-                keys.clear();
-                let mut row = self.distances.row(requester).peekable();
-                for (i, s) in out.iter().enumerate() {
-                    while row.next_if(|&(h, _)| h < s.host).is_some() {}
-                    let hops = row.next_if(|&(h, _)| h == s.host).map_or(u32::MAX, |(_, d)| d);
-                    keys.push(u64::from(hops) << 32 | i as u64);
-                }
+                self.nearest_keys(requester, out.iter().map(|s| s.host), keys);
                 order_by_keys(keys, out, gather, |k| k as u32 as usize);
             }
             Policy::Random => {
@@ -940,6 +1085,47 @@ impl SchedSnapshot {
                 out.shuffle(&mut rng);
             }
         }
+    }
+
+    /// The Nearest keys `hops << 32 | i` of `candidates` (ascending hosts,
+    /// `i` the position) into `keys`: one merge of the requester's
+    /// ascending distance row against them finds every distance.
+    fn nearest_keys(
+        &self,
+        requester: u32,
+        candidates: impl Iterator<Item = u32>,
+        keys: &mut Vec<u64>,
+    ) {
+        keys.clear();
+        let mut row = self.distances.row(requester).peekable();
+        for (i, host) in candidates.enumerate() {
+            while row.next_if(|&(h, _)| h < host).is_some() {}
+            let hops = row.next_if(|&(h, _)| h == host).map_or(u32::MAX, |(_, d)| d);
+            keys.push(u64::from(hops) << 32 | i as u64);
+        }
+    }
+}
+
+/// An IntDelay or IntBandwidth query as its serving root's shared order
+/// sees it ([`SchedSnapshot::serve_shared`], [`SchedSnapshot::build_shared`]).
+#[derive(Debug, Clone, Copy)]
+struct RootQuery {
+    root: u32,
+    /// The requester's access delay, added to every candidate's.
+    access_ns: u64,
+    requester: u32,
+    policy: Policy,
+    now_ns: u64,
+}
+
+/// The warm-up rule of the INT policies: when every candidate is pathless
+/// (none ranked, none silent) — warm-up, not failure — they are all ranked
+/// instead. They tie on every key but the host (`u64::MAX` delay, no
+/// bandwidth), so host order, which `excluded` is in, is their rank order.
+fn rank_all_if_pathless(out: &mut RankOutcome) {
+    if out.ranked.is_empty() && out.excluded.iter().all(|(_, r)| *r == ExcludeReason::NoFreshPath) {
+        out.ranked.extend(out.excluded.iter().map(|&(host, _)| no_path(host)));
+        out.excluded.clear();
     }
 }
 
@@ -961,10 +1147,10 @@ fn delay_word(delay_ns: u64, i: usize) -> u64 {
 /// position, which `pos` extracts — and permute `out` into that order
 /// through `gather`. Positions are unique, so the order is total and
 /// equals the stable one.
-fn order_by_keys<K: Ord + Copy>(
+fn order_by_keys<K: Ord + Copy, T: Copy>(
     keys: &mut [K],
-    out: &mut [RankedServer],
-    gather: &mut Vec<RankedServer>,
+    out: &mut [T],
+    gather: &mut Vec<T>,
     pos: impl Fn(K) -> usize,
 ) {
     keys.sort_unstable();
@@ -1145,8 +1331,9 @@ fn mix(mut x: u64) -> u64 {
 /// an earlier query with the same serving root (the requester, or the
 /// switch a single-homed requester hangs off) grew this epoch — or the
 /// price table the previous query left, when it had the same root and
-/// query time. With `k_paths > 1` it is one k-path-set lookup per
-/// (query, candidate).
+/// query time, or (IntDelay, IntBandwidth) the root's shared order at
+/// that query time, which needs no table at all. With `k_paths > 1` it is
+/// one k-path-set lookup per (query, candidate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotServeStats {
     /// Queries evaluated through this scratch.
@@ -1162,14 +1349,17 @@ pub struct SnapshotServeStats {
 /// Per-shard mutable state for evaluating queries against a
 /// [`SchedSnapshot`]: the reusable Dijkstra buffers, this epoch's
 /// shortest-path trees (one per serving root asked), the price table of
-/// the last `(root, query time)`, the per-arc queue prices of the last
-/// query time and the sort-key buffers. One scratch must only ever be
-/// used by one thread at a time (each shard owns its own); it
-/// revalidates itself against the snapshot's identity on every query, so
-/// handing it any sequence of snapshots — advancing epochs, or different
-/// schedulers' — is safe and cheap. Nothing here is freed on an epoch
-/// move (`clear()` keeps capacity), so steady churn serving does not
-/// allocate.
+/// the last `(root, query time)`, each root's shared IntDelay and
+/// IntBandwidth orders at its latest query time, the Nearest permutations
+/// of the current topology, the per-arc queue prices of the last query
+/// time and the sort-key buffers (see the module docs). One scratch must
+/// only ever be used by one thread at a time (each shard owns its own);
+/// it revalidates itself against the snapshot's identity on every query,
+/// and the permutations against the topology's and the distance table's,
+/// so handing it any sequence of snapshots — advancing epochs, or
+/// different schedulers' — is safe and cheap. Nothing here is freed on an
+/// epoch move (`clear()` keeps capacity), so steady churn serving does
+/// not allocate.
 #[derive(Debug, Default)]
 pub struct SnapshotScratch {
     /// [`SchedSnapshot::uid`] the per-epoch state below belongs to.
@@ -1191,6 +1381,26 @@ pub struct SnapshotScratch {
     priced: Option<(u32, u64)>,
     /// Switch-tail arcs' queue prices at the last priced query time.
     hops: HopMemo,
+    /// Dense root id → its entry in `orders` this epoch (`NONE` = not
+    /// asked yet).
+    order_of: Vec<u32>,
+    /// Per entry, the root's shared IntDelay and IntBandwidth orders
+    /// (indexed by `Policy as usize`). Entries past `orders_used` are
+    /// spare capacity from earlier epochs. Bounded by roots asked per
+    /// epoch × hosts × 2 × 24 B.
+    orders: Vec<[SharedOrder; 2]>,
+    /// Entries of `orders` assigned this epoch.
+    orders_used: usize,
+    /// The topology and distance table the Nearest permutations belong
+    /// to; they outlive epochs that keep both.
+    nearest_for: Option<(u64, Arc<StaticDistances>)>,
+    /// Requester dense id → the start of its permutation in `nearest`
+    /// (`usize::MAX` = not built).
+    nearest_of: Vec<usize>,
+    /// Nearest permutations of dense ids, `hosts − 1` each, back to back:
+    /// requesters asked × hosts × 4 B written, hosts × (hosts − 1) × 4 B
+    /// reserved once per topology.
+    nearest: Vec<u32>,
     /// Packed sort keys of the IntDelay and Nearest orders.
     keys: Vec<u64>,
     /// Packed sort keys of the IntBandwidth order.
@@ -1198,6 +1408,9 @@ pub struct SnapshotScratch {
     /// The candidates in input order while they are gathered into key
     /// order.
     gather: Vec<RankedServer>,
+    /// A Nearest permutation's dense ids while they are gathered into key
+    /// order.
+    gather_ids: Vec<u32>,
     /// `(from, to)` → cached k-path set (empty = unreachable); used only
     /// when `k_paths > 1`.
     kcache: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
@@ -1205,8 +1418,22 @@ pub struct SnapshotScratch {
     arc_mask: Vec<bool>,
     /// Masked-Dijkstra buffers, separate from the shared SSSP's.
     masked: Sssp,
-    pathless: Vec<RankedServer>,
     stats: SnapshotServeStats,
+}
+
+/// One serving root's IntDelay or IntBandwidth order at one query time:
+/// every host's estimate from the root with no access shift, ranked by the
+/// candidate pass and sort every query uses, with no requester removed.
+#[derive(Debug, Default)]
+struct SharedOrder {
+    /// The query time `list` was built at (`None` = not this epoch).
+    at: Option<u64>,
+    /// The ranked hosts best first, and the silent and pathless ones in
+    /// host order.
+    list: RankOutcome,
+    /// The largest delay in `list.ranked` (0 when empty): the guard's
+    /// input.
+    max_delay_ns: u64,
 }
 
 impl SnapshotScratch {
@@ -1221,9 +1448,10 @@ impl SnapshotScratch {
     }
 
     /// Revalidate against `snap`: any other snapshot than the one last
-    /// served invalidates the trees, the price table, the k-set cache, the
-    /// memoized SSSP and the queue prices (dense ids and arc indices
-    /// belong to one frozen graph, the prices to one epoch's evidence).
+    /// served invalidates the trees, the price table, the shared orders,
+    /// the k-set cache, the memoized SSSP and the queue prices (dense ids
+    /// and arc indices belong to one frozen graph, the prices to one
+    /// epoch's evidence). The Nearest permutations carry their own key.
     fn bind(&mut self, snap: &SchedSnapshot) {
         if self.bound != Some(snap.uid) {
             self.bound = Some(snap.uid);
@@ -1232,6 +1460,9 @@ impl SnapshotScratch {
             self.arena.clear();
             self.tree_of.clear();
             self.tree_of.resize(snap.topo.nodes.len(), (0, 0));
+            self.order_of.clear();
+            self.order_of.resize(snap.topo.nodes.len(), NONE);
+            self.orders_used = 0;
             self.kcache.clear();
             self.hops.rebind(snap.topo.cols.len());
         }
@@ -1690,6 +1921,22 @@ mod tests {
         // An unknown requester has no tree to look up.
         snap.rank_detailed(&mut scratch, 99, Policy::IntDelay, 32_000_000, 0);
         assert_eq!(scratch.stats().cache_hits + scratch.stats().cache_misses, 12);
+
+        // A shared-order hit is the query's one tree lookup, and it hits
+        // without sweeping: the table stays the unknown requester's empty
+        // one.
+        let root = |host| snap.serving_root(snap.node_id(NetNode::Host(host)).unwrap()).0;
+        snap.rank_detailed(&mut scratch, 1, Policy::IntBandwidth, 32_000_000, 0);
+        assert_eq!(scratch.priced, None, "no sweep on an order hit");
+        // A policy not yet built at that root, and a new query time, each
+        // sweep a grown tree (a hit) and build the order.
+        snap.rank_detailed(&mut scratch, 1, Policy::IntDelay, 32_000_000, 0);
+        assert_eq!(scratch.priced, Some((root(1), 32_000_000)));
+        snap.rank_detailed(&mut scratch, 6, Policy::IntDelay, 33_000_000, 0);
+        assert_eq!(scratch.priced, Some((root(6), 33_000_000)));
+        let s = scratch.stats();
+        assert_eq!((s.sssp_runs, s.cache_misses, s.cache_hits), (2, 2, 13));
+        assert_eq!(s.cache_hits + s.cache_misses, s.queries - 1, "one lookup per known requester");
     }
 
     /// Regression: scratch validity used to be keyed on the epoch *number*,

@@ -86,4 +86,17 @@ if grep -rn 'BinaryHeap' crates/core/src | grep -v '^crates/core/src/snapshot.rs
     echo "a heap in int-core outside snapshot.rs and map.rs, or a second Dijkstra in snapshot.rs"; exit 1
 fi
 
+echo "== one candidate sort (snapshot.rs sorts only in the CSR build, order_by_keys and resort_clamped_runs)"
+strays="$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /^impl/ { owner = $2 }
+    /^(pub )?(fn|struct|enum|const|static|type) / { owner = "" }
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /sort_unstable/ && !((owner == "CsrTopo" && f == "build") || f == "order_by_keys" || f == "resort_clamped_runs") {
+        print FILENAME ":" FNR ": " $0
+    }' crates/core/src/snapshot.rs)"
+if [ -n "$strays" ]; then
+    echo "$strays"; echo "a sort in snapshot.rs outside the CSR build, order_by_keys and resort_clamped_runs"; exit 1
+fi
+
 echo "CI OK"

@@ -13,7 +13,9 @@
 //! retained capacity and allocates nothing, through the façade, through a
 //! bare snapshot + scratch, and through a 1-shard
 //! `ShardedScheduler::serve_batch`, which orders its chunk through a
-//! buffer the shard keeps.
+//! buffer the shard keeps. The last section serves requesters that share
+//! their leaf: from the leaf's shared orders (hits) and rebuilding them
+//! every churned epoch (misses).
 //!
 //! Single test function on purpose: parallel tests would interleave their
 //! allocations into the shared counter.
@@ -226,4 +228,72 @@ fn steady_state_rank_queries_allocate_nothing() {
         assert!(outcomes.iter().all(|o| o.ranked.len() == 8), "everyone reachable, nobody silent");
     }
     assert_eq!(batch_allocs, 0, "steady-state 1-shard serve_batch must not touch the heap");
+
+    // Shared orders: four requesters on each of four leaves read their
+    // leaf's ranked lists (built by the first of them per policy and query
+    // time) and their own Nearest permutations. Each churned epoch's first
+    // batch rebuilds every list into the capacity the last epoch left
+    // (misses); ten repeats at the same query time read them (hits). The
+    // hits allocate nothing from the first epoch on, the misses after
+    // three warm-up epochs.
+    let mut leafy = int_edge_sched::core::shard::ShardedScheduler::new(
+        100,
+        CoreConfig::default(),
+        leaf_distances(),
+        1,
+        1,
+    );
+    let batch: Vec<RankQuery> = (0..16u32)
+        .flat_map(|requester| ORDERED.map(|policy| RankQuery { requester, policy, now_ns: 0 }))
+        .collect();
+    let at = |now_ns| batch.iter().map(|q| RankQuery { now_ns, ..*q }).collect::<Vec<_>>();
+    let mut miss_allocs = 0u64;
+    for epoch in 0..6u64 {
+        let now = 1_100_000_000 + epoch * 100_000_000;
+        for p in leaf_round(20 + epoch, epoch, now) {
+            leafy.core_mut().collector_mut().ingest(&p, now);
+        }
+        assert!(leafy.advance(now), "every round publishes a new epoch");
+        let batch = at(now);
+        let (misses, ()) = allocations_in(|| leafy.serve_batch(&batch, &mut outcomes));
+        let (hits, ()) = allocations_in(|| {
+            for _ in 0..10 {
+                leafy.serve_batch(&batch, &mut outcomes);
+            }
+        });
+        assert_eq!(hits, 0, "serving from shared orders must not touch the heap");
+        if epoch >= 3 {
+            miss_allocs += misses;
+        }
+        // Fifteen other servers and the scheduler's own host.
+        assert!(outcomes.iter().all(|o| o.ranked.len() == 16), "everyone reachable, nobody silent");
+    }
+    assert_eq!(miss_allocs, 0, "rebuilding shared orders must not touch the heap after warm-up");
+}
+
+/// One probe round of a fabric whose leaves are shared: hosts 0–15, four
+/// on each of leaves 30–33, each with its own access delay, all joined by
+/// spine switch 20 next to scheduler host 100. `churn` varies every queue
+/// depth and link latency.
+fn leaf_round(seq: u64, churn: u64, now_ns: u64) -> Vec<ProbePayload> {
+    (0..16u32)
+        .map(|h| {
+            let q = (h * 5 + churn as u32) % 40;
+            let access = (1 + u64::from(h % 4)) * 1_000_000 + churn * 1_000;
+            let up = 10_000_000 + churn * 1_000_000;
+            probe(h, seq, [hop(30 + h / 4, q, h, access, now_ns - 10_000_000), hop(20, q, h, up, now_ns)])
+        })
+        .collect()
+}
+
+/// Hop counts between the shared-leaf fabric's hosts: 2 on one leaf, 4
+/// across.
+fn leaf_distances() -> StaticDistances {
+    let mut d = StaticDistances::new();
+    for a in 0..16u32 {
+        for b in a + 1..16 {
+            d.set(a, b, if a / 4 == b / 4 { 2 } else { 4 });
+        }
+    }
+    d
 }

@@ -12,9 +12,10 @@
 
 use int_edge_sched::core::rank::{Ranker, StaticDistances};
 use int_edge_sched::core::shard::{RankQuery, ShardedScheduler};
-use int_edge_sched::core::snapshot::SnapshotScratch;
+use int_edge_sched::core::snapshot::{SchedSnapshot, SnapshotScratch};
 use int_edge_sched::core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -238,6 +239,8 @@ struct SharedFabric {
     queue: Vec<u32>,
     /// Per leaf, the delay of its link to each spine (both directions), ns.
     uplink: Vec<[u64; 2]>,
+    /// A host that originates no probes from this learning round on.
+    quiet: Option<(usize, usize)>,
 }
 
 impl SharedFabric {
@@ -280,7 +283,7 @@ impl SharedFabric {
             *uplink.last_mut().expect("at least two leaves") = [u64::MAX / 2; 2];
         }
         let queue = hosts.iter().map(|&(_, q, _)| q).collect();
-        SharedFabric { homes, access, queue, uplink }
+        SharedFabric { homes, access, queue, uplink, quiet: None }
     }
 
     fn hosts(&self) -> u32 {
@@ -305,6 +308,9 @@ impl SharedFabric {
     fn learn_round(&self, core: &mut SchedulerCore, round: usize, now: u64) {
         let n = self.hosts() as usize;
         for h in 0..n {
+            if self.quiet.is_some_and(|(quiet, from)| h == quiet && round >= from) {
+                continue;
+            }
             for t in [(h + 1) % n, (h + n / 2) % n] {
                 if t == h {
                     continue;
@@ -401,5 +407,150 @@ proptest! {
             s.serve_batch(&queries, &mut got);
             prop_assert_eq!(&got, &want, "shards={}", shards);
         }
+    }
+}
+
+proptest! {
+    /// Requesters behind one switch share its ranked IntDelay and
+    /// IntBandwidth lists, shifted by each one's access delay, and every
+    /// requester keeps one Nearest permutation per topology; the answers
+    /// must not show it. Four epochs of a leaf–spine fabric with 2–5
+    /// single-homed hosts per leaf plus one multi-homed host, where:
+    /// host 1's access link is ≥ 2^44 ns, so its shifted maximum passes
+    /// the packed keys' clamp and, with `big_k`'s saturating queue
+    /// prices, ties saturated estimates (the guard); the last leaf's
+    /// first host stops probing after epoch 0 and goes silent; an island
+    /// host whose probes its own leaf reflects is its root's only
+    /// reachable host, so everyone else takes the warm-up fallback while
+    /// no origin is silent; and a host joins at epoch 2 (registered) and
+    /// links up at epoch 3, so the Nearest permutations rebuild. Each
+    /// epoch every host asks the three ordered policies at query times
+    /// that repeat, interleave and go backwards: the core query by query,
+    /// 1, 2 and 3 shards over two batches (the second in reverse time
+    /// order), and one long-lived scratch over a fresh build of each epoch
+    /// all numbered 1 and dropped after use (so neither the epoch number
+    /// nor a reused address may key a permutation) — all equal the
+    /// reference `Ranker` over the live map.
+    #[test]
+    fn shared_orders_match_the_reference_across_times_and_epochs(
+        leaves in proptest::collection::vec((2usize..=5, 0u8..4, any::<u64>()), 2..4),
+        hosts in proptest::collection::vec((0u8..4, 0u32..48, any::<u64>()), 25),
+        big_k in any::<bool>(),
+        widest in any::<bool>(),
+    ) {
+        const MS: u64 = 1_000_000;
+        const T: u64 = 2_000 * MS;
+        const EPOCH: u64 = 400 * MS;
+        let mut fabric = SharedFabric::new(&leaves, &hosts, false);
+        let n = fabric.hosts();
+        fabric.access[1] = if widest { u64::MAX / 8 } else { 1 << 44 };
+        let quiet = n as usize - 1 - leaves.last().expect("two leaves or more").0;
+        fabric.quiet = Some((quiet, 1));
+        let (island, joiner) = (n, n + 1);
+        let cfg = CoreConfig {
+            k_ns_per_pkt: if big_k { u64::MAX / 64 } else { 20 * MS },
+            qlen_window_ns: 120 * MS,
+            staleness_ns: 300 * MS,
+            origin_silence_ns: 600 * MS,
+            eviction_horizon_ns: u64::MAX,
+            ..CoreConfig::default()
+        };
+        let learn = |core: &mut SchedulerCore, epoch: usize| {
+            let now = T + epoch as u64 * EPOCH;
+            fabric.learn_round(core, epoch, now);
+            let q = (7 * epoch as u32) % 48;
+            let reflected = probe(island, epoch as u64 + 1, [hop(LEAF + 50, q, q / 2, MS, now)]);
+            core.collector_mut().ingest_relayed(&reflected, island, now);
+            if epoch == 2 {
+                core.register_host(joiner);
+            } else if epoch > 2 {
+                let up = probe(joiner, epoch as u64, [hop(LEAF, q, q / 2, 2 * MS, now)]);
+                core.collector_mut().ingest_relayed(&up, 0, now);
+            }
+        };
+        let policies = [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest];
+        let batch = |epoch: usize, backwards: bool| {
+            let at = T + epoch as u64 * EPOCH;
+            let mut laters = vec![130, 0, 700, 50, 0];
+            if backwards {
+                laters.reverse();
+            }
+            let mut queries = Vec::new();
+            for later in laters {
+                for requester in (0..=joiner).chain([999]) {
+                    for policy in policies {
+                        queries.push(RankQuery { requester, policy, now_ns: at + later * MS });
+                    }
+                }
+            }
+            queries
+        };
+
+        let mut core = SchedulerCore::new(0, cfg.clone(), fabric.distances(), 5);
+        let mut sharded: Vec<ShardedScheduler> = [1, 2, 3]
+            .map(|shards| ShardedScheduler::new(0, cfg.clone(), fabric.distances(), 5, shards))
+            .into();
+        let mut reference = Ranker::new(cfg.clone(), fabric.distances(), 5);
+        let (mut bare, mut fresh) = (SnapshotScratch::new(), None);
+        let (mut fallbacks, mut silent) = (0, 0);
+        for epoch in 0..4 {
+            learn(&mut core, epoch);
+            for s in &mut sharded {
+                learn(s.core_mut(), epoch);
+                s.advance(T + epoch as u64 * EPOCH);
+            }
+            let batches = [batch(epoch, false), batch(epoch, true)];
+            let mut answers = BTreeMap::new();
+            let want: Vec<Vec<RankOutcome>> = batches
+                .iter()
+                .map(|b| {
+                    b.iter()
+                        .map(|q| {
+                            let key = (q.requester, q.policy as usize, q.now_ns);
+                            answers
+                                .entry(key)
+                                .or_insert_with(|| {
+                                    reference.answer(core.collector(), q.requester, q.policy, q.now_ns)
+                                })
+                                .clone()
+                        })
+                        .collect()
+                })
+                .collect();
+            for (q, w) in batches[0].iter().zip(&want[0]) {
+                fallbacks += usize::from(q.requester == island && w.ranked.len() > 1);
+                silent += usize::from(q.requester == quiet as u32 && !w.excluded.is_empty());
+            }
+
+            // The last epoch's build is dropped right before this one's,
+            // so its structure's address is free to be reused.
+            drop(fresh.take());
+            let (cfg, distances) = (core.config_arc(), core.distances_arc());
+            let snap = fresh.insert(SchedSnapshot::build(
+                core.collector(),
+                &cfg,
+                &distances,
+                5,
+                1,
+                T + epoch as u64 * EPOCH,
+            ));
+            for (q, w) in batches.iter().flatten().zip(want.iter().flatten()) {
+                let got = snap.rank_detailed(&mut bare, q.requester, q.policy, q.now_ns, 0);
+                prop_assert_eq!(&got, w, "fresh build, epoch {}: {:?}", epoch, q);
+            }
+            for (q, w) in batches.iter().flatten().zip(want.iter().flatten()) {
+                let got = core.rank_detailed_with(q.requester, q.policy, q.now_ns);
+                prop_assert_eq!(&got, w, "core, epoch {}: {:?}", epoch, q);
+            }
+            for s in &mut sharded {
+                for (b, w) in batches.iter().zip(&want) {
+                    let mut got = Vec::new();
+                    s.serve_batch(b, &mut got);
+                    prop_assert_eq!(&got, w, "shards={}, epoch {}", s.shard_count(), epoch);
+                }
+            }
+        }
+        prop_assert!(fallbacks > 0, "the island ranks everyone while no origin is silent");
+        prop_assert!(silent > 0, "the quiet host asks while silent");
     }
 }
