@@ -8,10 +8,7 @@
 //!   probe augmentation, register ops,
 //! * `engine` — event queue, end-to-end simulated packet throughput, TCP
 //!   transfer throughput,
-//! * `core` — the scheduler: probe ingestion, graph traversal, ranking,
-//! * `figures` — one scaled-down benchmark per paper table/figure (TAB1,
-//!   FIG3, FIG5–FIG9), exercising the exact harness code the `repro`
-//!   binary runs at paper scale.
+//! * `core` — the scheduler: probe ingestion, graph traversal, ranking.
 
 /// Common fixture: a standard probe traversing `n` switches.
 pub fn probe_with_hops(n: usize) -> int_packet::ProbePayload {

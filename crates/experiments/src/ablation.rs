@@ -52,13 +52,18 @@ fn mean_gain(out: &CompareOutput) -> f64 {
     gains.iter().sum::<f64>() / gains.len().max(1) as f64
 }
 
-/// Sweep the conversion factor k.
-pub fn run_k_sweep(seed: u64, total_tasks: usize, k_ms_values: &[u64]) -> KSweepOutput {
-    let points = par::parallel_map(k_ms_values, |&k_ms| {
+/// Sweep the conversion factor k on `workers` threads.
+pub fn run_k_sweep(
+    workers: usize,
+    seed: u64,
+    total_tasks: usize,
+    k_ms_values: &[u64],
+) -> KSweepOutput {
+    let points = par::parallel_map(workers, k_ms_values, |&k_ms| {
         let mut cfg = CompareConfig::paper_default(seed, JobKind::Serverless, Policy::IntDelay);
         cfg.total_tasks = total_tasks;
         // Patch k into the testbed core config via the runner.
-        let out = run_with_core_patch(&mut cfg, |core| {
+        let out = run_patched(workers, &cfg, |core| {
             core.k_ns_per_pkt = k_ms * 1_000_000;
         });
         KSweepPoint {
@@ -83,13 +88,13 @@ pub struct SignalAblationOutput {
     pub instantaneous_completion_ms: f64,
 }
 
-/// Compare MaxQueue vs InstantaneousQueue hop signals.
-pub fn run_signal_ablation(seed: u64, total_tasks: usize) -> SignalAblationOutput {
+/// Compare MaxQueue vs InstantaneousQueue hop signals on `workers` threads.
+pub fn run_signal_ablation(workers: usize, seed: u64, total_tasks: usize) -> SignalAblationOutput {
     let signals = [HopSignal::MaxQueue, HopSignal::InstantaneousQueue];
-    let mut outs = par::parallel_map(&signals, |&signal| {
+    let mut outs = par::parallel_map(workers, &signals, |&signal| {
         let mut cfg = CompareConfig::paper_default(seed, JobKind::Serverless, Policy::IntDelay);
         cfg.total_tasks = total_tasks;
-        run_with_core_patch(&mut cfg, move |core| core.hop_signal = signal)
+        run_patched(workers, &cfg, move |core| core.hop_signal = signal)
     })
     .into_iter();
     let (a, b) = (outs.next().expect("max"), outs.next().expect("inst"));
@@ -102,13 +107,14 @@ pub fn run_signal_ablation(seed: u64, total_tasks: usize) -> SignalAblationOutpu
 }
 
 /// Run a comparison with a patched core configuration.
-fn run_with_core_patch(
-    cfg: &mut CompareConfig,
+fn run_patched(
+    workers: usize,
+    cfg: &CompareConfig,
     patch: impl Fn(&mut int_core::CoreConfig) + Copy + Send + Sync,
 ) -> CompareOutput {
     use crate::runner::run;
     let policies = [cfg.int_policy, Policy::Nearest, Policy::Random];
-    let results = par::parallel_map(&policies, |&p| {
+    let results = par::parallel_map(workers, &policies, |&p| {
         let mut ecfg = cfg.experiment_for(p);
         patch(&mut ecfg.testbed.core);
         run(&ecfg)

@@ -179,19 +179,14 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> AuditCell {
     }
 }
 
-/// Run the audit grid, parallelized like the figures.
-pub fn run(seed: u64, intervals: &[SimDuration]) -> AuditOutput {
-    run_with(report::host_cores(), seed, intervals)
-}
-
-/// [`run`] with an explicit worker count (determinism tests).
-pub fn run_with(workers: usize, seed: u64, intervals: &[SimDuration]) -> AuditOutput {
+/// Run the audit grid on `workers` threads.
+pub fn run(workers: usize, seed: u64, intervals: &[SimDuration]) -> AuditOutput {
     let policies = [Policy::IntDelay, Policy::Nearest];
     let cells: Vec<(Policy, SimDuration)> = intervals
         .iter()
         .flat_map(|&iv| policies.iter().map(move |&p| (p, iv)))
         .collect();
-    let cells = par::parallel_map_with(workers, &cells, |&(p, iv)| run_cell(seed, p, iv));
+    let cells = par::parallel_map(workers, &cells, |&(p, iv)| run_cell(seed, p, iv));
     AuditOutput { cells }
 }
 
@@ -247,7 +242,7 @@ mod tests {
         }
 
         let ivs = [SimDuration::from_millis(100)];
-        let out = run_with(1, 7, &ivs);
+        let out = run(1, 7, &ivs);
         assert_eq!(out.cells.len(), 2);
         for c in &out.cells {
             let trail: Trail = serde_json::from_str(&c.audit_json).expect("trail parses");

@@ -93,13 +93,17 @@ pub struct MultiCompareOutput {
 /// handed to the worker pool as one flat cell list (better utilization
 /// than nesting seed-level over policy-level parallelism), then regrouped
 /// per seed in input order — output is identical to the serial run.
-pub fn run_comparison_seeds(base: &CompareConfig, seeds: &[u64]) -> MultiCompareOutput {
+pub fn run_comparison_seeds(
+    workers: usize,
+    base: &CompareConfig,
+    seeds: &[u64],
+) -> MultiCompareOutput {
     let policies = [base.int_policy, Policy::Nearest, Policy::Random];
     let cells: Vec<(u64, Policy)> = seeds
         .iter()
         .flat_map(|&seed| policies.iter().map(move |&p| (seed, p)))
         .collect();
-    let results = par::parallel_map(&cells, |&(seed, p)| {
+    let results = par::parallel_map(workers, &cells, |&(seed, p)| {
         let mut cfg = base.clone();
         cfg.seed = seed;
         run(&cfg.experiment_for(p))
@@ -256,7 +260,7 @@ mod tests {
         cfg.classes = vec![TaskClass::VerySmall];
 
         let run_json = || {
-            let out = run_comparison_seeds(&cfg, &[11, 12]);
+            let out = run_comparison_seeds(2, &cfg, &[11, 12]);
             serde_json::to_string(&out).expect("serializable")
         };
         let a = run_json();

@@ -400,17 +400,12 @@ fn run_failover_cell(p: &FabricParams, mode: Mode) -> FabricFailoverCell {
     }
 }
 
-/// Run both variants, cells in parallel.
-pub fn run(p: &FabricParams) -> FabricOutput {
-    run_with(report::host_cores(), p)
-}
-
-/// [`run`] with an explicit worker count (determinism tests).
-pub fn run_with(workers: usize, p: &FabricParams) -> FabricOutput {
+/// Run both variants, cells on `workers` threads.
+pub fn run(workers: usize, p: &FabricParams) -> FabricOutput {
     let policies = [Policy::IntDelay, Policy::Nearest, Policy::Random];
-    let compare = par::parallel_map_with(workers, &policies, |&pol| run_compare_cell(p, pol));
+    let compare = par::parallel_map(workers, &policies, |&pol| run_compare_cell(p, pol));
     let modes = [Mode::Multipath, Mode::Singlepath];
-    let failover = par::parallel_map_with(workers, &modes, |&m| run_failover_cell(p, m));
+    let failover = par::parallel_map(workers, &modes, |&m| run_failover_cell(p, m));
 
     let leaves = p.clos.leaves;
     let ncand = p.candidates.clamp(1, leaves as usize - 2);

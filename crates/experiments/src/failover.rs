@@ -160,20 +160,14 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
     }
 }
 
-/// Run the (policy × interval) grid, parallelized like the figures.
-pub fn run_sweep(seed: u64, intervals: &[SimDuration]) -> FailoverOutput {
-    run_sweep_with(report::host_cores(), seed, intervals)
-}
-
-/// [`run_sweep`] with an explicit worker count (determinism tests).
-pub fn run_sweep_with(workers: usize, seed: u64, intervals: &[SimDuration]) -> FailoverOutput {
+/// Run the (policy × interval) grid on `workers` threads.
+pub fn run_sweep(workers: usize, seed: u64, intervals: &[SimDuration]) -> FailoverOutput {
     let policies = [Policy::IntDelay, Policy::Nearest, Policy::Random];
     let cells: Vec<(Policy, SimDuration)> = intervals
         .iter()
         .flat_map(|&iv| policies.iter().map(move |&p| (p, iv)))
         .collect();
-    let points =
-        par::parallel_map_with(workers, &cells, |&(p, iv)| run_cell(seed, p, iv));
+    let points = par::parallel_map(workers, &cells, |&(p, iv)| run_cell(seed, p, iv));
     FailoverOutput { points }
 }
 

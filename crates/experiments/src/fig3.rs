@@ -12,6 +12,7 @@
 
 use crate::par;
 use crate::report;
+use crate::{Artifact, Claim};
 use int_apps::iperf::{IperfConfig, IperfSenderApp, IPERF_UDP_PORT};
 use int_apps::{EchoResponderApp, PingApp, ProbeCollectorApp, ProbeSenderApp, UdpSinkApp};
 use int_netsim::{LinkParams, SimConfig, SimDuration, SimTime, Simulator, Topology};
@@ -68,10 +69,44 @@ pub struct Fig3Output {
     pub points: Vec<Fig3Point>,
 }
 
-/// Run the sweep (levels in parallel — each level is its own simulation).
-pub fn run(cfg: &Fig3Config) -> Fig3Output {
-    let points = par::parallel_map(&cfg.utilizations, |&u| run_level(cfg, u));
+/// Run the sweep on `workers` threads (each level is its own simulation).
+pub fn run(workers: usize, cfg: &Fig3Config) -> Fig3Output {
+    let points = par::parallel_map(workers, &cfg.utilizations, |&u| run_level(cfg, u));
     Fig3Output { config: cfg.clone(), points }
+}
+
+/// Fig. 3's shape: short queues and a flat RTT until the link nears
+/// saturation, then both blow up.
+pub const CLAIMS: &[Claim] = &[
+    Claim {
+        paper: "mean max queue < 5 packets at ≤ 50 % utilisation",
+        check: |a| every_point(a, |p, _| p.utilization > 0.5 || p.mean_max_qlen < 5.0),
+    },
+    Claim {
+        paper: "peak queue > 30 packets at ≥ 90 % utilisation",
+        check: |a| every_point(a, |p, _| p.utilization < 0.9 || p.peak_qlen > 30),
+    },
+    Claim {
+        paper: "mean RTT within ± 5 % of the idle RTT up to 80 % utilisation",
+        check: |a| {
+            every_point(a, |p, idle| p.utilization > 0.8 || (p.mean_rtt_ms / idle - 1.0).abs() <= 0.05)
+        },
+    },
+    Claim {
+        paper: "mean RTT at 100 % utilisation ≥ 1.5× the idle RTT",
+        check: |a| every_point(a, |p, idle| p.utilization < 1.0 || p.mean_rtt_ms >= 1.5 * idle),
+    },
+];
+
+/// `Err` names the first point of the sweep that fails `holds`, which is
+/// also handed the idle RTT (the sweep's first point is 0 %).
+fn every_point(a: &Artifact, holds: impl Fn(&Fig3Point, f64) -> bool) -> Result<(), String> {
+    let points = a.value::<Fig3Output>().points;
+    let idle = points[0].mean_rtt_ms;
+    match points.iter().find(|p| !holds(p, idle)) {
+        Some(p) => Err(format!("{p:?}")),
+        None => Ok(()),
+    }
 }
 
 fn run_level(cfg: &Fig3Config, utilization: f64) -> Fig3Point {
@@ -172,7 +207,7 @@ mod tests {
             duration: SimDuration::from_secs(30),
             ..Fig3Config::default()
         };
-        let out = run(&cfg);
+        let out = run(2, &cfg);
         assert_eq!(out.points.len(), 2);
         let low = out.points[0];
         let high = out.points[1];

@@ -25,13 +25,6 @@ pub struct Fig8Curve {
     pub gains: Vec<f64>,
 }
 
-impl Fig8Curve {
-    /// The ECDF over the gains.
-    pub fn ecdf(&self) -> Ecdf {
-        Ecdf::new(self.gains.clone())
-    }
-}
-
 /// The three curves.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig8Output {
@@ -39,18 +32,18 @@ pub struct Fig8Output {
     pub curves: Vec<Fig8Curve>,
 }
 
-/// Run all three configurations (in parallel) and extract gain samples,
-/// pooled over `seeds`.
-pub fn run_seeds(seeds: &[u64], total_tasks: usize) -> Fig8Output {
+/// Run all three configurations on `workers` threads and extract gain
+/// samples, pooled over `seeds`.
+pub fn run_seeds(workers: usize, seeds: &[u64], total_tasks: usize) -> Fig8Output {
     let configs = [
         ("serverless/delay", JobKind::Serverless, Policy::IntDelay),
         ("distributed/delay", JobKind::Distributed, Policy::IntDelay),
         ("distributed/bandwidth", JobKind::Distributed, Policy::IntBandwidth),
     ];
-    let outputs: Vec<MultiCompareOutput> = par::parallel_map(&configs, |&(_, kind, policy)| {
+    let outputs: Vec<MultiCompareOutput> = par::parallel_map(workers, &configs, |&(_, kind, policy)| {
         let mut cfg = CompareConfig::paper_default(seeds[0], kind, policy);
         cfg.total_tasks = total_tasks;
-        run_comparison_seeds(&cfg, seeds)
+        run_comparison_seeds(workers, &cfg, seeds)
     });
 
     let curves = configs
@@ -64,18 +57,13 @@ pub fn run_seeds(seeds: &[u64], total_tasks: usize) -> Fig8Output {
     Fig8Output { curves }
 }
 
-/// Single-seed convenience wrapper.
-pub fn run(seed: u64, total_tasks: usize) -> Fig8Output {
-    run_seeds(&[seed], total_tasks)
-}
-
 /// Render the key ECDF readouts the paper quotes.
 pub fn render(out: &Fig8Output) -> String {
     let rows: Vec<Vec<String>> = out
         .curves
         .iter()
         .map(|c| {
-            let e = c.ecdf();
+            let e = Ecdf::new(c.gains.clone());
             vec![
                 c.label.clone(),
                 c.gains.len().to_string(),

@@ -7,7 +7,7 @@
 //! background (3×5 s flows, 5 s gap). Paper result: short intervals win;
 //! 0.1 s ≈ 12.5 s mean transfer vs >15 s at a 30 s interval (>20 %).
 
-use crate::compare::{CompareConfig, Metric};
+use crate::compare::CompareConfig;
 use crate::par;
 use crate::report;
 use crate::runner::run;
@@ -47,8 +47,14 @@ pub struct Fig9Output {
     pub points: Vec<Fig9Point>,
 }
 
-/// Run the sweep; each cell is an independent simulation (parallelized).
-pub fn run_sweep(seed: u64, total_tasks: usize, intervals: &[SimDuration]) -> Fig9Output {
+/// Run the sweep on `workers` threads; each cell is an independent
+/// simulation.
+pub fn run_sweep(
+    workers: usize,
+    seed: u64,
+    total_tasks: usize,
+    intervals: &[SimDuration],
+) -> Fig9Output {
     let scenarios = [
         ("Traffic 1", BackgroundScenario::Traffic1, TaskClass::Medium),
         ("Traffic 2", BackgroundScenario::Traffic2, TaskClass::Small),
@@ -59,7 +65,7 @@ pub fn run_sweep(seed: u64, total_tasks: usize, intervals: &[SimDuration]) -> Fi
         .flat_map(|&iv| scenarios.iter().map(move |&(l, s, c)| (iv, l, s, c)))
         .collect();
 
-    let results = par::parallel_map(&cells, |&(iv, label, scenario, class)| {
+    let results = par::parallel_map(workers, &cells, |&(iv, label, scenario, class)| {
         let mut cmp = CompareConfig::paper_default(seed, JobKind::Distributed, Policy::IntDelay);
         cmp.total_tasks = total_tasks;
         cmp.scenario = scenario;
@@ -106,6 +112,3 @@ pub fn render(out: &Fig9Output) -> String {
         .collect();
     report::table(&["scenario", "probe interval", "mean transfer (ms)", "tasks"], &rows)
 }
-
-/// The metric Fig. 9 reports (kept for symmetry with other figures).
-pub const METRIC: Metric = Metric::Transfer;

@@ -3,21 +3,10 @@
 //! The harness that regenerates every table and figure in the paper's
 //! evaluation (§IV), plus the ablations DESIGN.md calls out.
 //!
-//! | Module | Paper artifact |
-//! |---|---|
-//! | [`tab1`] | Table I — workload classes |
-//! | [`fig3`] | Fig. 3 — max queue length & RTT vs utilization |
-//! | [`fig5`] | Fig. 5 — serverless workload, delay ranking |
-//! | [`fig6`] | Fig. 6 — distributed workload, delay ranking |
-//! | [`fig7`] | Fig. 7 — distributed workload, bandwidth ranking |
-//! | [`fig8`] | Fig. 8 — ECDF of per-task gain |
-//! | [`fig9`] | Fig. 9 — probing-interval sensitivity |
-//! | [`failover`] | link-failure detection & rescheduling (failure model, §"future work") |
-//! | [`fabric`] | ECMP multipath compare + failover at Clos datacenter scale |
-//! | [`workflow`] | deadline-aware DAG workflows under scarce compute (§"future work") |
-//! | [`audit`] | instrumented failover cells exporting the decision audit trail |
-//! | [`ablation`] | max-vs-instantaneous queue signal, k sweep, compute-aware |
-//! | [`overhead`] | probing overhead vs per-packet INT padding (§III-A) |
+//! Every experiment is one row of [`EXPERIMENTS`]: its `repro` command,
+//! its artifact file, its smoke scale, how it runs and which of the
+//! paper's claims it must bear out. The modules below hold the grids and
+//! renderers the rows call.
 //!
 //! Shared infrastructure: [`testbed`] (the Fig. 4 topology stand-in and
 //! standard app deployment), [`runner`] (one full scheduling experiment),
@@ -27,13 +16,11 @@
 pub mod ablation;
 pub mod audit;
 pub mod compare;
+mod experiment;
 pub mod fabric;
 pub mod failover;
 pub mod par;
 pub mod fig3;
-pub mod fig5;
-pub mod fig6;
-pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod giant;
@@ -46,5 +33,6 @@ pub mod tab1;
 pub mod testbed;
 pub mod workflow;
 
+pub use experiment::{find, Artifact, Claim, Experiment, Run, EXPERIMENTS};
 pub use runner::{ExperimentConfig, ExperimentResult, TaskOutcome};
 pub use testbed::Testbed;

@@ -14,6 +14,7 @@
 //!   actually flowed, per the paper's formula.
 
 use crate::report;
+use crate::{Artifact, Claim};
 use crate::runner::install_background;
 use crate::testbed::{Testbed, TestbedConfig, ProbeMode};
 use int_apps::{PingApp, TaskSubmitterApp};
@@ -71,6 +72,20 @@ pub fn run(seed: u64, duration: SimDuration) -> OverheadOutput {
         .collect();
     OverheadOutput { rows, duration_s: duration.as_secs_f64() }
 }
+
+/// §III-A: probing is far cheaper than padding INT onto every packet.
+pub const CLAIMS: &[Claim] = &[Claim {
+    paper: "SchedulerOnly probing costs ≥ 10× fewer wire bytes than per-packet INT padding",
+    check: |a: &Artifact| {
+        let out: OverheadOutput = a.value();
+        let r = out.rows.iter().find(|r| r.mode == "SchedulerOnly").ok_or("no SchedulerOnly row")?;
+        if r.probe_share * 10.0 <= r.per_packet_int_share {
+            Ok(())
+        } else {
+            Err(format!("probe share {} vs padding {}", r.probe_share, r.per_packet_int_share))
+        }
+    },
+}];
 
 fn measure(seed: u64, duration: SimDuration, mode: ProbeMode) -> OverheadRow {
     let mut tb = Testbed::new(&TestbedConfig { seed, probe_mode: mode, ..TestbedConfig::default() });

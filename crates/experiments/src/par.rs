@@ -8,30 +8,16 @@
 //! every serialized artifact) is independent of thread count and
 //! scheduling.
 //!
-//! Worker count is the machine's available parallelism
-//! ([`report::host_cores`]); every harness also has a `*_with(workers, …)`
-//! entry point, which `tests/invariance.rs` drives at 1 and 4.
+//! Every grid takes its worker count from the caller: `repro` passes
+//! [`crate::report::host_cores`], `tests/invariance.rs` 1 and 4.
 
-use crate::report;
-
-/// Map `f` over `items` on up to [`report::host_cores`] workers,
-/// preserving order.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    parallel_map_with(report::host_cores(), items, f)
-}
-
-/// [`parallel_map`] with an explicit worker count.
+/// Map `f` over `items` on up to `workers` threads, preserving order.
 ///
 /// Items are split into `workers` contiguous chunks, one scoped thread
 /// per chunk, each writing into its own slice of the result vector —
 /// order is preserved by construction, no result reordering or locking.
 /// A worker that panics panics the caller once every worker has joined.
-pub fn parallel_map_with<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
+pub fn parallel_map<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -67,7 +53,7 @@ mod tests {
     fn preserves_input_order() {
         let items: Vec<u64> = (0..100).collect();
         for workers in [1, 2, 3, 7, 100, 1000] {
-            let out = parallel_map_with(workers, &items, |&x| x * x);
+            let out = parallel_map(workers, &items, |&x| x * x);
             let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
             assert_eq!(out, expected, "order broken at workers={workers}");
         }
@@ -76,22 +62,22 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..37).collect();
-        let serial = parallel_map_with(1, &items, |&x| x.wrapping_mul(0x9E3779B9).rotate_left(7));
-        let par = parallel_map_with(4, &items, |&x| x.wrapping_mul(0x9E3779B9).rotate_left(7));
+        let serial = parallel_map(1, &items, |&x| x.wrapping_mul(0x9E3779B9).rotate_left(7));
+        let par = parallel_map(4, &items, |&x| x.wrapping_mul(0x9E3779B9).rotate_left(7));
         assert_eq!(serial, par);
     }
 
     #[test]
     fn empty_and_single_inputs() {
         let none: Vec<u32> = vec![];
-        assert!(parallel_map_with(8, &none, |&x| x).is_empty());
-        assert_eq!(parallel_map_with(8, &[5u32], |&x| x + 1), vec![6]);
+        assert!(parallel_map(8, &none, |&x| x).is_empty());
+        assert_eq!(parallel_map(8, &[5u32], |&x| x + 1), vec![6]);
     }
 
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
         let items: Vec<u32> = (0..16).collect();
-        parallel_map_with(4, &items, |&x| assert_ne!(x, 11, "one bad cell"));
+        parallel_map(4, &items, |&x| assert_ne!(x, 11, "one bad cell"));
     }
 }

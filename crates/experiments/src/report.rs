@@ -43,27 +43,25 @@ pub fn pct(v: f64) -> String {
 }
 
 /// Where experiment JSON results land: `INT_RESULTS_DIR`, else `results/`.
-/// The only environment read in the library crates.
+/// The only environment read in the library crates; `repro` resolves it
+/// once and hands the directory to everything it writes.
 pub fn results_dir() -> PathBuf {
     std::env::var_os("INT_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Persist a result as pretty JSON under the results dir; returns the path.
-pub fn save_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).expect("serializable result");
-    std::fs::write(&path, json)?;
-    Ok(path)
+/// A result as the pretty JSON every artifact file holds.
+pub fn to_json<T: Serialize>(value: &T) -> Vec<u8> {
+    serde_json::to_string_pretty(value).expect("serializable result").into_bytes()
 }
 
-/// Read back a saved result (used by EXPERIMENTS.md tooling).
-pub fn load_json<T: serde::de::DeserializeOwned>(path: &Path) -> std::io::Result<T> {
-    let data = std::fs::read_to_string(path)?;
-    serde_json::from_str(&data).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+/// Write `json` as `<dir>/<name>.json`, creating `dir`; returns the path.
+pub fn save_json(dir: &Path, name: &str, json: &[u8]) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.json"));
+    std::fs::write(&path, json)?;
+    Ok(path)
 }
 
 /// Logical cores visible to this process — recorded alongside every
@@ -102,17 +100,13 @@ impl RunMeta {
 /// Persist run metadata as a `<name>.runmeta.json` sidecar, keeping
 /// nondeterministic measurements (wall clock, RSS) out of the byte-stable
 /// artifact. Returns the sidecar path.
-pub fn save_runmeta(name: &str, meta: &RunMeta) -> std::io::Result<PathBuf> {
-    save_json(&format!("{name}.runmeta"), meta)
+pub fn save_runmeta(dir: &Path, name: &str, meta: &RunMeta) -> std::io::Result<PathBuf> {
+    save_json(dir, &format!("{name}.runmeta"), &to_json(meta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tests that point `INT_RESULTS_DIR` somewhere take this lock — process
-    /// environment is shared across the parallel test threads.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn table_aligns_columns() {
@@ -151,13 +145,10 @@ mod tests {
 
     #[test]
     fn runmeta_sidecar_lands_next_to_the_artifact() {
-        let _env = ENV_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join(format!("int_runmeta_{}", std::process::id()));
-        std::env::set_var("INT_RESULTS_DIR", &dir);
-        let path = save_runmeta("giant_test", &RunMeta::capture(1.5)).unwrap();
-        std::env::remove_var("INT_RESULTS_DIR");
+        let path = save_runmeta(&dir, "giant_test", &RunMeta::capture(1.5)).unwrap();
         assert!(path.ends_with("giant_test.runmeta.json"));
-        let meta: RunMeta = load_json(&path).unwrap();
+        let meta: RunMeta = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(meta.wall_clock_s, 1.5);
         assert!(meta.host_cores >= 1);
         let _ = std::fs::remove_dir_all(dir);
@@ -169,13 +160,11 @@ mod tests {
         struct Tiny {
             x: u32,
         }
-        let _env = ENV_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join(format!("int_exp_test_results_{}", std::process::id()));
-        std::env::set_var("INT_RESULTS_DIR", &dir);
-        let path = save_json("tiny", &Tiny { x: 7 }).unwrap();
-        let back: Tiny = load_json(&path).unwrap();
+        let path = save_json(&dir, "tiny", &to_json(&Tiny { x: 7 })).unwrap();
+        assert!(path.ends_with("tiny.json"));
+        let back: Tiny = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, Tiny { x: 7 });
-        std::env::remove_var("INT_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

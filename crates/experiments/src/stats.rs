@@ -1,58 +1,7 @@
-//! Statistics shared by all experiments: summary statistics, empirical
-//! CDFs, and the paper's performance-gain metric.
+//! Statistics shared by the experiments: empirical CDFs and the paper's
+//! performance-gain metric.
 
 use serde::{Deserialize, Serialize};
-
-/// Summary of a sample of f64 values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a sample; `None` for an empty one.
-    pub fn of(values: &[f64]) -> Option<Summary> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v: Vec<f64> = values.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs in samples"));
-        let n = v.len();
-        Some(Summary {
-            n,
-            mean: v.iter().sum::<f64>() / n as f64,
-            min: v[0],
-            median: percentile_sorted(&v, 50.0),
-            p95: percentile_sorted(&v, 95.0),
-            max: v[n - 1],
-        })
-    }
-}
-
-/// Percentile (nearest-rank with linear interpolation) of a sorted slice.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
-}
 
 /// The paper's performance-gain metric: how much `ours` improves over
 /// `baseline`, as a fraction (0.30 = 30 % reduction). Negative when ours
@@ -77,11 +26,6 @@ impl Ecdf {
         Ecdf { sorted: values }
     }
 
-    /// Sample size.
-    pub fn n(&self) -> usize {
-        self.sorted.len()
-    }
-
     /// P(X ≤ x).
     pub fn fraction_at_most(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -99,41 +43,11 @@ impl Ecdf {
         let below = self.sorted.partition_point(|v| *v < x);
         (self.sorted.len() - below) as f64 / self.sorted.len() as f64
     }
-
-    /// `(x, F(x))` points for plotting (one per sample).
-    pub fn points(&self) -> Vec<(f64, f64)> {
-        let n = self.sorted.len() as f64;
-        self.sorted
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, (i + 1) as f64 / n))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basics() {
-        let s = Summary::of(&[3.0, 1.0, 2.0]).unwrap();
-        assert_eq!(s.n, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.median, 2.0);
-        assert_eq!(s.max, 3.0);
-        assert!(Summary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let v = vec![0.0, 10.0];
-        assert_eq!(percentile_sorted(&v, 0.0), 0.0);
-        assert_eq!(percentile_sorted(&v, 50.0), 5.0);
-        assert_eq!(percentile_sorted(&v, 100.0), 10.0);
-        assert_eq!(percentile_sorted(&[7.0], 95.0), 7.0);
-    }
 
     #[test]
     fn gain_matches_paper_semantics() {
@@ -145,7 +59,6 @@ mod tests {
     #[test]
     fn ecdf_fractions() {
         let e = Ecdf::new(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(e.n(), 4);
         assert_eq!(e.fraction_at_most(2.0), 0.5);
         assert_eq!(e.fraction_at_most(0.5), 0.0);
         assert_eq!(e.fraction_at_most(10.0), 1.0);
@@ -154,19 +67,9 @@ mod tests {
     }
 
     #[test]
-    fn ecdf_points_monotone() {
-        let e = Ecdf::new(vec![5.0, 1.0, 3.0]);
-        let pts = e.points();
-        assert_eq!(pts.len(), 3);
-        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0 && w[0].1 < w[1].1));
-        assert_eq!(pts.last().unwrap().1, 1.0);
-    }
-
-    #[test]
     fn empty_ecdf_is_safe() {
         let e = Ecdf::new(vec![]);
         assert_eq!(e.fraction_at_most(1.0), 0.0);
         assert_eq!(e.fraction_at_least(1.0), 0.0);
-        assert!(e.points().is_empty());
     }
 }

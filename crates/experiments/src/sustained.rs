@@ -260,11 +260,11 @@ pub fn scheduler(seed: u64, shards: usize) -> ShardedScheduler {
 /// Run the scenario through the sharded plane with `shards` read
 /// workers. The artifact is worker-count-invariant; the perf sidecar is
 /// not (and must stay out of the artifact).
-pub fn run_with(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (SustainedOutput, SustainedPerf) {
+pub fn run(seed: u64, rounds: usize, qpr: usize, shards: usize) -> (SustainedOutput, SustainedPerf) {
     run_on(scheduler(seed, shards), seed, rounds, qpr)
 }
 
-/// [`run_with`] on a caller-prepared [`scheduler`] (of the same `seed`).
+/// [`run`] on a caller-prepared [`scheduler`] (of the same `seed`).
 pub fn run_on(
     mut sched: ShardedScheduler,
     seed: u64,
@@ -316,7 +316,7 @@ pub fn run_on(
 /// Replay the identical scenario through a plain single-threaded
 /// [`SchedulerCore`] — one scratch, no shards, probes ingested one at a
 /// time. Produces the same artifact struct, byte-identical to
-/// [`run_with`]'s.
+/// [`run`]'s.
 pub fn run_oracle(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     let mut core = SchedulerCore::new(SCHEDULER, scenario_config(), distances(), seed);
     for h in 0..HOSTS {
@@ -347,18 +347,6 @@ pub fn shape(scale: f64) -> (usize, usize) {
     let rounds = ((FULL_ROUNDS as f64 * scale) as usize).max(8);
     let qpr = ((FULL_QPR as f64 * scale) as usize).max(64);
     (rounds, qpr)
-}
-
-/// Entry point for `repro sustained` with `shards` read workers: prints
-/// timing to stdout, returns the worker-count-invariant artifact.
-pub fn run(seed: u64, scale: f64, shards: usize) -> SustainedOutput {
-    let (rounds, qpr) = shape(scale);
-    let (out, perf) = run_with(seed, rounds, qpr, shards);
-    println!(
-        "sustained: shards={} publishes={} serve={:.1} ms total={:.1} ms p99(batch)={:.0} µs throughput={:.0} q/s",
-        perf.shards, perf.publishes, perf.serve_wall_ms, perf.total_wall_ms, perf.p99_batch_us, perf.qps
-    );
-    out
 }
 
 /// Human-readable summary table.
@@ -415,7 +403,7 @@ mod tests {
     fn fault_window_produces_silent_exclusions_at_scale() {
         // Full cadence: silence horizon is 3 s = 30 rounds; a 64-round
         // window (rounds 64..128 of 256) leaves plenty of silent rounds.
-        let (out, _) = run_with(1, 140, 64, 2);
+        let (out, _) = run(1, 140, 64, 2);
         assert!(out.excluded_silent > 0, "fault window never tripped silence: {out:?}");
         assert_eq!(out.answered, out.total_queries, "live hosts always rankable");
     }

@@ -304,18 +304,13 @@ fn run_cell(seed: u64, scale: f64, policy: CompositePolicy, slack_pct: u64) -> W
     }
 }
 
-/// Run the (policy × slack) grid, parallelized like the figures.
-pub fn run_sweep(seed: u64, scale: f64) -> WorkflowOutput {
-    run_sweep_with(report::host_cores(), seed, scale)
-}
-
-/// [`run_sweep`] with an explicit worker count (determinism tests).
-pub fn run_sweep_with(workers: usize, seed: u64, scale: f64) -> WorkflowOutput {
+/// Run the (policy × slack) grid on `workers` threads.
+pub fn run_sweep(workers: usize, seed: u64, scale: f64) -> WorkflowOutput {
     let cells: Vec<(CompositePolicy, u64)> = SLACK_CELLS
         .iter()
         .flat_map(|&s| CompositePolicy::ALL.iter().map(move |&p| (p, s)))
         .collect();
-    let cells = par::parallel_map_with(workers, &cells, |&(p, s)| run_cell(seed, scale, p, s));
+    let cells = par::parallel_map(workers, &cells, |&(p, s)| run_cell(seed, scale, p, s));
     WorkflowOutput { seed, scale, cells }
 }
 
@@ -365,7 +360,7 @@ mod tests {
         // Full scale: the workflow arrival *rate* is fixed, so --scale
         // shortens the contention window rather than thinning the load —
         // a short run never builds the queues the policies differ on.
-        let out = run_sweep(2, 1.0);
+        let out = run_sweep(report::host_cores(), 2, 1.0);
         let wins = out.cells_where_intedf_wins();
         assert!(
             !wins.is_empty(),

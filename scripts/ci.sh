@@ -63,6 +63,14 @@ if grep -rn 'env::var' crates/*/src | grep -v '^crates/experiments/src/report.rs
     echo "env read outside experiments::report"; exit 1
 fi
 
+echo "== one experiment table (experiments are named in EXPERIMENTS; repro.rs only looks them up)"
+names="$(grep -o 'Experiment::new("[a-z0-9-]*"' crates/experiments/src/experiment.rs | cut -d'"' -f2 | paste -sd'|')"
+[ -n "$names" ] || { echo "no experiment names found in experiment.rs"; exit 1; }
+if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/experiments/src/bin/repro.rs \
+    | grep -E "\"($names)\""; then
+    echo "repro.rs names an experiment outside its tests"; exit 1
+fi
+
 echo "== one hash index (open-addressed probe loops live in int_obs::SlabIndex only)"
 if grep -rn '(i + 1) & mask' crates/*/src | grep -v '^crates/obs/src/index.rs:'; then
     echo "hand-rolled probe loop outside obs::index"; exit 1
