@@ -220,9 +220,10 @@ fn probe_fabric_round(s: &mut ShardedScheduler, seq: u64, now_ns: u64) {
 /// snapshot-based control plane at 1/2/4/8 read workers. One epoch is
 /// published up front (steady state between probe rounds); each
 /// iteration admits and serves a 256-query batch through `serve_batch`,
-/// so the measurement includes the chunking and thread-scope cost the
-/// real scheduler pays. Single-worker batches skip the thread machinery
-/// entirely — that is the A in the A/B.
+/// so the measurement includes the sort, the cut and the hand-off to the
+/// shard workers (started by the first iteration) the real scheduler
+/// pays. Single-worker batches start no thread — that is the A in the
+/// A/B.
 fn bench_rank_throughput_mt(c: &mut Criterion) {
     let mut g = c.benchmark_group("rank_throughput_mt");
 

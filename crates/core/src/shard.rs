@@ -6,31 +6,44 @@
 //!   mutating the live map (probe harvest, host registration, eviction)
 //!   and freezes it into an immutable [`SchedSnapshot`] whenever a
 //!   generation moved;
-//! * a **read half** — N worker shards, each owning a private
+//! * a **read half** — N shards, each owning a private
 //!   [`SnapshotScratch`], serving `rank_detailed` queries against the
-//!   current snapshot through an [`EpochSlot`]. Readers never take a
-//!   lock the publisher holds while it builds (the build happens
-//!   entirely outside the slot; publication is a store), and the
-//!   publisher never waits for readers (shards clone the `Arc` out of
-//!   the slot and drop it when done).
+//!   current snapshot, which each batch reads once through an
+//!   [`EpochSlot`]. Readers never take a lock the publisher holds while
+//!   it builds (the build happens entirely outside the slot; publication
+//!   is a store), and the publisher never waits for readers (they clone
+//!   the `Arc` out of the slot and drop it when done).
 //!
 //! **Determinism.** Queries are admitted in batches. Every query in a
 //! batch is evaluated against the *same* snapshot (the one current when
 //! `serve_batch` is entered) and carries a pre-assigned global slot
 //! number: its absolute position in the scheduler's query stream. The
-//! batch is split into contiguous chunks of `ceil(len / workers)` — the
-//! same discipline as `experiments::par` — so slot numbers, and
-//! therefore results, are independent of the worker count: worker
-//! boundaries move, slot assignments don't. Because snapshot evaluation
-//! is a pure function of `(snapshot, query, slot)`, the outcome vector
-//! is byte-identical for 1, 2, or 8 shards, and equal to what the
-//! wrapped core — or the reference ranker over the live map — answers at
-//! the same map state. Within its chunk a shard serves in `(query time,
-//! tree root)` order, so queries that share a root and a time reuse one
-//! price table (its shared IntDelay and IntBandwidth orders outlive the
-//! chunk, see [`crate::snapshot`]); each outcome still lands at its
-//! admission position with its pre-assigned slot, so the order changes
-//! no answer.
+//! calling thread sorts the whole batch once into `(query time, serving
+//! root, position)` order and cuts that order into `n` equal pieces of
+//! `ceil(len / n)` queries, one per shard. Which shard serves a query —
+//! and in which turn — therefore depends on the shard count, but its
+//! slot does not, and because snapshot evaluation is a pure function of
+//! `(snapshot, query, slot)`, the outcome vector is byte-identical for 1,
+//! 2, or 8 shards, and equal to what the wrapped core — or the reference
+//! ranker over the live map — answers at the same map state.
+//!
+//! **Why the root order.** Queries that share a serving root (the
+//! requester, or the switch a single-homed requester hangs off) share its
+//! shortest-path tree, price table and ranked IntDelay and IntBandwidth
+//! orders (see [`crate::snapshot`]), and a shard builds those in its own
+//! scratch. Cutting the root order instead of the admission order keeps
+//! each root's run on one shard: a root is built twice only when its run
+//! crosses a cut, so at most `n − 1` roots per batch are built by two
+//! shards, and every other root by exactly one.
+//!
+//! **Workers.** Pieces 1.. go to `n − 1` worker threads (`int-shard-<i>`)
+//! that start on the first batch with more than one piece and live until
+//! the scheduler drops; piece 0 is served on the calling thread. A worker
+//! is handed its shard's state (scratch, served count, outcome buffers),
+//! the snapshot `Arc` and its piece by value over a bounded channel, and
+//! hands them back the same way, so nothing borrowed crosses a thread and
+//! the buffers' capacity circulates: a warm batch allocates nothing. One
+//! shard never starts a thread.
 
 use crate::config::CoreConfig;
 use crate::rank::{Policy, RankOutcome, StaticDistances};
@@ -39,7 +52,9 @@ use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotScratch};
 use int_packet::ProbePayload;
 use int_obs::{Labels, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 
 /// One admitted rank query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,15 +127,73 @@ impl EpochSlot {
     }
 }
 
-/// One worker shard: a cached snapshot `Arc` plus private scratch.
+/// One shard's serving state. It is owned by whichever thread serves
+/// with it: the scheduler between batches, a worker while that worker
+/// serves its piece.
 #[derive(Debug, Default)]
 struct RankShard {
     scratch: SnapshotScratch,
-    cached: Option<Arc<SchedSnapshot>>,
+    /// Queries this shard has served, over the scheduler's life.
     served: u64,
-    /// The chunk's serve order: `(query time, tree root, position)`,
-    /// sorted (capacity kept across batches).
-    order: Vec<(u64, u32, u32)>,
+    /// The shard's piece of the batch: each query with its slot number
+    /// (capacity kept across batches; empty for shard 0, which reads the
+    /// batch in place).
+    piece: Vec<(RankQuery, u64)>,
+    /// The piece's outcomes, in piece order. The caller swaps them into
+    /// its own outcomes, so capacity circulates instead of being freed.
+    out: Vec<RankOutcome>,
+}
+
+impl RankShard {
+    /// Serve the whole piece against `snap` into `out`.
+    fn serve_piece(&mut self, snap: &SchedSnapshot) {
+        let RankShard { scratch, served, piece, out } = self;
+        if out.len() < piece.len() {
+            out.resize_with(piece.len(), RankOutcome::default);
+        }
+        for (&(q, slot), o) in piece.iter().zip(out.iter_mut()) {
+            snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, slot, o);
+        }
+        *served += piece.len() as u64;
+    }
+}
+
+/// A shard's state and the snapshot to serve its piece against: what
+/// travels to a worker and back.
+struct Job {
+    shard: RankShard,
+    snap: Arc<SchedSnapshot>,
+}
+
+/// One worker thread and its two bounded channels: jobs out, served jobs
+/// back. At most one job is in flight per worker, so no send waits for
+/// room, and a bounded channel allocates its one slot when it is made
+/// (an unbounded one allocates a block every 31 messages).
+struct Worker {
+    jobs: SyncSender<Job>,
+    done: Receiver<Job>,
+    thread: JoinHandle<()>,
+}
+
+impl Worker {
+    /// Start the worker for shard `i`. It serves every job it receives
+    /// and sends it back, and exits when either channel closes.
+    fn start(i: usize) -> Worker {
+        let (jobs, inbox) = sync_channel::<Job>(1);
+        let (outbox, done) = sync_channel::<Job>(1);
+        let thread = std::thread::Builder::new()
+            .name(format!("int-shard-{i}"))
+            .spawn(move || {
+                for mut job in inbox {
+                    job.shard.serve_piece(&job.snap);
+                    if outbox.send(job).is_err() {
+                        return;
+                    }
+                }
+            })
+            .expect("failed to start a shard worker thread");
+        Worker { jobs, done, thread }
+    }
 }
 
 /// The sharded scheduler control plane: ingest + publish (the wrapped
@@ -128,11 +201,27 @@ struct RankShard {
 pub struct ShardedScheduler {
     core: SchedulerCore,
     slot: Arc<EpochSlot>,
-    shards: Vec<Mutex<RankShard>>,
+    /// The snapshot the last batch was served against.
+    cached: Option<Arc<SchedSnapshot>>,
+    /// Each shard's state; `None` only for a shard whose worker died
+    /// holding it.
+    shards: Vec<Option<RankShard>>,
+    /// Shards 1..'s workers, started on the first batch that needs them.
+    workers: Vec<Worker>,
+    /// The batch's serve order: `(query time, serving root, position)`,
+    /// sorted (capacity kept across batches).
+    order: Vec<(u64, u32, u32)>,
     /// Global query counter: the next query's slot number.
     queries_total: u64,
     metrics: MetricsRegistry,
 }
+
+// The scheduler moves between threads with its workers; nothing in it
+// may pin it to the thread that built it.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ShardedScheduler>()
+};
 
 impl ShardedScheduler {
     /// A sharded scheduler on `scheduler_host` with `shards` read workers
@@ -149,7 +238,10 @@ impl ShardedScheduler {
         ShardedScheduler {
             core,
             slot: Arc::new(EpochSlot::new()),
-            shards: (0..n).map(|_| Mutex::new(RankShard::default())).collect(),
+            cached: None,
+            shards: (0..n).map(|_| Some(RankShard::default())).collect(),
+            workers: Vec::new(),
+            order: Vec::new(),
             queries_total: 0,
             metrics: MetricsRegistry::new(),
         }
@@ -240,14 +332,21 @@ impl ShardedScheduler {
 
     /// Serve a batch of queries against the current snapshot, one
     /// outcome per query (same order). With no snapshot published yet
-    /// every outcome is empty — call [`ShardedScheduler::advance`]
-    /// first.
+    /// every outcome is empty and no worker starts — call
+    /// [`ShardedScheduler::advance`] first.
     ///
-    /// The batch is split into contiguous chunks of `ceil(len / n)` and
-    /// each chunk is served by one shard — chunk 0 on the calling thread,
-    /// the rest on one scoped thread each. Query *i* carries global slot
-    /// `queries_total + i` regardless of which shard serves it, so the
-    /// outcome vector is identical for any shard count.
+    /// The batch is sorted once into `(query time, serving root,
+    /// position)` order and cut into `n` pieces of `ceil(len / n)`
+    /// queries; piece 0 is served on the calling thread, pieces 1.. on
+    /// the shards' worker threads, which start on the first batch that
+    /// needs them. Query *i* carries global slot `queries_total + i`
+    /// whichever shard serves it and in whichever turn, so the outcome
+    /// vector is identical for any shard count.
+    ///
+    /// # Panics
+    ///
+    /// If a shard's worker thread panicked: this batch (and every later
+    /// one) panics, naming the worker, instead of waiting for it.
     pub fn serve_batch(&mut self, queries: &[RankQuery], out: &mut Vec<RankOutcome>) {
         out.resize(queries.len(), RankOutcome::default());
         if queries.is_empty() {
@@ -255,32 +354,22 @@ impl ShardedScheduler {
         }
         let tag_base = self.queries_total;
         self.queries_total += queries.len() as u64;
-        let n = self.shards.len().min(queries.len());
-        let chunk = queries.len().div_ceil(n);
-
-        if n <= 1 {
-            serve_chunk(&self.slot, &self.shards[0], queries, out, tag_base);
+        if self.slot.refresh(&mut self.cached) {
+            self.serve_pieces(queries, out, tag_base);
         } else {
-            std::thread::scope(|scope| {
-                let slot = &self.slot;
-                let shards = &self.shards;
-                let mut chunks =
-                    queries.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate();
-                // Chunk 0 is the caller's: n − 1 threads, nobody idles.
-                let (_, (qs0, os0)) = chunks.next().expect("batch is non-empty");
-                for (i, (qs, os)) in chunks {
-                    let base = tag_base + (i * chunk) as u64;
-                    scope.spawn(move || serve_chunk(slot, &shards[i], qs, os, base));
-                }
-                serve_chunk(slot, &shards[0], qs0, os0, tag_base);
-            });
+            // Nothing published yet: every outcome is empty, whatever a
+            // reused `out` held before.
+            for o in out.iter_mut() {
+                o.ranked.clear();
+                o.excluded.clear();
+            }
         }
 
         if self.metrics.enabled() {
             // Gauges are stamped on the collector clock: the batch's latest query time.
             let at_ns = queries.iter().map(|q| q.now_ns).max().expect("batch is non-empty");
             for (i, shard) in self.shards.iter().enumerate() {
-                let served = shard.lock().expect("shard poisoned").served;
+                let served = shard.as_ref().expect("every shard is home between batches").served;
                 self.metrics.gauge_set(
                     "shard_queries_served",
                     Labels::one("shard", i as u64),
@@ -295,41 +384,74 @@ impl ShardedScheduler {
             );
         }
     }
+
+    /// Serve a non-empty batch against the snapshot `serve_batch` just
+    /// refreshed: sort it into root order, hand pieces 1.. to the
+    /// workers, serve piece 0 here, then take each worker's outcomes
+    /// back. Query `j`'s outcome lands in `out[j]` with slot
+    /// `tag_base + j`.
+    fn serve_pieces(&mut self, queries: &[RankQuery], out: &mut [RankOutcome], tag_base: u64) {
+        let ShardedScheduler { cached, shards, workers, order, .. } = self;
+        let snap = cached.as_ref().expect("serve_batch refreshed the snapshot");
+        order.clear();
+        order.extend(
+            queries.iter().zip(0u32..).map(|(q, j)| (q.now_ns, snap.serve_root(q.requester), j)),
+        );
+        order.sort_unstable();
+        let chunk = queries.len().div_ceil(shards.len().min(queries.len()));
+        let slot_of = |j: u32| tag_base + u64::from(j);
+
+        for (i, piece) in order.chunks(chunk).enumerate().skip(1) {
+            if workers.len() < i {
+                workers.push(Worker::start(i));
+            }
+            let mut shard = shards[i].take().unwrap_or_else(|| worker_died(i));
+            shard.piece.clear();
+            shard.piece.extend(piece.iter().map(|&(_, _, j)| (queries[j as usize], slot_of(j))));
+            let job = Job { shard, snap: Arc::clone(snap) };
+            if workers[i - 1].jobs.send(job).is_err() {
+                worker_died(i);
+            }
+        }
+
+        let first = &order[..chunk];
+        let RankShard { scratch, served, .. } =
+            shards[0].as_mut().expect("shard 0 never leaves the calling thread");
+        for &(_, _, j) in first {
+            let (q, o) = (&queries[j as usize], &mut out[j as usize]);
+            snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, slot_of(j), o);
+        }
+        *served += first.len() as u64;
+
+        for (i, piece) in order.chunks(chunk).enumerate().skip(1) {
+            let Ok(Job { mut shard, .. }) = workers[i - 1].done.recv() else {
+                worker_died(i)
+            };
+            for (&(_, _, j), o) in piece.iter().zip(shard.out.iter_mut()) {
+                std::mem::swap(&mut out[j as usize], o);
+            }
+            shards[i] = Some(shard);
+        }
+    }
 }
 
-/// Serve a contiguous chunk on one shard. `tag_base` is the global slot
-/// number of `queries[0]`. Queries run in `(query time, tree root)` order
-/// (see the module docs); query `j`'s outcome goes to `out[j]` with slot
-/// `tag_base + j` whatever its turn.
-fn serve_chunk(
-    slot: &EpochSlot,
-    shard: &Mutex<RankShard>,
-    queries: &[RankQuery],
-    out: &mut [RankOutcome],
-    tag_base: u64,
-) {
-    let mut shard = shard.lock().expect("shard poisoned");
-    let RankShard { scratch, cached, served, order } = &mut *shard;
-    if !slot.refresh(cached) {
-        // Nothing published yet: every outcome is empty, whatever a
-        // reused `out` held before.
-        for o in out.iter_mut() {
-            o.ranked.clear();
-            o.excluded.clear();
+impl Drop for ShardedScheduler {
+    /// Close every worker's job channel and join its thread. A worker
+    /// that panicked has already failed a batch, so its join error is
+    /// not raised a second time.
+    fn drop(&mut self) {
+        for Worker { jobs, thread, .. } in self.workers.drain(..) {
+            drop(jobs);
+            let _ = thread.join();
         }
-        return;
     }
-    let snap = cached.as_ref().expect("refresh returned true");
-    order.clear();
-    order.extend(
-        queries.iter().zip(0u32..).map(|(q, j)| (q.now_ns, snap.serve_root(q.requester), j)),
-    );
-    order.sort_unstable();
-    for &(_, _, j) in order.iter() {
-        let (q, o) = (&queries[j as usize], &mut out[j as usize]);
-        snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, tag_base + u64::from(j), o);
-    }
-    *served += queries.len() as u64;
+}
+
+/// Shard `i`'s worker closed its channel: it panicked serving a piece,
+/// and the shard's state went down with it.
+#[cold]
+fn worker_died(i: usize) -> ! {
+    panic!("shard worker int-shard-{i} panicked; its shard's state is lost")
 }
 
 #[cfg(test)]
@@ -464,11 +586,106 @@ mod tests {
         published.advance(32_000_000);
         published.serve_batch(&qs, &mut reused);
         assert!(reused.iter().all(|o| !o.ranked.is_empty()), "the pre-filled answers are real");
+        assert_eq!(published.workers.len(), 1, "the published batch started a worker");
         for out in [&mut fresh, &mut reused] {
-            sharded(2).serve_batch(&qs, out);
+            let mut unpublished = sharded(2);
+            unpublished.serve_batch(&qs, out);
             assert_eq!(out.len(), 4);
             assert!(out.iter().all(|o| o.ranked.is_empty() && o.excluded.is_empty()), "{out:?}");
+            assert!(unpublished.workers.is_empty(), "nothing to serve, no worker started");
         }
+    }
+
+    /// Hosts 0–15, four on each of leaves 30–33, all joined by spine 20
+    /// next to scheduler host 100, published: every host's serving root
+    /// is its leaf.
+    fn leafy(n: usize) -> ShardedScheduler {
+        let mut s = ShardedScheduler::new(100, CoreConfig::default(), StaticDistances::new(), 42, n);
+        for h in 0..16 {
+            let p = probe(h, 1, &[(30 + h / 4, h % 5), (20, 3)]);
+            s.core_mut().collector_mut().ingest(&p, 32_000_000);
+        }
+        s.advance(32_000_000);
+        s
+    }
+
+    /// The mechanism the root-ordered cut buys, counted. The batch asks
+    /// every host in admission order, twice, so at 2 and 3 shards each
+    /// admission-order chunk would ask every leaf and each shard would
+    /// grow all four leaves' trees (`n × roots` Dijkstras). Cut in root
+    /// order, a root is grown twice only where its run crosses a cut:
+    /// at most `roots + n − 1` Dijkstras over all shards.
+    #[test]
+    fn root_cut_grows_each_tree_once_except_at_the_cuts() {
+        const ROOTS: u64 = 4;
+        let now = 32_000_000;
+        let qs: Vec<RankQuery> = (0..64u32)
+            .map(|i| RankQuery {
+                requester: i % 16,
+                policy: if i % 2 == 0 { Policy::IntDelay } else { Policy::IntBandwidth },
+                now_ns: now,
+            })
+            .collect();
+        for n in [1usize, 2, 3, 8] {
+            let mut s = leafy(n);
+            let mut out = Vec::new();
+            s.serve_batch(&qs, &mut out);
+            assert!(out.iter().all(|o| !o.ranked.is_empty()), "shards={n}");
+            let grown: u64 =
+                s.shards.iter().map(|sh| sh.as_ref().expect("home").scratch.stats().sssp_runs).sum();
+            let cuts = n as u64 - 1;
+            assert!(grown <= ROOTS + cuts, "shards={n}: {grown} Dijkstras for {ROOTS} roots");
+            assert_eq!(s.workers.len(), n - 1, "one worker per piece past the first");
+
+            // The admission-order cut this replaces, on fresh scratch per chunk.
+            if n == 2 || n == 3 {
+                let snap = s.epoch_slot().current().expect("published");
+                let chunked: u64 = qs
+                    .chunks(qs.len().div_ceil(n))
+                    .map(|chunk| {
+                        let mut scratch = SnapshotScratch::new();
+                        for q in chunk {
+                            snap.rank_detailed(&mut scratch, q.requester, q.policy, now, 0);
+                        }
+                        scratch.stats().sssp_runs
+                    })
+                    .sum();
+                assert_eq!(chunked, n as u64 * ROOTS, "shards={n}: every chunk grows every root");
+            }
+        }
+    }
+
+    /// A worker that dies closes its channels: the batch it was serving
+    /// panics naming it instead of waiting, so does every later batch
+    /// (its shard's state went down with it), and the scheduler still
+    /// drops.
+    #[test]
+    fn a_dead_worker_fails_the_batch_instead_of_hanging() {
+        let mut s = sharded(2);
+        s.advance(32_000_000);
+        let qs = queries(8, 32_000_000);
+        let mut out = Vec::new();
+        s.serve_batch(&qs, &mut out);
+        // Swap in a worker that panics on its first job.
+        let (jobs, inbox) = sync_channel::<Job>(1);
+        let (outbox, done) = sync_channel::<Job>(1);
+        let thread = std::thread::spawn(move || {
+            let _outbox = outbox;
+            let _job = inbox.recv();
+            panic!("injected shard worker failure");
+        });
+        let started = std::mem::replace(&mut s.workers[0], Worker { jobs, done, thread });
+        drop(started.jobs);
+        started.thread.join().expect("the started worker exits when its jobs close");
+        for batch in 0..2 {
+            let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                s.serve_batch(&qs, &mut out);
+            }))
+            .expect_err("a dead worker fails the batch");
+            let msg = failed.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("int-shard-1"), "batch {batch}: {msg:?}");
+        }
+        drop(s);
     }
 
     /// The shards serve the core's own epochs: a query answered by the

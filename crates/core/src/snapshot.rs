@@ -780,9 +780,10 @@ impl SchedSnapshot {
     }
 
     /// The tree root [`Self::rank_detailed_into`] serves `requester` from
-    /// (`u32::MAX` for a host this epoch does not know): a shard orders
-    /// its chunk by it, so queries sharing a root and a time run back to
-    /// back and reuse one price table.
+    /// (`u32::MAX` for a host this epoch does not know): `serve_batch`
+    /// orders its batch by it before cutting the shards' pieces, so
+    /// queries sharing a root and a time run back to back on one shard
+    /// and reuse one price table.
     pub(crate) fn serve_root(&self, requester: u32) -> u32 {
         self.node_id(NetNode::Host(requester)).map_or(u32::MAX, |from| self.serving_root(from).0)
     }

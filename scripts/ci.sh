@@ -107,4 +107,17 @@ if [ -n "$strays" ]; then
     echo "$strays"; echo "a sort in snapshot.rs outside the CSR build, order_by_keys and resort_clamped_runs"; exit 1
 fi
 
+echo "== one batch split, threads start once (shard.rs: no scoped threads, and a spawn only in Worker::start)"
+strays="$(awk '/^#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }
+    /^impl/ { owner = $2 }
+    /^(pub )?(fn|struct|enum|const|static|type) / { owner = "" }
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    /thread::scope/ || (/spawn/ && !(owner == "Worker" && f == "start")) {
+        print FILENAME ":" FNR ": " $0
+    }' crates/core/src/shard.rs)"
+if [ -n "$strays" ]; then
+    echo "$strays"; echo "a scoped thread, or a thread started outside Worker::start, in shard.rs"; exit 1
+fi
+
 echo "CI OK"

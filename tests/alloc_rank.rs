@@ -12,20 +12,24 @@
 //! epoch re-learns every link) serving regrows its per-root trees into
 //! retained capacity and allocates nothing, through the façade, through a
 //! bare snapshot + scratch, and through a 1-shard
-//! `ShardedScheduler::serve_batch`, which orders its chunk through a
-//! buffer the shard keeps. The last section serves requesters that share
-//! their leaf: from the leaf's shared orders (hits) and rebuilding them
-//! every churned epoch (misses).
+//! `ShardedScheduler::serve_batch`, which sorts its batch through a
+//! buffer the scheduler keeps and starts no thread. The next section
+//! serves requesters that share their leaf: from the leaf's shared orders
+//! (hits) and rebuilding them every churned epoch (misses). The last one
+//! serves that fabric at two shards, where the second shard's worker
+//! thread starts once and then swaps its state, piece and outcomes over
+//! bounded channels; its allocations are counted too.
 //!
 //! Single test function on purpose: parallel tests would interleave their
-//! allocations into the shared counter.
+//! allocations into the shared counter (and the two-shard section counts
+//! every thread's).
 
 #[path = "common/alloc.rs"]
 mod alloc;
 #[path = "common/probe.rs"]
 mod probes;
 
-use alloc::allocations_in;
+use alloc::{allocations_in, allocations_in_every_thread};
 use int_edge_sched::core::rank::{RankOutcome, StaticDistances};
 use int_edge_sched::core::shard::RankQuery;
 use int_edge_sched::core::snapshot::SnapshotScratch;
@@ -201,9 +205,9 @@ fn steady_state_rank_queries_allocate_nothing() {
     let stats = scratch.stats();
     assert_eq!(stats.sssp_runs, 1 + 5 * 3, "one Dijkstra per requester per epoch");
 
-    // The sharded read path itself, one shard (no thread spawn): the
-    // shard sorts its chunk into `(time, root)` order through a buffer it
-    // keeps and fills the caller's outcomes in place, so once the first
+    // The sharded read path itself, one shard (no thread): the scheduler
+    // sorts the batch into `(time, root)` order through a buffer it keeps
+    // and shard 0 fills the caller's outcomes in place, so once the first
     // epochs have sized everything, a churned epoch's batch — every host
     // under every ordered policy — allocates nothing.
     let mut batch_allocs = 0u64;
@@ -269,6 +273,38 @@ fn steady_state_rank_queries_allocate_nothing() {
         assert!(outcomes.iter().all(|o| o.ranked.len() == 16), "everyone reachable, nobody silent");
     }
     assert_eq!(miss_allocs, 0, "rebuilding shared orders must not touch the heap after warm-up");
+
+    // Two shards on the same fabric: the first batch starts the second
+    // shard's worker thread, and every later batch hands it its shard
+    // state, the snapshot and its piece by value over a bounded channel
+    // and takes its outcomes back by swapping them into the caller's.
+    // Counted on every thread, the worker's included: after two warm-up
+    // epochs a churned epoch's batches allocate nothing.
+    let mut two = int_edge_sched::core::shard::ShardedScheduler::new(
+        100,
+        CoreConfig::default(),
+        leaf_distances(),
+        1,
+        2,
+    );
+    let mut two_allocs = 0u64;
+    for epoch in 0..6u64 {
+        let now = 1_800_000_000 + epoch * 100_000_000;
+        for p in leaf_round(40 + epoch, epoch, now) {
+            two.core_mut().collector_mut().ingest(&p, now);
+        }
+        assert!(two.advance(now), "every round publishes a new epoch");
+        let batch = at(now);
+        let (allocs, ()) = allocations_in_every_thread(|| {
+            two.serve_batch(&batch, &mut outcomes);
+            two.serve_batch(&batch, &mut outcomes);
+        });
+        if epoch >= 2 {
+            two_allocs += allocs;
+        }
+        assert!(outcomes.iter().all(|o| o.ranked.len() == 16), "everyone reachable, nobody silent");
+    }
+    assert_eq!(two_allocs, 0, "steady-state 2-shard serve_batch must not touch the heap on any thread");
 }
 
 /// One probe round of a fabric whose leaves are shared: hosts 0–15, four

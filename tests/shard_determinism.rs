@@ -554,3 +554,130 @@ proptest! {
         prop_assert!(silent > 0, "the quiet host asks while silent");
     }
 }
+
+proptest! {
+    /// Where the cuts of the root-ordered batch fall must not show in the
+    /// answers. Over leaf–spine fabrics with 2–6 single-homed hosts per
+    /// leaf plus one multi-homed host, each case serves at 8, 3, 2 and 1
+    /// shards and compares, byte for byte, with the single-threaded core
+    /// answering the same queries in the same order (Random included, so
+    /// every slot number is checked too):
+    ///
+    /// * before the first publish, a batch into an `out` that still holds
+    ///   a longer batch's answers from the previous shard count's
+    ///   scheduler, whose workers have started, comes back empty (and the
+    ///   core spends the same slots);
+    /// * after one publish, on the same schedulers (so their workers serve
+    ///   batch after batch): a batch at mixed query times, longest first,
+    ///   so every later batch reuses an `out` holding stale answers; a
+    ///   random batch of hosts, policies and times; a batch on one serving
+    ///   root only; one root's run straddling every cut (one query before
+    ///   it in time and one after); and batches shorter than the shard
+    ///   count.
+    #[test]
+    fn cut_placement_never_shows_in_the_answers(
+        leaves in proptest::collection::vec((2usize..=6, 0u8..4, any::<u64>()), 2..5),
+        hosts in proptest::collection::vec((0u8..4, 0u32..48, any::<u64>()), 25),
+        random in proptest::collection::vec((0u32..40, 0usize..4, 0usize..5), 1..48),
+    ) {
+        const MS: u64 = 1_000_000;
+        const T: u64 = 2_000 * MS;
+        const LATER: [u64; 5] = [0, 50, 130, 350, 700];
+        let fabric = SharedFabric::new(&leaves, &hosts, false);
+        let n = fabric.hosts();
+        let cfg = CoreConfig {
+            qlen_window_ns: 120 * MS,
+            staleness_ns: 300 * MS,
+            origin_silence_ns: 600 * MS,
+            eviction_horizon_ns: u64::MAX,
+            ..CoreConfig::default()
+        };
+        let learn = |core: &mut SchedulerCore| {
+            for (round, now) in [T - 100 * MS, T].into_iter().enumerate() {
+                fabric.learn_round(core, round, now);
+            }
+        };
+        let policies = [Policy::IntDelay, Policy::IntBandwidth, Policy::Nearest, Policy::Random];
+        let ask = |requester: u32, policy: Policy, later: u64| {
+            RankQuery { requester, policy, now_ns: T + later * MS }
+        };
+        // Hosts 0.. sit on leaf 0, the next ones on leaf 1 (see `SharedFabric`).
+        let leaf0 = 0..leaves[0].0 as u32;
+        let leaf1 = leaf0.end..leaf0.end + leaves[1].0 as u32;
+
+        let mut batches: Vec<Vec<RankQuery>> = Vec::new();
+        batches.push(
+            [700, 0, 130]
+                .into_iter()
+                .flat_map(|later| {
+                    (0..n).chain([999]).flat_map(move |r| policies.map(|p| ask(r, p, later)))
+                })
+                .collect(),
+        );
+        batches.push(
+            random
+                .iter()
+                .map(|&(r, p, t)| {
+                    let requester = if r % (n + 1) == n { 999 } else { r % (n + 1) };
+                    ask(requester, policies[p], LATER[t])
+                })
+                .collect(),
+        );
+        batches.push(
+            leaf0.clone().flat_map(|r| policies.map(|p| ask(r, p, 50))).collect(),
+        );
+        let run: Vec<RankQuery> = leaf1
+            .clone()
+            .cycle()
+            .take(2 * leaf1.len())
+            .flat_map(|r| policies.map(|p| ask(r, p, 50)))
+            .collect();
+        let (first, last) = (ask(n - 1, Policy::IntDelay, 0), ask(0, Policy::IntBandwidth, 700));
+        batches.push([first].into_iter().chain(run).chain([last]).collect());
+        batches.push(vec![ask(leaf1.start, Policy::Random, 130), ask(0, Policy::IntDelay, 0)]);
+        batches.push(vec![ask(n - 1, Policy::Nearest, 350)]);
+        let before: Vec<RankQuery> = (0..n).map(|r| ask(r, Policy::IntDelay, 0)).collect();
+
+        // The core spends the slots the unpublished batch takes. It answers
+        // them (its first publish, so the epoch numbers, which seed Random,
+        // stay aligned), but the answers are not the shards' to match.
+        let mut core = SchedulerCore::new(0, cfg.clone(), fabric.distances(), 5);
+        learn(&mut core);
+        for q in &before {
+            core.rank_detailed_with(q.requester, q.policy, q.now_ns);
+        }
+        let want: Vec<Vec<RankOutcome>> = batches
+            .iter()
+            .map(|b| {
+                b.iter().map(|q| core.rank_detailed_with(q.requester, q.policy, q.now_ns)).collect()
+            })
+            .collect();
+        prop_assert!(want[0].iter().any(|o| !o.ranked.is_empty()), "the fabric answers");
+
+        // The previous shard count's outcomes of its first (longest) batch.
+        let mut stale: Vec<RankOutcome> = Vec::new();
+        for shards in [8, 3, 2, 1] {
+            let mut s = ShardedScheduler::new(0, cfg.clone(), fabric.distances(), 5, shards);
+            let mut out = std::mem::take(&mut stale);
+            s.serve_batch(&before, &mut out);
+            prop_assert_eq!(out.len(), before.len());
+            prop_assert!(
+                out.iter().all(|o| o.ranked.is_empty() && o.excluded.is_empty()),
+                "shards={}: nothing published, nothing answered", shards
+            );
+            learn(s.core_mut());
+            s.advance(T);
+            for (i, (b, w)) in batches.iter().zip(&want).enumerate() {
+                s.serve_batch(b, &mut out);
+                prop_assert_eq!(out.len(), w.len());
+                if let Some(k) = (0..w.len()).find(|&k| out[k] != w[k]) {
+                    let (q, got, core) = (b[k], &out[k], &w[k]);
+                    prop_assert!(false, "shards={}, batch {}, {:?}: {:?} vs the core's {:?}", shards, i, q, got, core);
+                }
+                if i == 0 {
+                    stale = out.clone();
+                }
+            }
+        }
+    }
+}
