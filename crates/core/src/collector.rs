@@ -14,10 +14,10 @@
 use crate::map::{mix64, EdgeId, NetworkMap};
 use int_obs::SlabIndex;
 use int_packet::{ProbePayload, Result as PacketResult};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-origin probe accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct OriginStats {
     /// Probes accepted from this origin.
     pub received: u64,

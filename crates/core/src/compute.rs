@@ -8,7 +8,7 @@
 //! workload here that needs it, so nothing filters on capabilities.)
 
 use crate::rank::RankedServer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Tracked compute state of the fleet.
@@ -85,7 +85,7 @@ impl ComputeTracker {
 /// tracked compute load (ROADMAP item 4; the paper's compute-availability
 /// future work). Applied by the scheduler as a post-processing step over
 /// the network ranking produced by a base [`crate::Policy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum CompositePolicy {
     /// Pure network ranking (the paper's scheme); compute load ignored.
     NetworkOnly,

@@ -15,11 +15,11 @@
 //! delay EWMA weight lives in [`crate::map`], and an unprobed direction
 //! always reads the reverse direction's measurements.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A `(max_queue_pkts, utilization)` control point of the queue-occupancy →
 /// link-utilization curve (paper Fig. 3, used by §III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct UtilPoint {
     /// Max queue occupancy observed over a probing interval, packets.
     pub qlen: u32,
@@ -31,7 +31,7 @@ pub struct UtilPoint {
 /// it found per-interval *maximum* queue occupancy informative and averages
 /// "inconclusive" (§III-C); the instantaneous sample a probe happens to see
 /// behaves like an average and is kept for the ablation harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum HopSignal {
     /// Max queue occupancy since the last harvest (the paper's choice).
     MaxQueue,
@@ -40,7 +40,7 @@ pub enum HopSignal {
 }
 
 /// Configuration of the scheduler core.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CoreConfig {
     /// Queue-occupancy → hop-latency conversion factor in nanoseconds per
     /// packet — the paper's `k`, fixed at 20 ms (§III-C).
@@ -75,12 +75,7 @@ pub struct CoreConfig {
     /// paper's single delay-weighted route; fabrics with ECMP set this to
     /// the spread probes cover so the ranker can pick the best of the
     /// per-path estimates.
-    #[serde(default = "default_k_paths")]
     pub k_paths: u32,
-}
-
-fn default_k_paths() -> u32 {
-    1
 }
 
 impl Default for CoreConfig {
@@ -94,7 +89,7 @@ impl Default for CoreConfig {
             qlen_window_ns: 500_000_000,
             eviction_horizon_ns: 10_000_000_000, // 10 s ≈ 100 default intervals
             origin_silence_ns: 3_000_000_000,    // 3 s ≈ 30 default intervals
-            k_paths: default_k_paths(),
+            k_paths: 1,
         }
     }
 }

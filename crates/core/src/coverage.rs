@@ -8,10 +8,10 @@
 
 use crate::config::CoreConfig;
 use crate::map::{NetNode, NetworkMap};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Freshness classification of a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum LinkCoverage {
     /// Probed in this direction within the horizon.
     Fresh,
@@ -22,7 +22,7 @@ pub enum LinkCoverage {
 }
 
 /// A full coverage report.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct CoverageReport {
     /// (from, to, classification) for every directed link with any data in
     /// either direction. Deterministic order.

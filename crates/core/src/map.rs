@@ -9,11 +9,11 @@
 use crate::config::{CoreConfig, HopSignal};
 use int_obs::SlabIndex;
 use int_packet::ProbePayload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A node in the learned map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum NetNode {
     /// An edge host (device, server, or the scheduler itself).
     Host(u32),
@@ -22,7 +22,7 @@ pub enum NetNode {
 }
 
 /// Telemetry state of one *directed* link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EdgeState {
     /// Smoothed link latency, ns (EWMA over probe measurements).
     pub delay_ns: u64,

@@ -16,13 +16,13 @@ use crate::map::{NetNode, NetworkMap};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A ranking policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Policy {
     /// Network-aware, delay-based (Algorithm 1).
     IntDelay,
@@ -58,7 +58,7 @@ impl Policy {
 }
 
 /// One ranked candidate with its estimated network performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RankedServer {
     /// The edge server's host id.
     pub host: u32,
@@ -69,7 +69,7 @@ pub struct RankedServer {
 }
 
 /// Why a candidate was left out of an INT-based ranking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ExcludeReason {
     /// The learned map has no live path to the host (its telemetry was
     /// evicted, or it was never probed while others were).
@@ -91,7 +91,7 @@ impl ExcludeReason {
 
 /// The result of a failure-aware ranking: the usable candidates, ranked
 /// best first, plus everyone excluded and why.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct RankOutcome {
     /// Usable candidates, best first.
     pub ranked: Vec<RankedServer>,
@@ -101,7 +101,7 @@ pub struct RankOutcome {
 
 /// Static information the baselines need: hop counts between hosts,
 /// computed ahead of time exactly as the paper's Nearest policy assumes.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct StaticDistances {
     hops: BTreeMap<(u32, u32), u32>,
 }

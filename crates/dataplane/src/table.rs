@@ -13,17 +13,17 @@
 //! tests pin `lookup` against.
 
 use int_obs::SlabIndex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How a table matches its key: longest-prefix match is the one kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MatchKind {
     /// Longest-prefix match.
     Lpm,
 }
 
 /// One installed key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum Key {
     /// LPM: value plus prefix length in bits.
     Lpm {

@@ -18,10 +18,10 @@ use int_core::config::HopSignal;
 use int_core::rank::RankedServer;
 use int_core::Policy;
 use int_workload::{JobKind, TaskClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One k-sweep cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KSweepPoint {
     /// k in ms per queued packet.
     pub k_ms: u64,
@@ -32,7 +32,7 @@ pub struct KSweepPoint {
 }
 
 /// k-sweep output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KSweepOutput {
     /// One point per k value.
     pub points: Vec<KSweepPoint>,
@@ -76,7 +76,7 @@ pub fn run_k_sweep(
 }
 
 /// Signal-ablation output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SignalAblationOutput {
     /// Mean gain with the paper's max-queue signal.
     pub max_queue_gain: f64,

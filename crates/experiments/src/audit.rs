@@ -23,7 +23,7 @@ use int_apps::SchedulerApp;
 use int_core::{CoreConfig, Policy};
 use int_netsim::{FaultPlan, SimDuration, SimTime};
 use int_obs::MetricsRegistry;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Paper node issuing the scheduling queries (attached to sw9).
@@ -38,7 +38,7 @@ pub fn default_intervals() -> Vec<SimDuration> {
 }
 
 /// Count of one exclusion reason across a cell's recorded decisions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ReasonCount {
     /// Stable `ExcludeReason` label.
     pub reason: String,
@@ -47,7 +47,7 @@ pub struct ReasonCount {
 }
 
 /// One instrumented (policy × interval) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AuditCell {
     /// Ranking policy.
     pub policy: String,
@@ -74,7 +74,7 @@ pub struct AuditCell {
 }
 
 /// The exported artifact: one cell per grid point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AuditOutput {
     /// All (policy × interval) cells.
     pub cells: Vec<AuditCell>,
@@ -231,26 +231,16 @@ mod tests {
     /// candidates ranked, nothing excluded).
     #[test]
     fn audit_captures_exclusions_after_link_cut() {
-        /// The embedded documents, as far as this test reads them.
-        #[derive(Deserialize)]
-        struct Trail {
-            total: u64,
-        }
-        #[derive(Deserialize)]
-        struct Snapshot {
-            counters: BTreeMap<String, u64>,
-        }
-
         let ivs = [SimDuration::from_millis(100)];
         let out = run(1, 7, &ivs);
         assert_eq!(out.cells.len(), 2);
         for c in &out.cells {
-            let trail: Trail = serde_json::from_str(&c.audit_json).expect("trail parses");
-            assert_eq!(trail.total, c.decisions, "{}: trail total", c.policy);
-            let snap: Snapshot = serde_json::from_str(&c.metrics_json).expect("snapshot parses");
+            let head = format!("{{\"total\":{},", c.decisions);
+            assert!(c.audit_json.starts_with(&head), "{}: the trail opens with the decision total", c.policy);
             // Only the INT cell carries traffic (probes) for the engine to count.
             if c.policy == "IntDelay" {
-                assert!(snap.counters.keys().any(|k| k.starts_with("sim.frames_delivered")));
+                assert!(c.frames_delivered > 0);
+                assert!(c.metrics_json.contains("\"sim.frames_delivered{"), "per-node delivery counters exported");
             }
         }
 

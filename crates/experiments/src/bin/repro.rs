@@ -5,6 +5,8 @@
 //! size; `--domains` is `giant`'s engine domain count. Tables print to
 //! stdout and JSON lands in `results/` (override with INT_RESULTS_DIR).
 //! Grids use every core the process may run on; `taskset -c 0` forces serial.
+//! A run whose output breaks one of its row's paper claims says so on
+//! stderr.
 
 use int_experiments::{find, report, Experiment, Run, EXPERIMENTS};
 use std::path::PathBuf;
@@ -63,6 +65,9 @@ fn main() {
         println!("=== {} (seed {}, scale {}) ===", e.name, run.seed, run.scale);
         let artifact = (e.run)(&run).unwrap_or_else(|err| die(&format!("{} run failed: {err}", e.name)));
         println!("{}", artifact.text);
+        for c in &artifact.broken_claims {
+            eprintln!("repro: {}: paper claim {c}", e.name);
+        }
         if let Some(file) = e.file {
             saved(&format!("{file}.json"), report::save_json(&run.dir, file, &artifact.json));
             if let Some(meta) = &artifact.runmeta {

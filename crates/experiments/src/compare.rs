@@ -8,11 +8,11 @@ use crate::stats;
 use int_core::Policy;
 use int_netsim::SimDuration;
 use int_workload::{BackgroundScenario, JobKind, TaskClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Which per-task duration a figure reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Metric {
     /// Task completion time (submit → completion callback).
     Completion,
@@ -21,7 +21,7 @@ pub enum Metric {
 }
 
 /// Parameters of a comparison experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompareConfig {
     /// Seed shared across policies.
     pub seed: u64,
@@ -66,7 +66,7 @@ impl CompareConfig {
 }
 
 /// Results for the INT policy plus both baselines.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CompareOutput {
     /// The configuration that produced this.
     pub config: CompareConfig,
@@ -83,7 +83,7 @@ pub fn policy_key(p: Policy) -> String {
 /// computed over the union of outcomes, and per-task gains are paired
 /// within each seed before concatenation. Smooths the heavy-tailed
 /// transfer-time variance a single 200-task run exhibits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct MultiCompareOutput {
     /// The per-seed comparisons.
     pub runs: Vec<CompareOutput>,

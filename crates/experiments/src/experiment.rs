@@ -4,8 +4,9 @@
 //! `repro <name>` looks its row up and `repro all` runs every row marked
 //! `in_all`; `tests/invariance.rs` runs every row at its `smoke` scale
 //! under 1 and 4 workers (`giant` under 1, 2 and 4 domains), holds the
-//! artifact to a pin and checks the row's paper claims on it; `tests/docs.rs` resolves every `repro <name>`
-//! the docs mention against it. A row's `run` holds everything special
+//! artifact to a pin and asserts that it breaks none of the row's paper
+//! claims; `tests/docs.rs` resolves every `repro <name>` the docs mention
+//! against it. A row's `run` holds everything special
 //! about its experiment — how `--scale` shapes the workload, which seeds
 //! it pools, what it prints besides its table.
 
@@ -16,7 +17,6 @@ use crate::{tab1, workflow};
 use int_core::Policy;
 use int_netsim::SimDuration;
 use int_workload::JobKind;
-use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::io;
 use std::path::PathBuf;
@@ -36,15 +36,12 @@ pub struct Experiment {
     /// Run it. Only `giant`, which streams its export to the results dir
     /// during the run, can fail.
     pub run: fn(&Run) -> io::Result<Artifact>,
-    /// The paper's claims its artifact must bear out at `smoke` scale.
-    pub claims: &'static [Claim],
 }
 
 impl Experiment {
-    /// A row that writes `<name>.json`, runs in `repro all` and checks no
-    /// claim.
+    /// A row that writes `<name>.json` and runs in `repro all`.
     const fn new(name: &'static str, smoke: f64, run: fn(&Run) -> io::Result<Artifact>) -> Experiment {
-        Experiment { name, file: Some(name), in_all: true, smoke, run, claims: &[] }
+        Experiment { name, file: Some(name), in_all: true, smoke, run }
     }
 
     /// Whether `--domains` applies: only the partitioned engine's run.
@@ -114,27 +111,40 @@ pub struct Artifact {
     /// Wall-clock and RSS for a `<file>.runmeta.json` sidecar, kept out of
     /// the byte-stable `json`.
     pub runmeta: Option<RunMeta>,
+    /// The paper claims the run's output breaks, each with what it shows
+    /// instead.
+    pub broken_claims: Vec<String>,
 }
 
 impl Artifact {
     /// `value` as its file and its rendering as the text.
     fn of<T: Serialize>(value: &T, render: impl Fn(&T) -> String) -> io::Result<Artifact> {
-        Ok(Artifact { json: report::to_json(value), text: render(value), runmeta: None })
+        Artifact::checked(value, render, &[])
     }
 
-    /// The file read back as the experiment's output type.
-    pub fn value<T: DeserializeOwned>(&self) -> T {
-        serde_json::from_str(std::str::from_utf8(&self.json).expect("UTF-8 JSON"))
-            .expect("artifact parses as its output type")
+    /// [`Artifact::of`], with `value` checked against `claims`. The file's
+    /// bytes are a pure function of `value` (floats print as their
+    /// shortest round-trip form), so a claim checked here holds on the
+    /// file too.
+    fn checked<T: Serialize>(
+        value: &T,
+        render: impl Fn(&T) -> String,
+        claims: &[Claim<T>],
+    ) -> io::Result<Artifact> {
+        let broken_claims = claims
+            .iter()
+            .filter_map(|c| (c.check)(value).err().map(|got| format!("\"{}\" fails: {got}", c.paper)))
+            .collect();
+        Ok(Artifact { json: report::to_json(value), text: render(value), runmeta: None, broken_claims })
     }
 }
 
-/// A claim of the paper, checked on an artifact.
-pub struct Claim {
+/// A claim of the paper about an experiment's output `T`.
+pub struct Claim<T> {
     /// The claim, with the tolerance EXPERIMENTS.md states.
     pub paper: &'static str,
-    /// `Err` says what the artifact shows instead.
-    pub check: fn(&Artifact) -> Result<(), String>,
+    /// `Err` says what the output shows instead.
+    pub check: fn(&T) -> Result<(), String>,
 }
 
 /// The row named `name`.
@@ -144,17 +154,11 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
 
 /// Every experiment, in `repro all` order.
 pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment {
-        claims: tab1::CLAIMS,
-        ..Experiment::new("tab1", 0.02, |r| Artifact::of(&tab1::run(r.seed, 1000), tab1::render))
-    },
-    Experiment {
-        claims: fig3::CLAIMS,
-        ..Experiment::new("fig3", 0.02, |r| {
-            let cfg = fig3::Fig3Config { seed: r.seed, duration: r.secs(300.0), ..Default::default() };
-            Artifact::of(&fig3::run(r.workers, &cfg), fig3::render)
-        })
-    },
+    Experiment::new("tab1", 0.02, |r| Artifact::checked(&tab1::run(r.seed, 1000), tab1::render, tab1::CLAIMS)),
+    Experiment::new("fig3", 0.02, |r| {
+        let cfg = fig3::Fig3Config { seed: r.seed, duration: r.secs(300.0), ..Default::default() };
+        Artifact::checked(&fig3::run(r.workers, &cfg), fig3::render, fig3::CLAIMS)
+    }),
     // Fig. 5: serverless workload (one task per job), delay ranking; mean
     // completion per Table I class. Paper: 17–31 % gain over Nearest,
     // largest for very small tasks.
@@ -208,12 +212,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment::new("audit", 0.5, |r| {
         Artifact::of(&audit::run(r.workers, r.seed, &r.trim(audit::default_intervals())), audit::render)
     }),
-    Experiment {
-        claims: overhead::CLAIMS,
-        ..Experiment::new("overhead", 0.02, |r| {
-            Artifact::of(&overhead::run(r.seed, r.secs(120.0)), overhead::render)
-        })
-    },
+    Experiment::new("overhead", 0.02, |r| {
+        Artifact::checked(&overhead::run(r.seed, r.secs(120.0)), overhead::render, overhead::CLAIMS)
+    }),
     Experiment {
         file: Some("ablation_k"),
         ..Experiment::new("ablation-k", 0.02, |r| {
@@ -231,7 +232,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         file: None,
         ..Experiment::new("ext-compute", 0.02, |_| {
-            Ok(Artifact { json: Vec::new(), text: ablation::demo_compute_aware(), runmeta: None })
+            let text = ablation::demo_compute_aware();
+            Ok(Artifact { json: Vec::new(), text, runmeta: None, broken_claims: Vec::new() })
         })
     },
     // One read shard per worker. The throughput line is wall-clock, so it

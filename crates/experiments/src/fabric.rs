@@ -47,7 +47,7 @@ use int_netsim::{
     ClosParams, EcmpSelect, FaultPlan, NodeId, SimConfig, SimDuration, SimTime, Simulator,
     Topology,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of one fabric experiment.
 #[derive(Debug, Clone, Copy)]
@@ -83,7 +83,7 @@ impl FabricParams {
 }
 
 /// One policy's ranking behaviour under congested candidates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FabricCompareCell {
     /// Ranking policy.
     pub policy: String,
@@ -97,7 +97,7 @@ pub struct FabricCompareCell {
 }
 
 /// One forwarding mode's reaction to a leaf–spine cable pull.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FabricFailoverCell {
     /// `"multipath"` (FlowHash + fan + k-path ranking) or `"singlepath"`.
     pub mode: String,
@@ -115,7 +115,7 @@ pub struct FabricFailoverCell {
 }
 
 /// Structural facts of the fabric the cells ran on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FabricShape {
     /// Total switches (leaves + spines).
     pub switches: usize,
@@ -134,7 +134,7 @@ pub struct FabricShape {
 }
 
 /// The full fabric artifact.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FabricOutput {
     /// What was built.
     pub fabric: FabricShape,

@@ -28,7 +28,7 @@ use int_apps::SchedulerApp;
 use int_core::map::NetNode;
 use int_core::{CoreConfig, Policy};
 use int_netsim::{FaultPlan, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Paper node issuing the scheduling queries (attached to sw9).
 const REQUESTER: usize = 7;
@@ -50,7 +50,7 @@ pub fn default_intervals() -> Vec<SimDuration> {
 }
 
 /// One measured (policy × interval) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FailoverPoint {
     /// Ranking policy.
     pub policy: String,
@@ -72,7 +72,7 @@ pub struct FailoverPoint {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FailoverOutput {
     /// All (policy × interval) cells.
     pub points: Vec<FailoverPoint>,

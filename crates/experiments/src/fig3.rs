@@ -12,14 +12,14 @@
 
 use crate::par;
 use crate::report;
-use crate::{Artifact, Claim};
+use crate::Claim;
 use int_apps::iperf::{IperfConfig, IperfSenderApp, IPERF_UDP_PORT};
 use int_apps::{EchoResponderApp, PingApp, ProbeCollectorApp, ProbeSenderApp, UdpSinkApp};
 use int_netsim::{LinkParams, SimConfig, SimDuration, SimTime, Simulator, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of the sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig3Config {
     /// Utilization levels to test (fraction of the 20 Mbit/s ceiling).
     pub utilizations: Vec<f64>,
@@ -46,7 +46,7 @@ impl Default for Fig3Config {
 }
 
 /// One measured point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Fig3Point {
     /// Offered utilization (fraction).
     pub utilization: f64,
@@ -61,7 +61,7 @@ pub struct Fig3Point {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig3Output {
     /// Configuration used.
     pub config: Fig3Config,
@@ -77,33 +77,32 @@ pub fn run(workers: usize, cfg: &Fig3Config) -> Fig3Output {
 
 /// Fig. 3's shape: short queues and a flat RTT until the link nears
 /// saturation, then both blow up.
-pub const CLAIMS: &[Claim] = &[
+pub const CLAIMS: &[Claim<Fig3Output>] = &[
     Claim {
         paper: "mean max queue < 5 packets at ≤ 50 % utilisation",
-        check: |a| every_point(a, |p, _| p.utilization > 0.5 || p.mean_max_qlen < 5.0),
+        check: |out| every_point(out, |p, _| p.utilization > 0.5 || p.mean_max_qlen < 5.0),
     },
     Claim {
         paper: "peak queue > 30 packets at ≥ 90 % utilisation",
-        check: |a| every_point(a, |p, _| p.utilization < 0.9 || p.peak_qlen > 30),
+        check: |out| every_point(out, |p, _| p.utilization < 0.9 || p.peak_qlen > 30),
     },
     Claim {
         paper: "mean RTT within ± 5 % of the idle RTT up to 80 % utilisation",
-        check: |a| {
-            every_point(a, |p, idle| p.utilization > 0.8 || (p.mean_rtt_ms / idle - 1.0).abs() <= 0.05)
+        check: |out| {
+            every_point(out, |p, idle| p.utilization > 0.8 || (p.mean_rtt_ms / idle - 1.0).abs() <= 0.05)
         },
     },
     Claim {
         paper: "mean RTT at 100 % utilisation ≥ 1.5× the idle RTT",
-        check: |a| every_point(a, |p, idle| p.utilization < 1.0 || p.mean_rtt_ms >= 1.5 * idle),
+        check: |out| every_point(out, |p, idle| p.utilization < 1.0 || p.mean_rtt_ms >= 1.5 * idle),
     },
 ];
 
 /// `Err` names the first point of the sweep that fails `holds`, which is
 /// also handed the idle RTT (the sweep's first point is 0 %).
-fn every_point(a: &Artifact, holds: impl Fn(&Fig3Point, f64) -> bool) -> Result<(), String> {
-    let points = a.value::<Fig3Output>().points;
-    let idle = points[0].mean_rtt_ms;
-    match points.iter().find(|p| !holds(p, idle)) {
+fn every_point(out: &Fig3Output, holds: impl Fn(&Fig3Point, f64) -> bool) -> Result<(), String> {
+    let idle = out.points[0].mean_rtt_ms;
+    match out.points.iter().find(|p| !holds(p, idle)) {
         Some(p) => Err(format!("{p:?}")),
         None => Ok(()),
     }
@@ -221,6 +220,47 @@ mod tests {
         );
         assert!((40.0..45.0).contains(&low.mean_rtt_ms), "near-idle RTT ≈ 40 ms: {}", low.mean_rtt_ms);
         assert!(high.mean_rtt_ms > low.mean_rtt_ms + 5.0, "RTT inflates: {}", high.mean_rtt_ms);
+    }
+
+    /// Each of Fig. 3's claims holds on a sweep with the paper's shape,
+    /// and one edit to one point breaks that claim and no other.
+    #[test]
+    fn each_claim_fails_on_a_sweep_that_breaks_it() {
+        let point = |utilization, mean_max_qlen, peak_qlen, mean_rtt_ms| Fig3Point {
+            utilization,
+            mean_max_qlen,
+            peak_qlen,
+            mean_rtt_ms,
+            ping_reply_rate: 1.0,
+        };
+        let good = Fig3Output {
+            config: Fig3Config::default(),
+            points: vec![
+                point(0.0, 0.0, 0, 40.0),
+                point(0.5, 4.0, 9, 41.0),
+                point(0.8, 12.0, 25, 41.5),
+                point(0.9, 25.0, 31, 50.0),
+                point(1.0, 60.0, 128, 60.0),
+            ],
+        };
+        // In CLAIMS order.
+        let breaks: [fn(&mut Fig3Output); 4] = [
+            |o| o.points[1].mean_max_qlen = 5.0,
+            |o| o.points[3].peak_qlen = 30,
+            |o| o.points[2].mean_rtt_ms = 42.5,
+            |o| o.points[4].mean_rtt_ms = 59.5,
+        ];
+        assert_eq!(breaks.len(), CLAIMS.len());
+        for c in CLAIMS {
+            assert_eq!((c.check)(&good), Ok(()), "{}", c.paper);
+        }
+        for (i, edit) in breaks.into_iter().enumerate() {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            for (j, c) in CLAIMS.iter().enumerate() {
+                assert_eq!((c.check)(&bad).is_err(), i == j, "edit {i}: \"{}\"", c.paper);
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,10 @@ use crate::report;
 use crate::stats::Ecdf;
 use int_core::Policy;
 use int_workload::JobKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One curve of the figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig8Curve {
     /// Label as in the paper's legend.
     pub label: String,
@@ -26,7 +26,7 @@ pub struct Fig8Curve {
 }
 
 /// The three curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig8Output {
     /// serverless+delay, distributed+delay, distributed+bandwidth.
     pub curves: Vec<Fig8Curve>,

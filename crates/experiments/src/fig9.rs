@@ -14,7 +14,7 @@ use crate::runner::run;
 use int_core::Policy;
 use int_netsim::SimDuration;
 use int_workload::{BackgroundScenario, JobKind, TaskClass};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The probing intervals the paper evaluates.
 pub fn paper_intervals() -> Vec<SimDuration> {
@@ -28,7 +28,7 @@ pub fn paper_intervals() -> Vec<SimDuration> {
 }
 
 /// One measured cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig9Point {
     /// Probing interval, seconds.
     pub interval_s: f64,
@@ -41,7 +41,7 @@ pub struct Fig9Point {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Fig9Output {
     /// All (interval × scenario) cells.
     pub points: Vec<Fig9Point>,

@@ -26,7 +26,7 @@ use int_netsim::{
 };
 use int_obs::json::JsonBuf;
 use int_obs::stream::EpochWriter;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::any::Any;
 use std::net::Ipv4Addr;
 use std::path::Path;
@@ -37,7 +37,7 @@ use std::path::Path;
 pub const UPLINK_DELAY_NS: u64 = 12_000_019;
 
 /// Giant-run shape and workload knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GiantParams {
     pub seed: u64,
     /// Spine tier width (ECMP fan-out).
@@ -98,7 +98,7 @@ impl GiantParams {
 
 /// Deterministic artifact summary (identical across domain counts apart
 /// from the fields that name the count and its lookahead).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct GiantOut {
     pub params: GiantParams,
     /// Domains the partitioner actually produced.

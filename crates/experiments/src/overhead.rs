@@ -14,7 +14,7 @@
 //!   actually flowed, per the paper's formula.
 
 use crate::report;
-use crate::{Artifact, Claim};
+use crate::Claim;
 use crate::runner::install_background;
 use crate::testbed::{Testbed, TestbedConfig, ProbeMode};
 use int_apps::{PingApp, TaskSubmitterApp};
@@ -24,10 +24,10 @@ use int_packet::msgs::RankingKind;
 use int_workload::{
     BackgroundScenario, JobKind, JobSpec, TaskClass, WorkloadConfig, WorkloadGenerator,
 };
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Overhead measured for one probing mode.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OverheadRow {
     /// Probing mode label.
     pub mode: String,
@@ -56,7 +56,7 @@ pub struct OverheadRow {
 }
 
 /// The full report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct OverheadOutput {
     /// One row per probing mode.
     pub rows: Vec<OverheadRow>,
@@ -74,10 +74,9 @@ pub fn run(seed: u64, duration: SimDuration) -> OverheadOutput {
 }
 
 /// §III-A: probing is far cheaper than padding INT onto every packet.
-pub const CLAIMS: &[Claim] = &[Claim {
+pub const CLAIMS: &[Claim<OverheadOutput>] = &[Claim {
     paper: "SchedulerOnly probing costs ≥ 10× fewer wire bytes than per-packet INT padding",
-    check: |a: &Artifact| {
-        let out: OverheadOutput = a.value();
+    check: |out| {
         let r = out.rows.iter().find(|r| r.mode == "SchedulerOnly").ok_or("no SchedulerOnly row")?;
         if r.probe_share * 10.0 <= r.per_packet_int_share {
             Ok(())
@@ -215,6 +214,39 @@ mod tests {
         }
         // All-pairs is chattier than scheduler-only, by design.
         assert!(out.rows[1].probe_bytes > out.rows[0].probe_bytes);
+    }
+
+    /// The §III-A claim holds while SchedulerOnly probing costs under a
+    /// tenth of the padding, and fails past that or without the row.
+    #[test]
+    fn the_claim_fails_on_a_report_that_breaks_it() {
+        let row = |mode: &str, probe_share, per_packet_int_share| OverheadRow {
+            mode: mode.into(),
+            probe_bytes: 0,
+            total_bytes: 0,
+            probe_share,
+            probe_rate_bps: 0.0,
+            control_bytes: 0,
+            control_share: 0.0,
+            ping_bytes: 0,
+            ping_share: 0.0,
+            per_packet_int_bytes: 0,
+            per_packet_int_share,
+        };
+        // AllPairs alone would fail: the claim is about SchedulerOnly.
+        let good = OverheadOutput {
+            rows: vec![row("SchedulerOnly", 0.003, 0.04), row("AllPairs", 0.02, 0.04)],
+            duration_s: 120.0,
+        };
+        let [claim] = CLAIMS else { panic!("§III-A has one claim") };
+        assert_eq!((claim.check)(&good), Ok(()));
+        let breaks: [fn(&mut OverheadOutput); 2] =
+            [|o| o.rows[0].probe_share = 0.0041, |o| o.rows[0].mode = "AllPairs".into()];
+        for (i, edit) in breaks.into_iter().enumerate() {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            assert!((claim.check)(&bad).is_err(), "edit {i} breaks no claim");
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub fn peak_rss_kb() -> Option<u64> {
 }
 
 /// Run metadata `repro giant` records next to its artifact.
-#[derive(Debug, Serialize, serde::Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct RunMeta {
     /// Wall-clock duration of the run, seconds.
     pub wall_clock_s: f64,
@@ -146,25 +146,26 @@ mod tests {
     #[test]
     fn runmeta_sidecar_lands_next_to_the_artifact() {
         let dir = std::env::temp_dir().join(format!("int_runmeta_{}", std::process::id()));
-        let path = save_runmeta(&dir, "giant_test", &RunMeta::capture(1.5)).unwrap();
-        assert!(path.ends_with("giant_test.runmeta.json"));
-        let meta: RunMeta = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let meta = RunMeta::capture(1.5);
         assert_eq!(meta.wall_clock_s, 1.5);
         assert!(meta.host_cores >= 1);
+        let path = save_runmeta(&dir, "giant_test", &meta).unwrap();
+        assert!(path.ends_with("giant_test.runmeta.json"));
+        assert_eq!(std::fs::read(&path).unwrap(), to_json(&meta));
         let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
     fn json_roundtrip() {
-        #[derive(Serialize, serde::Deserialize, PartialEq, Debug)]
+        #[derive(Serialize)]
         struct Tiny {
             x: u32,
         }
         let dir = std::env::temp_dir().join(format!("int_exp_test_results_{}", std::process::id()));
         let path = save_json(&dir, "tiny", &to_json(&Tiny { x: 7 })).unwrap();
         assert!(path.ends_with("tiny.json"));
-        let back: Tiny = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, Tiny { x: 7 });
+        assert_eq!(std::fs::read(&path).unwrap(), to_json(&Tiny { x: 7 }));
+        assert_eq!(to_json(&Tiny { x: 7 }), b"{\n  \"x\": 7\n}");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

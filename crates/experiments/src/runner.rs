@@ -12,7 +12,7 @@ use int_core::Policy;
 use int_netsim::{NodeId, SimDuration, SimTime, Topology};
 use int_packet::msgs::RankingKind;
 use int_workload::{BackgroundScenario, BgFlow, JobSpec, TaskClass, WorkloadConfig, WorkloadGenerator};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Everything one experiment run needs.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ impl ExperimentConfig {
 }
 
 /// One task's outcome, flattened for analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TaskOutcome {
     /// Job id.
     pub job_id: u64,
@@ -83,7 +83,7 @@ pub struct TaskOutcome {
 }
 
 /// The result of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentResult {
     /// Policy that produced it.
     pub policy: Policy,

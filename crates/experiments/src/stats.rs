@@ -1,7 +1,7 @@
 //! Statistics shared by the experiments: empirical CDFs and the paper's
 //! performance-gain metric.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The paper's performance-gain metric: how much `ours` improves over
 /// `baseline`, as a fraction (0.30 = 30 % reduction). Negative when ours
@@ -14,7 +14,7 @@ pub fn gain(baseline: f64, ours: f64) -> f64 {
 }
 
 /// An empirical CDF over a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -27,7 +27,7 @@ use int_core::shard::{RankQuery, ShardedScheduler};
 use int_core::{CoreConfig, Policy, RankOutcome, SchedulerCore};
 use int_packet::int::IntRecord;
 use int_packet::ProbePayload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +44,7 @@ const FULL_QPR: usize = 4096;
 
 /// The saved artifact: run shape + outcome digest. Nothing in here may
 /// depend on worker count or wall time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SustainedOutput {
     /// RNG seed the run was driven by.
     pub seed: u64,

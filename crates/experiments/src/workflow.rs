@@ -32,7 +32,7 @@ use int_apps::{SchedulerApp, TaskSubmitterApp};
 use int_core::{CompositePolicy, Policy};
 use int_netsim::{FaultPlan, NodeId, SimDuration, SimTime, Topology};
 use int_workload::{BackgroundScenario, WorkflowConfig, WorkflowGenerator, WorkflowSpec};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Ring positions of the link cut during the fault window (the same core
@@ -44,7 +44,7 @@ const FAULT_LINK: (usize, usize) = (9, 10);
 pub const SLACK_CELLS: [u64; 2] = [170, 300];
 
 /// One measured (policy × slack) cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkflowCell {
     /// Composite policy name.
     pub policy: String,
@@ -80,7 +80,7 @@ pub struct WorkflowCell {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkflowOutput {
     /// Master seed.
     pub seed: u64,

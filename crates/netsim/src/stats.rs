@@ -2,10 +2,10 @@
 //! to what INT *measured* — the tests compare the two).
 
 use int_obs::DropReason;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Engine-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct NetStats {
     /// Events dispatched by the engine.
     pub events_processed: u64,

@@ -2,12 +2,12 @@
 //! and deterministic IP/MAC assignment.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// Index of a node in the topology (hosts and switches share the space).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -17,14 +17,14 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of a link in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct LinkId(pub u32);
 
 /// A node-local port index (matches `int_dataplane::PortId`).
 pub type PortId = u16;
 
 /// What a node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum NodeKind {
     /// An end host: runs applications, terminates transport connections.
     Host,
@@ -33,7 +33,7 @@ pub enum NodeKind {
 }
 
 /// Physical characteristics of a (bidirectional, symmetric) link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LinkParams {
     /// Line rate in bits per second (each direction).
     pub bandwidth_bps: u64,
@@ -56,7 +56,7 @@ impl LinkParams {
 }
 
 /// One endpoint's view of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PortBinding {
     /// The link this port attaches to.
     pub link: LinkId,
@@ -67,7 +67,7 @@ pub struct PortBinding {
 }
 
 /// A node in the specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NodeSpec {
     /// Node identity.
     pub id: NodeId,
@@ -80,7 +80,7 @@ pub struct NodeSpec {
 }
 
 /// A link in the specification.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinkSpec {
     /// Link identity.
     pub id: LinkId,
@@ -94,7 +94,7 @@ pub struct LinkSpec {
 
 
 /// A complete network description, built incrementally.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Topology {
     /// All nodes (index = `NodeId.0`).
     pub nodes: Vec<NodeSpec>,

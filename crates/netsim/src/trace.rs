@@ -6,10 +6,10 @@
 //! useful when debugging who is filling a queue.
 
 use int_packet::{L4View, ParsedPacket, PROBE_RELAY_UDP_PORT, PROBE_UDP_PORT, SCHEDULER_UDP_PORT, SCHED_CLIENT_UDP_PORT, TASK_UDP_PORT, ECHO_UDP_PORT};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Traffic classes the accountant distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TrafficClass {
     /// INT probe packets (direct or relayed).
     Probe,
@@ -71,7 +71,7 @@ impl TrafficClass {
 }
 
 /// Per-class byte and packet counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ClassCounters {
     /// Frames counted.
     pub packets: u64,
@@ -80,7 +80,7 @@ pub struct ClassCounters {
 }
 
 /// Accumulates per-class traffic over a simulation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct TrafficAccountant {
     counters: std::collections::BTreeMap<TrafficClass, ClassCounters>,
 }

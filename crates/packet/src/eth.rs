@@ -3,11 +3,11 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::Result;
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A 48-bit IEEE 802 MAC address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
@@ -38,7 +38,7 @@ impl fmt::Debug for MacAddr {
 }
 
 /// EtherType values understood by the simulated data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum EtherType {
     /// IPv4 (0x0800) — the only L3 protocol the testbed carries.
     Ipv4,
@@ -65,7 +65,7 @@ impl EtherType {
 }
 
 /// An Ethernet II header: destination, source, EtherType. 14 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct EthernetHeader {
     /// Destination MAC address.
     pub dst: MacAddr,

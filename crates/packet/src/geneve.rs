@@ -11,7 +11,7 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Magic number identifying our telemetry shim ("IN" "T!" in ASCII).
 pub const GENEVE_MAGIC: u16 = 0x494E;
@@ -20,7 +20,7 @@ pub const GENEVE_MAGIC: u16 = 0x494E;
 pub const OPT_CLASS_TELEMETRY: u16 = 0xFF01;
 
 /// Option types carried in the shim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GeneveOptType {
     /// An INT-collecting probe packet travelling edge-server → scheduler.
     IntProbe,
@@ -47,7 +47,7 @@ impl GeneveOptType {
 }
 
 /// The 8-byte option shim at the start of a probe payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct GeneveOption {
     /// Shim format version; only [`GeneveOption::VERSION`] is accepted.
     pub version: u8,

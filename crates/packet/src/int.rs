@@ -19,10 +19,10 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Telemetry appended by one switch to a probe packet. 32 bytes on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IntRecord {
     /// Identifier of the switch that appended this record.
     pub switch_id: u32,
@@ -97,7 +97,7 @@ impl WireDecode for IntRecord {
 /// The ordered stack of per-hop telemetry records in a probe payload.
 ///
 /// Record order is path order (first switch first): switches *append*.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct IntStack {
     /// Per-hop records, in the order the probe visited switches.
     pub records: Vec<IntRecord>,

@@ -3,11 +3,11 @@
 use crate::wire::{internet_checksum, need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::net::Ipv4Addr;
 
 /// IP protocol numbers the data plane understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum IpProtocol {
     /// ICMP (1) — used by the ping application.
     Icmp,
@@ -46,7 +46,7 @@ impl IpProtocol {
 /// The simulated network never emits IP options; probe metadata rides in a
 /// Geneve-style shim over UDP instead (paper §III-A), so a fixed 20-byte
 /// header is faithful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Ipv4Header {
     /// Differentiated services code point (6 bits) + ECN (2 bits).
     pub dscp_ecn: u8,

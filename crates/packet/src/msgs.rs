@@ -6,10 +6,10 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Which ranking the edge device asks the scheduler to apply (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum RankingKind {
     /// Sort candidates by estimated end-to-end delay (paper §III-C, Alg. 1).
     Delay,
@@ -38,7 +38,7 @@ impl RankingKind {
 
 /// One candidate edge server in a scheduler response, with the network
 /// performance the scheduler estimated for the path device → server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Candidate {
     /// Node id of the edge server.
     pub node: u32,
@@ -68,7 +68,7 @@ impl Candidate {
 }
 
 /// Every control-plane message exchanged over UDP.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ControlMsg {
     /// Edge device → scheduler: "give me ranked candidate servers".
     SchedRequest {
@@ -246,7 +246,7 @@ impl WireDecode for ControlMsg {
 /// Header at the front of a task-submission byte stream (over the reliable
 /// transport). After this header follow exactly `data_len` payload bytes —
 /// the task's input data (paper Table I sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TaskStreamHeader {
     /// Job the task belongs to.
     pub job_id: u64,

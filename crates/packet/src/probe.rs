@@ -20,10 +20,10 @@ use crate::int::IntStack;
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Payload of an INT probe packet (shim + fixed fields + INT stack).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct ProbePayload {
     /// Node id of the edge server that originated the probe.
     pub origin_node: u32,
@@ -102,7 +102,7 @@ impl WireDecode for ProbePayload {
 /// probes every other node, and the *terminal* wraps the received probe —
 /// with its own identity and receive timestamp, which the collector needs
 /// for final-hop latency — and forwards it to the scheduler over UDP.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct RelayedProbe {
     /// Node the probe terminated at.
     pub terminal_node: u32,

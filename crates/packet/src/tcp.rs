@@ -4,10 +4,10 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// TCP control flags (subset actually used by the transport).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct TcpFlags {
     /// Synchronize sequence numbers (connection open).
     pub syn: bool,
@@ -39,7 +39,7 @@ impl TcpFlags {
 }
 
 /// A 20-byte TCP header without options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TcpHeader {
     /// Source port.
     pub src_port: u16,

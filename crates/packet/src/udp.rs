@@ -3,14 +3,14 @@
 use crate::wire::{need, WireDecode, WireEncode};
 use crate::{PacketError, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A UDP header (8 bytes).
 ///
 /// The simulator computes no UDP checksum (field carried as zero, which RFC
 /// 768 defines as "checksum disabled"); integrity inside the simulator is
 /// guaranteed by construction and the IPv4 header checksum is verified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct UdpHeader {
     /// Source port.
     pub src_port: u16,

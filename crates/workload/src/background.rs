@@ -10,10 +10,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One constant-rate background flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct BgFlow {
     /// Sending node.
     pub src: u32,
@@ -35,7 +35,7 @@ impl BgFlow {
 }
 
 /// A background-traffic scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum BackgroundScenario {
     /// One or two concurrent 30/60 s flows at all times.
     Default,

@@ -8,10 +8,10 @@
 use crate::spec::{JobKind, JobSpec, TaskClass, TaskSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Parameters of a job stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkloadConfig {
     /// Total number of *tasks* (the paper runs 200 per experiment).
     pub total_tasks: usize,

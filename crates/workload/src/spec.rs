@@ -1,10 +1,10 @@
 //! Task and job specifications (paper Table I).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The four workload size classes of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TaskClass {
     /// Very small: 0–1000 KB, 0–2000 ms.
     VerySmall,
@@ -73,7 +73,7 @@ impl fmt::Display for TaskClass {
 
 /// How many tasks a job fans out to (paper §IV: serverless jobs submit one
 /// task, distributed jobs submit three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum JobKind {
     /// Function-as-a-Service style: one task.
     Serverless,
@@ -92,7 +92,7 @@ impl JobKind {
 }
 
 /// One task to be offloaded: how much data to move and how long it runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TaskSpec {
     /// Task index within its job.
     pub task_id: u64,
@@ -105,7 +105,7 @@ pub struct TaskSpec {
 }
 
 /// One job: submitted by a node at a time, fanning out to `tasks`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct JobSpec {
     /// Globally unique job id.
     pub job_id: u64,

@@ -14,10 +14,10 @@
 use crate::spec::TaskClass;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One task inside a workflow DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WorkflowTaskSpec {
     /// Task id, unique within the workflow.
     pub task_id: u64,
@@ -34,7 +34,7 @@ pub struct WorkflowTaskSpec {
 }
 
 /// One workflow: a task DAG released by a submitter at a point in time.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WorkflowSpec {
     /// Globally unique workflow id.
     pub workflow_id: u64,
@@ -47,7 +47,7 @@ pub struct WorkflowSpec {
 }
 
 /// The DAG shapes the generator draws from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DagShape {
     /// `0 → 1 → 2`: strictly sequential.
     Chain,
@@ -72,7 +72,7 @@ impl DagShape {
 }
 
 /// Parameters of a workflow stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WorkflowConfig {
     /// Number of workflows to generate.
     pub total_workflows: usize,

@@ -23,23 +23,6 @@ cargo clippy --workspace --release --all-targets -- -D warnings
 echo "== rustdoc (deny warnings: a doc link to a deleted item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "== benches (smoke: one iteration each, and every guard still registered)"
-bench_log="$(cargo bench -p int-bench -- --test 2>&1)"
-echo "$bench_log"
-for name in push_pop_far_1k timer_heavy_20s flow_table/lpm_indexed/512 flow_table/lpm_linear/512 \
-            rank_throughput/testbed_8h rank_throughput/fabric_64s_128h \
-            rank_throughput_mt/fabric_64s_128h/1 rank_throughput_mt/fabric_64s_128h/2 \
-            rank_throughput_mt/fabric_64s_128h/4 rank_throughput_mt/fabric_64s_128h/8 \
-            rank_throughput_kpaths/fabric_mp_128h/1 rank_throughput_kpaths/fabric_mp_128h/4 \
-            fabric_build/clos_128s_240h \
-            sim_throughput/domains_1 sim_throughput/domains_2 sim_throughput/domains_4 \
-            sim_throughput/clos_obs_off sim_throughput/clos_obs_on \
-            publish_throughput/clos_512s/full publish_throughput/clos_512s/incremental \
-            publish_throughput/clos_512s/all_dirty ingest_throughput/clos_512s_960probes \
-            rank_throughput_churn/fabric_64s_128h collector_ingest/route_flap; do
-    grep -q "$name" <<<"$bench_log" || { echo "bench smoke: $name missing from harness"; exit 1; }
-done
-
 echo "== intbench (the benchmark of record: its tests + every workload's correctness gate)"
 cargo test --release -q --manifest-path intbench/Cargo.toml
 cargo run --release -q --manifest-path intbench/Cargo.toml -- --all --smoke
@@ -69,6 +52,12 @@ names="$(grep -o 'Experiment::new("[a-z0-9-]*"' crates/experiments/src/experimen
 if awk '/^#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/experiments/src/bin/repro.rs \
     | grep -E "\"($names)\""; then
     echo "repro.rs names an experiment outside its tests"; exit 1
+fi
+
+echo "== serialize-only artifacts, one benchmark harness (nothing derives Deserialize; intbench is the only bench)"
+if grep -rn 'Deserialize' crates/*/src src tests examples \
+    || grep -rn --include=Cargo.toml --include=Cargo.lock --exclude-dir=target --exclude-dir=.bench_build 'criterion' .; then
+    echo "a Deserialize outside vendor/ and intbench/, or a criterion dependency"; exit 1
 fi
 
 echo "== one hash index (open-addressed probe loops live in int_obs::SlabIndex only)"

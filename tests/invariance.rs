@@ -9,14 +9,15 @@
 //! FNV-1a 64 of the parent commit's `repro` output — so a strategy that
 //! diverges from the others *and* a change that moves every strategy
 //! together both fail, naming `experiment × strategy`. The single-worker
-//! row also checks the experiment's paper claims on its artifact.
+//! row also asserts that the run broke none of the experiment's paper
+//! claims, which the row checks on the output it serialises.
 //!
 //! [`HEAVY`] experiments (the workflow sweep has a ≈ 20 s floor
 //! unoptimised, the comparison grids several seconds each) run only in
 //! optimised builds: `cargo test --workspace --release` in
 //! `scripts/ci.sh` covers them.
 
-use int_edge_sched::experiments::giant::GiantOut;
+use int_edge_sched::experiments::giant::{self, GiantParams};
 use int_edge_sched::experiments::{find, report, sustained, Experiment, Run, EXPERIMENTS};
 
 const SEED: u64 = 1;
@@ -86,11 +87,7 @@ fn every_strategy_reproduces_the_pinned_artifact() {
             let bytes = if artifact.json.is_empty() { artifact.text.as_bytes() } else { &artifact.json };
             assert_pinned(e.name, &format!("workers={workers}"), bytes);
             if workers == 1 {
-                for c in e.claims {
-                    if let Err(got) = (c.check)(&artifact) {
-                        broken_claims.push(format!("{}: \"{}\" fails: {got}", e.name, c.paper));
-                    }
-                }
+                broken_claims.extend(artifact.broken_claims.iter().map(|c| format!("{}: {c}", e.name)));
             }
         }
     }
@@ -154,10 +151,9 @@ fn sustained_full_rebuild() -> Vec<u8> {
 /// `repro giant --scale 0.02 --domains N`: `giant.jsonl`, then the end-of-run
 /// counters of the summary (the rest of `giant.json` names the domain count).
 fn giant(domains: u16) -> Vec<u8> {
-    let e = find("giant").unwrap();
+    let scale = find("giant").unwrap().smoke;
     let dir = std::env::temp_dir().join(format!("int_invariance_{}_{domains}", std::process::id()));
-    let out: GiantOut =
-        (e.run)(&Run { domains: Some(domains), ..smoke(e, 1, dir.clone()) }).expect("giant run").value();
+    let out = giant::run_in(&GiantParams { domains, ..GiantParams::at_scale(SEED, scale) }, &dir).expect("giant run");
     let mut bytes = std::fs::read(dir.join("giant.jsonl")).expect("epoch export");
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(out.domains, domains, "the partitioner must produce the domains asked for");
