@@ -9,9 +9,9 @@
 use crate::frame::Frame;
 use crate::pipeline::{IngressVerdict, PortId};
 use crate::programs::decrement_ttl;
-use crate::table::{Key, MatchActionTable, MatchKind};
+use crate::table::{MatchActionTable, MatchKind};
+use int_obs::{fnv1a, SlabIndex};
 use int_packet::{L4View, ParsedPacket};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// How a multipath route picks among its equal-cost egress ports.
@@ -59,22 +59,19 @@ pub(crate) fn flow_hash(parsed: &ParsedPacket) -> u64 {
     flow_hash_tuple(src, dst, proto, sport, dport)
 }
 
-/// An equal-cost multipath group: `ports[0]` is the primary (the
-/// single-path route an older control plane would have installed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EcmpGroup {
-    ports: Vec<PortId>,
-}
-
 /// IPv4 LPM forwarding with ECMP groups: every route resolves to a group
 /// of equal-cost egress ports (usually of size 1) and the configured
 /// [`EcmpSelect`] picks among them per packet.
 pub(crate) struct L3ForwardProgram {
     fwd: MatchActionTable<u16>,
-    /// Dedup'd ECMP groups; table actions index into this.
-    groups: Vec<EcmpGroup>,
-    /// Reverse index for dedup at install time.
-    group_index: BTreeMap<Vec<PortId>, u16>,
+    /// Dedup'd ECMP groups as `(start, len)` into `group_ports`; table
+    /// actions index into this. A group's first port is its primary (the
+    /// single-path route an older control plane would have installed).
+    groups: Vec<(u32, u32)>,
+    /// Every group's ports, back to back.
+    group_ports: Vec<PortId>,
+    /// Port list → group, for dedup at install time.
+    group_index: SlabIndex,
     select: EcmpSelect,
     /// Single-entry last-lookup cache `(dst, group)`: consecutive packets
     /// overwhelmingly share a destination, so the ingress path usually
@@ -87,13 +84,18 @@ pub(crate) struct L3ForwardProgram {
     cache_hits: u64,
 }
 
+fn hash_ports(ports: &[PortId]) -> u64 {
+    fnv1a(ports.iter().flat_map(|p| p.to_le_bytes()))
+}
+
 impl L3ForwardProgram {
     /// New stage with an empty forwarding table; unmatched packets drop.
     pub(crate) fn new() -> Self {
         L3ForwardProgram {
             fwd: MatchActionTable::new("ipv4_lpm", MatchKind::Lpm),
             groups: Vec::new(),
-            group_index: BTreeMap::new(),
+            group_ports: Vec::new(),
+            group_index: SlabIndex::default(),
             select: EcmpSelect::Primary,
             cache: None,
             cache_hits: 0,
@@ -105,14 +107,26 @@ impl L3ForwardProgram {
         self.select = select;
     }
 
+    /// The ports of group `g`, primary first.
+    fn ports(&self, g: u16) -> &[PortId] {
+        let (start, len) = self.groups[g as usize];
+        &self.group_ports[start as usize..][..len as usize]
+    }
+
     fn intern_group(&mut self, ports: &[PortId]) -> u16 {
-        if let Some(&idx) = self.group_index.get(ports) {
-            return idx;
+        let hash = hash_ports(ports);
+        if let Some(g) = self.group_index.find(hash, |g| self.ports(g as u16) == ports) {
+            return g as u16;
         }
-        let idx = self.groups.len() as u16;
-        self.groups.push(EcmpGroup { ports: ports.to_vec() });
-        self.group_index.insert(ports.to_vec(), idx);
-        idx
+        let g = self.groups.len() as u32;
+        self.groups.push((self.group_ports.len() as u32, ports.len() as u32));
+        self.group_ports.extend_from_slice(ports);
+        let (groups, all) = (&self.groups, &self.group_ports);
+        self.group_index.insert(hash, g, |old| {
+            let (start, len) = groups[old as usize];
+            hash_ports(&all[start as usize..][..len as usize])
+        });
+        g as u16
     }
 
     /// Control plane: route `prefix/len` over an equal-cost port group.
@@ -122,8 +136,7 @@ impl L3ForwardProgram {
         assert!(!ports.is_empty(), "ECMP group for {prefix}/{prefix_len} is empty");
         self.cache = None; // any table write invalidates the lookup cache
         let group = self.intern_group(ports);
-        self.fwd
-            .insert(Key::Lpm { value: prefix.octets().to_vec(), prefix_len }, group);
+        self.fwd.insert_prefix(&prefix.octets(), prefix_len, group);
     }
 
     /// The per-packet forwarding step: resolve the destination's ECMP
@@ -151,7 +164,7 @@ impl L3ForwardProgram {
     /// the caller-computed flow hash.
     fn select_cached(&mut self, dst: Ipv4Addr, hash: u64) -> Option<PortId> {
         let g = self.group_cached(dst)?;
-        let ports = &self.groups[g as usize].ports;
+        let ports = self.ports(g);
         Some(match self.select {
             EcmpSelect::Primary => ports[0],
             EcmpSelect::FlowHash => ports[(hash % ports.len() as u64) as usize],

@@ -8,11 +8,13 @@
 //! Lookup is the per-packet-per-hop hot path, so the table keeps an index
 //! beside the entry list (DESIGN.md §5.4): per prefix length, from longest
 //! to shortest, an `int_obs::SlabIndex` of masked key bytes (the standard
-//! software-LPM scheme). The pre-index linear scan survives as
-//! [`MatchActionTable::lookup_linear`], the semantics oracle the property
-//! tests pin `lookup` against.
+//! software-LPM scheme). Every entry's key bytes sit back to back in one
+//! arena and the index stores entry positions only, so installing a route
+//! allocates nothing of its own: the table's vectors grow by doubling. The
+//! pre-index linear scan survives as [`MatchActionTable::lookup_linear`],
+//! the semantics oracle the property tests pin `lookup` against.
 
-use int_obs::SlabIndex;
+use int_obs::{fnv1a, SlabIndex};
 use serde::Serialize;
 
 /// How a table matches its key: longest-prefix match is the one kind.
@@ -32,20 +34,6 @@ pub enum Key {
         /// Number of leading significant bits.
         prefix_len: u16,
     },
-}
-
-impl Key {
-    /// Does this key match `bytes`?
-    fn matches(&self, bytes: &[u8]) -> bool {
-        let Key::Lpm { value, prefix_len } = self;
-        value.len() == bytes.len() && prefix_matches(value, bytes, *prefix_len)
-    }
-
-    /// Specificity used to pick the winner among matches: the prefix length.
-    fn specificity(&self) -> u16 {
-        let Key::Lpm { prefix_len, .. } = self;
-        *prefix_len
-    }
 }
 
 fn prefix_matches(value: &[u8], bytes: &[u8], prefix_len: u16) -> bool {
@@ -85,44 +73,58 @@ fn mask_into(buf: &mut [u8; MAX_LPM_KEY], bytes: &[u8], prefix_len: u16) -> usiz
     n
 }
 
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    // FNV-1a: tiny keys, no DoS surface (the control plane installs them).
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// One installed entry; its key bytes are `keys[start..start + len]` of
+/// the owning table.
+#[derive(Debug, Clone)]
+struct Entry<A> {
+    start: u32,
+    len: u16,
+    prefix_len: u16,
+    action: A,
 }
 
-/// Byte-slice → entry-index map over a [`SlabIndex`]. Insert-only, like
-/// the table.
-#[derive(Debug, Clone, Default)]
-struct ByteIndex {
-    /// (key bytes, entry index) in insertion order; `index` refers here.
-    pairs: Vec<(Box<[u8]>, u32)>,
+impl<A> Entry<A> {
+    fn key<'k>(&self, keys: &'k [u8]) -> &'k [u8] {
+        &keys[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// The indexed entries of one raw prefix length, keyed by masked key
+/// bytes. Insert-only, like the table; the earliest entry per masked key
+/// is the one indexed (matching the reference scan, where the earliest
+/// entry wins ties).
+#[derive(Debug, Clone)]
+struct Bucket {
+    prefix_len: u16,
+    /// `(entry position, low 32 bits of its masked key's hash)` in
+    /// insertion order; `index` ids refer here. The hash bits reject most
+    /// probed-past entries without reading their keys, and are all a
+    /// regrow needs (the index places ids by low bits only).
+    entries: Vec<(u32, u32)>,
     index: SlabIndex,
 }
 
-impl ByteIndex {
-    fn get(&self, key: &[u8]) -> Option<u32> {
-        let pair = self
-            .index
-            .find(hash_bytes(key), |p| &self.pairs[p as usize].0[..] == key)?;
-        Some(self.pairs[pair as usize].1)
+impl Bucket {
+    /// The entry indexed under `masked` (already masked to this bucket's
+    /// prefix length, with `hash` its FNV-1a).
+    fn get<A>(&self, hash: u64, masked: &[u8], keys: &[u8], entries: &[Entry<A>]) -> Option<u32> {
+        let id = self.index.find(hash, |id| {
+            let (e, low) = self.entries[id as usize];
+            low == hash as u32 && {
+                let key = entries[e as usize].key(keys);
+                key.len() == masked.len() && prefix_matches(key, masked, self.prefix_len)
+            }
+        })?;
+        Some(self.entries[id as usize].0)
     }
 
-    /// First-wins insert: keeps the existing binding if `key` is present
-    /// (matching the reference scan, where the earliest entry wins ties).
-    fn insert_first(&mut self, key: &[u8], entry: u32) {
-        if self.get(key).is_some() {
-            return;
-        }
-        let pair = self.pairs.len() as u32;
-        self.pairs.push((key.into(), entry));
-        let pairs = &self.pairs;
-        self.index
-            .insert(hash_bytes(key), pair, |p| hash_bytes(&pairs[p as usize].0));
+    /// Index entry position `e` under `hash`: the caller has checked that
+    /// no entry is indexed under the same masked key.
+    fn push(&mut self, hash: u64, e: u32) {
+        let id = self.entries.len() as u32;
+        self.entries.push((e, hash as u32));
+        let entries = &self.entries;
+        self.index.insert(hash, id, |old| entries[old as usize].1 as u64);
     }
 }
 
@@ -130,17 +132,19 @@ impl ByteIndex {
 #[derive(Debug, Clone)]
 pub struct MatchActionTable<A> {
     name: &'static str,
+    /// Every entry's key bytes, back to back in insertion order.
+    keys: Vec<u8>,
     /// Entries in insertion order; `buckets` index them.
-    entries: Vec<(Key, A)>,
-    /// Per raw prefix length, longest first: masked key bytes → entry.
-    buckets: Vec<(u16, ByteIndex)>,
+    entries: Vec<Entry<A>>,
+    /// One per raw prefix length, longest first.
+    buckets: Vec<Bucket>,
 }
 
 impl<A: Clone> MatchActionTable<A> {
     /// Declare an empty table. `kind` is always [`MatchKind::Lpm`].
     pub fn new(name: &'static str, kind: MatchKind) -> Self {
         let MatchKind::Lpm = kind;
-        MatchActionTable { name, entries: Vec::new(), buckets: Vec::new() }
+        MatchActionTable { name, keys: Vec::new(), entries: Vec::new(), buckets: Vec::new() }
     }
 
     /// Number of installed entries.
@@ -153,59 +157,69 @@ impl<A: Clone> MatchActionTable<A> {
         self.entries.is_empty()
     }
 
-    /// Install an entry. Panics on a key longer than the index can mask —
-    /// a control-plane programming error, the class of failure p4runtime
-    /// rejects at insert time.
+    /// Install an entry, replacing an identical key's action in place
+    /// (p4runtime MODIFY semantics). Panics on a key longer than the index
+    /// can mask — a control-plane programming error, the class of failure
+    /// p4runtime rejects at insert time.
     pub fn insert(&mut self, key: Key, action: A) {
-        let Key::Lpm { value, .. } = &key;
+        let Key::Lpm { value, prefix_len } = &key;
+        self.insert_prefix(value, *prefix_len, action);
+    }
+
+    /// [`insert`](Self::insert) of `Key::Lpm { value, prefix_len }` on
+    /// borrowed bytes: the one install path, which the forwarding stage's
+    /// route installs call directly. Copies `value` into the key arena.
+    pub(crate) fn insert_prefix(&mut self, value: &[u8], prefix_len: u16, action: A) {
         assert!(
             value.len() <= MAX_LPM_KEY,
             "LPM key of {} bytes exceeds the {MAX_LPM_KEY}-byte limit of table `{}`",
             value.len(),
             self.name
         );
-        // Replace an identical key in place (p4runtime MODIFY semantics).
-        if let Some(i) = self.find_identical(&key) {
-            self.entries[i].1 = action;
+        // `prefix_matches` rejects a prefix longer than the key
+        // unconditionally: such an entry is never indexed.
+        let live = (prefix_len / 8) as usize <= value.len();
+        let mut buf = [0u8; MAX_LPM_KEY];
+        let n = mask_into(&mut buf, value, prefix_len);
+        let masked = &buf[..n];
+        let hash = fnv1a(masked.iter().copied());
+        let pos = self.buckets.partition_point(|b| b.prefix_len > prefix_len);
+        let bucket = self.buckets.get(pos).filter(|b| b.prefix_len == prefix_len);
+        let has_bucket = bucket.is_some();
+        let indexed = match bucket {
+            Some(b) if live => b.get(hash, masked, &self.keys, &self.entries),
+            _ => None,
+        };
+        let identical = |e: &Entry<A>| e.prefix_len == prefix_len && e.key(&self.keys) == value;
+        let modify = match indexed {
+            Some(e) if identical(&self.entries[e as usize]) => Some(e as usize),
+            // Nothing indexed under a live key's masked value: the key is new.
+            None if live => None,
+            // A dead key is never indexed, and the entry indexed under this
+            // masked value may shadow an identical one: scan (control-plane
+            // rate, never a route install of a fabric).
+            _ => self.entries.iter().position(identical),
+        };
+        if let Some(i) = modify {
+            self.entries[i].action = action;
             return;
         }
-        self.entries.push((key, action));
-        let idx = self.entries.len() - 1;
-        let Key::Lpm { value, prefix_len } = &self.entries[idx].0;
-        if (prefix_len / 8) as usize > value.len() {
-            // `prefix_matches` rejects such entries unconditionally:
-            // nothing to index.
-            return;
+        let id = self.entries.len() as u32;
+        self.entries.push(Entry {
+            start: self.keys.len() as u32,
+            len: value.len() as u16,
+            prefix_len,
+            action,
+        });
+        self.keys.extend_from_slice(value);
+        if !live || indexed.is_some() {
+            return; // dead, or shadowed by the earlier same-mask entry
         }
-        let pos = self.buckets.partition_point(|(p, _)| p > prefix_len);
-        if self.buckets.get(pos).is_none_or(|(p, _)| p != prefix_len) {
-            self.buckets.insert(pos, (*prefix_len, ByteIndex::default()));
+        if !has_bucket {
+            let new = Bucket { prefix_len, entries: Vec::new(), index: SlabIndex::default() };
+            self.buckets.insert(pos, new);
         }
-        let mut buf = [0u8; MAX_LPM_KEY];
-        let n = mask_into(&mut buf, value, *prefix_len);
-        self.buckets[pos].1.insert_first(&buf[..n], idx as u32);
-    }
-
-    /// Position of an entry whose key equals `key` exactly, if any. Served
-    /// from the index when it can answer authoritatively; the scan fallback
-    /// covers shadowed and unindexed keys (control-plane-rate events).
-    fn find_identical(&self, key: &Key) -> Option<usize> {
-        let Key::Lpm { value, prefix_len } = key;
-        if (prefix_len / 8) as usize > value.len() {
-            // Dead-prefix entries are not indexed.
-            return self.entries.iter().position(|(k, _)| k == key);
-        }
-        let (_, map) = self.buckets.iter().find(|(p, _)| p == prefix_len)?;
-        let mut buf = [0u8; MAX_LPM_KEY];
-        let n = mask_into(&mut buf, value, *prefix_len);
-        let cand = map.get(&buf[..n])? as usize;
-        if self.entries[cand].0 == *key {
-            Some(cand)
-        } else {
-            // A same-prefix entry shadows this masked value; an identical
-            // key may still exist behind it.
-            self.entries.iter().position(|(k, _)| k == key)
-        }
+        self.buckets[pos].push(hash, id);
     }
 
     /// Look up the action for `key_bytes`: the longest matching prefix.
@@ -217,10 +231,12 @@ impl<A: Clone> MatchActionTable<A> {
             return None; // no entry is that long, and lengths must agree
         }
         let mut buf = [0u8; MAX_LPM_KEY];
-        for (plen, map) in &self.buckets {
-            let n = mask_into(&mut buf, key_bytes, *plen);
-            if let Some(e) = map.get(&buf[..n]) {
-                return Some(&self.entries[e as usize].1);
+        for b in &self.buckets {
+            let n = mask_into(&mut buf, key_bytes, b.prefix_len);
+            let masked = &buf[..n];
+            let hash = fnv1a(masked.iter().copied());
+            if let Some(e) = b.get(hash, masked, &self.keys, &self.entries) {
+                return Some(&self.entries[e as usize].action);
             }
         }
         None
@@ -231,16 +247,16 @@ impl<A: Clone> MatchActionTable<A> {
     /// Kept public as the semantics oracle for property tests and as the
     /// bench baseline the indexed path is measured against.
     pub fn lookup_linear(&self, key_bytes: &[u8]) -> Option<&A> {
-        let mut best: Option<(u16, usize)> = None;
-        for (i, (k, _)) in self.entries.iter().enumerate() {
-            if k.matches(key_bytes) {
-                let s = k.specificity();
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, i));
-                }
+        let mut best: Option<&Entry<A>> = None;
+        for e in &self.entries {
+            let key = e.key(&self.keys);
+            let matches =
+                key.len() == key_bytes.len() && prefix_matches(key, key_bytes, e.prefix_len);
+            if matches && best.is_none_or(|b| e.prefix_len > b.prefix_len) {
+                best = Some(e);
             }
         }
-        best.map(|(_, i)| &self.entries[i].1)
+        best.map(|e| &e.action)
     }
 }
 

@@ -2,7 +2,8 @@
 //! and deterministic IP/MAC assignment.
 
 use crate::time::SimDuration;
-use serde::Serialize;
+use int_obs::{fnv1a, SlabIndex};
+use serde::{Serialize, Value};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -92,14 +93,26 @@ pub struct LinkSpec {
     pub params: LinkParams,
 }
 
-
 /// A complete network description, built incrementally.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     /// All nodes (index = `NodeId.0`).
     pub nodes: Vec<NodeSpec>,
     /// All links (index = `LinkId.0`).
     pub links: Vec<LinkSpec>,
+    /// Node name → node id over the names in `nodes`, kept by
+    /// `add_node` (a node pushed onto `nodes` directly is not in it).
+    names: SlabIndex,
+}
+
+/// The description alone, `{nodes, links}`: the name index is derived.
+impl Serialize for Topology {
+    fn serialize(&self) -> Value {
+        Value::Object(vec![
+            ("nodes".to_string(), self.nodes.serialize()),
+            ("links".to_string(), self.links.serialize()),
+        ])
+    }
 }
 
 impl Topology {
@@ -108,14 +121,21 @@ impl Topology {
         Self::default()
     }
 
+    /// Append a node. Panics on a name already taken, checked in O(1)
+    /// through the name index (hash of the name → id; the names
+    /// themselves live in `nodes` only), so building an n-node fabric is
+    /// linear in n.
     fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
         let name = name.into();
+        let Topology { nodes, names, .. } = self;
+        let hash = fnv1a(name.bytes());
         assert!(
-            self.nodes.iter().all(|n| n.name != name),
+            names.find(hash, |id| nodes[id as usize].name == name).is_none(),
             "duplicate node name `{name}`"
         );
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeSpec { id, name, kind, ports: Vec::new() });
+        let id = NodeId(nodes.len() as u32);
+        names.insert(hash, id.0, |old| fnv1a(nodes[old as usize].name.bytes()));
+        nodes.push(NodeSpec { id, name, kind, ports: Vec::new() });
         id
     }
 
@@ -151,12 +171,12 @@ impl Topology {
         &self.links[id.0 as usize]
     }
 
-    /// The link connecting `a` and `b` (either order), if one exists.
+    /// The link connecting `a` and `b` (either order), if one exists:
+    /// the first of `a`'s ports whose peer is `b` (the lowest such link
+    /// id), so O(degree of `a`). `None` for an unknown `a`.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkId> {
-        self.links
-            .iter()
-            .find(|l| (l.a.0 == a && l.b.0 == b) || (l.a.0 == b && l.b.0 == a))
-            .map(|l| l.id)
+        let ports = &self.nodes.get(a.0 as usize)?.ports;
+        ports.iter().find(|p| p.peer == b).map(|p| p.link)
     }
 
     /// All host node ids, in creation order.
@@ -343,7 +363,27 @@ mod tests {
         assert_eq!(t.link_between(h1, s1), Some(l1));
         assert_eq!(t.link_between(h2, s1), Some(l2), "order-insensitive");
         assert_eq!(t.link_between(h1, h2), None);
+        assert_eq!(t.link_between(NodeId(99), h1), None, "unknown node");
         assert!(t.validate().is_ok());
+        let parallel = t.add_link(s1, h1, LinkParams::paper_default());
+        assert_eq!(t.link_between(h1, s1), Some(l1), "the lowest of parallel links");
+        assert_eq!(t.link_between(s1, h1), Some(l1));
+        assert_ne!(parallel, l1);
+    }
+
+    /// The name index is derived state: a topology serializes as its
+    /// description alone.
+    #[test]
+    fn serializes_as_nodes_and_links() {
+        let mut t = Topology::new();
+        let h = t.add_host("h");
+        let s = t.add_switch("s");
+        t.add_link(h, s, LinkParams::paper_default());
+        let Value::Object(fields) = t.serialize() else { panic!("a topology is an object") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["nodes", "links"]);
+        assert_eq!(fields[0].1, t.nodes.serialize());
+        assert_eq!(fields[1].1, t.links.serialize());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`SlabIndex`] maps a caller's 64-bit hash to a dense `u32` id into a
 //! slab the caller owns (an edge slab, a route list, a series table, a
-//! key list). It stores only the ids: the caller keeps its keys, its hash
+//! node list). It stores only the ids: the caller keeps its keys, its hash
 //! function and its key equality, and answers "is this id the key I am
 //! looking for?" through a closure. Linear probing over a power-of-two
 //! slot array; one growth rule for every caller.
@@ -21,6 +21,16 @@ const MIN_CAPACITY: usize = 16;
 /// take the index past it doubles the capacity first.
 const LOAD_NUM: usize = 3;
 const LOAD_DEN: usize = 4;
+
+/// FNV-1a over `bytes`: the hash of the byte-keyed callers (node names,
+/// masked LPM keys, ECMP port groups). Their keys come from the program,
+/// never from outside input, so there is no flooding to defend against.
+#[inline]
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
 
 /// Open-addressed index from a caller-supplied hash to a dense id.
 #[derive(Debug, Clone, Default)]

@@ -18,8 +18,9 @@
 //!   byte-identical file.
 //! * [`SlabIndex`] — the open-addressed hash index from a caller's hash
 //!   to a dense slab id that the metrics registry, the learned map's
-//!   edges, the collector's route memo and the data plane's LPM
-//!   forwarding table all look up through.
+//!   edges, the collector's route memo, the data plane's LPM
+//!   forwarding table and ECMP groups, and the topology's node names
+//!   all look up through ([`fnv1a`] hashes the byte-keyed ones).
 //!
 //! Everything is **deterministic** (sim time only, integer values,
 //! fixed-order exports, counter-based sampling) so exports are
@@ -42,7 +43,7 @@ pub mod stream;
 pub mod trace;
 
 pub use audit::{CandidateEstimate, DecisionAudit, DecisionRecord};
-pub use index::SlabIndex;
+pub use index::{fnv1a, SlabIndex};
 pub use metrics::{CounterId, Histogram, HistogramId, Labels, MetricsRegistry};
 pub use stream::{EpochWriter, EpochWriterStats};
 pub use trace::{DropReason, TraceEvent, TraceKind, TraceRing};

@@ -65,6 +65,22 @@ if grep -rn '(i + 1) & mask' crates/*/src | grep -v '^crates/obs/src/index.rs:';
     echo "hand-rolled probe loop outside obs::index"; exit 1
 fi
 
+echo "== fabric construction stays linear (add_node checks names through its index; route installs copy no key)"
+strays="$(awk 'FNR == 1 { owner = ""; f = ""; tests = 0 }
+    /^#\[cfg\(test\)\]/ { tests = 1 }
+    tests || /^[[:space:]]*\/\// { next }
+    /^impl/ { owner = $0; sub(/^impl(<[^>]*>)? */, "", owner); sub(/[^A-Za-z0-9_].*/, "", owner) }
+    /^(pub )?(fn|struct|enum|const|static|type) / { owner = "" }
+    match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+    (owner == "Topology" && f == "add_node" && /self\.nodes\.iter\(\)/) \
+        || (owner == "MatchActionTable" && f ~ /^insert/ && /to_vec\(\)/) \
+        || (owner == "L3ForwardProgram" && f == "install_route" && /to_vec\(\)/) {
+        print FILENAME ":" FNR ": " $0
+    }' crates/netsim/src/topology.rs crates/dataplane/src/table.rs crates/dataplane/src/programs/l3fwd.rs)"
+if [ -n "$strays" ]; then
+    echo "$strays"; echo "a scan of every node in Topology::add_node, or a copied key in a route install"; exit 1
+fi
+
 echo "== one switch program (IntTelemetryProgram, held by value)"
 if grep -rn 'impl DataPlaneProgram for' crates/*/src | grep -v '^crates/dataplane/src/programs/int_telemetry.rs:' \
     || grep -rn 'dyn DataPlaneProgram' crates src tests examples; then
