@@ -26,8 +26,8 @@
 //!    [`shard::ShardedScheduler`] serves the same epochs from N threads.
 //! 4. [`estimate`] and [`rank::Ranker`] are the **reference**: the same
 //!    rule written the obvious way over the live map
-//!    ([`map::NetworkMap::path`], one path per candidate). Tests and
-//!    benches hold the serving stack to it; nothing else calls it.
+//!    ([`map::NetworkMap::path`], one path per candidate). Tests hold
+//!    the serving stack to it; nothing else calls it.
 //!
 //! Extensions the paper lists as future work are also implemented:
 //! [`compute`] (compute-aware re-ranking) and [`coverage`] (probe route

@@ -6,8 +6,8 @@
 //!
 //! This module holds the vocabulary every ranking speaks ([`Policy`],
 //! [`RankedServer`], [`RankOutcome`], [`StaticDistances`]) and [`Ranker`],
-//! the **reference** implementation over the live map that tests and
-//! benches compare the serving stack ([`crate::snapshot`]) against.
+//! the **reference** implementation over the live map that tests
+//! compare the serving stack ([`crate::snapshot`]) against.
 
 use crate::collector::IntCollector;
 use crate::config::CoreConfig;
@@ -158,8 +158,10 @@ pub(crate) fn nearest_key(hops: Option<u32>, s: &RankedServer) -> (u32, u32) {
 ///
 /// Nothing in `sched`, `shard`, `snapshot`, `apps` or the experiments'
 /// run paths calls this: queries are served from epoch snapshots
-/// ([`crate::sched::SchedulerCore`]). Tests and benches hold the serving
-/// stack to this implementation, answer for answer — except
+/// ([`crate::sched::SchedulerCore`]). `tests/proptest_core.rs`,
+/// `tests/shard_determinism.rs` and the snapshot and sustained-load unit
+/// tests hold the serving stack to this implementation, answer for
+/// answer — except
 /// [`Policy::Random`], where the reference draws from one sequential RNG
 /// stream and serving derives a shuffle per `(seed, epoch, slot)`.
 #[derive(Debug, Clone)]

@@ -39,7 +39,7 @@
 //! **Workers.** Pieces 1.. go to `n − 1` worker threads (`int-shard-<i>`)
 //! that start on the first batch with more than one piece and live until
 //! the scheduler drops; piece 0 is served on the calling thread. A worker
-//! is handed its shard's state (scratch, served count, outcome buffers),
+//! is handed its shard's state (scratch and outcome buffers),
 //! the snapshot `Arc` and its piece by value over a bounded channel, and
 //! hands them back the same way, so nothing borrowed crosses a thread and
 //! the buffers' capacity circulates: a warm batch allocates nothing. One
@@ -50,7 +50,6 @@ use crate::rank::{Policy, RankOutcome, StaticDistances};
 use crate::sched::SchedulerCore;
 use crate::snapshot::{PublishStats, SchedSnapshot, SnapshotScratch};
 use int_packet::ProbePayload;
-use int_obs::{Labels, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -133,8 +132,6 @@ impl EpochSlot {
 #[derive(Debug, Default)]
 struct RankShard {
     scratch: SnapshotScratch,
-    /// Queries this shard has served, over the scheduler's life.
-    served: u64,
     /// The shard's piece of the batch: each query with its slot number
     /// (capacity kept across batches; empty for shard 0, which reads the
     /// batch in place).
@@ -147,14 +144,13 @@ struct RankShard {
 impl RankShard {
     /// Serve the whole piece against `snap` into `out`.
     fn serve_piece(&mut self, snap: &SchedSnapshot) {
-        let RankShard { scratch, served, piece, out } = self;
+        let RankShard { scratch, piece, out } = self;
         if out.len() < piece.len() {
             out.resize_with(piece.len(), RankOutcome::default);
         }
         for (&(q, slot), o) in piece.iter().zip(out.iter_mut()) {
             snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, slot, o);
         }
-        *served += piece.len() as u64;
     }
 }
 
@@ -213,7 +209,6 @@ pub struct ShardedScheduler {
     order: Vec<(u64, u32, u32)>,
     /// Global query counter: the next query's slot number.
     queries_total: u64,
-    metrics: MetricsRegistry,
 }
 
 // The scheduler moves between threads with its workers; nothing in it
@@ -243,7 +238,6 @@ impl ShardedScheduler {
             workers: Vec::new(),
             order: Vec::new(),
             queries_total: 0,
-            metrics: MetricsRegistry::new(),
         }
     }
 
@@ -279,16 +273,6 @@ impl ShardedScheduler {
         Arc::clone(&self.slot)
     }
 
-    /// Snapshot-publish counters and per-shard serving histograms.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Mutable metrics access (enable/disable, export merging).
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
-    }
-
     /// Run eviction at `now_ns`, let the core publish a fresh snapshot if
     /// anything about the map changed since its last one (see
     /// `SchedulerCore::advance` for the key), and hand the core's current
@@ -301,8 +285,6 @@ impl ShardedScheduler {
             return false;
         }
         self.slot.publish(Arc::clone(snap));
-        self.metrics.counter_inc("sched_snapshot_publishes", Labels::none());
-        self.metrics.gauge_set("sched_epoch", Labels::none(), epoch as i64, now_ns);
         true
     }
 
@@ -324,8 +306,8 @@ impl ShardedScheduler {
     }
 
     /// Turn incremental publication off (every epoch a full rebuild — the
-    /// reference benches and the determinism tests compare against) or
-    /// back on.
+    /// reference `tests/invariance.rs`'s sustained full-rebuild run
+    /// compares against) or back on.
     pub fn set_incremental_publish(&mut self, on: bool) {
         self.core.set_incremental_publish(on);
     }
@@ -364,25 +346,6 @@ impl ShardedScheduler {
                 o.excluded.clear();
             }
         }
-
-        if self.metrics.enabled() {
-            // Gauges are stamped on the collector clock: the batch's latest query time.
-            let at_ns = queries.iter().map(|q| q.now_ns).max().expect("batch is non-empty");
-            for (i, shard) in self.shards.iter().enumerate() {
-                let served = shard.as_ref().expect("every shard is home between batches").served;
-                self.metrics.gauge_set(
-                    "shard_queries_served",
-                    Labels::one("shard", i as u64),
-                    served as i64,
-                    at_ns,
-                );
-            }
-            self.metrics.histogram_record(
-                "sched_batch_size",
-                Labels::none(),
-                queries.len() as u64,
-            );
-        }
     }
 
     /// Serve a non-empty batch against the snapshot `serve_batch` just
@@ -415,13 +378,11 @@ impl ShardedScheduler {
         }
 
         let first = &order[..chunk];
-        let RankShard { scratch, served, .. } =
-            shards[0].as_mut().expect("shard 0 never leaves the calling thread");
+        let scratch = &mut shards[0].as_mut().expect("shard 0 never leaves the calling thread").scratch;
         for &(_, _, j) in first {
             let (q, o) = (&queries[j as usize], &mut out[j as usize]);
             snap.rank_detailed_into(scratch, q.requester, q.policy, q.now_ns, slot_of(j), o);
         }
-        *served += first.len() as u64;
 
         for (i, piece) in order.chunks(chunk).enumerate().skip(1) {
             let Ok(Job { mut shard, .. }) = workers[i - 1].done.recv() else {
@@ -631,8 +592,12 @@ mod tests {
             let mut out = Vec::new();
             s.serve_batch(&qs, &mut out);
             assert!(out.iter().all(|o| !o.ranked.is_empty()), "shards={n}");
-            let grown: u64 =
-                s.shards.iter().map(|sh| sh.as_ref().expect("home").scratch.stats().sssp_runs).sum();
+            let stats: Vec<_> =
+                s.shards.iter().map(|sh| sh.as_ref().expect("home").scratch.stats()).collect();
+            let served: Vec<u64> = stats.iter().map(|st| st.queries).collect();
+            let pieces: Vec<u64> = qs.chunks(qs.len().div_ceil(n)).map(|c| c.len() as u64).collect();
+            assert_eq!(served, pieces, "shards={n}: each shard serves its piece");
+            let grown: u64 = stats.iter().map(|st| st.sssp_runs).sum();
             let cuts = n as u64 - 1;
             assert!(grown <= ROOTS + cuts, "shards={n}: {grown} Dijkstras for {ROOTS} roots");
             assert_eq!(s.workers.len(), n - 1, "one worker per piece past the first");
@@ -704,34 +669,6 @@ mod tests {
         let mut out = Vec::new();
         s.serve_batch(&[RankQuery { requester: 6, policy: Policy::IntDelay, now_ns: 34_000_000 }], &mut out);
         assert_eq!(out[0], direct);
-    }
-
-    #[test]
-    fn publish_metrics_exported() {
-        let mut s = sharded(2);
-        s.metrics_mut().set_enabled(true);
-        s.advance(32_000_000);
-        s.core_mut().collector_mut().ingest(&probe(1, 2, &[(10, 1), (11, 0)]), 33_000_000);
-        s.advance(33_000_000);
-        assert_eq!(s.metrics().counter("sched_snapshot_publishes", Labels::none()), 2);
-        assert_eq!(s.metrics().gauge("sched_epoch", Labels::none()), Some(2));
-        let mut out = Vec::new();
-        s.serve_batch(&queries(8, 33_000_000), &mut out);
-        assert_eq!(
-            s.metrics().gauge("shard_queries_served", Labels::one("shard", 0)),
-            Some(4)
-        );
-        assert_eq!(
-            s.metrics().gauge("shard_queries_served", Labels::one("shard", 1)),
-            Some(4)
-        );
-        // Stamped with the batch's latest query time, not its first slot
-        // number (0 here): queries(8, t) ask at t, t + 1 µs, …, t + 7 µs.
-        let json = s.metrics().snapshot_json();
-        for shard in 0..2 {
-            let want = format!(r#""shard_queries_served{{shard={shard}}}":{{"value":4,"at_ns":33007000}}"#);
-            assert!(json.contains(&want), "{want} not in {json}");
-        }
     }
 
     #[test]

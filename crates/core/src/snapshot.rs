@@ -389,6 +389,8 @@ impl SchedSnapshot {
     /// *runs* compared by content. (Byte-comparing `qlen_hist` directly
     /// would also compare slot padding, which legitimately differs
     /// between a fresh full build and an incrementally patched epoch.)
+    /// Oracle: `tests/proptest_publish.rs` holds every incremental epoch
+    /// equal to a full rebuild by it.
     pub fn content_eq(&self, other: &SchedSnapshot) -> bool {
         self.epoch == other.epoch
             && self.published_at_ns == other.published_at_ns
@@ -421,12 +423,6 @@ impl SchedSnapshot {
     /// Collector-clock time this snapshot was published at, ns.
     pub fn published_at_ns(&self) -> u64 {
         self.published_at_ns
-    }
-
-    /// Directed arcs in the frozen graph. Diagnostic: the slot-floor test
-    /// below bounds history reservation by it.
-    pub fn arc_count(&self) -> usize {
-        self.topo.cols.len()
     }
 
     /// Candidate hosts known to this epoch, ascending.
@@ -1470,7 +1466,8 @@ impl SnapshotScratch {
     }
 }
 
-/// Publish counters (diagnostics, tests, benches).
+/// Publish counters: `tests/alloc_publish.rs`, the publisher's unit
+/// tests and the `ctl_*` benchmark workloads read them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PublishStats {
     /// Epochs built by the full O(topology) rebuild.
@@ -1557,7 +1554,7 @@ impl SnapshotPublisher {
     }
 
     /// Turn the incremental path off (every publish a full rebuild — the
-    /// reference tests and benches compare against) or back on.
+    /// reference `tests/proptest_publish.rs` compares against) or back on.
     pub fn set_incremental(&mut self, on: bool) {
         self.incremental = on;
     }
@@ -2153,10 +2150,10 @@ mod tests {
         assert!(stats.full_builds <= 3, "{stats:?}");
         assert_eq!(stats.csr_builds, 1, "the structure never moved: {stats:?}");
         assert!(
-            snap.qlen_hist.len() <= 32 * snap.arc_count(),
+            snap.qlen_hist.len() <= 32 * snap.topo.cols.len(),
             "{} history entries reserved for {} arcs",
             snap.qlen_hist.len(),
-            snap.arc_count()
+            snap.topo.cols.len()
         );
     }
 

@@ -344,8 +344,8 @@ mod tests {
         assert_eq!(rec2.switch_id, 43);
         assert_eq!(rec2.link_latency_ns, 10_000_000, "s1→s2 link latency measured exactly");
         assert_eq!(rec2.ingress_port, 3);
-        let adj: Vec<_> = payload.int.adjacencies().collect();
-        assert_eq!(adj, vec![(42, 43)]);
+        let path: Vec<_> = payload.int.records.iter().map(|r| r.switch_id).collect();
+        assert_eq!(path, vec![42, 43]);
     }
 
     #[test]

@@ -244,8 +244,9 @@ impl<A: Clone> MatchActionTable<A> {
 
     /// Reference lookup: linear scan over all entries tracking the longest
     /// match (earliest-inserted wins ties) — the pre-index implementation.
-    /// Kept public as the semantics oracle for property tests and as the
-    /// bench baseline the indexed path is measured against.
+    /// Oracle: kept public so the property tests below and
+    /// `tests/alloc_build.rs` hold the indexed [`lookup`](Self::lookup)
+    /// equal to it.
     pub fn lookup_linear(&self, key_bytes: &[u8]) -> Option<&A> {
         let mut best: Option<&Entry<A>> = None;
         for e in &self.entries {

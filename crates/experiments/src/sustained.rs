@@ -1,7 +1,6 @@
 //! Sustained load: the sharded control plane under a churning fabric.
 //!
-//! A 64-switch / 128-host leaf-spine-ish fabric (the same shape as the
-//! bench harness's `fabric_64s_128h`) feeds the [`ShardedScheduler`]
+//! A 64-switch / 128-host leaf-spine-ish fabric feeds the [`ShardedScheduler`]
 //! continuously: every 100 ms round, each live host emits a probe with
 //! LCG-churned queue depths and link latencies, the publisher freezes a
 //! new epoch, and a batch of rank queries is admitted and served by the
@@ -316,7 +315,7 @@ pub fn run_on(
 /// Replay the identical scenario through a plain single-threaded
 /// [`SchedulerCore`] — one scratch, no shards, probes ingested one at a
 /// time. Produces the same artifact struct, byte-identical to
-/// [`run`]'s.
+/// [`run`]'s. Oracle: `tests/invariance.rs` pins both to one digest.
 pub fn run_oracle(seed: u64, rounds: usize, qpr: usize) -> SustainedOutput {
     let mut core = SchedulerCore::new(SCHEDULER, scenario_config(), distances(), seed);
     for h in 0..HOSTS {

@@ -124,7 +124,9 @@ impl ParSim {
         self.sims[self.sim_of(node)].app(node, app_idx)
     }
 
-    /// Enable (or disable) trace recording in every domain.
+    /// Enable (or disable) trace recording in every domain. Test accessor:
+    /// `partitioned_runs_match_the_single_thread_oracle` compares the
+    /// domains' canonical traces with the single-loop one.
     pub fn set_tracing(&mut self, on: bool) {
         for sim in &mut self.sims {
             sim.set_tracing(on);
@@ -138,9 +140,10 @@ impl ParSim {
         }
     }
 
-    /// The per-domain engines (for trace-ring configuration and other
-    /// per-engine inspection; mutating topology-level state through this
-    /// asymmetrically across domains breaks the determinism contract).
+    /// The per-domain engines, mutably. Test accessor: the trace oracle
+    /// test sizes and drains each domain's ring through it. Mutating
+    /// topology-level state through this asymmetrically across domains
+    /// breaks the determinism contract.
     pub fn sims_mut(&mut self) -> &mut [Simulator] {
         &mut self.sims
     }
@@ -339,7 +342,7 @@ mod tests {
     fn scenario() -> (Topology, Vec<(NodeId, NodeId)>, FaultPlan) {
         let host = LinkParams {
             bandwidth_bps: 100_000_000,
-            delay: SimDuration::from_micros(50),
+            delay: SimDuration::from_nanos(50_000),
             queue_cap_pkts: 8,
         };
         let uplink = LinkParams {
@@ -385,7 +388,7 @@ mod tests {
                 src,
                 Box::new(Blaster {
                     dst: Topology::host_ip(dst),
-                    period: SimDuration::from_micros(200),
+                    period: SimDuration::from_nanos(200_000),
                     sent: 0,
                 }),
             );
@@ -450,7 +453,7 @@ mod tests {
                     src,
                     Box::new(Blaster {
                         dst: Topology::host_ip(dst),
-                        period: SimDuration::from_micros(500),
+                        period: SimDuration::from_nanos(500_000),
                         sent: 0,
                     }),
                 );
@@ -478,7 +481,7 @@ mod tests {
                 src,
                 Box::new(Blaster {
                     dst: Topology::host_ip(dst),
-                    period: SimDuration::from_micros(300),
+                    period: SimDuration::from_nanos(300_000),
                     sent: 0,
                 }),
             );
@@ -492,7 +495,7 @@ mod tests {
                 src,
                 Box::new(Blaster {
                     dst: Topology::host_ip(dst),
-                    period: SimDuration::from_micros(300),
+                    period: SimDuration::from_nanos(300_000),
                     sent: 0,
                 }),
             );

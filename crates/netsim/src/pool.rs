@@ -72,12 +72,6 @@ impl BufPool {
         }
     }
 
-    /// Frames currently on the freelist. Diagnostic: `freelist_is_bounded`
-    /// below reads it.
-    pub fn free_len(&self) -> usize {
-        self.free.len()
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> PoolStats {
         self.stats
@@ -115,6 +109,6 @@ mod tests {
         for f in frames {
             pool.recycle(f);
         }
-        assert_eq!(pool.free_len(), MAX_FREE);
+        assert_eq!(pool.free.len(), MAX_FREE);
     }
 }

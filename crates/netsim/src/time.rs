@@ -50,11 +50,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// From microseconds.
-    pub const fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us * 1_000)
-    }
-
     /// From milliseconds.
     pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000_000)
@@ -169,8 +164,7 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000));
-        assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1000));
-        assert_eq!(SimDuration::from_micros(1), SimDuration::from_nanos(1000));
+        assert_eq!(SimDuration::from_millis(1), SimDuration::from_nanos(1_000_000));
     }
 
     #[test]
@@ -187,7 +181,7 @@ mod tests {
     fn transmission_time_1500b_at_20mbps() {
         // 1500 bytes at 20 Mbit/s = 600 µs.
         let d = SimDuration::transmission(1500, 20_000_000);
-        assert_eq!(d, SimDuration::from_micros(600));
+        assert_eq!(d, SimDuration::from_nanos(600_000));
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl DecisionAudit {
         &self.records
     }
 
-    /// Drain the held records, keeping the cumulative `total`/`evicted`
-    /// counters — the per-epoch hook for streaming exports (each epoch
-    /// takes what accumulated since the last one, bounding what the
-    /// trail holds in memory to one epoch's worth of decisions).
-    pub fn take_records(&mut self) -> Vec<DecisionRecord> {
-        std::mem::take(&mut self.records)
-    }
-
     /// Deterministic JSON export:
     /// `{"total":…,"evicted":…,"decisions":[{…}]}` with ranked
     /// candidates and exclusions in the order the scheduler produced
@@ -126,12 +118,9 @@ impl DecisionAudit {
     }
 }
 
-/// Render one decision record as the next value in `j` — the single
-/// definition of the record shape, shared by [`DecisionAudit::to_json`]
-/// and the streaming epoch writer (a stream of `write_record` lines
-/// concatenates to exactly the in-core `"decisions"` array, element for
-/// element).
-pub fn write_record(j: &mut JsonBuf, rec: &DecisionRecord) {
+/// Render one decision record as the next value in `j`: one element of
+/// [`DecisionAudit::to_json`]'s `"decisions"` array.
+fn write_record(j: &mut JsonBuf, rec: &DecisionRecord) {
     j.obj_open();
     j.key("at_ns").u64(rec.at_ns);
     j.key("requester").u64(rec.requester as u64);
@@ -214,48 +203,5 @@ mod tests {
                 r#""ranked":[],"excluded":[{"host":3,"reason":"NoFreshPath"}]}]}"#
             )
         );
-    }
-
-    #[test]
-    fn take_records_drains_but_keeps_counters() {
-        let mut a = DecisionAudit::new(8);
-        a.set_enabled(true);
-        a.record(rec(1));
-        a.record(rec(2));
-        let taken = a.take_records();
-        assert_eq!(taken.len(), 2);
-        assert_eq!((a.total(), a.records().len()), (2, 0));
-        a.record(rec(3));
-        assert_eq!((a.total(), a.records().len()), (3, 1));
-    }
-
-    #[test]
-    fn streamed_records_concatenate_to_the_in_core_array() {
-        // Streaming contract: rendering each epoch's drained records
-        // with write_record and splicing them into a decisions array
-        // reproduces the in-core export byte-for-byte.
-        let mut whole = DecisionAudit::new(16);
-        whole.set_enabled(true);
-        let mut streamed = DecisionAudit::new(16);
-        streamed.set_enabled(true);
-        let mut parts = Vec::new();
-        for t in 0..6 {
-            whole.record(rec(t));
-            streamed.record(rec(t));
-            if t % 2 == 1 {
-                // Epoch close: drain and render.
-                for r in streamed.take_records() {
-                    let mut j = JsonBuf::new();
-                    write_record(&mut j, &r);
-                    parts.push(j.finish());
-                }
-            }
-        }
-        let spliced = format!(
-            r#"{{"total":{},"evicted":0,"decisions":[{}]}}"#,
-            streamed.total(),
-            parts.join(",")
-        );
-        assert_eq!(spliced, whole.to_json());
     }
 }

@@ -26,7 +26,7 @@
 //! fixed-order exports, counter-based sampling) so exports are
 //! byte-identical across worker counts and same-seed reruns,
 //! and **cheap when off** — every record call on a disabled sink returns
-//! after a single branch, which the engine bench confirms costs ≤2 %.
+//! after a single branch.
 //!
 //! The crate deliberately has no dependencies (not even the vendored
 //! serde): it sits below every other crate in the workspace, and its

@@ -299,7 +299,8 @@ pub fn render_events_json<'a>(
 /// dispatch, and a node's dispatch sequence does not depend on how the
 /// fabric is partitioned into domains — so after this sort, a merged
 /// multi-domain event stream is byte-identical to the single-loop one
-/// (provided nothing was evicted).
+/// (provided nothing was evicted). Oracle: the parallel engine's trace
+/// determinism test merges its domains' rings with it.
 pub fn canonical_order(events: &mut [TraceEvent]) {
     events.sort_by_key(|e| (e.at_ns, e.kind.node_key()));
 }

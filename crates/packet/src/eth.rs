@@ -11,8 +11,6 @@ use std::fmt;
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
-    /// The broadcast address `ff:ff:ff:ff:ff:ff`.
-    pub const BROADCAST: MacAddr = MacAddr([0xFF; 6]);
     /// The all-zero address, used as a placeholder before ARP-like resolution.
     pub const ZERO: MacAddr = MacAddr([0; 6]);
 
@@ -147,7 +145,7 @@ mod tests {
     #[test]
     fn ethertype_other_preserved() {
         let h = EthernetHeader {
-            dst: MacAddr::BROADCAST,
+            dst: MacAddr([0xFF; 6]),
             src: MacAddr::for_node(9),
             ethertype: EtherType::Other(0x86DD),
         };

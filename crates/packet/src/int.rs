@@ -135,12 +135,6 @@ impl IntStack {
     pub fn last_mut(&mut self) -> Option<&mut IntRecord> {
         self.records.last_mut()
     }
-
-    /// Iterate over `(upstream, downstream)` switch-id pairs, i.e. the link
-    /// adjacencies this probe's path reveals (paper §III-B).
-    pub fn adjacencies(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.records.windows(2).map(|w| (w[0].switch_id, w[1].switch_id))
-    }
 }
 
 impl WireEncode for IntStack {
@@ -243,22 +237,11 @@ mod tests {
     }
 
     #[test]
-    fn adjacencies_follow_record_order() {
-        let mut s = IntStack::new();
-        for id in [1u32, 3, 4] {
-            s.push(rec(id, 0));
-        }
-        let adj: Vec<(u32, u32)> = s.adjacencies().collect();
-        assert_eq!(adj, vec![(1, 3), (3, 4)]);
-    }
-
-    #[test]
     fn empty_stack_roundtrips() {
         let s = IntStack::new();
         assert_eq!(s.hop_count(), 0);
         let parsed = IntStack::decode(&mut &s.to_bytes()[..]).unwrap();
         assert_eq!(parsed.hop_count(), 0);
-        assert_eq!(s.adjacencies().count(), 0);
     }
 
     #[test]

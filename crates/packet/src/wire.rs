@@ -39,23 +39,6 @@ pub fn need<B: Buf>(buf: &B, what: &'static str, n: usize) -> Result<()> {
     }
 }
 
-/// Encode a length-prefixed (u16) byte string.
-pub fn put_bytes16<B: BufMut>(buf: &mut B, data: &[u8]) {
-    debug_assert!(data.len() <= u16::MAX as usize);
-    buf.put_u16(data.len() as u16);
-    buf.put_slice(data);
-}
-
-/// Decode a length-prefixed (u16) byte string.
-pub fn get_bytes16<B: Buf>(buf: &mut B, what: &'static str) -> Result<Vec<u8>> {
-    need(buf, what, 2)?;
-    let len = buf.get_u16() as usize;
-    need(buf, what, len)?;
-    let mut v = vec![0u8; len];
-    buf.copy_to_slice(&mut v);
-    Ok(v)
-}
-
 /// RFC 1071 internet checksum over `data` (as used by IPv4 headers).
 ///
 /// The checksum field itself must be zeroed in `data` before calling.
@@ -106,24 +89,5 @@ mod tests {
         data[10] = (ck >> 8) as u8;
         data[11] = (ck & 0xFF) as u8;
         assert_eq!(internet_checksum(&data), 0);
-    }
-
-    #[test]
-    fn bytes16_roundtrip() {
-        let mut buf = Vec::new();
-        put_bytes16(&mut buf, b"hello");
-        let mut slice = &buf[..];
-        assert_eq!(get_bytes16(&mut slice, "test").unwrap(), b"hello");
-        assert!(slice.is_empty());
-    }
-
-    #[test]
-    fn bytes16_truncated_reports_error() {
-        let mut buf = Vec::new();
-        put_bytes16(&mut buf, b"hello");
-        buf.truncate(4);
-        let mut slice = &buf[..];
-        let err = get_bytes16(&mut slice, "test").unwrap_err();
-        assert!(matches!(err, PacketError::Truncated { .. }));
     }
 }

@@ -50,19 +50,6 @@ impl TaskClass {
             TaskClass::Large => "L",
         }
     }
-
-    /// Classify a task by its data size, back-mapping to Table I. Sizes
-    /// falling between bands map to the nearest band below: a gap size
-    /// belongs to the class whose range it exceeds, up to (but not
-    /// including) the next class's lower bound.
-    pub fn classify_data_kb(kb: u64) -> TaskClass {
-        match kb {
-            0..=1499 => TaskClass::VerySmall,
-            1500..=2999 => TaskClass::Small,
-            3000..=4499 => TaskClass::Medium,
-            _ => TaskClass::Large,
-        }
-    }
 }
 
 impl fmt::Display for TaskClass {
@@ -146,32 +133,6 @@ mod tests {
     fn task_counts() {
         assert_eq!(JobKind::Serverless.task_count(), 1);
         assert_eq!(JobKind::Distributed.task_count(), 3);
-    }
-
-    #[test]
-    fn classification_matches_generation_ranges() {
-        for class in TaskClass::ALL {
-            let (lo, hi) = class.data_kb_range();
-            assert_eq!(TaskClass::classify_data_kb(lo), class);
-            assert_eq!(TaskClass::classify_data_kb(hi), class);
-        }
-    }
-
-    #[test]
-    fn between_band_sizes_map_to_the_band_below() {
-        // Inside the VS band and at its top edge.
-        assert_eq!(TaskClass::classify_data_kb(1000), TaskClass::VerySmall);
-        // In the 1001–1499 gap: still "nearest band below" = VS.
-        assert_eq!(TaskClass::classify_data_kb(1001), TaskClass::VerySmall);
-        assert_eq!(TaskClass::classify_data_kb(1499), TaskClass::VerySmall);
-        // The next band starts exactly at its Table I lower bound.
-        assert_eq!(TaskClass::classify_data_kb(1500), TaskClass::Small);
-        // Same rule at the other gaps.
-        assert_eq!(TaskClass::classify_data_kb(2999), TaskClass::Small);
-        assert_eq!(TaskClass::classify_data_kb(3000), TaskClass::Medium);
-        assert_eq!(TaskClass::classify_data_kb(4499), TaskClass::Medium);
-        assert_eq!(TaskClass::classify_data_kb(4500), TaskClass::Large);
-        assert_eq!(TaskClass::classify_data_kb(9999), TaskClass::Large);
     }
 
     #[test]

@@ -65,10 +65,10 @@ impl App for Heartbeat {
 fn fabric(lit: bool) -> ParSim {
     let link = LinkParams {
         bandwidth_bps: 1_000_000_000,
-        delay: SimDuration::from_micros(50),
+        delay: SimDuration::from_nanos(50_000),
         queue_cap_pkts: 64,
     };
-    let uplink = LinkParams { delay: SimDuration::from_micros(500), ..link };
+    let uplink = LinkParams { delay: SimDuration::from_nanos(500_000), ..link };
     let (spines, leaves, hosts_per_leaf) = (4, 8, 8);
     let fab = ClosParams { spines, leaves, hosts_per_leaf, link }.build_tiered(uplink);
     let routes = ClosRoutes::new(spines, leaves, hosts_per_leaf, link.delay, uplink.delay);
