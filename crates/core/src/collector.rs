@@ -243,7 +243,7 @@ impl IntCollector {
         self.scheduler_host
     }
 
-    /// Per-origin accounting. Diagnostic: `tests/proptest_ingest.rs`
+    /// Per-origin accounting. Test accessor: `tests/proptest_ingest.rs`
     /// reads it against the unmemoized reference.
     pub fn origin_stats(&self, origin: u32) -> OriginStats {
         let routes = &self.routes;
@@ -275,7 +275,7 @@ impl IntCollector {
     }
 
     /// `(hits, misses)` of the route memo: probes folded straight into
-    /// their memo'd edges vs. probes that took the full walk. Diagnostic:
+    /// their memo'd edges vs. probes that took the full walk. Test accessor:
     /// `tests/alloc_ingest.rs` and `tests/proptest_ingest.rs` read it.
     pub fn memo_stats(&self) -> (u64, u64) {
         (self.routes.hits, self.probes_accepted - self.routes.hits)
