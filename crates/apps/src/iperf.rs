@@ -11,7 +11,6 @@
 
 use int_netsim::{App, AppCtx, SimDuration, SimTime};
 use rand::Rng;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// The iperf UDP port (matches the real tool's default).
@@ -112,14 +111,6 @@ impl App for IperfSenderApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -5,7 +5,6 @@ use int_netsim::{App, AppCtx, SimDuration, SimTime};
 use int_packet::msgs::ControlMsg;
 use int_packet::wire::{WireDecode, WireEncode};
 use int_packet::ECHO_UDP_PORT;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TIMER_SEND: u64 = 1;
@@ -80,14 +79,6 @@ impl App for PingApp {
             self.rtts.push((SimTime(ts_ns), rtt));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Replies to echo requests on the well-known echo port.
@@ -122,14 +113,6 @@ impl App for EchoResponderApp {
             let reply = ControlMsg::EchoReply { seq, ts_ns };
             ctx.send_udp(ECHO_UDP_PORT, from, from_port, reply.to_bytes());
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

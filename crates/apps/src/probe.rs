@@ -8,7 +8,6 @@
 use int_netsim::{App, AppCtx, SimDuration};
 use int_packet::wire::WireEncode;
 use int_packet::{ProbePayload, PROBE_UDP_PORT};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 const TIMER_SEND: u64 = 1;
@@ -99,14 +98,6 @@ impl App for ProbeSenderApp {
             self.send_probe(ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Collects raw probes at an endpoint and keeps every decoded payload —
@@ -155,14 +146,6 @@ impl App for ProbeCollectorApp {
             self.probes.push((ctx.now, p));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 use int_netsim::SimTime;
@@ -206,14 +189,6 @@ impl App for ProbeRelayApp {
         };
         self.relayed += 1;
         ctx.send_udp(41001, self.scheduler, PROBE_RELAY_UDP_PORT, relayed.to_bytes());
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -266,12 +241,6 @@ mod tests {
             _payload: &[u8],
         ) {
             self.ports.push(from_port);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -11,7 +11,6 @@ use int_netsim::{App, AppCtx};
 use int_packet::msgs::ControlMsg;
 use int_packet::wire::{WireDecode, WireEncode};
 use int_packet::{RelayedProbe, PROBE_RELAY_UDP_PORT, PROBE_UDP_PORT, SCHEDULER_UDP_PORT};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Execution-time estimate the compute-aware re-ranking converts backlog
@@ -197,13 +196,5 @@ impl App for SchedulerApp {
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -1,7 +1,6 @@
 //! A counting UDP sink (the iperf server side).
 
 use int_netsim::{App, AppCtx};
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -40,14 +39,6 @@ impl App for UdpSinkApp {
         self.packets += 1;
         *self.by_source.entry(from).or_insert(0) += payload.len() as u64;
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -74,12 +65,6 @@ mod tests {
         impl int_netsim::App for OneShot {
             fn on_start(&mut self, ctx: &mut int_netsim::AppCtx<'_>) {
                 ctx.send_udp(9000, self.dst, 9001, vec![0u8; self.len]);
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
 

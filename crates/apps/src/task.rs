@@ -1,13 +1,14 @@
 //! Task submission and execution (paper Fig. 1, steps 5–6).
 //!
-//! * [`TaskSubmitterApp`] runs on an edge device. For each planned job it
-//!   queries the scheduler, picks the top-ranked candidate server per task,
-//!   streams the task's input data over TCP (header + payload), and waits
-//!   for the executor's `TaskDone` callback. It records every timestamp
-//!   the experiment harness needs. It also understands *workflows*
-//!   ([`int_workload::WorkflowSpec`]): task DAGs whose dependent tasks are
-//!   released — with a fresh scheduler query per ready stage — only once
-//!   their parents complete.
+//! * [`TaskSubmitterApp`] runs on an edge device and submits *workflows*
+//!   ([`int_workload::WorkflowSpec`]): task DAGs whose tasks are released
+//!   stage by stage, once their parents complete. Each stage queries the
+//!   scheduler, sends each task to a top-ranked candidate server, streams
+//!   its input data over TCP (header + payload), and waits for the
+//!   executor's `TaskDone` callback. A job (the paper's 1-task serverless
+//!   or 3-task distributed job) is a one-stage workflow: its parentless
+//!   tasks go out in one query whose id is the job id. The submitter
+//!   records every timestamp the experiment harness needs.
 //! * [`TaskExecutorApp`] runs on every edge server: accepts task streams,
 //!   runs each task once its data has fully arrived, then reports
 //!   completion over UDP. Execution uses a real compute model: a finite
@@ -28,8 +29,7 @@ use int_obs::{Labels, MetricsRegistry};
 use int_packet::msgs::{ControlMsg, RankingKind, TaskStreamHeader};
 use int_packet::wire::{WireDecode, WireEncode};
 use int_packet::{SCHEDULER_UDP_PORT, SCHED_CLIENT_UDP_PORT, TASK_UDP_PORT};
-use int_workload::{JobSpec, TaskClass, WorkflowSpec};
-use std::any::Any;
+use int_workload::{JobSpec, TaskClass, WorkflowSpec, WorkflowTaskSpec};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
@@ -375,14 +375,6 @@ impl App for TaskExecutorApp {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 // ---------------------------------------------------------------- submitter
@@ -464,56 +456,92 @@ impl TaskRecord {
     }
 }
 
-/// One task inside an outstanding scheduler query.
-#[derive(Debug, Clone)]
-struct QueryTask {
-    task_id: u64,
-    data_bytes: u64,
-    exec_ns: u64,
-    class: TaskClass,
-    deadline_ns: u64,
-}
-
-/// An outstanding scheduler query (a legacy job or a workflow stage).
+/// An outstanding scheduler query: one stage of a plan.
 struct PendingQuery {
-    tasks: Vec<QueryTask>,
+    tasks: Vec<WorkflowTaskSpec>,
     submitted_at: SimTime,
-    /// Index into `wf` when this query is a workflow stage.
-    wf_idx: Option<usize>,
+    /// Index into `plans`.
+    plan: usize,
 }
 
-/// Per-workflow release bookkeeping.
-struct WfState {
+/// Release bookkeeping for one planned workflow. A job is a one-stage
+/// workflow: its tasks are parentless, carry no deadline and are released
+/// together at the job's submission time.
+struct Plan {
     spec: WorkflowSpec,
+    /// Stage job ids are `base | stage_seq`: the job id for a job (so its
+    /// one stage keeps it), `workflow_id << 16` for a workflow.
+    base: u64,
+    /// The records' `workflow_id`: `None` for a job.
+    workflow_id: Option<u64>,
     /// Tasks already dispatched to a query (or terminally failed).
     released: BTreeSet<u64>,
     completed: BTreeSet<u64>,
     failed: BTreeSet<u64>,
-    /// Stage counter (stage job ids are `workflow_id << 16 | seq`).
+    /// Stages released so far.
     stage_seq: u64,
+}
+
+impl Plan {
+    fn new(spec: WorkflowSpec, base: u64, workflow_id: Option<u64>) -> Self {
+        let (released, completed, failed) = Default::default();
+        Plan { spec, base, workflow_id, released, completed, failed, stage_seq: 0 }
+    }
+
+    fn of_job(job: JobSpec) -> Self {
+        let tasks = job
+            .tasks
+            .iter()
+            .map(|t| WorkflowTaskSpec {
+                task_id: t.task_id,
+                data_bytes: t.data_bytes,
+                exec_ns: t.exec_ns,
+                class: t.class,
+                deadline_ns: 0,
+                parents: Vec::new(),
+            })
+            .collect();
+        let spec = WorkflowSpec {
+            workflow_id: job.job_id,
+            submitter: job.submitter,
+            release_at_ns: job.submit_at_ns,
+            tasks,
+        };
+        Plan::new(spec, job.job_id, None)
+    }
+
+    fn of_workflow(spec: WorkflowSpec) -> Self {
+        let id = spec.workflow_id;
+        Plan::new(spec, id << 16, Some(id))
+    }
+
+    /// Job id of the next stage.
+    fn next_stage(&mut self) -> u64 {
+        let job_id = self.base | self.stage_seq;
+        self.stage_seq += 1;
+        job_id
+    }
 }
 
 // Timer-id encoding: low 32 bits are a payload index, the high bits select
 // the timer kind.
-const RETRY_BIT: u64 = 1 << 32; // legacy job query retry (payload: job index)
+const RELEASE_BIT: u64 = 1 << 32; // plan release (payload: plan index)
 const TIMEOUT_BIT: u64 = 1 << 33; // completion timeout (payload: record index)
-const WF_RELEASE_BIT: u64 = 1 << 34; // workflow release (payload: wf index)
-const STAGE_RETRY_BIT: u64 = 1 << 35; // stage query retry (payload: stage counter)
-const PAYLOAD_MASK: u64 = RETRY_BIT - 1;
+const STAGE_RETRY_BIT: u64 = 1 << 34; // stage query retry (payload: stage counter)
+const PAYLOAD_MASK: u64 = RELEASE_BIT - 1;
 
 /// The edge-device side: submits planned jobs and workflows through the
 /// scheduler.
 pub struct TaskSubmitterApp {
     scheduler: Ipv4Addr,
     ranking: RankingKind,
-    jobs: Vec<JobSpec>,
-    wf: Vec<WfState>,
+    plans: Vec<Plan>,
     awaiting_response: HashMap<u64, PendingQuery>,
     /// Stage-retry timer payload → stage job id.
     stage_retry: BTreeMap<u64, u64>,
     next_stage_retry: u64,
-    /// Stage job id → workflow index (for `TaskDone` routing).
-    job_to_wf: HashMap<u64, usize>,
+    /// Stage job id → plan index (for `TaskDone` routing).
+    job_to_plan: HashMap<u64, usize>,
     /// (job_id, task_id) → index into `records`.
     record_idx: HashMap<(u64, u64), usize>,
     /// Per-task completion timeout armed at dispatch; `None` disables it.
@@ -526,22 +554,10 @@ pub struct TaskSubmitterApp {
 
 impl TaskSubmitterApp {
     /// Submitter for `jobs` (all owned by this node), querying `scheduler`
-    /// with `ranking`.
+    /// with `ranking`. Each job is submitted as a one-stage workflow whose
+    /// query id is the job id.
     pub fn new(scheduler: Ipv4Addr, ranking: RankingKind, jobs: Vec<JobSpec>) -> Self {
-        TaskSubmitterApp {
-            scheduler,
-            ranking,
-            jobs,
-            wf: Vec::new(),
-            awaiting_response: HashMap::new(),
-            stage_retry: BTreeMap::new(),
-            next_stage_retry: 0,
-            job_to_wf: HashMap::new(),
-            record_idx: HashMap::new(),
-            completion_timeout: None,
-            metrics: MetricsRegistry::new(),
-            records: Vec::new(),
-        }
+        Self::with_plans(scheduler, ranking, jobs.into_iter().map(Plan::of_job).collect())
     }
 
     /// Submitter for DAG `workflows` (all owned by this node). Stage by
@@ -552,18 +568,23 @@ impl TaskSubmitterApp {
         ranking: RankingKind,
         workflows: Vec<WorkflowSpec>,
     ) -> Self {
-        let mut app = Self::new(scheduler, ranking, Vec::new());
-        app.wf = workflows
-            .into_iter()
-            .map(|spec| WfState {
-                spec,
-                released: BTreeSet::new(),
-                completed: BTreeSet::new(),
-                failed: BTreeSet::new(),
-                stage_seq: 0,
-            })
-            .collect();
-        app
+        Self::with_plans(scheduler, ranking, workflows.into_iter().map(Plan::of_workflow).collect())
+    }
+
+    fn with_plans(scheduler: Ipv4Addr, ranking: RankingKind, plans: Vec<Plan>) -> Self {
+        TaskSubmitterApp {
+            scheduler,
+            ranking,
+            plans,
+            awaiting_response: HashMap::new(),
+            stage_retry: BTreeMap::new(),
+            next_stage_retry: 0,
+            job_to_plan: HashMap::new(),
+            record_idx: HashMap::new(),
+            completion_timeout: None,
+            metrics: MetricsRegistry::new(),
+            records: Vec::new(),
+        }
     }
 
     /// Bound every dispatched task's wait for its completion callback.
@@ -589,8 +610,7 @@ impl TaskSubmitterApp {
 
     /// Planned tasks across jobs and workflows.
     pub fn planned_tasks(&self) -> usize {
-        self.jobs.iter().map(|j| j.tasks.len()).sum::<usize>()
-            + self.wf.iter().map(|w| w.spec.tasks.len()).sum::<usize>()
+        self.plans.iter().map(|p| p.spec.tasks.len()).sum()
     }
 
     /// True once every planned task has reached a terminal state
@@ -619,7 +639,7 @@ impl TaskSubmitterApp {
         job_id: u64,
         workflow_id: Option<u64>,
         submitted_at: SimTime,
-        task: &QueryTask,
+        task: &WorkflowTaskSpec,
         server: u32,
     ) {
         let server_ip = Topology::host_ip(NodeId(server));
@@ -670,7 +690,7 @@ impl TaskSubmitterApp {
         job_id: u64,
         workflow_id: Option<u64>,
         submitted_at: SimTime,
-        task: &QueryTask,
+        task: &WorkflowTaskSpec,
         reason: FailReason,
     ) {
         let rec = TaskRecord {
@@ -694,53 +714,42 @@ impl TaskSubmitterApp {
         self.records.push(rec);
     }
 
-    fn query_task_of_wf(t: &int_workload::WorkflowTaskSpec) -> QueryTask {
-        QueryTask {
-            task_id: t.task_id,
-            data_bytes: t.data_bytes,
-            exec_ns: t.exec_ns,
-            class: t.class,
-            deadline_ns: t.deadline_ns,
-        }
-    }
-
-    /// Release every workflow task whose parents have all resolved:
+    /// Release every task of plan `plan` whose parents have all resolved:
     /// tasks with a failed ancestor are terminally failed (cascading),
     /// the rest are batched into one stage query.
-    fn release_ready(&mut self, ctx: &mut AppCtx<'_>, wf_idx: usize) {
+    fn release_ready(&mut self, ctx: &mut AppCtx<'_>, plan: usize) {
         loop {
-            let w = &self.wf[wf_idx];
-            let workflow_id = w.spec.workflow_id;
-            let mut doomed: Vec<QueryTask> = Vec::new();
-            let mut ready: Vec<QueryTask> = Vec::new();
-            for t in &w.spec.tasks {
-                if w.released.contains(&t.task_id) {
+            let p = &self.plans[plan];
+            let mut doomed: Vec<WorkflowTaskSpec> = Vec::new();
+            let mut ready: Vec<WorkflowTaskSpec> = Vec::new();
+            for t in &p.spec.tasks {
+                if p.released.contains(&t.task_id) {
                     continue;
                 }
                 let resolved = t
                     .parents
                     .iter()
-                    .all(|p| w.completed.contains(p) || w.failed.contains(p));
+                    .all(|x| p.completed.contains(x) || p.failed.contains(x));
                 if !resolved {
                     continue;
                 }
-                if t.parents.iter().any(|p| w.failed.contains(p)) {
-                    doomed.push(Self::query_task_of_wf(t));
+                if t.parents.iter().any(|x| p.failed.contains(x)) {
+                    doomed.push(t.clone());
                 } else {
-                    ready.push(Self::query_task_of_wf(t));
+                    ready.push(t.clone());
                 }
             }
             if doomed.is_empty() && ready.is_empty() {
                 return;
             }
 
+            let p = &mut self.plans[plan];
+            let job_id = p.next_stage();
+            let workflow_id = p.workflow_id;
             if !doomed.is_empty() {
-                let w = &mut self.wf[wf_idx];
-                let job_id = (workflow_id << 16) | w.stage_seq;
-                w.stage_seq += 1;
                 for t in &doomed {
-                    w.released.insert(t.task_id);
-                    w.failed.insert(t.task_id);
+                    p.released.insert(t.task_id);
+                    p.failed.insert(t.task_id);
                 }
                 self.metrics.counter_add(
                     "tasks_failed_parent",
@@ -751,7 +760,7 @@ impl TaskSubmitterApp {
                     self.push_failed_record(
                         ctx.now,
                         job_id,
-                        Some(workflow_id),
+                        workflow_id,
                         ctx.now,
                         &t,
                         FailReason::ParentFailed,
@@ -762,19 +771,15 @@ impl TaskSubmitterApp {
             }
 
             // One stage query for all simultaneously ready tasks.
-            let w = &mut self.wf[wf_idx];
-            let job_id = (workflow_id << 16) | w.stage_seq;
-            w.stage_seq += 1;
             for t in &ready {
-                w.released.insert(t.task_id);
+                p.released.insert(t.task_id);
             }
             let task_count = ready.len().min(u8::MAX as usize) as u8;
-            self.job_to_wf.insert(job_id, wf_idx);
-            self.awaiting_response.insert(
-                job_id,
-                PendingQuery { tasks: ready, submitted_at: ctx.now, wf_idx: Some(wf_idx) },
-            );
+            self.job_to_plan.insert(job_id, plan);
+            self.awaiting_response
+                .insert(job_id, PendingQuery { tasks: ready, submitted_at: ctx.now, plan });
             self.send_query(ctx, job_id, task_count);
+            // Query and response ride UDP; retry until the response lands.
             let retry_payload = self.next_stage_retry;
             self.next_stage_retry += 1;
             self.stage_retry.insert(retry_payload, job_id);
@@ -782,21 +787,15 @@ impl TaskSubmitterApp {
         }
     }
 
-    /// A workflow task reached a terminal state; advance the DAG.
-    fn on_wf_task_resolved(
-        &mut self,
-        ctx: &mut AppCtx<'_>,
-        wf_idx: usize,
-        task_id: u64,
-        failed: bool,
-    ) {
-        let w = &mut self.wf[wf_idx];
+    /// A task of plan `plan` reached a terminal state; advance the DAG.
+    fn on_task_resolved(&mut self, ctx: &mut AppCtx<'_>, plan: usize, task_id: u64, failed: bool) {
+        let p = &mut self.plans[plan];
         if failed {
-            w.failed.insert(task_id);
+            p.failed.insert(task_id);
         } else {
-            w.completed.insert(task_id);
+            p.completed.insert(task_id);
         }
-        self.release_ready(ctx, wf_idx);
+        self.release_ready(ctx, plan);
     }
 }
 
@@ -804,13 +803,9 @@ impl App for TaskSubmitterApp {
     fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
         ctx.bind_udp(SCHED_CLIENT_UDP_PORT);
         ctx.bind_udp(TASK_UDP_PORT);
-        for (i, job) in self.jobs.iter().enumerate() {
-            let delay = SimTime(job.submit_at_ns).since(ctx.now);
-            ctx.set_timer(delay, i as u64);
-        }
-        for (i, w) in self.wf.iter().enumerate() {
-            let delay = SimTime(w.spec.release_at_ns).since(ctx.now);
-            ctx.set_timer(delay, WF_RELEASE_BIT | i as u64);
+        for (i, p) in self.plans.iter().enumerate() {
+            let delay = SimTime(p.spec.release_at_ns).since(ctx.now);
+            ctx.set_timer(delay, RELEASE_BIT | i as u64);
         }
     }
 
@@ -829,13 +824,6 @@ impl App for TaskSubmitterApp {
             return;
         }
 
-        if timer_id & WF_RELEASE_BIT != 0 {
-            if payload < self.wf.len() {
-                self.release_ready(ctx, payload);
-            }
-            return;
-        }
-
         if timer_id & TIMEOUT_BIT != 0 {
             let Some(rec) = self.records.get_mut(payload) else { return };
             if rec.resolved() {
@@ -845,37 +833,12 @@ impl App for TaskSubmitterApp {
             rec.fail_reason = Some(FailReason::Timeout);
             self.metrics.counter_inc("tasks_failed_timeout", Labels::none());
             let (job_id, task_id) = (rec.job_id, rec.task_id);
-            if let Some(&wf_idx) = self.job_to_wf.get(&job_id) {
-                self.on_wf_task_resolved(ctx, wf_idx, task_id, true);
-            }
+            self.on_task_resolved(ctx, self.job_to_plan[&job_id], task_id, true);
             return;
         }
 
-        // Legacy job submission (and its query retry).
-        let is_retry = timer_id & RETRY_BIT != 0;
-        let Some(job) = self.jobs.get(payload).cloned() else { return };
-        if is_retry && !self.awaiting_response.contains_key(&job.job_id) {
-            return; // the response arrived in the meantime
-        }
-        self.send_query(ctx, job.job_id, job.tasks.len() as u8);
-        // Query and response ride UDP; retry until the response lands.
-        ctx.set_timer(SimDuration::from_secs(2), timer_id | RETRY_BIT);
-        if !is_retry {
-            let tasks = job
-                .tasks
-                .iter()
-                .map(|t| QueryTask {
-                    task_id: t.task_id,
-                    data_bytes: t.data_bytes,
-                    exec_ns: t.exec_ns,
-                    class: t.class,
-                    deadline_ns: 0,
-                })
-                .collect();
-            self.awaiting_response.insert(
-                job.job_id,
-                PendingQuery { tasks, submitted_at: ctx.now, wf_idx: None },
-            );
+        if timer_id & RELEASE_BIT != 0 && payload < self.plans.len() {
+            self.release_ready(ctx, payload);
         }
     }
 
@@ -891,7 +854,7 @@ impl App for TaskSubmitterApp {
         match (to_port, msg) {
             (SCHED_CLIENT_UDP_PORT, ControlMsg::SchedResponse { job_id, candidates }) => {
                 let Some(pending) = self.awaiting_response.remove(&job_id) else { return };
-                let workflow_id = pending.wf_idx.map(|i| self.wf[i].spec.workflow_id);
+                let workflow_id = self.plans[pending.plan].workflow_id;
                 if candidates.is_empty() {
                     // Nowhere to run: account for every planned task with
                     // an unplaceable record instead of dropping the job.
@@ -909,13 +872,9 @@ impl App for TaskSubmitterApp {
                             task,
                             FailReason::Unplaceable,
                         );
+                        self.plans[pending.plan].failed.insert(task.task_id);
                     }
-                    if let Some(wf_idx) = pending.wf_idx {
-                        for task in &pending.tasks {
-                            self.wf[wf_idx].failed.insert(task.task_id);
-                        }
-                        self.release_ready(ctx, wf_idx);
-                    }
+                    self.release_ready(ctx, pending.plan);
                     return;
                 }
                 for (i, task) in pending.tasks.iter().enumerate() {
@@ -948,20 +907,10 @@ impl App for TaskSubmitterApp {
                 if rec.deadline_ns != 0 && ctx.now.as_nanos() > rec.deadline_ns {
                     self.metrics.counter_inc("tasks_missed_deadline", Labels::none());
                 }
-                if let Some(&wf_idx) = self.job_to_wf.get(&job_id) {
-                    self.on_wf_task_resolved(ctx, wf_idx, task_id, false);
-                }
+                self.on_task_resolved(ctx, self.job_to_plan[&job_id], task_id, false);
             }
             _ => {}
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -1040,14 +989,6 @@ mod tests {
             let resp =
                 ControlMsg::SchedResponse { job_id, candidates: self.candidates.clone() };
             ctx.send_udp(SCHEDULER_UDP_PORT, from, from_port, resp.to_bytes());
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1308,6 +1249,59 @@ mod tests {
 
         let (fifo_order, _, _) = wf(RunQueueOrder::Fifo);
         assert_eq!(fifo_order, vec![0, 1, 2], "FIFO runs in arrival order");
+    }
+
+    /// A job is submitted as a one-stage workflow: the same three tasks as
+    /// a 3-task job and as one parentless workflow leave records that
+    /// differ only in the query id and the workflow tag.
+    #[test]
+    fn a_job_is_a_one_stage_workflow() {
+        let (t, device, server, scheduler) = star();
+        let run = |app: TaskSubmitterApp| {
+            let mut sim = Simulator::new(t.clone(), SimConfig::default());
+            let stub = StubSchedulerApp { candidates: vec![candidate(server.0)] };
+            sim.install_app(scheduler, Box::new(stub));
+            sim.install_app(server, Box::new(TaskExecutorApp::new()));
+            let submit = sim.install_app(device, Box::new(app));
+            sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+            let sub = sim.app::<TaskSubmitterApp>(device, submit).unwrap();
+            assert!(sub.all_done(), "{:?}", sub.records);
+            sub.records.clone()
+        };
+        let tasks: Vec<TaskSpec> = [(0, 300, 800), (1, 100, 200), (2, 200, 500)]
+            .into_iter()
+            .map(|(task_id, kb, ms)| TaskSpec {
+                task_id,
+                data_bytes: kb * 1000,
+                exec_ns: ms * 1_000_000,
+                class: TaskClass::VerySmall,
+            })
+            .collect();
+        let stage = tasks
+            .iter()
+            .map(|t| WorkflowTaskSpec {
+                task_id: t.task_id,
+                data_bytes: t.data_bytes,
+                exec_ns: t.exec_ns,
+                class: t.class,
+                deadline_ns: 0,
+                parents: vec![],
+            })
+            .collect();
+        let (sched, at_ns) = (Topology::host_ip(scheduler), 2_000_000_000);
+        let kind = JobKind::Distributed;
+        let job = JobSpec { job_id: 9, submitter: device.0, submit_at_ns: at_ns, kind, tasks };
+        let wf = WorkflowSpec { workflow_id: 4, submitter: device.0, release_at_ns: at_ns, tasks: stage };
+        let as_job = run(TaskSubmitterApp::new(sched, RankingKind::Delay, vec![job]));
+        let as_workflow = run(TaskSubmitterApp::new_workflows(sched, RankingKind::Delay, vec![wf]));
+
+        assert_eq!((as_job.len(), as_workflow.len()), (3, 3));
+        for (j, w) in as_job.iter().zip(&as_workflow) {
+            assert_eq!((j.job_id, j.workflow_id), (9, None), "a job's query id is its job id");
+            assert_eq!((w.job_id, w.workflow_id), (4 << 16, Some(4)), "stage 0 of workflow 4");
+            assert!(j.completed_at.is_some(), "{j:?}");
+            assert_eq!(*j, TaskRecord { job_id: j.job_id, workflow_id: j.workflow_id, ..*w });
+        }
     }
 
     #[test]

@@ -16,20 +16,16 @@
 //! identical across reruns and across worker counts
 //! (`tests/invariance.rs` pins this).
 
+use crate::failover;
 use crate::par;
 use crate::report;
-use crate::testbed::{Testbed, TestbedConfig};
+use crate::testbed::Testbed;
 use int_apps::SchedulerApp;
-use int_core::{CoreConfig, Policy};
-use int_netsim::{FaultPlan, SimDuration, SimTime};
+use int_core::Policy;
+use int_netsim::SimDuration;
 use int_obs::MetricsRegistry;
 use serde::Serialize;
 use std::collections::BTreeMap;
-
-/// Paper node issuing the scheduling queries (attached to sw9).
-const REQUESTER: usize = 7;
-/// Ring positions of the link that fails (same cut as `failover`).
-const FAIL_LINK: (usize, usize) = (9, 10);
 
 /// Probing intervals the audit grid covers (kept small — the point is
 /// the exported trail, not the sweep).
@@ -83,51 +79,20 @@ pub struct AuditOutput {
 /// Run one instrumented cell: light every sink, warm up, cut the link,
 /// poll the ranking past the detection horizon, export.
 fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> AuditCell {
-    let iv_ns = interval.as_nanos();
-
-    // Same horizon handling as the failover harness: let the testbed's
-    // interval scaling set eviction (10 intervals) and silence (5).
-    let core = CoreConfig { eviction_horizon_ns: 0, origin_silence_ns: 0, ..CoreConfig::default() };
-
-    let cfg = TestbedConfig {
-        seed,
-        policy,
-        probe_interval: interval,
-        core,
-        int_enabled: matches!(policy, Policy::IntDelay | Policy::IntBandwidth),
-        ..TestbedConfig::default()
-    };
-    let mut tb = Testbed::new(&cfg);
-
     // Light the observability layer: metrics, trace ring (engine +
     // data-plane programs), and the scheduler's decision audit.
-    tb.sim.set_metrics_enabled(true);
-    tb.sim.set_tracing(true);
-    tb.sim
-        .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
-        .expect("scheduler app")
-        .set_audit_enabled(true);
-
-    let warm_ns = (5 * iv_ns).max(5_000_000_000);
-    let t_fail = SimTime::ZERO + SimDuration::from_nanos(warm_ns);
-    let t_end = t_fail + SimDuration::from_nanos(10 * iv_ns + (5 * iv_ns).max(5_000_000_000));
-
-    let (a, b) = (tb.switches[FAIL_LINK.0], tb.switches[FAIL_LINK.1]);
-    tb.sim.install_fault_plan(&FaultPlan::new().link_down(a, b, t_fail));
-
-    let requester = tb.node(REQUESTER).0;
-    let poll = SimDuration::from_millis(100);
-    let mut t = SimTime::ZERO + poll;
-    while t.as_nanos() <= t_end.as_nanos() {
-        tb.sim.run_until(t);
-        let app = tb
-            .sim
+    let light = |tb: &mut Testbed| {
+        tb.sim.set_metrics_enabled(true);
+        tb.sim.set_tracing(true);
+        tb.sim
             .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
-            .expect("scheduler app");
+            .expect("scheduler app")
+            .set_audit_enabled(true);
+    };
+    let (tb, cut) = failover::run_scenario(seed, policy, interval, light, |cut, t, app| {
         // With auditing on, every detailed ranking lands in the trail.
-        let _ = app.core_mut().rank_detailed_with(requester, policy, t.as_nanos());
-        t += poll;
-    }
+        let _ = app.core_mut().rank_detailed_with(cut.requester, policy, t.as_nanos());
+    });
 
     // Fold the scheduler's path-engine counters in beside the engine's
     // series before snapshotting: CSR rebuilds / weight refreshes are
@@ -142,7 +107,7 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> AuditCell {
     let mut metrics = MetricsRegistry::new();
     metrics.set_enabled(true);
     metrics.merge(tb.sim.metrics());
-    path_stats.export(&mut metrics, t_end.as_nanos());
+    path_stats.export(&mut metrics, cut.t_end.as_nanos());
 
     let stats = tb.sim.stats();
     let trace_seen = tb.sim.trace_ring().seen();

@@ -79,9 +79,32 @@ pub struct FailoverOutput {
 }
 
 
-/// Run one cell: warm up, cut the link, poll the ranking until well past
-/// the detection horizon.
-fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
+/// Where and when [`run_scenario`] cuts the ring, and whom it watches.
+pub(crate) struct Cut {
+    /// When the sw9–sw10 link goes down.
+    pub t_fail: SimTime,
+    /// The last poll time.
+    pub t_end: SimTime,
+    /// The cut link's ends, as the learned map names them.
+    pub dead: [NetNode; 2],
+    /// Map id of the node issuing the polled rankings (paper node 7).
+    pub requester: u32,
+    /// Map id of the node behind the cut (paper node 8).
+    pub target: u32,
+}
+
+/// The failover scenario this sweep, `audit` and the eviction test share:
+/// build the testbed with failure horizons the probing interval sets, let
+/// `setup` adjust it, warm up, cut sw9–sw10, and poll every 100 ms until
+/// well past the eviction horizon. `on_poll` runs at each poll time `t`
+/// with the scheduler app, after the simulator has reached `t`.
+pub(crate) fn run_scenario(
+    seed: u64,
+    policy: Policy,
+    interval: SimDuration,
+    setup: impl FnOnce(&mut Testbed),
+    mut on_poll: impl FnMut(&Cut, SimTime, &mut SchedulerApp),
+) -> (Testbed, Cut) {
     let iv_ns = interval.as_nanos();
 
     // Zero the failure horizons so the testbed's interval scaling sets
@@ -99,56 +122,70 @@ fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
         ..TestbedConfig::default()
     };
     let mut tb = Testbed::new(&cfg);
+    setup(&mut tb);
 
     // Warm-up long enough for all-pairs coverage even at slow intervals;
     // then observe for the 10-interval eviction horizon plus slack.
     let warm_ns = (5 * iv_ns).max(5_000_000_000);
     let t_fail = SimTime::ZERO + SimDuration::from_nanos(warm_ns);
-    let t_end = t_fail + SimDuration::from_nanos(10 * iv_ns + (5 * iv_ns).max(5_000_000_000));
+    let t_end = t_fail + SimDuration::from_nanos(10 * iv_ns + warm_ns);
 
     let (a, b) = (tb.switches[FAIL_LINK.0], tb.switches[FAIL_LINK.1]);
     tb.sim.install_fault_plan(&FaultPlan::new().link_down(a, b, t_fail));
-    let dead_dir = (NetNode::Switch(a.0), NetNode::Switch(b.0));
-
-    let requester = tb.node(REQUESTER).0;
-    let target = tb.node(TARGET).0;
+    let cut = Cut {
+        t_fail,
+        t_end,
+        dead: [NetNode::Switch(a.0), NetNode::Switch(b.0)],
+        requester: tb.node(REQUESTER).0,
+        target: tb.node(TARGET).0,
+    };
 
     let poll = SimDuration::from_millis(100);
     let mut t = SimTime::ZERO + poll;
-    let mut detect_ns: Option<u64> = None;
-    let mut resched_ns: Option<u64> = None;
-    let mut degraded = 0usize;
-    let mut polls_after = 0usize;
-
     while t.as_nanos() <= t_end.as_nanos() {
         tb.sim.run_until(t);
         let app = tb
             .sim
             .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
             .expect("scheduler app");
-        let outcome = app.core_mut().rank_detailed_with(requester, policy, t.as_nanos());
-        if t.as_nanos() > t_fail.as_nanos() {
+        on_poll(&cut, t, app);
+        t += poll;
+    }
+    (tb, cut)
+}
+
+/// Run one cell: warm up, cut the link, poll the ranking until well past
+/// the detection horizon.
+fn run_cell(seed: u64, policy: Policy, interval: SimDuration) -> FailoverPoint {
+    let mut detect_ns: Option<u64> = None;
+    let mut resched_ns: Option<u64> = None;
+    let mut degraded = 0usize;
+    let mut polls_after = 0usize;
+
+    run_scenario(seed, policy, interval, |_| {}, |cut, t, app| {
+        let outcome = app.core_mut().rank_detailed_with(cut.requester, policy, t.as_nanos());
+        if t.as_nanos() > cut.t_fail.as_nanos() {
             polls_after += 1;
-            let since = t.as_nanos() - t_fail.as_nanos();
+            let since = t.as_nanos() - cut.t_fail.as_nanos();
             if detect_ns.is_none() {
                 let map = app.core().collector().map();
                 let noticed = map
                     .dead_edges()
-                    .any(|(x, y, _)| (x, y) == dead_dir || (y, x) == dead_dir)
-                    || outcome.excluded.iter().any(|(h, _)| *h == target);
+                    .any(|(x, y, _)| [x, y] == cut.dead || [y, x] == cut.dead)
+                    || outcome.excluded.iter().any(|(h, _)| *h == cut.target);
                 if noticed {
                     detect_ns = Some(since);
                 }
             }
             match outcome.ranked.first().map(|r| r.host) {
-                Some(h) if h == target => degraded += 1,
+                Some(h) if h == cut.target => degraded += 1,
                 Some(_) if resched_ns.is_none() => resched_ns = Some(since),
                 _ => {}
             }
         }
-        t += poll;
-    }
+    });
 
+    let iv_ns = interval.as_nanos();
     FailoverPoint {
         policy: policy.name().to_string(),
         interval_s: interval.as_secs_f64(),
@@ -231,37 +268,9 @@ mod tests {
     /// directions of the link are evicted no returned route crosses it.
     #[test]
     fn eviction_invalidates_cached_paths_immediately() {
-        let interval = SimDuration::from_millis(100);
-        let iv_ns = interval.as_nanos();
-        let core = CoreConfig { eviction_horizon_ns: 0, origin_silence_ns: 0, ..CoreConfig::default() };
-        let cfg = TestbedConfig {
-            seed: 7,
-            policy: Policy::IntDelay,
-            probe_interval: interval,
-            core,
-            int_enabled: true,
-            ..TestbedConfig::default()
-        };
-        let mut tb = Testbed::new(&cfg);
-
-        let warm_ns = (5 * iv_ns).max(5_000_000_000);
-        let t_fail = SimTime::ZERO + SimDuration::from_nanos(warm_ns);
-        let t_end = t_fail + SimDuration::from_nanos(10 * iv_ns + warm_ns);
-        let (a, b) = (tb.switches[FAIL_LINK.0], tb.switches[FAIL_LINK.1]);
-        tb.sim.install_fault_plan(&FaultPlan::new().link_down(a, b, t_fail));
-        let dead = [NetNode::Switch(a.0), NetNode::Switch(b.0)];
-
-        let requester = tb.node(REQUESTER).0;
-        let target = tb.node(TARGET).0;
-        let poll = SimDuration::from_millis(100);
-        let mut t = SimTime::ZERO + poll;
         let mut polls_fully_evicted = 0usize;
-        while t.as_nanos() <= t_end.as_nanos() {
-            tb.sim.run_until(t);
-            let app = tb
-                .sim
-                .app_mut::<SchedulerApp>(tb.scheduler, tb.scheduler_app)
-                .expect("scheduler app");
+        run_scenario(7, Policy::IntDelay, SimDuration::from_millis(100), |_| {}, |cut, t, app| {
+            let (requester, target, dead) = (cut.requester, cut.target, cut.dead);
             // The poll itself runs evict_stale before ranking.
             app.core_mut().rank_detailed_with(requester, Policy::IntDelay, t.as_nanos());
 
@@ -291,8 +300,7 @@ mod tests {
                     );
                 }
             }
-            t += poll;
-        }
+        });
         assert!(polls_fully_evicted > 0, "the scenario must fully evict the cut link");
     }
 }

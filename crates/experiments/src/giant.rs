@@ -27,7 +27,6 @@ use int_netsim::{
 use int_obs::json::JsonBuf;
 use int_obs::stream::EpochWriter;
 use serde::Serialize;
-use std::any::Any;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -171,12 +170,6 @@ impl App for GiantHost {
         self.got += 1;
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Run the giant scenario, streaming one JSONL line per epoch to

@@ -77,16 +77,13 @@ pub struct TestbedConfig {
     pub int_enabled: bool,
     /// Probe coverage scheme.
     pub probe_mode: ProbeMode,
-    /// Parallel execution slots per executor (default: effectively
-    /// unlimited, the paper's network-isolated evaluation).
-    pub executor_slots: u32,
-    /// Run-queue discipline once executor slots are all busy.
-    pub executor_order: RunQueueOrder,
-    /// Executors push `LoadReport`s to the scheduler when their
-    /// outstanding count changes.
-    pub executor_report_load: bool,
     /// Compute-aware composite re-ranking at the scheduler (the workflow
-    /// experiment's policy axis); `None` leaves the base policy's order.
+    /// experiment's policy axis). It also sets the executors' compute
+    /// model: `None` leaves the base policy's order and gives executors
+    /// effectively unlimited slots (the paper's network-isolated
+    /// evaluation); `Some(p)` gives each executor one slot, an EDF run
+    /// queue iff [`CompositePolicy::edf_executor`], and load reports to
+    /// the scheduler.
     pub compute_policy: Option<CompositePolicy>,
 }
 
@@ -99,9 +96,6 @@ impl Default for TestbedConfig {
             core: CoreConfig::default(),
             int_enabled: true,
             probe_mode: ProbeMode::AllPairs,
-            executor_slots: u32::MAX,
-            executor_order: RunQueueOrder::Fifo,
-            executor_report_load: false,
             compute_policy: None,
         }
     }
@@ -132,7 +126,9 @@ pub fn build_topology() -> (Topology, Vec<NodeId>, Vec<NodeId>) {
 impl Testbed {
     /// Build the testbed and install the standard applications:
     /// per-node probes (except the scheduler), the scheduler service,
-    /// task executors, iperf sinks, and echo responders everywhere.
+    /// task executors, iperf sinks, and echo responders everywhere. The
+    /// executors' slots, run-queue order and load reports all follow from
+    /// [`TestbedConfig::compute_policy`].
     pub fn new(cfg: &TestbedConfig) -> Testbed {
         let (topo, hosts, switches) = build_topology();
 
@@ -182,6 +178,14 @@ impl Testbed {
             )),
         );
 
+        let exec_cfg = match cfg.compute_policy {
+            None => ExecutorConfig::default(),
+            Some(p) => ExecutorConfig {
+                slots: 1,
+                order: if p.edf_executor() { RunQueueOrder::Edf } else { RunQueueOrder::Fifo },
+                report_load_to: Some(scheduler_ip),
+            },
+        };
         let mut executor_app = Vec::with_capacity(hosts.len());
         for &h in &hosts {
             if cfg.int_enabled {
@@ -210,12 +214,7 @@ impl Testbed {
                     }
                 }
             }
-            let exec_cfg = ExecutorConfig {
-                slots: cfg.executor_slots,
-                order: cfg.executor_order,
-                report_load_to: cfg.executor_report_load.then_some(scheduler_ip),
-            };
-            let exec = sim.install_app(h, Box::new(TaskExecutorApp::with_config(exec_cfg)));
+            let exec = sim.install_app(h, Box::new(TaskExecutorApp::with_config(exec_cfg.clone())));
             executor_app.push(exec);
             sim.install_app(h, Box::new(UdpSinkApp::new(int_apps::iperf::IPERF_UDP_PORT)));
             sim.install_app(h, Box::new(EchoResponderApp::new()));
@@ -231,7 +230,7 @@ impl Testbed {
         if let Some(composite) = cfg.compute_policy {
             sched.set_compute(composite);
             for &h in &host_ids {
-                sched.register_executor(h, cfg.executor_slots);
+                sched.register_executor(h, exec_cfg.slots);
             }
         }
 

@@ -141,13 +141,6 @@ fn run_cell(seed: u64, scale: f64, policy: CompositePolicy, slack_pct: u64) -> W
         seed,
         policy: if policy.uses_int() { Policy::IntDelay } else { Policy::Nearest },
         int_enabled: policy.uses_int(),
-        executor_slots: 1,
-        executor_order: if policy.edf_executor() {
-            int_apps::RunQueueOrder::Edf
-        } else {
-            int_apps::RunQueueOrder::Fifo
-        },
-        executor_report_load: true,
         compute_policy: Some(policy),
         ..TestbedConfig::default()
     };

@@ -124,8 +124,10 @@ impl AppCtx<'_> {
     }
 }
 
-/// A simulated application.
-pub trait App: Send {
+/// A simulated application. Post-run inspection finds an installed app by
+/// its concrete type: [`Simulator::app`](crate::Simulator::app) downcasts
+/// it through `Any`, so an app implements only its callbacks.
+pub trait App: Any + Send {
     /// Called once at simulation start.
     fn on_start(&mut self, ctx: &mut AppCtx<'_>);
 
@@ -151,9 +153,20 @@ pub trait App: Send {
         let _ = (ctx, event);
     }
 
-    /// Downcast support for post-run inspection of app state.
-    fn as_any(&self) -> &dyn Any;
+    /// Kept only so that implementations written before `App: Any` still
+    /// compile (the benchmark's apps define it); nothing calls it.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Mutable twin of [`App::as_any`], kept for the same reason.
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }

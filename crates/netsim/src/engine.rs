@@ -50,6 +50,7 @@ use int_obs::{
 use int_packet::{L4View, PacketBuilder};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -527,16 +528,20 @@ impl Simulator {
         self.nodes[node.0 as usize].ports[port as usize].queue.stats()
     }
 
-    /// Downcast an installed app's state for inspection.
-    pub fn app<T: 'static>(&self, node: NodeId, app_idx: usize) -> Option<&T> {
+    /// Downcast an installed app's state for inspection: `None` unless
+    /// `node` is a host whose app `app_idx` exists and is a `T`. This and
+    /// [`Self::app_mut`] are the only places an app is found by type.
+    pub fn app<T: App>(&self, node: NodeId, app_idx: usize) -> Option<&T> {
         let Role::Host(h) = &self.nodes[node.0 as usize].role else { return None };
-        h.apps.get(app_idx)?.as_any().downcast_ref::<T>()
+        let app: &dyn Any = &**h.apps.get(app_idx)?;
+        app.downcast_ref::<T>()
     }
 
-    /// Mutable downcast of an installed app's state.
-    pub fn app_mut<T: 'static>(&mut self, node: NodeId, app_idx: usize) -> Option<&mut T> {
+    /// Mutable downcast of an installed app's state (see [`Self::app`]).
+    pub fn app_mut<T: App>(&mut self, node: NodeId, app_idx: usize) -> Option<&mut T> {
         let Role::Host(h) = &mut self.nodes[node.0 as usize].role else { return None };
-        h.apps.get_mut(app_idx)?.as_any_mut().downcast_mut::<T>()
+        let app: &mut dyn Any = &mut **h.apps.get_mut(app_idx)?;
+        app.downcast_mut::<T>()
     }
 
     /// Start all apps (idempotent; called automatically by `run_until`).
@@ -1106,7 +1111,6 @@ mod tests {
     use crate::topology::LinkParams;
     use int_packet::{ProbePayload, PROBE_UDP_PORT};
     use int_packet::wire::{WireDecode, WireEncode};
-    use std::any::Any;
 
     /// h1 — s1 — h2 with paper-default links.
     fn line_topo() -> (Topology, NodeId, NodeId, NodeId) {
@@ -1134,8 +1138,6 @@ mod tests {
         fn on_start(&mut self, ctx: &mut AppCtx<'_>) {
             ctx.send_udp(5000, self.dst, 5001, self.payload.clone());
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     /// Records every datagram arriving on port 5001 with its arrival time.
@@ -1150,8 +1152,26 @@ mod tests {
         fn on_udp(&mut self, ctx: &mut AppCtx<'_>, _f: Ipv4Addr, _fp: u16, _tp: u16, p: &[u8]) {
             self.got.push((ctx.now, p.to_vec()));
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
+    }
+
+    /// The one place an app is found by type: `app`/`app_mut` answer for
+    /// a host's installed app of the asked type, and for nothing else.
+    #[test]
+    fn app_downcasts_only_to_the_installed_type() {
+        let (t, h1, s1, h2) = line_topo();
+        let mut sim = Simulator::new(t, cfg());
+        let sink = sim.install_app(h2, Box::new(UdpSink::default()));
+
+        sim.app_mut::<UdpSink>(h2, sink).expect("right type").got.push((SimTime::ZERO, vec![7]));
+        assert_eq!(sim.app::<UdpSink>(h2, sink).expect("right type").got.len(), 1);
+
+        assert!(sim.app::<UdpSender>(h2, sink).is_none(), "wrong type");
+        assert!(sim.app_mut::<UdpSender>(h2, sink).is_none(), "wrong type");
+        assert!(sim.app::<UdpSink>(h2, sink + 1).is_none(), "index out of range");
+        assert!(sim.app_mut::<UdpSink>(h2, sink + 1).is_none(), "index out of range");
+        assert!(sim.app::<UdpSink>(h1, 0).is_none(), "host without apps");
+        assert!(sim.app::<UdpSink>(s1, 0).is_none(), "switch");
+        assert!(sim.app_mut::<UdpSink>(s1, 0).is_none(), "switch");
     }
 
     #[test]
@@ -1182,8 +1202,6 @@ mod tests {
             let p = ProbePayload::new(ctx.node.0, 1, ctx.now.as_nanos());
             ctx.send_udp(41000, self.dst, PROBE_UDP_PORT, p.to_bytes());
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     /// Probe sink: parses INT stacks arriving on the probe port.
@@ -1198,8 +1216,6 @@ mod tests {
         fn on_udp(&mut self, _c: &mut AppCtx<'_>, _f: Ipv4Addr, _fp: u16, _tp: u16, p: &[u8]) {
             self.probes.push(ProbePayload::decode(&mut &p[..]).expect("valid probe"));
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     #[test]
@@ -1241,8 +1257,6 @@ mod tests {
                 self.done_at = Some(ctx.now);
             }
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     /// Server that counts received bytes per connection.
@@ -1262,8 +1276,6 @@ mod tests {
                 _ => {}
             }
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     #[test]
@@ -1386,8 +1398,6 @@ mod tests {
             ctx.send_udp(6000, self.dst, self.dst_port, vec![0xCB; self.payload]);
             ctx.set_timer(self.period, 1);
         }
-        fn as_any(&self) -> &dyn Any { self }
-        fn as_any_mut(&mut self) -> &mut dyn Any { self }
     }
 
     /// Determinism at experiment scale: a congested multi-host topology
@@ -1482,8 +1492,6 @@ mod tests {
                 self.fires += 1;
                 ctx.set_timer(self.period, 0);
             }
-            fn as_any(&self) -> &dyn Any { self }
-            fn as_any_mut(&mut self) -> &mut dyn Any { self }
         }
 
         let mut t = Topology::new();
@@ -2006,7 +2014,6 @@ mod more_tests {
     use super::*;
     use crate::app::App;
     use crate::topology::LinkParams;
-    use std::any::Any;
 
     struct Beeper {
         beeps: u32,
@@ -2018,12 +2025,6 @@ mod more_tests {
         fn on_timer(&mut self, ctx: &mut AppCtx<'_>, _id: u64) {
             self.beeps += 1;
             ctx.set_timer(SimDuration::from_millis(50), 1);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

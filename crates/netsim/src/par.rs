@@ -120,7 +120,7 @@ impl ParSim {
     }
 
     /// Downcast an installed app's state for inspection.
-    pub fn app<T: 'static>(&self, node: NodeId, app_idx: usize) -> Option<&T> {
+    pub fn app<T: App>(&self, node: NodeId, app_idx: usize) -> Option<&T> {
         self.sims[self.sim_of(node)].app(node, app_idx)
     }
 
@@ -279,7 +279,6 @@ mod tests {
     use int_dataplane::EcmpSelect;
     use int_obs::trace::{canonical_order, render_events_json};
     use int_obs::TraceRing;
-    use std::any::Any;
     use std::net::Ipv4Addr;
 
     /// CBR sender: a datagram to `dst` every `period`, forever.
@@ -298,12 +297,6 @@ mod tests {
             ctx.send_udp(7000, self.dst, 7000, vec![0xAB; 400]);
             self.sent += 1;
             ctx.set_timer(self.period, 1);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -326,12 +319,6 @@ mod tests {
             _payload: &[u8],
         ) {
             self.got += 1;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

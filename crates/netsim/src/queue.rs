@@ -30,10 +30,11 @@ pub struct DropTailQueue {
 }
 
 impl DropTailQueue {
-    /// Queue holding at most `cap_pkts` packets.
+    /// Queue holding at most `cap_pkts` packets. Its buffer grows on
+    /// demand: most ports never hold more than a few frames.
     pub fn new(cap_pkts: usize) -> Self {
         assert!(cap_pkts > 0, "zero-capacity queue");
-        DropTailQueue { frames: VecDeque::with_capacity(cap_pkts.min(1024)), cap_pkts, stats: QueueStats::default() }
+        DropTailQueue { frames: VecDeque::new(), cap_pkts, stats: QueueStats::default() }
     }
 
     /// Try to enqueue. Returns `None` on success; when the queue is full

@@ -8,7 +8,6 @@
 
 use int_edge_sched::core::rank::StaticDistances;
 use int_edge_sched::prelude::*;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// A device app that fires one scheduler query and prints the response.
@@ -51,12 +50,6 @@ impl App for QueryOnce {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 fn main() {

@@ -125,4 +125,9 @@ if [ -n "$strays" ]; then
     echo "$strays"; echo "a scoped thread, or a thread started outside Worker::start, in shard.rs"; exit 1
 fi
 
+echo "== one downcast (Simulator::app finds an app by type; App's provided pair in app.rs is the only fn as_any)"
+if grep -rn 'fn as_any' crates/*/src src tests examples | grep -v '^crates/netsim/src/app.rs:'; then
+    echo "a hand-written as_any outside netsim/src/app.rs"; exit 1
+fi
+
 echo "CI OK"

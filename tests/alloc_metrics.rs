@@ -26,7 +26,6 @@ use int_edge_sched::netsim::{
     SimTime, Topology,
 };
 use int_obs::json::JsonBuf;
-use std::any::Any;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -53,12 +52,6 @@ impl App for Heartbeat {
         self.sent += 1;
         ctx.send_udp(PORT, peer, PORT, vec![0x48; 64]);
         ctx.set_timer(PERIOD, timer_id);
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
